@@ -26,11 +26,9 @@ from .info import (
     InfoFunction,
     multiplicity_table,
     entropy,
-    mutual_info_f,
     mutual_info_direct,
-    is_independent_exact,
 )
-from .queyranne import SymmetricOracle, MatrixInfoOracle, SumOracle, pendent_pair, minimize_symmetric
+from .queyranne import SymmetricOracle, pendent_pair, minimize_symmetric
 from .products import (
     OneProductCert,
     TwoProductCert,

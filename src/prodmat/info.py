@@ -8,15 +8,21 @@ function
 
 is nonnegative, symmetric and submodular, and f(X) = 0 exactly when the
 column multiset of S factors over the row bipartition (X, complement).
+Conditioning on one row r, over the remaining rows,
+
+    f(X) = I(C_X ; C_complement(X) | C_r)
+
+keeps these properties and is zero exactly when the factorization holds
+within each value of row r; for a 0/1 row that is the 2-product condition.
 Float evaluation of f goes through entropies; the zero decision is never
-made on floats -- `is_independent_exact` checks the integer identity
-n*mu(a,b) == mu_X(a)*mu_Xc(b) over all pattern pairs.
+made on floats -- `InfoFunction.is_independent_exact` checks the integer
+identity n_z*mu(a,b,z) == mu(a,z)*mu(b,z) over all pattern pairs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -76,42 +82,62 @@ def _entropy_from_counts(counts: np.ndarray, n: int) -> float:
 
 
 class InfoFunction:
-    """f(X) = I(C_X; C_Xc) for a fixed matrix, with fast grouped evaluation.
+    """f(X) = I(C_X; C_Xc | C_given) for a fixed matrix; also the minimizer's oracle.
+
+    The ground set is the rows of S other than `given`, renumbered 0..m-1 in
+    order; `ground` maps them back to rows of S.  Without a given row
+    f(X) = I(C_X; C_Xc).
+    With a 0/1 given row r that splits the columns into blocks A (r = 0) and
+    B (r = 1), f(X) = (n0*f_A(X) + n1*f_B(X))/n, so one run of the minimizer
+    searches both blocks for a common bipartition.
 
     Columns are grouped by 64-bit additive signatures (random per-cell
     weights, summed over the chosen rows) for the float path; the weights are
     seeded deterministically, so evaluation is reproducible.  All exact
     decisions use exact pattern keys instead.
+
+    As an oracle for `minimize_symmetric` it exposes `m`, `eval`,
+    `ordering_keys` and `calls`, which counts every requested evaluation of f
+    (including ones answered from the cache).
     """
 
-    def __init__(self, S: Matrix):
+    def __init__(self, S: Matrix, given: Optional[int] = None):
+        if given is not None and not 0 <= given < S.m:
+            raise IndexError(f"given row {given} out of range for {S.m} rows")
         self.S = S
-        m, n = S.m, S.n
-        self.m = m
-        self.n = n
+        self.ground = tuple(i for i in range(S.m) if i != given)
+        self.m = len(self.ground)
+        self.n = n = S.n
+        self.calls = 0
         # per-row small-integer codes for the entries (first-occurrence order)
-        codes = np.empty((m, n), dtype=np.int64)
-        binary = True
+        codes = np.empty((S.m, n), dtype=np.int64)
         for i, row in enumerate(S.rows):
             seen = {}
             for j, x in enumerate(row):
-                c = seen.setdefault(x, len(seen))
-                codes[i, j] = c
-            if binary and any(x != 0 and x != 1 for x in row):
-                binary = False
-        self.codes = codes
+                codes[i, j] = seen.setdefault(x, len(seen))
         self.binary = S.is_zero_one()
         rng = np.random.Generator(np.random.PCG64(_WEIGHT_SEED))
         ncodes = int(codes.max()) + 1
-        weights = rng.integers(0, 1 << 63, size=(m, ncodes), dtype=np.uint64)
+        weights = rng.integers(0, 1 << 63, size=(S.m, ncodes), dtype=np.uint64)
         weights = weights * np.uint64(2) + np.uint64(1)  # odd: distinct per cell in practice
-        self.cell_sig = np.take_along_axis(weights, codes.astype(np.intp), axis=1).astype(np.uint64)
+        cell_sig = np.take_along_axis(weights, codes.astype(np.intp), axis=1).astype(np.uint64)
+        self.codes = codes[list(self.ground)]
+        self.cell_sig = cell_sig[list(self.ground)]
+        # no given row behaves as a constant one: zero signature, code 0
+        if given is None:
+            self.given_codes = np.zeros(n, dtype=np.int64)
+            self.given_sig = np.zeros(n, dtype=np.uint64)
+            self.h_given = 0.0
+        else:
+            self.given_codes = codes[given]
+            self.given_sig = cell_sig[given]
+            self.h_given = self._h_sig(self.given_sig)
         self.sig_all = self.cell_sig.sum(axis=0, dtype=np.uint64)
-        self.h_full = self._h_sig(self.sig_all)
+        self.h_full = self._h_sig(self.sig_all + self.given_sig)
         self._sig_cache = {}
         self._h_cache = {}
+        self._f_cache = {}
         self._exact_cache = {}
-        self._full_groups = None
 
     # -- float path ---------------------------------------------------------
 
@@ -132,31 +158,60 @@ class InfoFunction:
             self._sig_cache[X] = got
         return got
 
-    def entropy_of(self, X: Iterable[int]) -> float:
-        X = tuple(sorted(set(X)))
+    def _h(self, X: tuple) -> float:
+        """H(C_X, C_given) for a sorted row subset (cached)."""
         got = self._h_cache.get(X)
         if got is None:
-            got = self._h_sig(self.sig(X))
+            got = self._h_sig(self.sig(X) + self.given_sig)
             self._h_cache[X] = got
         return got
 
+    def _complement(self, X: tuple) -> tuple:
+        inX = set(X)
+        return tuple(i for i in range(self.m) if i not in inX)
+
     def f(self, X: Iterable[int]) -> float:
-        """H(C_X) + H(C_Xc) - H(C); symmetric in X by construction."""
+        """H(C_X,C_g) + H(C_Xc,C_g) - H(C) - H(C_g); symmetric in X by construction.
+
+        X may be empty or the whole ground set (both give 0).
+        """
         X = tuple(sorted(set(X)))
-        Xc = tuple(i for i in range(self.m) if i not in set(X))
-        return self.entropy_of(X) + self.entropy_of(Xc) - self.h_full
+        got = self._f_cache.get(X)
+        if got is None:
+            got = self._h(X) + self._h(self._complement(X)) - self.h_full - self.h_given
+            self._f_cache[X] = got
+        return got
+
+    def eval(self, X: Sequence[int]) -> float:
+        self.calls += 1
+        return self.f(X)
+
+    def ordering_keys(self, base: tuple, cands: Sequence[tuple]) -> list:
+        """key(c) = f(base + c) - f(c) for each candidate merged element.
+
+        f(base + c) comes from cached signatures, so one key costs two
+        grouping passes instead of a fresh scan of the matrix.
+        """
+        self.calls += 2 * len(cands)
+        sig_base = self.sig(base)
+        fwd = sig_base + self.given_sig
+        bwd = self.sig_all - sig_base + self.given_sig
+        keys = []
+        for c in cands:
+            sig_c = self.sig(c)
+            f_join = self._h_sig(fwd + sig_c) + self._h_sig(bwd - sig_c) - self.h_full - self.h_given
+            keys.append(f_join - self.f(c))
+        return keys
 
     # -- exact path ----------------------------------------------------------
 
     def _keys(self, X: tuple):
-        """Exact per-column pattern keys for a row subset (numpy or tuples)."""
-        if not X:
-            return np.zeros(self.n, dtype=np.uint64)
-        if self.m <= 64 and self.binary:
-            sel = self.codes[list(X)].astype(np.uint64)
-            shifts = np.arange(len(X), dtype=np.uint64)[:, None]
-            return (sel << shifts).sum(axis=0, dtype=np.uint64)
-        return [tuple(self.codes[i, j] for i in X) for j in range(self.n)]
+        """Exact per-column keys of the pattern of (C_X, C_given) (numpy or tuples)."""
+        sel = np.vstack((self.given_codes, self.codes[list(X)]))
+        if self.binary and len(sel) <= 64:
+            shifts = np.arange(len(sel), dtype=np.uint64)[:, None]
+            return (sel.astype(np.uint64) << shifts).sum(axis=0, dtype=np.uint64)
+        return list(map(tuple, sel.T.tolist()))
 
     def _group(self, keys):
         """(group index per column, group count) for exact keys."""
@@ -176,11 +231,13 @@ class InfoFunction:
         return inv, np.array(counts, dtype=np.int64)
 
     def is_independent_exact(self, X: Iterable[int]) -> bool:
-        """True iff n*mu(a,b) == mu_X(a) * mu_Xc(b) for every pattern pair.
+        """True iff n_z*mu(a,b,z) == mu(a,z) * mu(b,z) for every pattern pair.
 
-        Unobserved pairs have mu(a,b) = 0, so independence additionally
-        forces every pair to occur; both facts are checked with integer
-        arithmetic only.
+        Here a and b are patterns of C_X and C_Xc, z is a value of the given
+        row (one constant value without one) and n_z its column count.
+        Unobserved pairs have mu(a,b,z) = 0, so independence additionally
+        forces every pair (a, b) that occurs with z on either side to occur
+        with z jointly; both facts are checked with integer arithmetic only.
         """
         X = tuple(sorted(set(X)))
         if not X or len(X) >= self.m:
@@ -188,31 +245,28 @@ class InfoFunction:
         got = self._exact_cache.get(X)
         if got is not None:
             return got
-        Xc = tuple(i for i in range(self.m) if i not in set(X))
+        Xc = self._complement(X)
         inv_a, cnt_a = self._group(self._keys(X))
         inv_b, cnt_b = self._group(self._keys(Xc))
-        ka, kb = len(cnt_a), len(cnt_b)
-        pairs = inv_a * kb + inv_b
-        upairs, joint = np.unique(pairs, return_counts=True)
-        ok = len(upairs) == ka * kb
+        z = self.given_codes  # first-occurrence codes 0..kz-1
+        cnt_z = np.bincount(z)
+        ka, kb, kz = len(cnt_a), len(cnt_b), len(cnt_z)
+        z_a = np.empty(ka, dtype=np.int64)
+        z_a[inv_a] = z
+        z_b = np.empty(kb, dtype=np.int64)
+        z_b[inv_b] = z
+        upairs, joint = np.unique(inv_a * kb + inv_b, return_counts=True)
+        need = int((np.bincount(z_a, minlength=kz) * np.bincount(z_b, minlength=kz)).sum())
+        ok = len(upairs) == need
         if ok:
-            lhs = joint.astype(object) * self.n
-            rhs = cnt_a[(upairs // kb).astype(np.intp)].astype(object) * cnt_b[
-                (upairs % kb).astype(np.intp)
-            ].astype(object)
+            a = (upairs // kb).astype(np.intp)
+            b = (upairs % kb).astype(np.intp)
+            lhs = joint.astype(object) * cnt_z[z_a[a]].astype(object)
+            rhs = cnt_a[a].astype(object) * cnt_b[b].astype(object)
             ok = bool((lhs == rhs).all())
         self._exact_cache[X] = ok
         self._exact_cache[Xc] = ok
         return ok
-
-
-def mutual_info_f(F: InfoFunction, X: Iterable[int]) -> float:
-    """f(X) in bits; X may be empty or the full row set (both give 0)."""
-    return F.f(X)
-
-
-def is_independent_exact(F: InfoFunction, X: Iterable[int]) -> bool:
-    return F.is_independent_exact(X)
 
 
 def mutual_info_direct(S: Matrix, X: Iterable[int]) -> float:

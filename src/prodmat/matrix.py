@@ -72,7 +72,10 @@ class Matrix:
 def _parse_token(tok: str) -> Fraction:
     if not _TOKEN_RE.match(tok):
         raise MatrixFormatError(f"malformed entry {tok!r}")
-    return Fraction(tok)
+    try:
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        raise MatrixFormatError(f"malformed entry {tok!r}") from None
 
 
 def parse_matrix(text) -> Matrix:

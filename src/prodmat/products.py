@@ -7,8 +7,9 @@ the pendent-pair minimizer and then re-verifies the candidate bipartition by
 the exact multiplicity identity before reconstructing integer factors.
 
 A 2-product glues two matrices along 0/1 special rows; recognition guesses
-the special row, splits the columns by it, and minimizes the sum of the two
-induced information functions over the remaining rows.
+the special row r and minimizes the conditional information
+I(C_X; C_Xc | C_r) over the remaining rows, which is zero exactly when both
+column blocks r = 0 and r = 1 are 1-products over one common bipartition.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .info import InfoFunction, ZERO_EPS, multiplicity_table
 from .matrix import Matrix, ONE, ZERO, dedupe_rows
-from .queyranne import MatrixInfoOracle, SumOracle, minimize_symmetric_with_candidates
+from .queyranne import minimize_symmetric_with_candidates
 
 
 def one_product(S1: Matrix, S2: Matrix) -> Matrix:
@@ -161,7 +162,7 @@ def recognize_one_product(S: Matrix) -> Optional[OneProductCert]:
     if S.m < 2:
         return None
     F = InfoFunction(S)
-    X, val, cands = minimize_symmetric_with_candidates(MatrixInfoOracle(F))
+    X, val, cands = minimize_symmetric_with_candidates(F)
     found = None
     if F.is_independent_exact(X):
         found = X
@@ -247,8 +248,8 @@ def recognize_two_product(S: Matrix) -> Optional[TwoProductCert]:
 
     For each candidate 0/1 row r the columns split into the r=0 and r=1
     blocks; both blocks must be 1-products with respect to one common row
-    bipartition, found by minimizing the sum of the two information
-    functions.  Acceptance requires the exact identity on both blocks.
+    bipartition, found by minimizing I(C_X; C_Xc | C_r) over the other rows.
+    Acceptance requires the exact identity within both values of r.
     """
     m = S.m
     if m < 3:
@@ -259,23 +260,20 @@ def recognize_two_product(S: Matrix) -> Optional[TwoProductCert]:
             continue
         if all(x == row[0] for x in row):
             continue
-        J0 = [j for j in range(S.n) if row[j] == 0]
-        J1 = [j for j in range(S.n) if row[j] == 1]
-        rest = [i for i in range(m) if i != r]
-        A = S.submatrix(rest, J0)
-        B = S.submatrix(rest, J1)
-        FA, FB = InfoFunction(A), InfoFunction(B)
-        oracle = SumOracle([MatrixInfoOracle(FA), MatrixInfoOracle(FB)])
-        X, val, cands = minimize_symmetric_with_candidates(oracle)
+        F = InfoFunction(S, given=r)
+        X, val, cands = minimize_symmetric_with_candidates(F)
         found = None
         for cs, cv in [(X, val)] + sorted(set(cands), key=lambda c: (c[1], c[0])):
             if cv > ZERO_EPS:
                 continue
-            if FA.is_independent_exact(cs) and FB.is_independent_exact(cs):
+            if F.is_independent_exact(cs):
                 found = cs
                 break
         if found is None:
             continue
+        rest = F.ground
+        A = S.submatrix(rest, [j for j in range(S.n) if row[j] == 0])
+        B = S.submatrix(rest, [j for j in range(S.n) if row[j] == 1])
         A1f, A2f = reconstruct_factors(A, found)
         B1f, B2f = reconstruct_factors(B, found)
         X_orig = tuple(rest[i] for i in found)

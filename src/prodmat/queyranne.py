@@ -10,6 +10,10 @@ sets separating u from t.  Recording u as a candidate cut and merging t with
 u, m-1 times, visits a candidate achieving the global minimum of f over
 nonempty proper subsets.
 
+An oracle is any object with the ground-set size `m`, a `calls` counter,
+`eval(X)` and `ordering_keys(base, cands)`.  `info.InfoFunction` is the
+matrix oracle the recognizers use; `SymmetricOracle` adapts a plain callable.
+
 Float comparisons in the ordering are raw; callers that need an exact zero
 re-verify candidates with integer arithmetic downstream.
 """
@@ -17,8 +21,6 @@ re-verify candidates with integer arithmetic downstream.
 from __future__ import annotations
 
 from typing import Callable, Sequence
-
-from .info import InfoFunction
 
 
 class SymmetricOracle:
@@ -48,79 +50,6 @@ class SymmetricOracle:
     def ordering_keys(self, base: tuple, cands: Sequence[tuple]) -> list:
         """key(c) = f(base + c) - f(c) for each candidate merged element."""
         return [self.eval(base + c) - self.eval(c) for c in cands]
-
-
-class MatrixInfoOracle(SymmetricOracle):
-    """Oracle for the mutual-information function of a matrix.
-
-    Keys are evaluated through cached additive column signatures, so one key
-    costs two grouping passes instead of a fresh scan of the matrix.
-    """
-
-    def __init__(self, info: InfoFunction):
-        super().__init__(info.m, None)
-        self.info = info
-
-    def eval(self, X: Sequence[int]) -> float:
-        X = tuple(sorted(X))
-        self.calls += 1
-        got = self._cache.get(X)
-        if got is None:
-            got = self.info.f(X)
-            self._cache[X] = got
-        return got
-
-    def ordering_keys(self, base: tuple, cands: Sequence[tuple]) -> list:
-        info = self.info
-        sig_base = info.sig(base)
-        rest = info.sig_all - sig_base
-        keys = []
-        for c in cands:
-            self.calls += 2  # f(base+c) and f(c)
-            sig_c = info.sig(c)
-            h_fwd = info._h_sig(sig_base + sig_c)
-            h_bwd = info._h_sig(rest - sig_c)
-            f_join = h_fwd + h_bwd - info.h_full
-            keys.append(f_join - self.eval_cached(c))
-        return keys
-
-    def eval_cached(self, X: tuple) -> float:
-        got = self._cache.get(X)
-        if got is None:
-            got = self.info.f(X)
-            self._cache[X] = got
-        return got
-
-
-class SumOracle(SymmetricOracle):
-    """Pointwise sum of symmetric oracles over a common ground set."""
-
-    def __init__(self, parts: Sequence[SymmetricOracle]):
-        if not parts or any(p.m != parts[0].m for p in parts):
-            raise ValueError("parts must share one ground set")
-        super().__init__(parts[0].m, None)
-        self.parts = list(parts)
-
-    def eval(self, X: Sequence[int]) -> float:
-        X = tuple(sorted(X))
-        self.calls += 1
-        got = self._cache.get(X)
-        if got is None:
-            got = sum(p.eval(X) for p in self.parts)
-            for p in self.parts:
-                p.calls -= 1  # count one logical evaluation of the sum
-            self._cache[X] = got
-        return got
-
-    def ordering_keys(self, base: tuple, cands: Sequence[tuple]) -> list:
-        self.calls += 2 * len(cands)
-        acc = None
-        for p in self.parts:
-            before = p.calls
-            ks = p.ordering_keys(base, cands)
-            p.calls = before
-            acc = ks if acc is None else [a + b for a, b in zip(acc, ks)]
-        return acc
 
 
 def pendent_pair(oracle, elements: Sequence[tuple], start: tuple):

@@ -17,7 +17,6 @@ from prodmat import (
     factorize_irreducible,
     hypersimplex_slack,
     is_isomorphic,
-    mutual_info_f,
     one_product,
     recognize_2level_matroid_slack,
     recognize_hypersimplex,
@@ -29,7 +28,7 @@ from prodmat import (
 )
 from prodmat.matroids import hypersimplex_col_bases
 from prodmat.oracles import bf_one_product, bf_submodular_min, bf_two_product, cut_oracle
-from prodmat.queyranne import MatrixInfoOracle, minimize_symmetric
+from prodmat.queyranne import minimize_symmetric
 
 from helpers import (
     base_families_match,
@@ -104,12 +103,11 @@ def test_criterion_04_queyranne_correctness():
     for _ in range(100):
         m = rng.randint(2, 12)
         S = random_matrix(rng, m, rng.randint(1, 10), 0, 2)
-        F = InfoFunction(S)
-        oracle = MatrixInfoOracle(F)
+        oracle = InfoFunction(S)
         _, v = minimize_symmetric(oracle)
         if oracle.calls > m**3:
             over_budget += 1
-        _, bv = bf_submodular_min(MatrixInfoOracle(F))
+        _, bv = bf_submodular_min(InfoFunction(S))
         if abs(v - bv) > 1e-9:
             bad += 1
     for _ in range(100):
@@ -141,10 +139,10 @@ def test_criterion_05_f_properties():
             X = {i for i in range(S.m) if rng.random() < 0.5}
             Y = {i for i in range(S.m) if rng.random() < 0.5}
             Xc = set(range(S.m)) - X
-            fX = mutual_info_f(F, X)
-            fY = mutual_info_f(F, Y)
-            submod = fX + fY >= mutual_info_f(F, X | Y) + mutual_info_f(F, X & Y) - 1e-9
-            sym = abs(fX - mutual_info_f(F, Xc)) <= 1e-12
+            fX = F.f(X)
+            fY = F.f(Y)
+            submod = fX + fY >= F.f(X | Y) + F.f(X & Y) - 1e-9
+            sym = abs(fX - F.f(Xc)) <= 1e-12
             nonneg = fX >= -1e-12
             ok = ok and submod and sym and nonneg
             checked += 1

@@ -147,6 +147,16 @@ def test_missing_file_exit2(capsys):
     assert code == 2
 
 
+def test_zero_denominator_exit2(tmp_path, capsys):
+    p = tmp_path / "m.txt"
+    p.write_text("2 2\n1 1/0\n0 1\n")
+    code = main(["recognize", "1p", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_console_script_installed():
     import shutil
     import subprocess

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,10 +8,9 @@ from prodmat import (
     InfoFunction,
     Matrix,
     entropy,
-    is_independent_exact,
     multiplicity_table,
-    mutual_info_f,
     one_product,
+    seeded_shuffle,
 )
 from prodmat.info import ZERO_EPS, mutual_info_direct
 
@@ -41,24 +41,24 @@ def test_entropy_values():
 
 def test_mutual_info_examples():
     F = InfoFunction(Matrix([[1, 0], [0, 0]]))
-    assert mutual_info_f(F, {0}) == pytest.approx(0.0, abs=1e-12)
+    assert F.f({0}) == pytest.approx(0.0, abs=1e-12)
     F = InfoFunction(Matrix([[0, 1, 1], [0, 1, 0]]))
-    assert mutual_info_f(F, {0}) == pytest.approx(MI_2x3, abs=1e-12)
-    assert mutual_info_f(F, set()) == pytest.approx(0.0, abs=1e-12)
-    assert mutual_info_f(F, {0, 1}) == pytest.approx(0.0, abs=1e-12)
+    assert F.f({0}) == pytest.approx(MI_2x3, abs=1e-12)
+    assert F.f(set()) == pytest.approx(0.0, abs=1e-12)
+    assert F.f({0, 1}) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_is_independent_exact_examples():
     F = InfoFunction(PAPER_4x6)
-    assert is_independent_exact(F, {0, 1})
+    assert F.is_independent_exact({0, 1})
     F2 = InfoFunction(Matrix([[0, 1, 1], [0, 1, 0]]))
-    assert not is_independent_exact(F2, {0})
+    assert not F2.is_independent_exact({0})
     F3 = InfoFunction(Matrix([[1, 0], [0, 0]]))
-    assert is_independent_exact(F3, {0})
+    assert F3.is_independent_exact({0})
     with pytest.raises(ValueError):
-        is_independent_exact(F3, set())
+        F3.is_independent_exact(set())
     with pytest.raises(ValueError):
-        is_independent_exact(F3, {0, 1})
+        F3.is_independent_exact({0, 1})
 
 
 def test_nonnegativity_symmetry_random():
@@ -69,9 +69,9 @@ def test_nonnegativity_symmetry_random():
         for _ in range(5):
             X = {i for i in range(S.m) if rng.random() < 0.5}
             Xc = set(range(S.m)) - X
-            fx = mutual_info_f(F, X)
+            fx = F.f(X)
             assert fx >= -1e-12
-            assert abs(fx - mutual_info_f(F, Xc)) <= 1e-12
+            assert abs(fx - F.f(Xc)) <= 1e-12
 
 
 def test_submodularity_random():
@@ -82,8 +82,8 @@ def test_submodularity_random():
         for _ in range(5):
             X = {i for i in range(S.m) if rng.random() < 0.5}
             Y = {i for i in range(S.m) if rng.random() < 0.5}
-            lhs = mutual_info_f(F, X) + mutual_info_f(F, Y)
-            rhs = mutual_info_f(F, X | Y) + mutual_info_f(F, X & Y)
+            lhs = F.f(X) + F.f(Y)
+            rhs = F.f(X | Y) + F.f(X & Y)
             assert lhs >= rhs - 1e-9
 
 
@@ -95,8 +95,8 @@ def test_exactness_bridge_random():
         F = InfoFunction(S)
         for size in range(1, S.m):
             X = tuple(sorted(rng.sample(range(S.m), size)))
-            indep = is_independent_exact(F, X)
-            val = mutual_info_f(F, X)
+            indep = F.is_independent_exact(X)
+            val = F.f(X)
             assert indep == (val <= ZERO_EPS)
             if indep:
                 assert val <= 1e-12
@@ -108,7 +108,7 @@ def test_direct_formula_agreement():
         S = random_matrix(rng, rng.randint(2, 6), rng.randint(1, 8), 0, 3)
         F = InfoFunction(S)
         X = tuple(sorted(rng.sample(range(S.m), rng.randint(1, S.m - 1))))
-        assert mutual_info_f(F, X) == pytest.approx(mutual_info_direct(S, X), abs=1e-9)
+        assert F.f(X) == pytest.approx(mutual_info_direct(S, X), abs=1e-9)
 
 
 def test_rational_entries_grouped_exactly():
@@ -116,3 +116,61 @@ def test_rational_entries_grouped_exactly():
     S = Matrix([[Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)]])
     t = multiplicity_table(S, {0})
     assert t.counts == {(Fraction(1, 2),): 2, (Fraction(1, 3),): 1}
+
+
+def _random_with_01_rows(rng):
+    """Entries 0..2, m 3..8; about a third of the rows are non-constant 0/1."""
+    while True:
+        m, n = rng.randint(3, 8), rng.randint(2, 9)
+        rows = [[rng.randint(0, 1 if rng.random() < 0.35 else 2) for _ in range(n)] for _ in range(m)]
+        S = Matrix(rows)
+        split = [r for r in range(m) if set(rows[r]) == {0, 1}]
+        if split:
+            return S, split
+
+
+def test_conditional_f_is_weighted_block_sum():
+    # I(C_X; C_Xc | C_r) = (n0*f_A(X) + n1*f_B(X))/n, and its exact zero set is
+    # the common zero set of the two blocks, for every non-constant 0/1 row r
+    rng = random.Random(15)
+    for _ in range(40):
+        S, split = _random_with_01_rows(rng)
+        for r in split:
+            F = InfoFunction(S, given=r)
+            assert F.m == S.m - 1 and F.ground == tuple(i for i in range(S.m) if i != r)
+            J0 = [j for j in range(S.n) if S.rows[r][j] == 0]
+            J1 = [j for j in range(S.n) if S.rows[r][j] == 1]
+            FA = InfoFunction(S.submatrix(F.ground, J0))
+            FB = InfoFunction(S.submatrix(F.ground, J1))
+            for size in range(F.m + 1):
+                for X in itertools.combinations(range(F.m), size):
+                    want = (len(J0) * FA.f(X) + len(J1) * FB.f(X)) / S.n
+                    assert abs(F.f(X) - want) <= 1e-9
+                    if 0 < size < F.m:
+                        both = FA.is_independent_exact(X) and FB.is_independent_exact(X)
+                        assert F.is_independent_exact(X) == both
+    with pytest.raises(IndexError):
+        InfoFunction(S, given=S.m)
+
+
+@pytest.mark.parametrize("m", [63, 64, 65])
+def test_packed_key_width_boundary(m):
+    # X = S1's single row; the key of the complement side packs m - 1 rows
+    # plus the given row (a constant row when there is none), so the highest
+    # row lands on the last bit.  S2's row 0 becomes the given row: both of
+    # its values cover two distinct columns, so flipping one entry of X or of
+    # the highest row breaks independence in either block.
+    rng = random.Random(16 + m)
+    head = [[0, 0, 1, 1], [0, 1, 0, 1]]
+    S2 = Matrix(head + [[rng.randint(0, 1) for _ in range(4)] for _ in range(m - 3)])
+    P, row_perm, _ = seeded_shuffle(one_product(Matrix([[0, 1]]), S2), 1000 + m)
+    x, g = row_perm.index(0), row_perm.index(1)
+    local_x = x - (x > g)
+    assert InfoFunction(P).is_independent_exact({x})
+    assert InfoFunction(P, given=g).is_independent_exact({local_x})
+    for i in (x, max(set(range(m)) - {x, g})):
+        flipped = [list(row) for row in P.rows]
+        flipped[i][0] = 1 - flipped[i][0]
+        near = Matrix(flipped)
+        assert not InfoFunction(near).is_independent_exact({x})
+        assert not InfoFunction(near, given=g).is_independent_exact({local_x})

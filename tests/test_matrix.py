@@ -41,6 +41,7 @@ def test_parse_decimal_exact():
         "1 1\nfoo",
         "1 1\n1e3",
         "1",
+        "1 1\n1/0",
     ],
 )
 def test_parse_errors(text):

@@ -4,7 +4,7 @@ import pytest
 
 from prodmat import InfoFunction, Matrix, SymmetricOracle, minimize_symmetric, pendent_pair
 from prodmat.oracles import bf_submodular_min, cut_oracle
-from prodmat.queyranne import MatrixInfoOracle, minimize_symmetric_with_candidates
+from prodmat.queyranne import minimize_symmetric_with_candidates
 
 from helpers import random_cut_oracle_edges, random_matrix
 
@@ -46,11 +46,10 @@ def test_minimize_matches_bruteforce_matrix_f():
     rng = random.Random(22)
     for _ in range(40):
         S = random_matrix(rng, rng.randint(2, 9), rng.randint(1, 8), 0, 2)
-        F = InfoFunction(S)
-        o1 = MatrixInfoOracle(F)
+        o1 = InfoFunction(S)
         X, v = minimize_symmetric(o1)
         assert o1.calls <= S.m**3
-        _, bv = bf_submodular_min(MatrixInfoOracle(F))
+        _, bv = bf_submodular_min(InfoFunction(S))
         assert v == pytest.approx(bv, abs=1e-9)
 
 
@@ -70,7 +69,7 @@ def test_paper_product_min_is_zero():
     from prodmat import one_product
 
     P = one_product(Matrix([[1, 0], [2, 3]]), Matrix([[1, 0, 0], [0, 1, 1]]))
-    X, v = minimize_symmetric(MatrixInfoOracle(InfoFunction(P)))
+    X, v = minimize_symmetric(InfoFunction(P))
     assert abs(v) <= 1e-12
     assert X in ((0, 1), (2, 3))
 
@@ -78,14 +77,12 @@ def test_paper_product_min_is_zero():
 def test_deterministic():
     rng = random.Random(24)
     S = random_matrix(rng, 7, 6, 0, 2)
-    F = InfoFunction(S)
-    r1 = minimize_symmetric_with_candidates(MatrixInfoOracle(F))
-    r2 = minimize_symmetric_with_candidates(MatrixInfoOracle(F))
+    r1 = minimize_symmetric_with_candidates(InfoFunction(S))
+    r2 = minimize_symmetric_with_candidates(InfoFunction(S))
     assert r1[0] == r2[0] and r1[1] == r2[1] and r1[2] == r2[2]
 
 
 def test_generic_oracle_counts_calls():
-    calls = []
     oracle = SymmetricOracle(3, lambda X: float(len(X) % 3 != 0))
     minimize_symmetric(oracle)
     assert 0 < oracle.calls <= 27
