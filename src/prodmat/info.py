@@ -17,6 +17,11 @@ within each value of row r; for a 0/1 row that is the 2-product condition.
 Float evaluation of f goes through entropies; the zero decision is never
 made on floats -- `InfoFunction.is_independent_exact` checks the integer
 identity n_z*mu(a,b,z) == mu(a,z)*mu(b,z) over all pattern pairs.
+
+`group_columns` is the one exact column grouping: given rows of
+`Matrix.codes` it numbers the distinct column patterns and counts them.
+Every exact pattern count in the package goes through it;
+`multiplicity_table` stays as the independent dict-based reference.
 """
 
 from __future__ import annotations
@@ -81,6 +86,43 @@ def _entropy_from_counts(counts: np.ndarray, n: int) -> float:
     return math.log2(n) - float((counts * np.log2(counts)).sum()) / n
 
 
+def group_columns(sub: np.ndarray):
+    """Exact grouping of the columns of a 2-D array of nonnegative ints.
+
+    Returns (inv, counts, first): inv[j] is the group of column j, counts[g]
+    the number of columns in group g and first[g] its first column; groups
+    are numbered in order of first occurrence.  When every key fits in int64
+    (the product of the per-row ranges max+1 is at most 2**63) the columns
+    are packed into one mixed-radix key each; otherwise they are compared as
+    tuples.  Equality is never decided by a hash.
+    """
+    n = sub.shape[1]
+    radix = (sub.max(axis=1) + 1).tolist()
+    if math.prod(radix) <= 1 << 63:
+        keys = np.zeros(n, dtype=np.int64)
+        for row, r in zip(sub, radix):
+            keys = keys * r + row
+        _, first, inv, counts = np.unique(
+            keys, return_index=True, return_inverse=True, return_counts=True
+        )
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        return rank[inv], counts[order], first[order]
+    seen = {}
+    inv = np.empty(n, dtype=np.int64)
+    first, counts = [], []
+    for j, key in enumerate(map(tuple, sub.T.tolist())):
+        g = seen.get(key)
+        if g is None:
+            g = seen[key] = len(first)
+            first.append(j)
+            counts.append(0)
+        inv[j] = g
+        counts[g] += 1
+    return inv, np.array(counts, dtype=np.int64), np.array(first, dtype=np.int64)
+
+
 class InfoFunction:
     """f(X) = I(C_X; C_Xc | C_given) for a fixed matrix; also the minimizer's oracle.
 
@@ -94,7 +136,7 @@ class InfoFunction:
     Columns are grouped by 64-bit additive signatures (random per-cell
     weights, summed over the chosen rows) for the float path; the weights are
     seeded deterministically, so evaluation is reproducible.  All exact
-    decisions use exact pattern keys instead.
+    decisions group columns with `group_columns` over `S.codes` instead.
 
     As an oracle for `minimize_symmetric` it exposes `m`, `eval`,
     `ordering_keys` and `calls`, which counts every requested evaluation of f
@@ -109,18 +151,12 @@ class InfoFunction:
         self.m = len(self.ground)
         self.n = n = S.n
         self.calls = 0
-        # per-row small-integer codes for the entries (first-occurrence order)
-        codes = np.empty((S.m, n), dtype=np.int64)
-        for i, row in enumerate(S.rows):
-            seen = {}
-            for j, x in enumerate(row):
-                codes[i, j] = seen.setdefault(x, len(seen))
-        self.binary = S.is_zero_one()
+        codes = S.codes
         rng = np.random.Generator(np.random.PCG64(_WEIGHT_SEED))
         ncodes = int(codes.max()) + 1
         weights = rng.integers(0, 1 << 63, size=(S.m, ncodes), dtype=np.uint64)
         weights = weights * np.uint64(2) + np.uint64(1)  # odd: distinct per cell in practice
-        cell_sig = np.take_along_axis(weights, codes.astype(np.intp), axis=1).astype(np.uint64)
+        cell_sig = np.take_along_axis(weights, codes, axis=1)
         self.codes = codes[list(self.ground)]
         self.cell_sig = cell_sig[list(self.ground)]
         # no given row behaves as a constant one: zero signature, code 0
@@ -170,14 +206,20 @@ class InfoFunction:
         inX = set(X)
         return tuple(i for i in range(self.m) if i not in inX)
 
+    def _check_range(self, X: tuple) -> None:
+        if X and (X[0] < 0 or X[-1] >= self.m):
+            raise IndexError(f"row subset out of range for {self.m} rows: {X}")
+
     def f(self, X: Iterable[int]) -> float:
         """H(C_X,C_g) + H(C_Xc,C_g) - H(C) - H(C_g); symmetric in X by construction.
 
-        X may be empty or the whole ground set (both give 0).
+        X may be empty or the whole ground set (both give 0); an index outside
+        the ground set raises IndexError.
         """
         X = tuple(sorted(set(X)))
         got = self._f_cache.get(X)
         if got is None:
+            self._check_range(X)
             got = self._h(X) + self._h(self._complement(X)) - self.h_full - self.h_given
             self._f_cache[X] = got
         return got
@@ -205,31 +247,6 @@ class InfoFunction:
 
     # -- exact path ----------------------------------------------------------
 
-    def _keys(self, X: tuple):
-        """Exact per-column keys of the pattern of (C_X, C_given) (numpy or tuples)."""
-        sel = np.vstack((self.given_codes, self.codes[list(X)]))
-        if self.binary and len(sel) <= 64:
-            shifts = np.arange(len(sel), dtype=np.uint64)[:, None]
-            return (sel.astype(np.uint64) << shifts).sum(axis=0, dtype=np.uint64)
-        return list(map(tuple, sel.T.tolist()))
-
-    def _group(self, keys):
-        """(group index per column, group count) for exact keys."""
-        if isinstance(keys, np.ndarray):
-            _, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
-            return inv.astype(np.int64), counts.astype(np.int64)
-        seen = {}
-        inv = np.empty(self.n, dtype=np.int64)
-        counts = []
-        for j, k in enumerate(keys):
-            g = seen.get(k)
-            if g is None:
-                g = seen[k] = len(counts)
-                counts.append(0)
-            inv[j] = g
-            counts[g] += 1
-        return inv, np.array(counts, dtype=np.int64)
-
     def is_independent_exact(self, X: Iterable[int]) -> bool:
         """True iff n_z*mu(a,b,z) == mu(a,z) * mu(b,z) for every pattern pair.
 
@@ -240,15 +257,16 @@ class InfoFunction:
         with z jointly; both facts are checked with integer arithmetic only.
         """
         X = tuple(sorted(set(X)))
+        self._check_range(X)
         if not X or len(X) >= self.m:
             raise ValueError("X must be a nonempty proper row subset")
         got = self._exact_cache.get(X)
         if got is not None:
             return got
         Xc = self._complement(X)
-        inv_a, cnt_a = self._group(self._keys(X))
-        inv_b, cnt_b = self._group(self._keys(Xc))
         z = self.given_codes  # first-occurrence codes 0..kz-1
+        inv_a, cnt_a, _ = group_columns(np.vstack((z, self.codes[list(X)])))
+        inv_b, cnt_b, _ = group_columns(np.vstack((z, self.codes[list(Xc)])))
         cnt_z = np.bincount(z)
         ka, kb, kz = len(cnt_a), len(cnt_b), len(cnt_z)
         z_a = np.empty(ka, dtype=np.int64)

@@ -4,6 +4,12 @@ Entries are `fractions.Fraction`, so column equality (the basis of every
 multiplicity count elsewhere) is unambiguous.  Decimal input is converted
 exactly (0.25 -> 1/4).  Quantization of noisy real data is the caller's
 responsibility; this module never rounds.
+
+`Matrix.codes` is the one integer form of a matrix that the counting code
+works on: each entry replaced by the index of its value among the distinct
+values of its row, in order of first occurrence.  Two columns agree on a row
+set exactly when their codes agree there, so every exact pattern count
+(`info.group_columns` over rows of `codes`) needs no `Fraction` comparison.
 """
 
 from __future__ import annotations
@@ -11,6 +17,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 _TOKEN_RE = re.compile(r"^[+-]?(\d+(\.\d+)?|\d+/\d+)$")
 
@@ -25,7 +33,7 @@ class MatrixFormatError(ValueError):
 class Matrix:
     """Immutable m x n matrix of Fractions; equality and hashing are entrywise-exact."""
 
-    __slots__ = ("m", "n", "rows", "_hash")
+    __slots__ = ("m", "n", "rows", "_hash", "_codes")
 
     def __init__(self, rows: Sequence[Sequence[Fraction]]):
         rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
@@ -38,6 +46,23 @@ class Matrix:
         self.m = len(rows)
         self.n = n
         self._hash = None
+        self._codes = None
+
+    @property
+    def codes(self) -> np.ndarray:
+        """Read-only int64 m x n array of per-row value codes (built once).
+
+        codes[i, j] is the index of rows[i][j] among the distinct values of
+        row i, numbered in order of first occurrence.
+        """
+        if self._codes is None:
+            codes = np.empty((self.m, self.n), dtype=np.int64)
+            for i, row in enumerate(self.rows):
+                seen = {}
+                codes[i] = [seen.setdefault(x, len(seen)) for x in row]
+            codes.flags.writeable = False
+            self._codes = codes
+        return self._codes
 
     def row(self, i: int) -> tuple:
         return self.rows[i]

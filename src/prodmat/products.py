@@ -5,6 +5,10 @@ combination of the columns of two smaller matrices stacked on a row
 bipartition.  Recognition minimizes the mutual-information function f with
 the pendent-pair minimizer and then re-verifies the candidate bipartition by
 the exact multiplicity identity before reconstructing integer factors.
+`reconstruct_factors` proves its own output: the factors re-expand to S
+exactly when the joint pattern count table equals the outer product of the
+factors' column repetitions, which is also the exact independence identity.
+All pattern counts here go through `info.group_columns` over `Matrix.codes`.
 
 A 2-product glues two matrices along 0/1 special rows; recognition guesses
 the special row r and minimizes the conditional information
@@ -14,13 +18,13 @@ column blocks r = 0 and r = 1 are 1-products over one common bipartition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .info import InfoFunction, ZERO_EPS, multiplicity_table
+from .info import InfoFunction, ZERO_EPS, group_columns
 from .matrix import Matrix, ONE, ZERO, dedupe_rows
 from .queyranne import minimize_symmetric_with_candidates
 
@@ -82,73 +86,42 @@ class Factorization:
         return len(self.blocks)
 
 
-def _column_multiset(S: Matrix) -> dict:
-    return multiplicity_table(S, range(S.m)).counts
-
-
-def _stack_rows(S: Matrix, order: Sequence[int]) -> Matrix:
-    return Matrix(tuple(S.rows[i] for i in order))
-
-
 def reconstruct_factors(S: Matrix, X: Sequence[int]) -> Tuple[Matrix, Matrix]:
     """Integer factors (S1, S2) with one_product(S1, S2) column-equivalent to S.
 
-    Requires the exact independence identity on (X, complement).  The
-    rank-1 multiplicity matrix mu(a_i, b_j) = u_i * v_j is turned integral by
-    clearing denominators of u in ascending i; any valid integral split is
-    acceptable, the expansion check decides validity.
+    The rows X go to S1 and the rest to S2, each in ascending order.  With
+    mu_X and mu_Xc the pattern counts of the two sides, the rank-1 split
+    mu_X(a_i) * mu_Xc(b_k) / n = u_i * v_k is made integral by dividing the
+    u side by g = gcd_i mu_X(a_i); S1 repeats the first column of each X
+    pattern u_i times and S2 the first column of each Xc pattern v_k times,
+    patterns in order of first occurrence.  The factors are returned only if
+    the joint count mu(a_i, b_k) equals u_i * v_k for every pair, which is
+    both the exact independence identity on (X, complement) and the
+    statement that the factors re-expand to S; otherwise ValueError.
     """
     X = tuple(sorted(set(X)))
-    Xc = tuple(i for i in range(S.m) if i not in set(X))
+    if X and (X[0] < 0 or X[-1] >= S.m):
+        raise IndexError(f"row subset out of range for {S.m} rows: {X}")
+    inX = set(X)
+    Xc = tuple(i for i in range(S.m) if i not in inX)
     if not X or not Xc:
         raise ValueError("X must be a nonempty proper row subset")
-    F = InfoFunction(S)
-    if not F.is_independent_exact(X):
-        raise ValueError("rows are not independent across the bipartition")
     n = S.n
-
-    pats_a, idx_a, cnt_a = [], {}, []
-    pats_b, idx_b, cnt_b = [], {}, []
-    for j in range(n):
-        a = tuple(S.rows[i][j] for i in X)
-        b = tuple(S.rows[i][j] for i in Xc)
-        if a not in idx_a:
-            idx_a[a] = len(pats_a)
-            pats_a.append(a)
-            cnt_a.append(0)
-        if b not in idx_b:
-            idx_b[b] = len(pats_b)
-            pats_b.append(b)
-            cnt_b.append(0)
-        cnt_a[idx_a[a]] += 1
-        cnt_b[idx_b[b]] += 1
-
-    u = [Fraction(c, n) for c in cnt_a]
-    v = [Fraction(c) for c in cnt_b]
-    for i in range(len(u)):
-        if u[i].denominator != 1:
-            q = u[i].denominator
-            u = [x * q for x in u]
-            v = [x / q for x in v]
-    assert all(x.denominator == 1 for x in u) and all(x.denominator == 1 for x in v)
-
-    def build(patterns, reps, row_ids):
-        cols = []
-        for p, r in zip(patterns, reps):
-            cols.extend([p] * int(r))
-        return Matrix(tuple(tuple(col[i] for col in cols) for i in range(len(row_ids))))
-
-    S1 = build(pats_a, u, X)
-    S2 = build(pats_b, v, Xc)
-    assert S1.n * S2.n == n
+    inv_a, cnt_a, first_a = group_columns(S.codes[list(X)])
+    inv_b, cnt_b, first_b = group_columns(S.codes[list(Xc)])
+    ka, kb = len(cnt_a), len(cnt_b)
+    g = math.gcd(*cnt_a.tolist())
+    u = cnt_a // g
+    v = cnt_b * g // n
+    if (
+        ka * kb > n
+        or (v * n != cnt_b * g).any()
+        or (np.bincount(inv_a * kb + inv_b, minlength=ka * kb) != np.outer(u, v).ravel()).any()
+    ):
+        raise ValueError("rows are not independent across the bipartition")
+    S1 = S.submatrix(X, np.repeat(first_a, u).tolist())
+    S2 = S.submatrix(Xc, np.repeat(first_b, v).tolist())
     return S1, S2
-
-
-def _expansion_matches(S: Matrix, X: tuple, S1: Matrix, S2: Matrix) -> bool:
-    """Column multiset of one_product(S1, S2) equals that of S with rows reordered X then Xc."""
-    Xc = tuple(i for i in range(S.m) if i not in set(X))
-    reordered = _stack_rows(S, X + Xc)
-    return _column_multiset(one_product(S1, S2)) == _column_multiset(reordered)
 
 
 def recognize_one_product(S: Matrix) -> Optional[OneProductCert]:
@@ -176,7 +149,6 @@ def recognize_one_product(S: Matrix) -> Optional[OneProductCert]:
     if found is None:
         return None
     S1, S2 = reconstruct_factors(S, found)
-    assert _expansion_matches(S, found, S1, S2)
     inX = set(found)
     Xc = tuple(i for i in range(S.m) if i not in inX)
     row_map = tuple(
@@ -287,8 +259,6 @@ def recognize_two_product(S: Matrix) -> Optional[TwoProductCert]:
             tuple(A2f.rows[i] + B2f.rows[i] for i in range(A2f.m))
             + ((ZERO,) * A2f.n + (ONE,) * B2f.n,)
         )
-        assert _expansion_matches(A, found, A1f, A2f)
-        assert _expansion_matches(B, found, B1f, B2f)
         row_map = []
         for i in range(m):
             if i == r:
@@ -308,7 +278,11 @@ def recognize_two_product(S: Matrix) -> Optional[TwoProductCert]:
 # certificates.  On distinct-column matrices the exact independence test
 # reduces to the pattern-count identity kX * kXc == n, and any zero
 # bipartition is a union of the connected components of the pairwise
-# dependence graph, which keeps the enumeration small.
+# dependence graph, which keeps the enumeration small.  Everything runs on
+# `S.codes`: one `group_columns` call per (side, block) gives the pattern
+# count kX, the factor's columns (first column of each pattern) and the
+# column map.  Codes relabel a 0/1 row at most by swapping 0 and 1, which
+# changes neither pairwise independence nor any pattern count.
 # ---------------------------------------------------------------------------
 
 
@@ -330,32 +304,11 @@ class ExactTwoProductCert:
 
 
 def _pairwise_dependent(A: np.ndarray) -> np.ndarray:
-    """Boolean matrix: rows i,j fail pairwise exact independence (0/1 entries)."""
+    """Boolean matrix: rows i,j fail pairwise exact independence (0/1 codes)."""
     m, n = A.shape
     C = A @ A.T
     s = A.sum(axis=1)
     return n * C != np.outer(s, s)
-
-
-def _distinct_count(A: np.ndarray, rows: Sequence[int]) -> int:
-    sub = A[list(rows)]
-    if len(rows) <= 63:
-        shifts = np.arange(len(rows), dtype=np.uint64)[:, None]
-        keys = (sub.astype(np.uint64) << shifts).sum(axis=0, dtype=np.uint64)
-        return len(np.unique(keys))
-    return np.unique(sub, axis=1).shape[1]
-
-
-def _patterns_first_occurrence(S: Matrix, rows: tuple, cols: Sequence[int]):
-    pats, idx = [], {}
-    where = []
-    for j in cols:
-        key = tuple(S.rows[i][j] for i in rows)
-        if key not in idx:
-            idx[key] = len(pats)
-            pats.append(key)
-        where.append(idx[key])
-    return pats, where
 
 
 def iter_two_product_certs_exact(S: Matrix) -> Iterator[ExactTwoProductCert]:
@@ -368,7 +321,7 @@ def iter_two_product_certs_exact(S: Matrix) -> Iterator[ExactTwoProductCert]:
     m, n = S.m, S.n
     if m < 3 or not S.is_zero_one():
         return
-    full = np.array([[int(x) for x in row] for row in S.rows], dtype=np.int64)
+    codes = S.codes
     for r in range(m):
         row = S.rows[r]
         if all(x == row[0] for x in row):
@@ -376,9 +329,24 @@ def iter_two_product_certs_exact(S: Matrix) -> Iterator[ExactTwoProductCert]:
         J0 = [j for j in range(n) if row[j] == 0]
         J1 = [j for j in range(n) if row[j] == 1]
         rest = [i for i in range(m) if i != r]
-        A0 = full[np.ix_(rest, J0)]
-        A1 = full[np.ix_(rest, J1)]
+        A0 = codes[np.ix_(rest, J0)]
+        A1 = codes[np.ix_(rest, J1)]
         dep = _pairwise_dependent(A0) | _pairwise_dependent(A1)
+
+        def augmented_factor(rows, grp0, grp1):
+            # the factor's columns are the first column of each pattern;
+            # its last row is the special row (0 on J0, 1 on J1)
+            cols = [J0[f] for f in grp0[2].tolist()] + [J1[f] for f in grp1[2].tolist()]
+            F = S.submatrix(rows + (r,), cols)
+            comp_row = tuple(ONE - x for x in F.rows[-1])
+            out, keep = dedupe_rows(Matrix(F.rows + (comp_row,)))
+            return out, keep[F.m - 1]
+
+        def colmap(grp0, grp1):
+            cm = np.empty(n, dtype=np.int64)
+            cm[J0] = grp0[0]
+            cm[J1] = len(grp0[1]) + grp1[0]
+            return tuple(cm.tolist())
 
         # connected components of the pairwise dependence graph
         k = len(rest)
@@ -411,45 +379,20 @@ def iter_two_product_certs_exact(S: Matrix) -> Iterator[ExactTwoProductCert]:
                     X.extend(blocks[b])
             X = sorted(X)
             Xc = sorted(set(range(k)) - set(X))
-            n1_0 = _distinct_count(A0, X)
-            n2_0 = _distinct_count(A0, Xc)
+            g1_0, g2_0 = group_columns(A0[X]), group_columns(A0[Xc])
+            n1_0, n2_0 = len(g1_0[1]), len(g2_0[1])
             if n1_0 * n2_0 != len(J0):
                 continue
-            n1_1 = _distinct_count(A1, X)
-            n2_1 = _distinct_count(A1, Xc)
+            g1_1, g2_1 = group_columns(A1[X]), group_columns(A1[Xc])
+            n1_1, n2_1 = len(g1_1[1]), len(g2_1[1])
             if n1_1 * n2_1 != len(J1):
                 continue
 
             Xrows = tuple(rest[i] for i in X)
             Xcrows = tuple(rest[i] for i in Xc)
-            pats1_0, w1_0 = _patterns_first_occurrence(S, Xrows, J0)
-            pats1_1, w1_1 = _patterns_first_occurrence(S, Xrows, J1)
-            pats2_0, w2_0 = _patterns_first_occurrence(S, Xcrows, J0)
-            pats2_1, w2_1 = _patterns_first_occurrence(S, Xcrows, J1)
 
-            def factor_with_special(p0, p1, nrows):
-                cols = [p + (ZERO,) for p in p0] + [p + (ONE,) for p in p1]
-                return Matrix(tuple(tuple(c[i] for c in cols) for i in range(nrows + 1)))
-
-            S1 = factor_with_special(pats1_0, pats1_1, len(Xrows))
-            S2 = factor_with_special(pats2_0, pats2_1, len(Xcrows))
-
-            def augment(F):
-                comp_row = tuple(ONE - x for x in F.rows[-1])
-                out, keep = dedupe_rows(Matrix(F.rows + (comp_row,)))
-                return out, keep[F.m - 1]
-
-            S1p, x1_pos = augment(S1)
-            S2p, y1_pos = augment(S2)
-
-            colmap1 = [0] * n
-            colmap2 = [0] * n
-            for pos, j in enumerate(J0):
-                colmap1[j] = w1_0[pos]
-                colmap2[j] = w2_0[pos]
-            for pos, j in enumerate(J1):
-                colmap1[j] = n1_0 + w1_1[pos]
-                colmap2[j] = n2_0 + w2_1[pos]
+            S1p, x1_pos = augmented_factor(Xrows, g1_0, g1_1)
+            S2p, y1_pos = augmented_factor(Xcrows, g2_0, g2_1)
 
             yield ExactTwoProductCert(
                 special_row=r,
@@ -458,8 +401,8 @@ def iter_two_product_certs_exact(S: Matrix) -> Iterator[ExactTwoProductCert]:
                 x1_pos=x1_pos,
                 S2p=S2p,
                 y1_pos=y1_pos,
-                colmap1=tuple(colmap1),
-                colmap2=tuple(colmap2),
+                colmap1=colmap(g1_0, g1_1),
+                colmap2=colmap(g2_0, g2_1),
                 sides1=(n1_0, n1_1),
                 sides2=(n2_0, n2_1),
                 block_sizes=(len(J0), len(J1)),

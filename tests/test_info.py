@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from prodmat import (
@@ -12,7 +13,7 @@ from prodmat import (
     one_product,
     seeded_shuffle,
 )
-from prodmat.info import ZERO_EPS, mutual_info_direct
+from prodmat.info import ZERO_EPS, group_columns, mutual_info_direct
 
 from helpers import random_matrix
 
@@ -46,6 +47,13 @@ def test_mutual_info_examples():
     assert F.f({0}) == pytest.approx(MI_2x3, abs=1e-12)
     assert F.f(set()) == pytest.approx(0.0, abs=1e-12)
     assert F.f({0, 1}) == pytest.approx(0.0, abs=1e-12)
+    # negative indices must not wrap around to the last rows
+    for X in ({-1}, {2}, {0, 2}):
+        with pytest.raises(IndexError):
+            F.f(X)
+    G = InfoFunction(PAPER_4x6, given=2)
+    with pytest.raises(IndexError):
+        G.f({3})
 
 
 def test_is_independent_exact_examples():
@@ -59,6 +67,9 @@ def test_is_independent_exact_examples():
         F3.is_independent_exact(set())
     with pytest.raises(ValueError):
         F3.is_independent_exact({0, 1})
+    for X in ({-1}, {2}, {0, 5}):
+        with pytest.raises(IndexError):
+            F3.is_independent_exact(X)
 
 
 def test_nonnegativity_symmetry_random():
@@ -174,3 +185,40 @@ def test_packed_key_width_boundary(m):
         near = Matrix(flipped)
         assert not InfoFunction(near).is_independent_exact({x})
         assert not InfoFunction(near, given=g).is_independent_exact({local_x})
+
+
+def _group_columns_reference(sub):
+    seen, inv, counts, first = {}, [], [], []
+    for j in range(sub.shape[1]):
+        key = tuple(int(x) for x in sub[:, j])
+        if key not in seen:
+            seen[key] = len(counts)
+            counts.append(0)
+            first.append(j)
+        inv.append(seen[key])
+        counts[seen[key]] += 1
+    return inv, counts, first
+
+
+@pytest.mark.parametrize("rows,values", [(63, 2), (64, 2), (65, 2), (39, 3), (40, 3)])
+def test_group_columns_packed_key_boundary(rows, values):
+    # Keys are packed while the product of the row ranges is at most 2**63:
+    # 63 binary and 39 ternary rows pack, 64 and 40 do not (3**39 < 2**63 <
+    # 3**40).  The pool holds the all-zero and all-max columns and pairs that
+    # differ only in the first row, which a key wrapped modulo 2**64 merges
+    # from 65 binary rows on.
+    rng = random.Random(17 + rows)
+    top = values - 1
+    pool = [[0] * rows, [top] * rows]
+    for _ in range(6):
+        col = [rng.randint(0, top) for _ in range(rows)]
+        pool.append(col)
+        pool.append([(col[0] + 1) % values] + col[1:])
+    cols = [rng.choice(pool) for _ in range(60)] + pool
+    rng.shuffle(cols)
+    sub = np.array(cols, dtype=np.int64).T
+    inv, counts, first = group_columns(sub)
+    want_inv, want_counts, want_first = _group_columns_reference(sub)
+    assert inv.tolist() == want_inv
+    assert counts.tolist() == want_counts
+    assert first.tolist() == want_first

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from prodmat import (
@@ -156,3 +157,14 @@ def test_seeded_shuffle_deterministic():
     assert a[0] == b[0] and a[1] == b[1] and a[2] == b[2]
     c = seeded_shuffle(S, 8)
     assert (c[1], c[2]) != (a[1], a[2])
+
+
+def test_codes_first_occurrence_read_only_cached():
+    S = Matrix([[3, 1, 3, Fraction(1, 2)], [0, 0, 0, 0], [Fraction(1, 2), 0.5, 2, 2]])
+    C = S.codes
+    assert C.dtype == np.int64
+    assert C.tolist() == [[0, 1, 0, 2], [0, 0, 0, 0], [0, 0, 1, 1]]
+    assert S.codes is C
+    with pytest.raises(ValueError):
+        C[0, 0] = 5
+    assert S.codes.tolist()[0] == [0, 1, 0, 2]

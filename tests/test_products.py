@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from prodmat import (
+    InfoFunction,
     Matrix,
     dedupe_rows,
     factorize_irreducible,
@@ -65,6 +67,44 @@ def test_reconstruct_factors_examples():
     assert columns_multiset(one_product(S1, S2)) == columns_multiset(S)
     with pytest.raises(ValueError):
         reconstruct_factors(Matrix([[0, 1, 1], [0, 1, 0]]), {0})
+    # negative indices must not wrap around to the last rows
+    for X in ({-1}, {2}, {0, 2}):
+        with pytest.raises(IndexError):
+            reconstruct_factors(Matrix([[0, 1], [5, 5]]), X)
+
+
+def _with_repeated_columns(rng, S):
+    return S.restrict_cols(list(range(S.n)) + [rng.randrange(S.n) for _ in range(rng.randint(1, 3))])
+
+
+def test_reconstruct_factors_agrees_with_exact_check():
+    # the joint count check inside reconstruct_factors accepts exactly the
+    # independent bipartitions, and what it accepts re-expands to S
+    rng = random.Random(37)
+    inputs = [Matrix([[0, 1, 2], [0, 1, 2]])]  # X = {0}: 3 * 3 patterns > 3 columns
+    for _ in range(60):
+        inputs.append(random_matrix(rng, rng.randint(2, 6), rng.randint(1, 10), 0, 2))
+    for _ in range(40):
+        A = _with_repeated_columns(rng, random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), 0, 2))
+        B = _with_repeated_columns(rng, random_matrix(rng, rng.randint(1, 3), rng.randint(1, 2), 0, 2))
+        inputs.append(seeded_shuffle(one_product(A, B), rng.getrandbits(64))[0])
+    accepted = 0
+    for S in inputs:
+        F = InfoFunction(S)
+        for size in range(1, S.m):
+            for X in itertools.combinations(range(S.m), size):
+                Xc = tuple(i for i in range(S.m) if i not in X)
+                if not F.is_independent_exact(X):
+                    with pytest.raises(ValueError):
+                        reconstruct_factors(S, X)
+                    continue
+                S1, S2 = reconstruct_factors(S, X)
+                assert (S1.m, S2.m) == (len(X), len(Xc))
+                assert columns_multiset(one_product(S1, S2)) == columns_multiset(
+                    Matrix(tuple(S.rows[i] for i in X + Xc))
+                )
+                accepted += 1
+    assert accepted > 100
 
 
 def test_factorize_paper_product():

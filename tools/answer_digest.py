@@ -1,0 +1,180 @@
+"""Print one SHA-256 over every recognizer's answer on a fixed seeded input set.
+
+Two checkouts whose recognizers give the same exact answers print the same
+digest, so a refactor can show "same answers" with one command:
+
+    python3 tools/answer_digest.py
+
+To compare against another commit, unpack that commit (for example with
+`git archive <rev> | tar -x -C <dir>`), copy this file into `<dir>/tools/`
+and run it there as well; the script imports `prodmat` from the `src/`
+directory next to its own `tools/` directory.
+
+The input set (1,080 matrices, all from `random.Random` with fixed seeds):
+  - 400 random matrices with entries 0..2 (m 2..6, n 1..9)
+  - 300 shuffled 1-products of 2-3 small factors with repeated columns,
+    half with one flipped entry
+  - 200 shuffled 2-products (factors with entries 0..2 or 0/1)
+  - 100 0/1 matrices with distinct columns (2-products, deduplicated)
+  - 80 shuffled 2-level matroid slack matrices, a quarter with one entry flipped
+
+Digested per input: the `recognize_one_product` certificate, the
+`factorize_irreducible` blocks and factors, the `recognize_two_product`
+certificate, every field of every `iter_two_product_certs_exact`
+certificate, and for the slack matrices the `recognize_2level_matroid_slack`
+expression and column bases (or the rejection).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from prodmat import (  # noqa: E402
+    Matrix,
+    MatroidInputError,
+    factorize_irreducible,
+    one_product,
+    recognize_2level_matroid_slack,
+    recognize_one_product,
+    recognize_two_product,
+    seeded_shuffle,
+    two_product,
+    write_matrix,
+)
+from prodmat.matroids import CoherenceError, Leaf, OneSum, TwoSum, expr_size, expr_to_slack  # noqa: E402
+from prodmat.products import iter_two_product_certs_exact  # noqa: E402
+
+
+def canon(x):
+    """A repr-stable form: matrices as their text, dataclasses field by field."""
+    if isinstance(x, Matrix):
+        return write_matrix(x)
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,) + tuple(
+            (f.name, canon(getattr(x, f.name))) for f in dataclasses.fields(x)
+        )
+    if isinstance(x, (tuple, list)):
+        return tuple(canon(y) for y in x)
+    if isinstance(x, frozenset):
+        return tuple(sorted(canon(y) for y in x))
+    if isinstance(x, Fraction):
+        return str(x)
+    return x
+
+
+def rand_matrix(rng, m, n, hi):
+    return Matrix([[rng.randint(0, hi) for _ in range(n)] for _ in range(m)])
+
+
+def flip_one(rng, S, hi):
+    rows = [list(r) for r in S.rows]
+    i, j = rng.randrange(S.m), rng.randrange(S.n)
+    rows[i][j] = (rows[i][j] + rng.randint(1, hi)) % (hi + 1)
+    return Matrix(rows)
+
+
+def with_repeats(rng, S):
+    """S with some of its columns repeated."""
+    cols = list(range(S.n)) + [rng.randrange(S.n) for _ in range(rng.randint(0, 2))]
+    return S.restrict_cols(cols)
+
+
+def random_two_product(rng, hi):
+    while True:
+        n1, n2 = rng.randint(2, 4), rng.randint(2, 4)
+        x1 = [rng.randint(0, 1) for _ in range(n1)]
+        y1 = [rng.randint(0, 1) for _ in range(n2)]
+        if len(set(x1)) == 2 and len(set(y1)) == 2:
+            break
+    S1 = Matrix(rand_matrix(rng, rng.randint(1, 3), n1, hi).rows + (tuple(x1),))
+    S2 = Matrix(rand_matrix(rng, rng.randint(1, 3), n2, hi).rows + (tuple(y1),))
+    return two_product(S1, S1.m - 1, S2, S2.m - 1)
+
+
+def distinct_columns(S):
+    seen, keep = set(), []
+    for j in range(S.n):
+        c = S.col(j)
+        if c not in seen:
+            seen.add(c)
+            keep.append(j)
+    return S.restrict_cols(keep)
+
+
+def random_expr(rng, leaves):
+    if leaves == 1:
+        d = rng.randint(2, 5)
+        return Leaf(d, rng.randint(1, d - 1))
+    left = rng.randint(1, leaves - 1)
+    a, b = random_expr(rng, left), random_expr(rng, leaves - left)
+    if rng.random() < 0.5:
+        return OneSum((a, b))
+    return TwoSum(a, b, rng.randrange(expr_size(a)), rng.randrange(expr_size(b)))
+
+
+def matrix_inputs():
+    rng = random.Random(20240601)
+    out = []
+    for _ in range(400):
+        out.append(rand_matrix(rng, rng.randint(2, 6), rng.randint(1, 9), 2))
+    for k in range(300):
+        P = with_repeats(rng, rand_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), 3))
+        for _ in range(rng.randint(1, 2)):
+            P = one_product(P, with_repeats(rng, rand_matrix(rng, rng.randint(1, 2), rng.randint(1, 3), 3)))
+        if k % 2:
+            P = flip_one(rng, P, 3)
+        out.append(seeded_shuffle(P, rng.getrandbits(64))[0])
+    for k in range(200):
+        T = random_two_product(rng, 1 if k % 2 else 2)
+        out.append(seeded_shuffle(T, rng.getrandbits(64))[0])
+    for _ in range(100):
+        T = distinct_columns(random_two_product(rng, 1))
+        out.append(seeded_shuffle(T, rng.getrandbits(64))[0])
+    return out
+
+
+def slack_inputs():
+    rng = random.Random(20240602)
+    out = []
+    while len(out) < 80:
+        try:
+            S = expr_to_slack(random_expr(rng, rng.randint(1, 3)))
+        except (CoherenceError, ValueError):
+            continue
+        if S.n > 200 or S.m > 30:
+            continue
+        if len(out) % 4 == 3:
+            S = flip_one(rng, S, 1)
+        out.append(seeded_shuffle(S, rng.getrandbits(64))[0])
+    return out
+
+
+def main():
+    h = hashlib.sha256()
+    count = 0
+    for S in matrix_inputs():
+        cert1 = recognize_one_product(S)
+        fac = factorize_irreducible(S)
+        cert2 = recognize_two_product(S)
+        certs = list(iter_two_product_certs_exact(S))
+        h.update(repr(canon((S, cert1, fac, cert2, certs))).encode())
+        count += 1
+    for S in slack_inputs():
+        try:
+            rec = recognize_2level_matroid_slack(S)
+        except MatroidInputError as exc:
+            rec = ("input error", str(exc))
+        h.update(repr(canon((S, rec))).encode())
+        count += 1
+    print(f"{h.hexdigest()}  {count} inputs")
+
+
+if __name__ == "__main__":
+    main()
