@@ -16,7 +16,9 @@ keeps these properties and is zero exactly when the factorization holds
 within each value of row r; for a 0/1 row that is the 2-product condition.
 Float evaluation of f goes through entropies; the zero decision is never
 made on floats -- `InfoFunction.is_independent_exact` checks the integer
-identity n_z*mu(a,b,z) == mu(a,z)*mu(b,z) over all pattern pairs.
+identity n_z*mu(a,b,z) == mu(a,z)*mu(b,z) over all pattern pairs, and
+`InfoFunction.components` applies the same identity to every pair of single
+rows: every zero of f is a union of the components of that dependence graph.
 
 `group_columns` is the one exact column grouping: given rows of
 `Matrix.codes` it numbers the distinct column patterns and counts them.
@@ -37,6 +39,9 @@ from .matrix import Matrix
 ZERO_EPS = 1e-9
 
 _WEIGHT_SEED = 0x51AC_0DE5
+
+#: (row pair, column) entries grouped at once by `InfoFunction.components`
+_PAIR_CHUNK = 1 << 16
 
 
 class MultiplicityTable:
@@ -285,6 +290,45 @@ class InfoFunction:
         self._exact_cache[X] = ok
         self._exact_cache[Xc] = ok
         return ok
+
+    def components(self) -> list:
+        """Connected components of the pairwise-dependence graph, as sorted tuples.
+
+        Ground rows i and j are adjacent when some values x of row i, y of
+        row j and z of the given row have n_z*mu(x,y,z) != mu(x,z)*mu(y,z),
+        tested in integers on the observed (x, y, z) triples of every row
+        pair, which `group_columns` counts a bounded chunk of pairs at a
+        time.  (An unobserved pair of observed values needs no test: if every
+        observed triple passes, both sides sum to n_z**2 over them.)  Every
+        zero X of f is a union of components, since C_X ⊥ C_Xc | C_given
+        forces C_i ⊥ C_j | C_given for i in X and j outside it.  Sorted by
+        smallest row; [] on an empty ground set.
+        """
+        m, n = self.m, self.n
+        if m == 0:
+            return []
+        z, codes = self.given_codes, self.codes
+        cnt_z = np.bincount(z)
+        # mu[i, j]: count of (value of row i, value of the given row) at column j
+        inv, cnt, _ = group_columns(np.vstack((np.repeat(np.arange(m), n), np.tile(z, m), codes.ravel())))
+        mu = cnt[inv].reshape(m, n)
+        reach = np.eye(m, dtype=bool)
+        iu, ju = np.triu_indices(m, 1)
+        step = max(1, _PAIR_CHUNK // n)
+        for lo in range(0, len(iu), step):
+            a, b = iu[lo : lo + step], ju[lo : lo + step]
+            pair = np.repeat(np.arange(len(a)), n)
+            triples = np.vstack((pair, np.tile(z, len(a)), codes[a].ravel(), codes[b].ravel()))
+            _, cnt, first = group_columns(triples)
+            p, j = first // n, first % n
+            bad = p[cnt_z[z[j]] * cnt != mu[a[p], j] * mu[b[p], j]]
+            reach[a[bad], b[bad]] = reach[b[bad], a[bad]] = True
+        # transitive closure by repeated squaring
+        while True:
+            nxt = (reach.astype(np.float64) @ reach) > 0
+            if (nxt == reach).all():
+                return sorted({tuple(np.flatnonzero(row).tolist()) for row in reach})
+            reach = nxt
 
 
 def mutual_info_direct(S: Matrix, X: Iterable[int]) -> float:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Optional, Sequence, Union
 
+from .info import group_columns
 from .matrix import Matrix, ONE, ZERO
 from .polytopes import normalize_nonredundant_with_maps
 from .products import factorize_irreducible, iter_two_product_certs_exact, one_product, two_product
@@ -672,24 +673,6 @@ def _glue_options(expr: Expr, bases: list, pattern: tuple, side: str):
     return out
 
 
-def _factor_column_map(S: Matrix, block: tuple, factor: Matrix):
-    """Map each column of S to the factor column holding its restricted pattern."""
-    pat_to_col = {}
-    for c in range(factor.n):
-        key = tuple(factor.rows[r][c] for r in range(factor.m))
-        if key in pat_to_col:
-            return None
-        pat_to_col[key] = c
-    out = []
-    for j in range(S.n):
-        key = tuple(S.rows[i][j] for i in block)
-        c = pat_to_col.get(key)
-        if c is None:
-            return None
-        out.append(c)
-    return out
-
-
 def _recognize_rec(S: Matrix, strict: bool):
     if _screen(S) is not None:
         return None
@@ -713,9 +696,8 @@ def _recognize_rec(S: Matrix, strict: bool):
             sub = _recognize_rec(factor, strict)
             if sub is None:
                 return None
-            cmap = _factor_column_map(S, block, factor)
-            if cmap is None:
-                return None
+            # the factor's columns are the block's patterns in first-occurrence order
+            cmap = group_columns(S.codes[list(block)])[0].tolist()
             kids.append((sub[0], sub[1], cmap))
         expr = OneSum(tuple(k[0] for k in kids))
         col_bases = []

@@ -2,18 +2,24 @@
 
 A matrix is a 1-product when its column multiset is the full "Cartesian"
 combination of the columns of two smaller matrices stacked on a row
-bipartition.  Recognition minimizes the mutual-information function f with
-the pendent-pair minimizer and then re-verifies the candidate bipartition by
-the exact multiplicity identity before reconstructing integer factors.
+bipartition.  Every recognizer searches zero sets the same way
+(`_zero_cut`): every zero of the mutual-information function f is a union
+of components of the exact pairwise-dependence graph
+(`InfoFunction.components`), so a connected graph answers "no" with no float
+evaluation; otherwise the pendent-pair minimizer runs over the components
+as merged elements and each candidate is re-verified by the exact
+multiplicity identity before integer factors are reconstructed.
 `reconstruct_factors` proves its own output: the factors re-expand to S
 exactly when the joint pattern count table equals the outer product of the
 factors' column repetitions, which is also the exact independence identity.
 All pattern counts here go through `info.group_columns` over `Matrix.codes`.
 
 A 2-product glues two matrices along 0/1 special rows; recognition guesses
-the special row r and minimizes the conditional information
+the special row r and searches the zero sets of the conditional information
 I(C_X; C_Xc | C_r) over the remaining rows, which is zero exactly when both
 column blocks r = 0 and r = 1 are 1-products over one common bipartition.
+`iter_two_product_certs_exact` enumerates every such zero set instead of
+the first one.
 """
 
 from __future__ import annotations
@@ -124,28 +130,39 @@ def reconstruct_factors(S: Matrix, X: Sequence[int]) -> Tuple[Matrix, Matrix]:
     return S1, S2
 
 
+def _zero_cut(F: InfoFunction) -> Optional[tuple]:
+    """A nonempty proper X with F.is_independent_exact(X), or None.
+
+    Every zero of f is a union of components of the pairwise-dependence
+    graph, so a connected graph answers None with no float evaluation.
+    Otherwise the pendent-pair minimizer runs over the components as merged
+    elements; its argmin and then every recorded candidate whose float value
+    is within ZERO_EPS are screened exactly, and the first that passes is
+    returned.
+    """
+    comps = F.components()
+    if len(comps) < 2:
+        return None
+    X, _, cands = minimize_symmetric_with_candidates(F, comps)
+    if F.is_independent_exact(X):
+        return X
+    for cs, cv in sorted(set(cands), key=lambda c: (c[1], c[0])):
+        if cv > ZERO_EPS:
+            break
+        if cs != X and F.is_independent_exact(cs):
+            return cs
+    return None
+
+
 def recognize_one_product(S: Matrix) -> Optional[OneProductCert]:
     """Decide whether S is a 1-product up to permutation; return a certificate if so.
 
-    The pendent-pair minimizer supplies the candidate bipartition; the
-    verdict itself is the exact multiplicity identity.  If the minimizer's
-    argmin fails the exact test, every recorded pendent candidate whose float
-    value is within the screening threshold is re-tested exactly.
+    `_zero_cut` supplies the bipartition; the verdict itself is the exact
+    multiplicity identity.
     """
     if S.m < 2:
         return None
-    F = InfoFunction(S)
-    X, val, cands = minimize_symmetric_with_candidates(F)
-    found = None
-    if F.is_independent_exact(X):
-        found = X
-    else:
-        for cs, cv in sorted(set(cands), key=lambda c: (c[1], c[0])):
-            if cv > ZERO_EPS:
-                break
-            if cs != X and F.is_independent_exact(cs):
-                found = cs
-                break
+    found = _zero_cut(InfoFunction(S))
     if found is None:
         return None
     S1, S2 = reconstruct_factors(S, found)
@@ -164,9 +181,8 @@ def factorize_irreducible(S: Matrix) -> Factorization:
         cert = recognize_one_product(sub)
         if cert is None:
             return [(orig, sub)]
-        Xc = cert.Xc
         left = tuple(orig[i] for i in cert.X)
-        right = tuple(orig[i] for i in Xc)
+        right = tuple(orig[i] for i in cert.Xc)
         return rec(cert.S1, left) + rec(cert.S2, right)
 
     parts = rec(S, tuple(range(S.m)))
@@ -206,13 +222,12 @@ def two_product(S1: Matrix, x1: int, S2: Matrix, y1: int) -> Matrix:
     A1 = S1.submatrix(rows1, J1a)
     B0 = S2.submatrix(rows2, J0b)
     B1 = S2.submatrix(rows2, J1b)
-    left = one_product(A0, B0)
-    right = one_product(A1, B1)
-    rows = []
-    for i in range(left.m):
-        rows.append(left.rows[i] + right.rows[i])
-    rows.append((ZERO,) * left.n + (ONE,) * right.n)
-    return Matrix(rows)
+    return _glue(one_product(A0, B0), one_product(A1, B1))
+
+
+def _glue(L: Matrix, R: Matrix) -> Matrix:
+    """[L | R] with the special row 0...0 1...1 appended."""
+    return Matrix(tuple(a + b for a, b in zip(L.rows, R.rows)) + ((ZERO,) * L.n + (ONE,) * R.n,))
 
 
 def recognize_two_product(S: Matrix) -> Optional[TwoProductCert]:
@@ -220,75 +235,58 @@ def recognize_two_product(S: Matrix) -> Optional[TwoProductCert]:
 
     For each candidate 0/1 row r the columns split into the r=0 and r=1
     blocks; both blocks must be 1-products with respect to one common row
-    bipartition, found by minimizing I(C_X; C_Xc | C_r) over the other rows.
-    Acceptance requires the exact identity within both values of r.
+    bipartition, found by `_zero_cut` on I(C_X; C_Xc | C_r) over the other
+    rows.  Acceptance requires the exact identity within both values of r.
     """
     m = S.m
     if m < 3:
         return None
     for r in range(m):
         row = S.rows[r]
-        if any(x != 0 and x != 1 for x in row):
-            continue
-        if all(x == row[0] for x in row):
+        if set(row) != {0, 1}:
             continue
         F = InfoFunction(S, given=r)
-        X, val, cands = minimize_symmetric_with_candidates(F)
-        found = None
-        for cs, cv in [(X, val)] + sorted(set(cands), key=lambda c: (c[1], c[0])):
-            if cv > ZERO_EPS:
-                continue
-            if F.is_independent_exact(cs):
-                found = cs
-                break
+        found = _zero_cut(F)
         if found is None:
             continue
         rest = F.ground
-        A = S.submatrix(rest, [j for j in range(S.n) if row[j] == 0])
-        B = S.submatrix(rest, [j for j in range(S.n) if row[j] == 1])
-        A1f, A2f = reconstruct_factors(A, found)
-        B1f, B2f = reconstruct_factors(B, found)
-        X_orig = tuple(rest[i] for i in found)
-        Xc_local = tuple(i for i in range(m - 1) if i not in set(found))
-        Xc_orig = tuple(rest[i] for i in Xc_local)
-        S1 = Matrix(
-            tuple(A1f.rows[i] + B1f.rows[i] for i in range(A1f.m))
-            + ((ZERO,) * A1f.n + (ONE,) * B1f.n,)
+        X = tuple(rest[i] for i in found)
+        Xc = tuple(i for i in rest if i not in X)
+        A1f, A2f = reconstruct_factors(S.submatrix(rest, [j for j in range(S.n) if row[j] == 0]), found)
+        B1f, B2f = reconstruct_factors(S.submatrix(rest, [j for j in range(S.n) if row[j] == 1]), found)
+        S1, S2 = _glue(A1f, B1f), _glue(A2f, B2f)
+        row_map = tuple(
+            ("special", None) if i == r else ("S1", X.index(i)) if i in X else ("S2", Xc.index(i))
+            for i in range(m)
         )
-        S2 = Matrix(
-            tuple(A2f.rows[i] + B2f.rows[i] for i in range(A2f.m))
-            + ((ZERO,) * A2f.n + (ONE,) * B2f.n,)
-        )
-        row_map = []
-        for i in range(m):
-            if i == r:
-                row_map.append(("special", None))
-            elif i in set(X_orig):
-                row_map.append(("S1", X_orig.index(i)))
-            else:
-                row_map.append(("S2", Xc_orig.index(i)))
-        return TwoProductCert(r, X_orig, S1, S1.m - 1, S2, S2.m - 1, tuple(row_map))
+        return TwoProductCert(r, X, S1, S1.m - 1, S2, S2.m - 1, row_map)
     return None
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive certificate enumeration for 0/1 matrices with distinct columns.
+# Exhaustive 2-product certificate enumeration for 0/1 matrices.
 #
 # Used by the matroid recognizer, which must backtrack over all 2-product
-# certificates.  On distinct-column matrices the exact independence test
-# reduces to the pattern-count identity kX * kXc == n, and any zero
-# bipartition is a union of the connected components of the pairwise
-# dependence graph, which keeps the enumeration small.  Everything runs on
-# `S.codes`: one `group_columns` call per (side, block) gives the pattern
-# count kX, the factor's columns (first column of each pattern) and the
-# column map.  Codes relabel a 0/1 row at most by swapping 0 and 1, which
-# changes neither pairwise independence nor any pattern count.
+# certificates.  For each special row r the candidate bipartitions are the
+# unions of the components of `InfoFunction(S, given=r).components()` (every
+# zero of I(C_X; C_Xc | C_r) is one), and a union is accepted only when
+# `is_independent_exact` holds, so the (special row, X) pairs are exactly
+# the witnesses `oracles.bf_two_product` finds, repeated columns or not.
+# One `group_columns` call per (side, block) over `S.codes` gives the
+# factor's columns (first column of each pattern) and the column map.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ExactTwoProductCert:
-    """A 2-product certificate plus the column bookkeeping the recognizer needs."""
+    """A 2-product certificate plus the column bookkeeping the recognizer needs.
+
+    `special_row`, `X` and `colmap1`/`colmap2` hold for any 0/1 input.  The
+    factors keep one column per pattern, so `S1p`, `S2p` and the counts in
+    `sides1`/`sides2` describe a 2-product that re-expands to S (with
+    sides1[k] * sides2[k] == block_sizes[k]) only when S has distinct
+    columns.
+    """
 
     special_row: int
     X: tuple  # original row indices on the S1 side
@@ -298,25 +296,18 @@ class ExactTwoProductCert:
     y1_pos: int
     colmap1: tuple  # per original column: column index in S1p
     colmap2: tuple
-    sides1: tuple  # (n1_0, n1_1) column counts of the S1 blocks
+    sides1: tuple  # (n1_0, n1_1) distinct patterns of the S1 side per block
     sides2: tuple
     block_sizes: tuple  # (|J0|, |J1|)
 
 
-def _pairwise_dependent(A: np.ndarray) -> np.ndarray:
-    """Boolean matrix: rows i,j fail pairwise exact independence (0/1 codes)."""
-    m, n = A.shape
-    C = A @ A.T
-    s = A.sum(axis=1)
-    return n * C != np.outer(s, s)
-
-
 def iter_two_product_certs_exact(S: Matrix) -> Iterator[ExactTwoProductCert]:
-    """All 2-product certificates of a 0/1 distinct-column matrix, lazily.
+    """All 2-product certificates of a 0/1 matrix, lazily.
 
     Certificates come in ascending special-row order; for a fixed special row
-    the bipartitions run over unions of pairwise-dependence components (the
-    component holding the smallest row stays on the S2 side).
+    the bipartitions run over unions of pairwise-dependence components in
+    mask order (the component holding the smallest row stays on the S2
+    side), and each one yielded passes the exact independence test.
     """
     m, n = S.m, S.n
     if m < 3 or not S.is_zero_one():
@@ -326,21 +317,25 @@ def iter_two_product_certs_exact(S: Matrix) -> Iterator[ExactTwoProductCert]:
         row = S.rows[r]
         if all(x == row[0] for x in row):
             continue
+        F = InfoFunction(S, given=r)
+        blocks = F.components()
+        q = len(blocks)
+        if q < 2:
+            continue
         J0 = [j for j in range(n) if row[j] == 0]
         J1 = [j for j in range(n) if row[j] == 1]
-        rest = [i for i in range(m) if i != r]
+        rest = F.ground
         A0 = codes[np.ix_(rest, J0)]
         A1 = codes[np.ix_(rest, J1)]
-        dep = _pairwise_dependent(A0) | _pairwise_dependent(A1)
 
         def augmented_factor(rows, grp0, grp1):
             # the factor's columns are the first column of each pattern;
             # its last row is the special row (0 on J0, 1 on J1)
             cols = [J0[f] for f in grp0[2].tolist()] + [J1[f] for f in grp1[2].tolist()]
-            F = S.submatrix(rows + (r,), cols)
-            comp_row = tuple(ONE - x for x in F.rows[-1])
-            out, keep = dedupe_rows(Matrix(F.rows + (comp_row,)))
-            return out, keep[F.m - 1]
+            Fm = S.submatrix(rows + (r,), cols)
+            comp_row = tuple(ONE - x for x in Fm.rows[-1])
+            out, keep = dedupe_rows(Matrix(Fm.rows + (comp_row,)))
+            return out, keep[Fm.m - 1]
 
         def colmap(grp0, grp1):
             cm = np.empty(n, dtype=np.int64)
@@ -348,49 +343,15 @@ def iter_two_product_certs_exact(S: Matrix) -> Iterator[ExactTwoProductCert]:
             cm[J1] = len(grp0[1]) + grp1[0]
             return tuple(cm.tolist())
 
-        # connected components of the pairwise dependence graph
-        k = len(rest)
-        comp = list(range(k))
-
-        def find(a):
-            while comp[a] != a:
-                comp[a] = comp[comp[a]]
-                a = comp[a]
-            return a
-
-        for i in range(k):
-            for j in range(i + 1, k):
-                if dep[i, j]:
-                    ra, rb = find(i), find(j)
-                    if ra != rb:
-                        comp[rb] = ra
-        blocks = {}
-        for i in range(k):
-            blocks.setdefault(find(i), []).append(i)
-        blocks = sorted(blocks.values(), key=lambda b: b[0])
-        q = len(blocks)
-        if q < 2:
-            continue
-
         for mask in range(1, 1 << (q - 1)):
-            X = []
-            for b in range(1, q):
-                if mask >> (b - 1) & 1:
-                    X.extend(blocks[b])
-            X = sorted(X)
-            Xc = sorted(set(range(k)) - set(X))
+            X = sorted(i for b in range(1, q) if mask >> (b - 1) & 1 for i in blocks[b])
+            if not F.is_independent_exact(X):
+                continue
+            Xc = sorted(set(range(len(rest))) - set(X))
             g1_0, g2_0 = group_columns(A0[X]), group_columns(A0[Xc])
-            n1_0, n2_0 = len(g1_0[1]), len(g2_0[1])
-            if n1_0 * n2_0 != len(J0):
-                continue
             g1_1, g2_1 = group_columns(A1[X]), group_columns(A1[Xc])
-            n1_1, n2_1 = len(g1_1[1]), len(g2_1[1])
-            if n1_1 * n2_1 != len(J1):
-                continue
-
             Xrows = tuple(rest[i] for i in X)
             Xcrows = tuple(rest[i] for i in Xc)
-
             S1p, x1_pos = augmented_factor(Xrows, g1_0, g1_1)
             S2p, y1_pos = augmented_factor(Xcrows, g2_0, g2_1)
 
@@ -403,7 +364,7 @@ def iter_two_product_certs_exact(S: Matrix) -> Iterator[ExactTwoProductCert]:
                 y1_pos=y1_pos,
                 colmap1=colmap(g1_0, g1_1),
                 colmap2=colmap(g2_0, g2_1),
-                sides1=(n1_0, n1_1),
-                sides2=(n2_0, n2_1),
+                sides1=(len(g1_0[1]), len(g1_1[1])),
+                sides2=(len(g2_0[1]), len(g2_1[1])),
                 block_sizes=(len(J0), len(J1)),
             )

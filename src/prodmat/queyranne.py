@@ -8,7 +8,10 @@ The minimizer repeatedly builds an ordering v1, v2, ..., vk of the current
 The last two elements (t, u) form a pendent pair: f(u) is minimal among all
 sets separating u from t.  Recording u as a candidate cut and merging t with
 u, m-1 times, visits a candidate achieving the global minimum of f over
-nonempty proper subsets.
+nonempty proper subsets.  Started from q merged elements instead of the m
+singletons (`elements`), the same run minimizes f over the unions of those
+elements with at most q^3 evaluations; the recognizers start it from the
+components of the pairwise-dependence graph, whose unions hold every zero.
 
 An oracle is any object with the ground-set size `m`, a `calls` counter,
 `eval(X)` and `ordering_keys(base, cands)`.  `info.InfoFunction` is the
@@ -20,7 +23,7 @@ re-verify candidates with integer arithmetic downstream.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 
 class SymmetricOracle:
@@ -77,27 +80,33 @@ def pendent_pair(oracle, elements: Sequence[tuple], start: tuple):
     return order[-2], order[-1]
 
 
-def _canonical_cut(X: tuple, m: int) -> tuple:
-    Xc = tuple(i for i in range(m) if i not in set(X))
+def _canonical_cut(X: tuple, ground: Sequence[int]) -> tuple:
+    inX = set(X)
+    Xc = tuple(i for i in ground if i not in inX)
     return min(X, Xc)
 
 
-def minimize_symmetric_with_candidates(oracle):
+def minimize_symmetric_with_candidates(oracle, elements: Optional[Sequence[tuple]] = None):
     """Full pendent-pair run; returns (argmin, value, all recorded candidates).
 
-    Candidates are the pendent cuts (u's original set, f value), one per
-    merge, each canonicalized to the lexicographically smaller of the set and
-    its complement.
+    The run starts from `elements`, disjoint nonempty sets of ground-set
+    indices (default: the m singletons), so it minimizes f over their unions
+    with at most q^3 evaluations for q elements.  Candidates are the pendent
+    cuts (u's original set, f value), one per merge, each canonicalized to
+    the lexicographically smaller of the set and its complement within the
+    union of the elements.
     """
-    m = oracle.m
-    if m < 2:
-        raise ValueError("need a ground set of size at least 2")
-    elements = [(i,) for i in range(m)]
+    if elements is None:
+        elements = [(i,) for i in range(oracle.m)]
+    elements = sorted(tuple(sorted(e)) for e in elements)
+    ground = sorted(i for e in elements for i in e)
+    if len(elements) < 2 or not all(elements) or len(set(ground) & set(range(oracle.m))) < len(ground):
+        raise ValueError("need at least 2 disjoint nonempty elements of the ground set")
     candidates = []
     while len(elements) > 1:
         start = elements[0]  # smallest representative
         t, u = pendent_pair(oracle, elements, start)
-        candidates.append((_canonical_cut(u, m), oracle.eval(u)))
+        candidates.append((_canonical_cut(u, ground), oracle.eval(u)))
         merged = tuple(sorted(t + u))
         elements = sorted([e for e in elements if e != t and e != u] + [merged])
     best_set, best_val = min(candidates, key=lambda c: (c[1], c[0]))

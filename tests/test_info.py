@@ -13,7 +13,9 @@ from prodmat import (
     one_product,
     seeded_shuffle,
 )
+from prodmat import info
 from prodmat.info import ZERO_EPS, group_columns, mutual_info_direct
+from prodmat.oracles import bf_one_product, bf_two_product
 
 from helpers import random_matrix
 
@@ -222,3 +224,95 @@ def test_group_columns_packed_key_boundary(rows, values):
     assert inv.tolist() == want_inv
     assert counts.tolist() == want_counts
     assert first.tolist() == want_first
+
+
+def _components_reference(S, given):
+    # pairwise multiplicity_table counts within each value of the given row,
+    # then union-find over the dependent pairs
+    ground = [i for i in range(S.m) if i != given]
+    if given is None:
+        blocks = [S]
+    else:
+        values = sorted(set(S.rows[given]))
+        blocks = [S.restrict_cols([j for j in range(S.n) if S.rows[given][j] == v]) for v in values]
+    parent = list(range(len(ground)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for a, b in itertools.combinations(range(len(ground)), 2):
+        i, j = ground[a], ground[b]
+        for B in blocks:
+            joint = multiplicity_table(B, (i, j)).counts
+            mi = multiplicity_table(B, (i,)).counts
+            mj = multiplicity_table(B, (j,)).counts
+            if any(B.n * joint.get(x + y, 0) != mi[x] * mj[y] for x in mi for y in mj):
+                parent[find(b)] = find(a)
+    comps = {}
+    for a in range(len(ground)):
+        comps.setdefault(find(a), []).append(a)
+    return sorted(tuple(c) for c in comps.values())
+
+
+def _component_inputs(rng):
+    inputs = []
+    for _ in range(40):
+        inputs.append(random_matrix(rng, rng.randint(1, 7), rng.randint(1, 10), 0, 2))
+    for _ in range(30):
+        A = random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), 0, 2)
+        B = random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), 0, 1)
+        P = one_product(A, B).restrict_cols(list(range(A.n * B.n)) + [0])
+        inputs.append(seeded_shuffle(P, rng.getrandbits(64))[0])
+    inputs.append(Matrix([[Fraction(1, 3), Fraction(2, 3), Fraction(1, 3)], [0, 1, 0], [5, 5, 5]]))
+    return inputs
+
+
+def test_components_match_reference():
+    rng = random.Random(18)
+    for S in _component_inputs(rng):
+        for given in [None] + list(range(S.m)):
+            F = InfoFunction(S, given=given)
+            got = F.components()
+            assert got == sorted(got) and all(c == tuple(sorted(c)) for c in got)
+            assert got == _components_reference(S, given)
+
+
+def test_components_chunked_pairs(monkeypatch):
+    # grouping the row pairs a few columns' worth at a time changes nothing
+    rng = random.Random(19)
+    inputs = _component_inputs(rng)
+    want = [[InfoFunction(S, given=g).components() for g in [None] + list(range(S.m))] for S in inputs]
+    monkeypatch.setattr(info, "_PAIR_CHUNK", 7)
+    got = [[InfoFunction(S, given=g).components() for g in [None] + list(range(S.m))] for S in inputs]
+    assert got == want
+
+
+def test_components_edges():
+    assert InfoFunction(Matrix([[0, 1, 1]]), given=0).components() == []
+    assert InfoFunction(Matrix([[0, 1, 1]])).components() == [(0,)]
+    # a constant row is independent of everything
+    assert InfoFunction(Matrix([[0, 1, 1], [2, 2, 2], [1, 0, 0]])).components() == [(0, 2), (1,)]
+    assert InfoFunction(PAPER_4x6).components() == [(0, 1), (2, 3)]
+
+
+def _is_union_of(X, comps):
+    return all(set(c) <= set(X) or not set(c) & set(X) for c in comps)
+
+
+def test_zero_sets_are_unions_of_components():
+    rng = random.Random(20)
+    unions = 0
+    for S in _component_inputs(rng):
+        comps = InfoFunction(S).components()
+        for X in bf_one_product(S).witnesses:
+            assert _is_union_of(X, comps)
+            unions += 1
+        if S.m < 3:
+            continue
+        for r, X in bf_two_product(S).witnesses:
+            F = InfoFunction(S, given=r)
+            assert _is_union_of([F.ground.index(i) for i in X], F.components())
+            unions += 1
+    assert unions > 30

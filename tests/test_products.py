@@ -18,6 +18,7 @@ from prodmat import (
     two_product,
 )
 from prodmat.oracles import bf_one_product, bf_two_product
+from prodmat.products import iter_two_product_certs_exact
 
 from helpers import random_matrix
 
@@ -246,3 +247,43 @@ def test_roundtrip_random_two_products():
         re = two_product(cert.S1, cert.x1_index, cert.S2, cert.y1_index)
         assert is_isomorphic(re, sh) is not None
         done += 1
+
+
+def _exact_witnesses(S):
+    return sorted((c.special_row, c.X) for c in iter_two_product_certs_exact(S))
+
+
+def test_exact_certs_sound_on_repeated_columns():
+    # repeated columns: a component union whose pattern counts multiply to
+    # the block size is not necessarily independent, so no count shortcut
+    S = Matrix(
+        [
+            [0, 1, 0, 0, 1, 0, 0, 0, 0],
+            [1, 1, 0, 1, 0, 1, 0, 1, 0],
+            [1, 1, 1, 1, 0, 1, 1, 0, 1],
+            [0, 1, 1, 1, 1, 1, 1, 1, 1],
+        ]
+    )
+    assert _exact_witnesses(S) == [] and not bf_two_product(S).verdict
+    rng = random.Random(38)
+    hits = 0
+    for k in range(60):
+        while True:
+            S1 = _with_repeated_columns(rng, random_matrix(rng, rng.randint(2, 3), rng.randint(2, 3), 0, 1))
+            S2 = _with_repeated_columns(rng, random_matrix(rng, rng.randint(2, 3), rng.randint(2, 3), 0, 1))
+            if len(set(S1.rows[-1])) == 2 and len(set(S2.rows[-1])) == 2:
+                break
+        T = two_product(S1, S1.m - 1, S2, S2.m - 1)
+        if k % 2:
+            rows = [list(r) for r in T.rows]
+            i, j = rng.randrange(T.m), rng.randrange(T.n)
+            rows[i][j] = 1 - rows[i][j]
+            T = Matrix(rows)
+        T = seeded_shuffle(T, rng.getrandbits(64))[0]
+        for cert in iter_two_product_certs_exact(T):
+            F = InfoFunction(T, given=cert.special_row)
+            assert F.is_independent_exact([F.ground.index(i) for i in cert.X])
+        got = _exact_witnesses(T)
+        assert got == sorted(bf_two_product(T).witnesses)
+        hits += bool(got)
+    assert hits >= 20

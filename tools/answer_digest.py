@@ -1,7 +1,9 @@
 """Print one SHA-256 over every recognizer's answer on a fixed seeded input set.
 
 Two checkouts whose recognizers give the same exact answers print the same
-digest, so a refactor can show "same answers" with one command:
+digest, so a refactor can show "same answers" with one command.  One
+SHA-256 per part (1p, factor, 2p, iter, matroid) comes first, so a change
+shows which answers moved; the last line is the combined digest:
 
     python3 tools/answer_digest.py
 
@@ -156,8 +158,12 @@ def slack_inputs():
     return out
 
 
+PARTS = ("1p", "factor", "2p", "iter", "matroid")
+
+
 def main():
     h = hashlib.sha256()
+    parts = {name: hashlib.sha256() for name in PARTS}
     count = 0
     for S in matrix_inputs():
         cert1 = recognize_one_product(S)
@@ -165,6 +171,8 @@ def main():
         cert2 = recognize_two_product(S)
         certs = list(iter_two_product_certs_exact(S))
         h.update(repr(canon((S, cert1, fac, cert2, certs))).encode())
+        for name, answer in zip(PARTS, (cert1, fac, cert2, certs)):
+            parts[name].update(repr(canon((S, answer))).encode())
         count += 1
     for S in slack_inputs():
         try:
@@ -172,7 +180,10 @@ def main():
         except MatroidInputError as exc:
             rec = ("input error", str(exc))
         h.update(repr(canon((S, rec))).encode())
+        parts["matroid"].update(repr(canon((S, rec))).encode())
         count += 1
+    for name in PARTS:
+        print(f"{parts[name].hexdigest()}  {name}")
     print(f"{h.hexdigest()}  {count} inputs")
 
 
