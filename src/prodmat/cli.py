@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .info import InfoFunction
 from .matrix import Matrix, MatrixFormatError, format_entry, parse_matrix, seeded_shuffle, write_matrix
@@ -30,8 +29,8 @@ from .products import factorize_irreducible, one_product, recognize_one_product,
 OK, NO, ERR = 0, 1, 2
 
 
-def _entry_json(x: Fraction):
-    return int(x) if x.denominator == 1 else format_entry(x)
+def _entry_json(x):
+    return x if type(x) is int else format_entry(x)
 
 
 def _matrix_rows_json(S: Matrix):

@@ -140,8 +140,9 @@ class InfoFunction:
 
     Columns are grouped by 64-bit additive signatures (random per-cell
     weights, summed over the chosen rows) for the float path; the weights are
-    seeded deterministically, so evaluation is reproducible.  All exact
-    decisions group columns with `group_columns` over `S.codes` instead.
+    seeded deterministically, so evaluation is reproducible, and built on the
+    first float evaluation.  All exact decisions group columns with
+    `group_columns` over `S.codes` instead.
 
     As an oracle for `minimize_symmetric` it exposes `m`, `eval`,
     `ordering_keys` and `calls`, which counts every requested evaluation of f
@@ -156,31 +157,43 @@ class InfoFunction:
         self.m = len(self.ground)
         self.n = n = S.n
         self.calls = 0
-        codes = S.codes
-        rng = np.random.Generator(np.random.PCG64(_WEIGHT_SEED))
-        ncodes = int(codes.max()) + 1
-        weights = rng.integers(0, 1 << 63, size=(S.m, ncodes), dtype=np.uint64)
-        weights = weights * np.uint64(2) + np.uint64(1)  # odd: distinct per cell in practice
-        cell_sig = np.take_along_axis(weights, codes, axis=1)
-        self.codes = codes[list(self.ground)]
-        self.cell_sig = cell_sig[list(self.ground)]
-        # no given row behaves as a constant one: zero signature, code 0
+        self.given = given
+        self.codes = S.codes[list(self.ground)]
+        # no given row behaves as a constant one: code 0 (and zero signature)
         if given is None:
             self.given_codes = np.zeros(n, dtype=np.int64)
-            self.given_sig = np.zeros(n, dtype=np.uint64)
-            self.h_given = 0.0
         else:
-            self.given_codes = codes[given]
-            self.given_sig = cell_sig[given]
-            self.h_given = self._h_sig(self.given_sig)
-        self.sig_all = self.cell_sig.sum(axis=0, dtype=np.uint64)
-        self.h_full = self._h_sig(self.sig_all + self.given_sig)
+            self.given_codes = S.codes[given]
+        self.cell_sig = None  # float path state, built by _build_float_path
         self._sig_cache = {}
         self._h_cache = {}
         self._f_cache = {}
         self._exact_cache = {}
 
     # -- float path ---------------------------------------------------------
+
+    def _build_float_path(self) -> None:
+        """Seeded signatures and the two constant entropies, on first float use.
+
+        The exact path (`is_independent_exact`, `components`) never needs them.
+        """
+        if self.cell_sig is not None:
+            return
+        codes = self.S.codes
+        rng = np.random.Generator(np.random.PCG64(_WEIGHT_SEED))
+        ncodes = int(codes.max()) + 1
+        weights = rng.integers(0, 1 << 63, size=(self.S.m, ncodes), dtype=np.uint64)
+        weights = weights * np.uint64(2) + np.uint64(1)  # odd: distinct per cell in practice
+        cell_sig = np.take_along_axis(weights, codes, axis=1)
+        if self.given is None:
+            self.given_sig = np.zeros(self.n, dtype=np.uint64)
+            self.h_given = 0.0
+        else:
+            self.given_sig = cell_sig[self.given]
+            self.h_given = self._h_sig(self.given_sig)
+        self.cell_sig = cell_sig[list(self.ground)]
+        self.sig_all = self.cell_sig.sum(axis=0, dtype=np.uint64)
+        self.h_full = self._h_sig(self.sig_all + self.given_sig)
 
     def _h_sig(self, sig: np.ndarray) -> float:
         _, counts = np.unique(sig, return_counts=True)
@@ -190,6 +203,7 @@ class InfoFunction:
         """Additive signature vector of a row subset (cached)."""
         got = self._sig_cache.get(X)
         if got is None:
+            self._build_float_path()
             if len(X) == 0:
                 got = np.zeros(self.n, dtype=np.uint64)
             elif len(X) == 1:

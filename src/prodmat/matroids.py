@@ -25,7 +25,7 @@ from math import comb
 from typing import Iterable, Optional, Sequence, Union
 
 from .info import group_columns
-from .matrix import Matrix, ONE, ZERO
+from .matrix import Matrix
 from .polytopes import normalize_nonredundant_with_maps
 from .products import factorize_irreducible, iter_two_product_certs_exact, one_product, two_product
 
@@ -235,19 +235,19 @@ def hypersimplex_slack_with_bases(d: int, k: int):
     if d < 2 or not 1 <= k <= d - 1:
         raise ValueError(f"no hypersimplex slack for d={d}, k={k}")
     if k == 1 or k == d - 1:
-        rows = tuple(tuple(ONE if i == j else ZERO for j in range(d)) for i in range(d))
+        rows = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
         if k == 1:
             bases = [frozenset({j}) for j in range(d)]
         else:
             bases = [frozenset(range(d)) - {j} for j in range(d)]
         return Matrix(rows), bases
     vectors = sorted(
-        tuple(ONE if i in c else ZERO for i in range(d))
+        tuple(1 if i in c else 0 for i in range(d))
         for c in itertools.combinations(range(d), k)
     )
     rows = [tuple(v[e] for v in vectors) for e in range(d)]
-    rows += [tuple(ONE - v[e] for v in vectors) for e in range(d)]
-    bases = [frozenset(i for i in range(d) if v[i] == ONE) for v in vectors]
+    rows += [tuple(1 - v[e] for v in vectors) for e in range(d)]
+    bases = [frozenset(i for i in range(d) if v[i] == 1) for v in vectors]
     return Matrix(rows), bases
 
 
@@ -269,7 +269,7 @@ class HypersimplexForm:
 
 def hypersimplex_col_bases(S: Matrix, form: HypersimplexForm) -> list:
     return [
-        frozenset(e for e in range(form.d) if S.rows[form.elem_rows[e][0]][j] == ONE)
+        frozenset(e for e in range(form.d) if S.rows[form.elem_rows[e][0]][j] == 1)
         for j in range(S.n)
     ]
 
@@ -299,7 +299,7 @@ def _side_labeling(S: Matrix, pairs: list, d: int, k: int):
             return []
         for side in (0, 1):
             row = S.rows[pairs[t][side]]
-            nxt = [(key * 2 + int(row[j] == ONE), w + int(row[j] == ONE)) for j, (key, w) in enumerate(keyed)]
+            nxt = [(key * 2 + int(row[j] == 1), w + int(row[j] == 1)) for j, (key, w) in enumerate(keyed)]
             if ok(nxt, t + 1):
                 rest = rec(t + 1, nxt)
                 if rest is not None:
@@ -325,7 +325,7 @@ def recognize_hypersimplex(S: Matrix) -> Optional[HypersimplexForm]:
         colof = {}
         ok = True
         for i, row in enumerate(S.rows):
-            ones = [j for j, x in enumerate(row) if x == ONE]
+            ones = [j for j, x in enumerate(row) if x == 1]
             if len(ones) != 1 or ones[0] in colof:
                 ok = False
                 break
@@ -346,7 +346,7 @@ def recognize_hypersimplex(S: Matrix) -> Optional[HypersimplexForm]:
     for i in range(m):
         if i in used:
             continue
-        comp_key = tuple(ONE - x for x in S.rows[i])
+        comp_key = tuple(1 - x for x in S.rows[i])
         j = by_row.get(comp_key)
         if j is None or j in used or j == i:
             return None
@@ -361,7 +361,7 @@ def recognize_hypersimplex(S: Matrix) -> Optional[HypersimplexForm]:
             (pairs[e][sides[e]], pairs[e][1 - sides[e]]) for e in range(d)
         )
         vcols = {tuple(S.rows[elem[e][0]][j] for e in range(d)) for j in range(n)}
-        if len(vcols) == n and all(sum(1 for x in c if x == ONE) == k for c in vcols):
+        if len(vcols) == n and all(sum(1 for x in c if x == 1) == k for c in vcols):
             return HypersimplexForm(d, k, elem)
     return None
 
@@ -379,11 +379,11 @@ def _find_row(S: Matrix, pattern: tuple) -> Optional[int]:
 
 
 def _nonneg_pattern(bases: Sequence[frozenset], e: int) -> tuple:
-    return tuple(ONE if e in b else ZERO for b in bases)
+    return tuple(1 if e in b else 0 for b in bases)
 
 
 def _upper_pattern(bases: Sequence[frozenset], e: int) -> tuple:
-    return tuple(ZERO if e in b else ONE for b in bases)
+    return tuple(0 if e in b else 1 for b in bases)
 
 
 def _drop_dominated_rows(S: Matrix, kept_cols_hint=None):
@@ -443,10 +443,10 @@ def expr_to_slack_with_bases(e: Expr):
             )
     P = two_product(SL, xrow, SR, yrow)
     ml, mr = _two_sum_maps(e)
-    J0a = [c for c in range(SL.n) if SL.rows[xrow][c] == ZERO]
-    J1a = [c for c in range(SL.n) if SL.rows[xrow][c] == ONE]
-    J0b = [c for c in range(SR.n) if SR.rows[yrow][c] == ZERO]
-    J1b = [c for c in range(SR.n) if SR.rows[yrow][c] == ONE]
+    J0a = [c for c in range(SL.n) if SL.rows[xrow][c] == 0]
+    J1a = [c for c in range(SL.n) if SL.rows[xrow][c] == 1]
+    J0b = [c for c in range(SR.n) if SR.rows[yrow][c] == 0]
+    J1b = [c for c in range(SR.n) if SR.rows[yrow][c] == 1]
     pbases = []
     for t in range(len(J0a) * len(J0b)):
         cl, cr = J0a[t // len(J0b)], J0b[t % len(J0b)]
@@ -640,9 +640,9 @@ def _identity_with_extras(S: Matrix):
         return None
     unit = {}
     for row in S.rows:
-        w = sum(1 for x in row if x == ONE)
+        w = sum(1 for x in row if x == 1)
         if w == 1:
-            c = row.index(ONE)
+            c = row.index(1)
             if c in unit:
                 return None
             unit[c] = row

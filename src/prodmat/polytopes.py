@@ -12,7 +12,6 @@ problem is open); callers assert it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Tuple
 
 from .matrix import Matrix, MatrixFormatError, _parse_token
@@ -113,19 +112,19 @@ def cartesian_factorize(S: Matrix) -> Factorization:
 
 
 def two_level_rows(S: Matrix) -> List[Tuple[int, tuple]]:
-    """Rows taking exactly the values {0, s} for some s > 0, scaled by 1/s.
+    """Rows taking exactly the values {0, s} for some s > 0, scaled by 1/s to 0/1 ints.
 
     Constant rows and rows without a zero are excluded.
     """
     out = []
     for i, row in enumerate(S.rows):
         vals = set(row)
-        if len(vals) != 2 or Fraction(0) not in vals:
+        if len(vals) != 2 or 0 not in vals:
             continue
         s = max(vals)
         if s <= 0:
             continue
-        out.append((i, tuple(x / s for x in row)))
+        out.append((i, tuple(int(x != 0) for x in row)))
     return out
 
 

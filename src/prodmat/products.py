@@ -31,7 +31,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .info import InfoFunction, ZERO_EPS, group_columns
-from .matrix import Matrix, ONE, ZERO, dedupe_rows
+from .matrix import Matrix, dedupe_rows
 from .queyranne import minimize_symmetric_with_candidates
 
 
@@ -227,7 +227,7 @@ def two_product(S1: Matrix, x1: int, S2: Matrix, y1: int) -> Matrix:
 
 def _glue(L: Matrix, R: Matrix) -> Matrix:
     """[L | R] with the special row 0...0 1...1 appended."""
-    return Matrix(tuple(a + b for a, b in zip(L.rows, R.rows)) + ((ZERO,) * L.n + (ONE,) * R.n,))
+    return Matrix(tuple(a + b for a, b in zip(L.rows, R.rows)) + ((0,) * L.n + (1,) * R.n,))
 
 
 def recognize_two_product(S: Matrix) -> Optional[TwoProductCert]:
@@ -333,7 +333,7 @@ def iter_two_product_certs_exact(S: Matrix) -> Iterator[ExactTwoProductCert]:
             # its last row is the special row (0 on J0, 1 on J1)
             cols = [J0[f] for f in grp0[2].tolist()] + [J1[f] for f in grp1[2].tolist()]
             Fm = S.submatrix(rows + (r,), cols)
-            comp_row = tuple(ONE - x for x in Fm.rows[-1])
+            comp_row = tuple(1 - x for x in Fm.rows[-1])
             out, keep = dedupe_rows(Matrix(Fm.rows + (comp_row,)))
             return out, keep[Fm.m - 1]
 

@@ -157,6 +157,17 @@ def test_zero_denominator_exit2(tmp_path, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("tok", ["1/0", "1e3", "0x1", "1_000", "--1", "1.", "abc"])
+def test_malformed_token_exit2(tmp_path, capsys, tok):
+    p = tmp_path / "m.txt"
+    p.write_text(f"2 2\n1 {tok}\n0 1\n")
+    code = main(["recognize", "1p", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_console_script_installed():
     import shutil
     import subprocess

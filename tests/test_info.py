@@ -316,3 +316,22 @@ def test_zero_sets_are_unions_of_components():
             assert _is_union_of([F.ground.index(i) for i in X], F.components())
             unions += 1
     assert unions > 30
+
+
+def test_float_path_built_on_first_float_use():
+    # the exact path never builds the signatures; f values do not depend on
+    # whether the exact path ran first
+    rng = random.Random(21)
+    for _ in range(20):
+        S = random_matrix(rng, rng.randint(3, 6), rng.randint(2, 9), 0, 2)
+        for given in (None, 0):
+            F = InfoFunction(S, given=given)
+            F.components()
+            F.is_independent_exact((0,))
+            assert F.cell_sig is None
+            G = InfoFunction(S, given=given)
+            subsets = [X for k in range(F.m + 1) for X in itertools.combinations(range(F.m), k)]
+            assert [F.f(X) for X in subsets] == [G.f(X) for X in subsets]
+            H = InfoFunction(S, given=given)
+            assert H.ordering_keys((0,), [(1,)]) == G.ordering_keys((0,), [(1,)])
+            assert F.cell_sig is not None and H.calls == 2

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,7 @@ from prodmat import (
     seeded_shuffle,
     write_matrix,
 )
-from prodmat.matrix import inverse_permutation
+from prodmat.matrix import _parse_token, inverse_permutation
 from prodmat.matroids import hypersimplex_slack
 
 PAPER_4x6 = Matrix([[1, 1, 1, 0, 0, 0], [2, 2, 2, 3, 3, 3], [1, 0, 0, 1, 0, 0], [0, 1, 1, 0, 1, 1]])
@@ -48,6 +49,48 @@ def test_parse_decimal_exact():
 def test_parse_errors(text):
     with pytest.raises(MatrixFormatError):
         parse_matrix(text)
+
+
+def test_entry_types_int_when_integral():
+    S = Matrix([[Fraction(2), True, 2.0, np.int64(3), Fraction(1, 2), 0.25, Decimal("1.50"), Fraction(-4, 2)]])
+    assert [type(x) for x in S.rows[0]] == [int, int, int, int, Fraction, Fraction, Fraction, int]
+    assert S.rows[0] == (2, 1, 2, 3, Fraction(1, 2), Fraction(1, 4), Fraction(3, 2), -2)
+    ints = ((0, 1), (2, 3))
+    assert Matrix(ints).rows[0] is ints[0]  # an all-int row is taken as it is
+
+
+def test_int_and_fraction_forms_equivalent():
+    rng = random.Random(3)
+    for _ in range(20):
+        m, n = rng.randint(1, 5), rng.randint(1, 7)
+        vals = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        A = Matrix(vals)
+        B = Matrix([[Fraction(x) for x in row] for row in vals])
+        assert all(type(x) is int for row in B.rows for x in row)
+        assert A == B and hash(A) == hash(B)
+        assert (A.codes == B.codes).all()
+        assert write_matrix(A) == write_matrix(B)
+        # a Fraction-holding tuple of the same values is the same row
+        assert hash(tuple(Fraction(x) for x in A.rows[0])) == hash(A.rows[0])
+
+
+@pytest.mark.parametrize("tok", ["+3", "-0", "007", "1.50", "3/6", "4/2", "0.25", "-12", "+1/3"])
+def test_parse_token_values(tok):
+    got = _parse_token(tok)
+    want = Fraction(tok)
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else Fraction)
+    # inside a line: an all-integer line is read by int(), any other per token
+    row = parse_matrix(f"1 2\n5 {tok}").rows[0]
+    assert row == (5, got) and [type(x) for x in row] == [int, type(got)]
+
+
+@pytest.mark.parametrize("tok", ["1/0", "1e3", "0x1", "1_000", "--1", "1.", ".5", "1/-2", "nan"])
+def test_parse_token_rejects(tok):
+    with pytest.raises(MatrixFormatError):
+        _parse_token(tok)
+    with pytest.raises(MatrixFormatError):
+        parse_matrix(f"1 2\n0 {tok}")
 
 
 def test_write_parse_roundtrip_random():

@@ -92,6 +92,13 @@ def test_two_level_rows():
     assert [i for i, _ in two_level_rows(zo)] == [0, 1]
 
 
+def test_two_level_rows_exact_ints():
+    S = Matrix([[0, 3, 3, 0], [0, Fraction(1, 2), 0, Fraction(1, 2)]])
+    got = two_level_rows(S)
+    assert got == [(0, (0, 1, 1, 0)), (1, (0, 1, 0, 1))]
+    assert all(type(x) is int for _, row in got for x in row)
+
+
 def test_normalize_nonredundant():
     S = Matrix([[1, 0], [1, 0], [0, 1]])
     assert normalize_nonredundant(S) == Matrix([[1, 0], [0, 1]])
