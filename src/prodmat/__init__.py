@@ -2,10 +2,10 @@
 
 The package decomposes matrices (up to row/column permutation) as
 column-wise Cartesian products ("1-products") and glued products along
-0/1 rows ("2-products"), using an information-theoretic symmetric
-submodular minimizer plus exact integer certificates.  On top of that it
-builds and recognizes slack matrices of polytopes, in particular slack
-matrices of 2-level matroid base polytopes.
+0/1 rows ("2-products") through the zero sets of an information-theoretic
+symmetric submodular function, found in integers, plus exact integer
+certificates.  On top of that it builds and recognizes slack matrices of
+polytopes, in particular slack matrices of 2-level matroid base polytopes.
 """
 
 from .matrix import (

@@ -14,21 +14,31 @@ Conditioning on one row r, over the remaining rows,
 
 keeps these properties and is zero exactly when the factorization holds
 within each value of row r; for a 0/1 row that is the 2-product condition.
-Float evaluation of f goes through entropies; the zero decision is never
-made on floats -- `InfoFunction.is_independent_exact` checks the integer
-identity n_z*mu(a,b,z) == mu(a,z)*mu(b,z) over all pattern pairs, and
-`InfoFunction.components` applies the same identity to every pair of single
-rows: every zero of f is a union of the components of that dependence graph.
+f is evaluated in floats through entropies of exact column counts; the
+zero decision is never made on floats.  `InfoFunction.is_independent_exact`
+checks the integer identity n_z*mu(a,b,z) == mu(a,z)*mu(b,z) over all
+pattern pairs, and `InfoFunction.components` applies the same identity to
+every pair of single rows: every zero of f is a union of the components of
+that dependence graph.
+
+`InfoFunction.atoms` finds every zero at once.  Since f >= 0 and f is
+submodular, f(X | Y) + f(X & Y) <= f(X) + f(Y), so the zeros are closed
+under union and intersection, and by symmetry under complement: they form a
+Boolean algebra whose atoms are the irreducible blocks, and the zeros are
+exactly the unions of atoms.  The atoms are built by merging components in
+integers, one exact check per (atom, component) pair.
 
 `group_columns` is the one exact column grouping: given rows of
 `Matrix.codes` it numbers the distinct column patterns and counts them.
-Every exact pattern count in the package goes through it;
-`multiplicity_table` stays as the independent dict-based reference.
+It and the entropies of f pack each column into one int64 key with
+`_column_keys`; `multiplicity_table` stays as the independent dict-based
+reference.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -37,8 +47,6 @@ from .matrix import Matrix
 
 #: float screening threshold; values above it cannot be zeros of f.
 ZERO_EPS = 1e-9
-
-_WEIGHT_SEED = 0x51AC_0DE5
 
 #: (row pair, column) entries grouped at once by `InfoFunction.components`
 _PAIR_CHUNK = 1 << 16
@@ -87,8 +95,31 @@ def entropy(table: MultiplicityTable) -> float:
     return math.log2(n) - sum(c * math.log2(c) for c in table.counts.values()) / n
 
 
-def _entropy_from_counts(counts: np.ndarray, n: int) -> float:
-    return math.log2(n) - float((counts * np.log2(counts)).sum()) / n
+def _column_keys(sub: np.ndarray, radix: Optional[list] = None) -> np.ndarray:
+    """One int64 key per column of a 2-D array of nonnegative ints.
+
+    Two keys are equal exactly when their columns are.  The rows are
+    mixed-radix digits (radix: per row, max + 1 or any larger bound), packed
+    by one product with their place values while the product of the radices
+    stays below 2**63; the keys of a wider array are renumbered densely with
+    np.unique and packed with the remaining rows as the first digit.  No key
+    wraps and equality is never decided by a hash.
+    """
+    if radix is None:
+        radix = (sub.max(axis=1) + 1).tolist()
+    cut, span = len(radix), math.prod(radix)
+    while span >= 1 << 63:  # pack the longest prefix that fits
+        cut -= 1
+        span //= radix[cut]
+    place = []
+    for r in radix[:cut]:
+        span //= r
+        place.append(span)
+    keys = np.array(place, dtype=np.int64) @ sub[:cut]
+    if cut == len(radix):
+        return keys
+    _, dense = np.unique(keys, return_inverse=True)
+    return _column_keys(np.vstack((dense, sub[cut:])))
 
 
 def group_columns(sub: np.ndarray):
@@ -96,36 +127,15 @@ def group_columns(sub: np.ndarray):
 
     Returns (inv, counts, first): inv[j] is the group of column j, counts[g]
     the number of columns in group g and first[g] its first column; groups
-    are numbered in order of first occurrence.  When every key fits in int64
-    (the product of the per-row ranges max+1 is at most 2**63) the columns
-    are packed into one mixed-radix key each; otherwise they are compared as
-    tuples.  Equality is never decided by a hash.
+    are numbered in order of first occurrence.
     """
-    n = sub.shape[1]
-    radix = (sub.max(axis=1) + 1).tolist()
-    if math.prod(radix) <= 1 << 63:
-        keys = np.zeros(n, dtype=np.int64)
-        for row, r in zip(sub, radix):
-            keys = keys * r + row
-        _, first, inv, counts = np.unique(
-            keys, return_index=True, return_inverse=True, return_counts=True
-        )
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        return rank[inv], counts[order], first[order]
-    seen = {}
-    inv = np.empty(n, dtype=np.int64)
-    first, counts = [], []
-    for j, key in enumerate(map(tuple, sub.T.tolist())):
-        g = seen.get(key)
-        if g is None:
-            g = seen[key] = len(first)
-            first.append(j)
-            counts.append(0)
-        inv[j] = g
-        counts[g] += 1
-    return inv, np.array(counts, dtype=np.int64), np.array(first, dtype=np.int64)
+    _, first, inv, counts = np.unique(
+        _column_keys(sub), return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inv], counts[order], first[order]
 
 
 class InfoFunction:
@@ -138,11 +148,10 @@ class InfoFunction:
     B (r = 1), f(X) = (n0*f_A(X) + n1*f_B(X))/n, so one run of the minimizer
     searches both blocks for a common bipartition.
 
-    Columns are grouped by 64-bit additive signatures (random per-cell
-    weights, summed over the chosen rows) for the float path; the weights are
-    seeded deterministically, so evaluation is reproducible, and built on the
-    first float evaluation.  All exact decisions group columns with
-    `group_columns` over `S.codes` instead.
+    The entropies behind f come from exact column counts: the given row and
+    the rows of X are packed into one key per column by `_column_keys`, the
+    packing `group_columns` uses, and the keys are counted.  No float enters
+    the exact decisions (`is_independent_exact`, `components`, `atoms`).
 
     As an oracle for `minimize_symmetric` it exposes `m`, `eval`,
     `ordering_keys` and `calls`, which counts every requested evaluation of f
@@ -159,65 +168,32 @@ class InfoFunction:
         self.calls = 0
         self.given = given
         self.codes = S.codes[list(self.ground)]
-        # no given row behaves as a constant one: code 0 (and zero signature)
+        # no given row behaves as a constant one: code 0
         if given is None:
             self.given_codes = np.zeros(n, dtype=np.int64)
         else:
             self.given_codes = S.codes[given]
-        self.cell_sig = None  # float path state, built by _build_float_path
-        self._sig_cache = {}
         self._h_cache = {}
         self._f_cache = {}
         self._exact_cache = {}
 
-    # -- float path ---------------------------------------------------------
+    # -- f ------------------------------------------------------------------
 
-    def _build_float_path(self) -> None:
-        """Seeded signatures and the two constant entropies, on first float use.
-
-        The exact path (`is_independent_exact`, `components`) never needs them.
-        """
-        if self.cell_sig is not None:
-            return
-        codes = self.S.codes
-        rng = np.random.Generator(np.random.PCG64(_WEIGHT_SEED))
-        ncodes = int(codes.max()) + 1
-        weights = rng.integers(0, 1 << 63, size=(self.S.m, ncodes), dtype=np.uint64)
-        weights = weights * np.uint64(2) + np.uint64(1)  # odd: distinct per cell in practice
-        cell_sig = np.take_along_axis(weights, codes, axis=1)
-        if self.given is None:
-            self.given_sig = np.zeros(self.n, dtype=np.uint64)
-            self.h_given = 0.0
-        else:
-            self.given_sig = cell_sig[self.given]
-            self.h_given = self._h_sig(self.given_sig)
-        self.cell_sig = cell_sig[list(self.ground)]
-        self.sig_all = self.cell_sig.sum(axis=0, dtype=np.uint64)
-        self.h_full = self._h_sig(self.sig_all + self.given_sig)
-
-    def _h_sig(self, sig: np.ndarray) -> float:
-        _, counts = np.unique(sig, return_counts=True)
-        return _entropy_from_counts(counts, self.n)
-
-    def sig(self, X: tuple) -> np.ndarray:
-        """Additive signature vector of a row subset (cached)."""
-        got = self._sig_cache.get(X)
-        if got is None:
-            self._build_float_path()
-            if len(X) == 0:
-                got = np.zeros(self.n, dtype=np.uint64)
-            elif len(X) == 1:
-                got = self.cell_sig[X[0]]
-            else:
-                got = self.cell_sig[list(X)].sum(axis=0, dtype=np.uint64)
-            self._sig_cache[X] = got
-        return got
+    @cached_property
+    def _digits(self) -> tuple:
+        """Digit rows of the entropy keys (the ground rows, then the given row), radices."""
+        digits = np.vstack((self.codes, self.given_codes))
+        return digits, (digits.max(axis=1) + 1).tolist()
 
     def _h(self, X: tuple) -> float:
         """H(C_X, C_given) for a sorted row subset (cached)."""
         got = self._h_cache.get(X)
         if got is None:
-            got = self._h_sig(self.sig(X) + self.given_sig)
+            digits, radix = self._digits
+            rows = list(X) + [self.m]
+            keys = _column_keys(digits[rows], [radix[i] for i in rows])
+            counts = np.unique(keys, return_counts=True)[1]
+            got = math.log2(self.n) - float(np.dot(counts, np.log2(counts))) / self.n
             self._h_cache[X] = got
         return got
 
@@ -239,7 +215,8 @@ class InfoFunction:
         got = self._f_cache.get(X)
         if got is None:
             self._check_range(X)
-            got = self._h(X) + self._h(self._complement(X)) - self.h_full - self.h_given
+            full = tuple(range(self.m))
+            got = self._h(X) + self._h(self._complement(X)) - self._h(full) - self._h(())
             self._f_cache[X] = got
         return got
 
@@ -248,21 +225,8 @@ class InfoFunction:
         return self.f(X)
 
     def ordering_keys(self, base: tuple, cands: Sequence[tuple]) -> list:
-        """key(c) = f(base + c) - f(c) for each candidate merged element.
-
-        f(base + c) comes from cached signatures, so one key costs two
-        grouping passes instead of a fresh scan of the matrix.
-        """
-        self.calls += 2 * len(cands)
-        sig_base = self.sig(base)
-        fwd = sig_base + self.given_sig
-        bwd = self.sig_all - sig_base + self.given_sig
-        keys = []
-        for c in cands:
-            sig_c = self.sig(c)
-            f_join = self._h_sig(fwd + sig_c) + self._h_sig(bwd - sig_c) - self.h_full - self.h_given
-            keys.append(f_join - self.f(c))
-        return keys
+        """key(c) = f(base + c) - f(c) for each candidate merged element."""
+        return [self.eval(base + c) - self.eval(c) for c in cands]
 
     # -- exact path ----------------------------------------------------------
 
@@ -279,13 +243,19 @@ class InfoFunction:
         self._check_range(X)
         if not X or len(X) >= self.m:
             raise ValueError("X must be a nonempty proper row subset")
-        got = self._exact_cache.get(X)
+        return self._independent(X, self._complement(X))
+
+    def _independent(self, X: tuple, Y: tuple) -> bool:
+        """The identity of `is_independent_exact` between disjoint row tuples X and Y.
+
+        Rows outside X and Y are ignored: this is C_X ⊥ C_Y | C_given.
+        """
+        got = self._exact_cache.get((X, Y))
         if got is not None:
             return got
-        Xc = self._complement(X)
         z = self.given_codes  # first-occurrence codes 0..kz-1
         inv_a, cnt_a, _ = group_columns(np.vstack((z, self.codes[list(X)])))
-        inv_b, cnt_b, _ = group_columns(np.vstack((z, self.codes[list(Xc)])))
+        inv_b, cnt_b, _ = group_columns(np.vstack((z, self.codes[list(Y)])))
         cnt_z = np.bincount(z)
         ka, kb, kz = len(cnt_a), len(cnt_b), len(cnt_z)
         z_a = np.empty(ka, dtype=np.int64)
@@ -301,8 +271,7 @@ class InfoFunction:
             lhs = joint.astype(object) * cnt_z[z_a[a]].astype(object)
             rhs = cnt_a[a].astype(object) * cnt_b[b].astype(object)
             ok = bool((lhs == rhs).all())
-        self._exact_cache[X] = ok
-        self._exact_cache[Xc] = ok
+        self._exact_cache[(X, Y)] = self._exact_cache[(Y, X)] = ok
         return ok
 
     def components(self) -> list:
@@ -343,6 +312,39 @@ class InfoFunction:
             if (nxt == reach).all():
                 return sorted({tuple(np.flatnonzero(row).tolist()) for row in reach})
             reach = nxt
+
+    def atoms(self) -> list:
+        """The finest partition of the ground rows into mutually independent blocks.
+
+        These are the atoms of the Boolean algebra of zeros of f (module
+        docstring), sorted by smallest row: X is a zero exactly when it is a
+        union of atoms, so two or more atoms mean a factorization and atoms[0]
+        is the block holding row 0.  [] on an empty ground set.
+
+        The components arrive in order, and the atoms are kept for the rows Y
+        seen so far, the union of the components that have arrived.  When a
+        component C arrives, each atom A stays an atom exactly when
+        C_A ⊥ C_(Y - A) | C_given (checked exactly, with Y now holding C);
+        every other atom merges into C.  Induction shows the result is the
+        atom set over Y: cutting the columns down to the rows in Y turns a
+        zero X into the zero X & Y, so each new atom is a union of old atoms
+        and at most C; an old atom that is independent of the rest of Y is
+        minimal, hence an atom; and an atom without C made of two or more old
+        atoms would be independent of the rest of Y while its first old atom
+        is independent of the others, so that old atom alone would be a zero.
+        At most q(q-1)/2 exact checks for q components.
+        """
+        atoms, seen = [], set()
+        for comp in self.components():
+            seen.update(comp)
+            kept, merged = [], list(comp)
+            for A in atoms:
+                if self._independent(A, tuple(sorted(seen.difference(A)))):
+                    kept.append(A)
+                else:
+                    merged.extend(A)
+            atoms = kept + [tuple(sorted(merged))]
+        return sorted(atoms)
 
 
 def mutual_info_direct(S: Matrix, X: Iterable[int]) -> float:

@@ -2,20 +2,20 @@
 
 A matrix is a 1-product when its column multiset is the full "Cartesian"
 combination of the columns of two smaller matrices stacked on a row
-bipartition.  Every recognizer searches zero sets the same way
-(`_zero_cut`): every zero of the mutual-information function f is a union
-of components of the exact pairwise-dependence graph
-(`InfoFunction.components`), so a connected graph answers "no" with no float
-evaluation; otherwise the pendent-pair minimizer runs over the components
-as merged elements and each candidate is re-verified by the exact
-multiplicity identity before integer factors are reconstructed.
+bipartition.  Every recognizer reads its zero sets from
+`InfoFunction.atoms`: the zeros of the mutual-information function f are
+exactly the unions of its atoms, which come from merging the components of
+the exact pairwise-dependence graph with exact independence checks, so no
+float enters a verdict.  Two or more atoms make a 1-product, and atoms[0],
+the block holding the smallest row, is the canonical cut;
+`factorize_irreducible` peels every atom off one graph.
 `reconstruct_factors` proves its own output: the factors re-expand to S
 exactly when the joint pattern count table equals the outer product of the
 factors' column repetitions, which is also the exact independence identity.
 All pattern counts here go through `info.group_columns` over `Matrix.codes`.
 
 A 2-product glues two matrices along 0/1 special rows; recognition guesses
-the special row r and searches the zero sets of the conditional information
+the special row r and reads the atoms of the conditional information
 I(C_X; C_Xc | C_r) over the remaining rows, which is zero exactly when both
 column blocks r = 0 and r = 1 are 1-products over one common bipartition.
 `iter_two_product_certs_exact` enumerates every such zero set instead of
@@ -30,9 +30,8 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .info import InfoFunction, ZERO_EPS, group_columns
+from .info import InfoFunction, group_columns
 from .matrix import Matrix, dedupe_rows
-from .queyranne import minimize_symmetric_with_candidates
 
 
 def one_product(S1: Matrix, S2: Matrix) -> Matrix:
@@ -130,64 +129,39 @@ def reconstruct_factors(S: Matrix, X: Sequence[int]) -> Tuple[Matrix, Matrix]:
     return S1, S2
 
 
-def _zero_cut(F: InfoFunction) -> Optional[tuple]:
-    """A nonempty proper X with F.is_independent_exact(X), or None.
-
-    Every zero of f is a union of components of the pairwise-dependence
-    graph, so a connected graph answers None with no float evaluation.
-    Otherwise the pendent-pair minimizer runs over the components as merged
-    elements; its argmin and then every recorded candidate whose float value
-    is within ZERO_EPS are screened exactly, and the first that passes is
-    returned.
-    """
-    comps = F.components()
-    if len(comps) < 2:
-        return None
-    X, _, cands = minimize_symmetric_with_candidates(F, comps)
-    if F.is_independent_exact(X):
-        return X
-    for cs, cv in sorted(set(cands), key=lambda c: (c[1], c[0])):
-        if cv > ZERO_EPS:
-            break
-        if cs != X and F.is_independent_exact(cs):
-            return cs
-    return None
-
-
 def recognize_one_product(S: Matrix) -> Optional[OneProductCert]:
     """Decide whether S is a 1-product up to permutation; return a certificate if so.
 
-    `_zero_cut` supplies the bipartition; the verdict itself is the exact
-    multiplicity identity.
+    The bipartition is (atoms[0], rest), with atoms[0] the irreducible block
+    holding row 0; the verdict itself is the exact multiplicity identity.
     """
-    if S.m < 2:
+    atoms = InfoFunction(S).atoms()
+    if len(atoms) < 2:
         return None
-    found = _zero_cut(InfoFunction(S))
-    if found is None:
-        return None
-    S1, S2 = reconstruct_factors(S, found)
-    inX = set(found)
-    Xc = tuple(i for i in range(S.m) if i not in inX)
-    row_map = tuple(
-        ("S1", found.index(i)) if i in inX else ("S2", Xc.index(i)) for i in range(S.m)
-    )
-    return OneProductCert(found, S1, S2, row_map)
+    X = atoms[0]
+    S1, S2 = reconstruct_factors(S, X)
+    Xc = tuple(i for i in range(S.m) if i not in X)
+    row_map = tuple(("S1", X.index(i)) if i in X else ("S2", Xc.index(i)) for i in range(S.m))
+    return OneProductCert(X, S1, S2, row_map)
 
 
 def factorize_irreducible(S: Matrix) -> Factorization:
-    """Split S into the unique partition of minimal irreducible 1-product blocks."""
+    """Split S into the unique partition of minimal irreducible 1-product blocks.
 
-    def rec(sub: Matrix, orig: tuple):
-        cert = recognize_one_product(sub)
-        if cert is None:
-            return [(orig, sub)]
-        left = tuple(orig[i] for i in cert.X)
-        right = tuple(orig[i] for i in cert.Xc)
-        return rec(cert.S1, left) + rec(cert.S2, right)
-
-    parts = rec(S, tuple(range(S.m)))
-    parts.sort(key=lambda p: p[0][0])
-    return Factorization(tuple(p[0] for p in parts), tuple(p[1] for p in parts))
+    The blocks are the atoms of one dependence graph; `reconstruct_factors`
+    peels them off in order, each from the factor left by the one before.
+    That factor repeats S's patterns on its rows in proportion, so the
+    atoms stay independent in it.
+    """
+    blocks = tuple(InfoFunction(S).atoms())
+    factors = []
+    rest = S
+    for k, block in enumerate(blocks[:-1]):
+        # the rows of `rest` are the later blocks' rows in ascending order
+        rows = sorted(i for b in blocks[k:] for i in b)
+        factor, rest = reconstruct_factors(rest, [rows.index(i) for i in block])
+        factors.append(factor)
+    return Factorization(blocks, tuple(factors) + (rest,))
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +209,9 @@ def recognize_two_product(S: Matrix) -> Optional[TwoProductCert]:
 
     For each candidate 0/1 row r the columns split into the r=0 and r=1
     blocks; both blocks must be 1-products with respect to one common row
-    bipartition, found by `_zero_cut` on I(C_X; C_Xc | C_r) over the other
-    rows.  Acceptance requires the exact identity within both values of r.
+    bipartition, read from the atoms of I(C_X; C_Xc | C_r) over the other
+    rows (atoms[0], the block holding the smallest of them).  Acceptance
+    requires the exact identity within both values of r.
     """
     m = S.m
     if m < 3:
@@ -246,9 +221,10 @@ def recognize_two_product(S: Matrix) -> Optional[TwoProductCert]:
         if set(row) != {0, 1}:
             continue
         F = InfoFunction(S, given=r)
-        found = _zero_cut(F)
-        if found is None:
+        atoms = F.atoms()
+        if len(atoms) < 2:
             continue
+        found = atoms[0]
         rest = F.ground
         X = tuple(rest[i] for i in found)
         Xc = tuple(i for i in rest if i not in X)

@@ -8,22 +8,21 @@ The minimizer repeatedly builds an ordering v1, v2, ..., vk of the current
 The last two elements (t, u) form a pendent pair: f(u) is minimal among all
 sets separating u from t.  Recording u as a candidate cut and merging t with
 u, m-1 times, visits a candidate achieving the global minimum of f over
-nonempty proper subsets.  Started from q merged elements instead of the m
-singletons (`elements`), the same run minimizes f over the unions of those
-elements with at most q^3 evaluations; the recognizers start it from the
-components of the pairwise-dependence graph, whose unions hold every zero.
+nonempty proper subsets, with at most m^3 evaluations.
 
 An oracle is any object with the ground-set size `m`, a `calls` counter,
 `eval(X)` and `ordering_keys(base, cands)`.  `info.InfoFunction` is the
-matrix oracle the recognizers use; `SymmetricOracle` adapts a plain callable.
+matrix oracle; `SymmetricOracle` adapts a plain callable.
 
-Float comparisons in the ordering are raw; callers that need an exact zero
-re-verify candidates with integer arithmetic downstream.
+Float comparisons in the ordering are raw.  The recognizers do not use this
+minimizer: they need the zeros of f, not its minimum, and read them exactly
+from `InfoFunction.atoms`.  It stays the library's general minimizer, for
+any symmetric submodular function and for minima above zero.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 
 class SymmetricOracle:
@@ -80,33 +79,23 @@ def pendent_pair(oracle, elements: Sequence[tuple], start: tuple):
     return order[-2], order[-1]
 
 
-def _canonical_cut(X: tuple, ground: Sequence[int]) -> tuple:
-    inX = set(X)
-    Xc = tuple(i for i in ground if i not in inX)
-    return min(X, Xc)
-
-
-def minimize_symmetric_with_candidates(oracle, elements: Optional[Sequence[tuple]] = None):
+def minimize_symmetric_with_candidates(oracle):
     """Full pendent-pair run; returns (argmin, value, all recorded candidates).
 
-    The run starts from `elements`, disjoint nonempty sets of ground-set
-    indices (default: the m singletons), so it minimizes f over their unions
-    with at most q^3 evaluations for q elements.  Candidates are the pendent
-    cuts (u's original set, f value), one per merge, each canonicalized to
-    the lexicographically smaller of the set and its complement within the
-    union of the elements.
+    Candidates are the pendent cuts (u's original set, f value), one per
+    merge, each canonicalized to the lexicographically smaller of the set
+    and its complement.
     """
-    if elements is None:
-        elements = [(i,) for i in range(oracle.m)]
-    elements = sorted(tuple(sorted(e)) for e in elements)
-    ground = sorted(i for e in elements for i in e)
-    if len(elements) < 2 or not all(elements) or len(set(ground) & set(range(oracle.m))) < len(ground):
-        raise ValueError("need at least 2 disjoint nonempty elements of the ground set")
+    m = oracle.m
+    if m < 2:
+        raise ValueError("need at least 2 elements")
+    elements = [(i,) for i in range(m)]
     candidates = []
     while len(elements) > 1:
         start = elements[0]  # smallest representative
         t, u = pendent_pair(oracle, elements, start)
-        candidates.append((_canonical_cut(u, ground), oracle.eval(u)))
+        uc = tuple(i for i in range(m) if i not in u)
+        candidates.append((min(u, uc), oracle.eval(u)))
         merged = tuple(sorted(t + u))
         elements = sorted([e for e in elements if e != t and e != u] + [merged])
     best_set, best_val = min(candidates, key=lambda c: (c[1], c[0]))

@@ -169,10 +169,10 @@ def test_conditional_f_is_weighted_block_sum():
 @pytest.mark.parametrize("m", [63, 64, 65])
 def test_packed_key_width_boundary(m):
     # X = S1's single row; the key of the complement side packs m - 1 rows
-    # plus the given row (a constant row when there is none), so the highest
-    # row lands on the last bit.  S2's row 0 becomes the given row: both of
-    # its values cover two distinct columns, so flipping one entry of X or of
-    # the highest row breaks independence in either block.
+    # plus the given row (a constant row when there is none), so from m = 64
+    # on it outgrows one int64 and is renumbered.  S2's row 0 becomes the
+    # given row: both of its values cover two distinct columns, so flipping
+    # one entry of X or of the highest row breaks independence in either block.
     rng = random.Random(16 + m)
     head = [[0, 0, 1, 1], [0, 1, 0, 1]]
     S2 = Matrix(head + [[rng.randint(0, 1) for _ in range(4)] for _ in range(m - 3)])
@@ -202,10 +202,11 @@ def _group_columns_reference(sub):
     return inv, counts, first
 
 
-@pytest.mark.parametrize("rows,values", [(63, 2), (64, 2), (65, 2), (39, 3), (40, 3)])
+@pytest.mark.parametrize("rows,values", [(62, 2), (63, 2), (64, 2), (65, 2), (39, 3), (40, 3)])
 def test_group_columns_packed_key_boundary(rows, values):
-    # Keys are packed while the product of the row ranges is at most 2**63:
-    # 63 binary and 39 ternary rows pack, 64 and 40 do not (3**39 < 2**63 <
+    # Keys are packed in one product while the product of the row ranges
+    # stays below 2**63 and renumbered before the next row beyond: 62 binary
+    # and 39 ternary rows pack at once, 63 and 40 do not (3**39 < 2**63 <
     # 3**40).  The pool holds the all-zero and all-max columns and pairs that
     # differ only in the first row, which a key wrapped modulo 2**64 merges
     # from 65 binary rows on.
@@ -318,20 +319,119 @@ def test_zero_sets_are_unions_of_components():
     assert unions > 30
 
 
-def test_float_path_built_on_first_float_use():
-    # the exact path never builds the signatures; f values do not depend on
-    # whether the exact path ran first
+def test_f_does_not_depend_on_the_exact_path():
+    # f values do not depend on whether the exact path ran first, and the
+    # minimizer's ordering keys agree across instances
     rng = random.Random(21)
     for _ in range(20):
         S = random_matrix(rng, rng.randint(3, 6), rng.randint(2, 9), 0, 2)
         for given in (None, 0):
             F = InfoFunction(S, given=given)
             F.components()
+            F.atoms()
             F.is_independent_exact((0,))
-            assert F.cell_sig is None
             G = InfoFunction(S, given=given)
             subsets = [X for k in range(F.m + 1) for X in itertools.combinations(range(F.m), k)]
             assert [F.f(X) for X in subsets] == [G.f(X) for X in subsets]
             H = InfoFunction(S, given=given)
             assert H.ordering_keys((0,), [(1,)]) == G.ordering_keys((0,), [(1,)])
-            assert F.cell_sig is not None and H.calls == 2
+            assert H.calls == 2
+
+
+def _independent_reference(S, given, X, Y):
+    # C_X ⊥ C_Y | C_given by multiplicity_table counts within each value of
+    # the given row; X and Y are rows of S
+    if given is None:
+        blocks = [S]
+    else:
+        values = sorted(set(S.rows[given]))
+        blocks = [S.restrict_cols([j for j in range(S.n) if S.rows[given][j] == v]) for v in values]
+    for B in blocks:
+        joint = multiplicity_table(B, X + Y).counts
+        pos = {i: k for k, i in enumerate(sorted(X + Y))}
+        ma = multiplicity_table(B, X).counts
+        mb = multiplicity_table(B, Y).counts
+        for a in ma:
+            for b in mb:
+                key = [None] * len(pos)
+                for i, x in zip(X, a):
+                    key[pos[i]] = x
+                for i, y in zip(Y, b):
+                    key[pos[i]] = y
+                if B.n * joint.get(tuple(key), 0) != ma[a] * mb[b]:
+                    return False
+    return True
+
+
+def _atoms_reference(S, given):
+    # for each ground row, the intersection of every zero set or complement
+    # holding it, over all bipartitions of the ground rows
+    ground = [i for i in range(S.m) if i != given]
+    m = len(ground)
+    cell = [set(range(m)) for _ in range(m)]
+    for size in range(1, m):
+        for X in itertools.combinations(range(m), size):
+            Xc = tuple(i for i in range(m) if i not in X)
+            if _independent_reference(S, given, [ground[i] for i in X], [ground[i] for i in Xc]):
+                for side in (X, Xc):
+                    for i in side:
+                        cell[i] &= set(side)
+    return sorted({tuple(sorted(c)) for c in cell})
+
+
+def _parity_rows(k):
+    """All 2**k - 1 nonzero GF(2) parity rows over the 2**k points of GF(2)**k."""
+    return Matrix([[bin(v & x).count("1") % 2 for x in range(1 << k)] for v in range(1, 1 << k)])
+
+
+def _atom_inputs(rng):
+    """Random matrices, shuffled 1-products of 2-4 factors, and parity rows.
+
+    Three or more parity rows are pairwise independent but not jointly, so
+    there the atoms are coarser than the components.
+    """
+    inputs = [random_matrix(rng, rng.randint(1, 6), rng.randint(1, 9), 0, 2) for _ in range(40)]
+    for _ in range(40):
+        P = random_matrix(rng, rng.randint(1, 2), rng.randint(1, 3), 0, 2)
+        for _ in range(rng.randint(1, 3)):
+            P = one_product(P, random_matrix(rng, rng.randint(1, 2), rng.randint(1, 3), 0, 2))
+        inputs.append(seeded_shuffle(P, rng.getrandbits(64))[0])
+    for _ in range(40):
+        P = _parity_rows(rng.randint(2, 3))
+        P = P.submatrix(sorted(rng.sample(range(P.m), rng.randint(3, min(P.m, 5)))), range(P.n))
+        if rng.random() < 0.6:
+            P = one_product(P, random_matrix(rng, rng.randint(1, 2), rng.randint(1, 3), 0, 2))
+        inputs.append(seeded_shuffle(P, rng.getrandbits(64))[0])
+    return inputs
+
+
+def test_atoms_match_bruteforce_partition():
+    rng = random.Random(22)
+    pairs = finer = merged = 0
+    for S in _atom_inputs(rng):
+        for given in [None] + list(range(S.m)):
+            F = InfoFunction(S, given=given)
+            got = F.atoms()
+            assert got == _atoms_reference(S, given)
+            pairs += 1
+            finer += len(got) >= 3
+            merged += got != F.components()
+    assert pairs > 600 and finer > 250 and merged > 80
+
+
+@pytest.mark.parametrize("k", [3, 4, 6])
+def test_atoms_of_pairwise_independent_rows(k):
+    # every pair of parity rows is independent, so each row is its own
+    # component, yet no bipartition is a zero: one atom.  Beside a factor
+    # that is one row, the product has exactly the two blocks.
+    P = _parity_rows(k)
+    F = InfoFunction(P)
+    assert F.components() == [(i,) for i in range(P.m)]
+    assert F.atoms() == [tuple(range(P.m))]
+    rng = random.Random(23 + k)
+    row = [rng.randint(0, 2) for _ in range(3)]
+    row[rng.randrange(3)] = 3  # not constant
+    S, row_perm, _ = seeded_shuffle(one_product(P, Matrix([row])), rng.getrandbits(64))
+    single = (row_perm.index(P.m),)
+    want = sorted([single, tuple(i for i in range(S.m) if i != single[0])])
+    assert InfoFunction(S).atoms() == want

@@ -315,6 +315,31 @@ def test_recognize_matroid_roundtrip_random():
         assert base_families_match(orig, rec)
 
 
+def test_recognize_matroid_near_misses():
+    # one flipped entry in a shuffled slack matrix: the recognizer rejects the
+    # input, answers None, or returns an expression whose slack matrix is
+    # the input up to permutation
+    rng = random.Random(49)
+    outcomes = {"input error": 0, "none": 0, "recognized": 0}
+    for _ in range(40):
+        _, S, _ = random_feasible_expr(rng, max_leaves=4, dmax=5, max_cols=60, max_rows=32)
+        rows = [list(r) for r in seeded_shuffle(S, rng.getrandbits(64))[0].rows]
+        i, j = rng.randrange(S.m), rng.randrange(S.n)
+        rows[i][j] = 1 - rows[i][j]
+        near = Matrix(rows)
+        try:
+            rec = recognize_2level_matroid_slack(near)
+        except MatroidInputError:
+            outcomes["input error"] += 1
+            continue
+        if rec is None:
+            outcomes["none"] += 1
+            continue
+        assert is_isomorphic(expr_to_slack(rec.expr), near) is not None
+        outcomes["recognized"] += 1
+    assert outcomes["none"] >= 10, outcomes
+
+
 def test_row_provenance_tags_elements():
     e = TwoSum(Leaf(4, 2), Leaf(3, 2), 3, 0)
     S = expr_to_slack(e)

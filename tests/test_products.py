@@ -137,6 +137,41 @@ def test_factorize_three_factors_through_shuffle():
         assert mapped == {frozenset(blk) for blk in base.blocks}
 
 
+def _random_products(rng, count):
+    """Shuffled 1-products of 2-4 small factors, some with repeated columns."""
+    out = []
+    for _ in range(count):
+        P = random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), 0, 2)
+        for _ in range(rng.randint(1, 3)):
+            B = random_matrix(rng, rng.randint(1, 2), rng.randint(1, 3), 0, 2)
+            P = one_product(P, _with_repeated_columns(rng, B) if rng.random() < 0.3 else B)
+        out.append(seeded_shuffle(P, rng.getrandbits(64))[0])
+    return out
+
+
+def test_one_product_cut_is_the_first_block():
+    # with two or more blocks, the 1-product cut is the block holding row 0,
+    # and the factors, stacked by blocks, re-expand to S
+    rng = random.Random(34)
+    inputs = _random_products(rng, 60)
+    inputs += [random_matrix(rng, rng.randint(2, 6), rng.randint(1, 9), 0, 2) for _ in range(60)]
+    split = 0
+    for S in inputs:
+        fac = factorize_irreducible(S)
+        assert sorted(i for b in fac.blocks for i in b) == list(range(S.m))
+        assert all(len(InfoFunction(factor).atoms()) == 1 for factor in fac.factors)
+        P = fac.factors[0]
+        for factor in fac.factors[1:]:
+            P = one_product(P, factor)
+        assert columns_multiset(P) == columns_multiset(Matrix(tuple(S.rows[i] for b in fac.blocks for i in b)))
+        cert = recognize_one_product(S)
+        assert (cert is not None) == (fac.t >= 2)
+        if cert is not None:
+            assert cert.X == fac.blocks[0]
+            split += fac.t >= 3
+    assert split > 20
+
+
 def test_roundtrip_random_products():
     rng = random.Random(32)
     for _ in range(40):

@@ -37,7 +37,7 @@ def test_pendent_pair_guarantee_random():
         best = min(
             check.eval(X)
             for size in range(1, nv)
-            for X in __import__("itertools").combinations(range(nv), size)
+            for X in itertools.combinations(range(nv), size)
             if (u[0] in X) != (t[0] in X)
         )
         assert oracle.eval(u) == pytest.approx(best, abs=1e-12)
@@ -92,54 +92,3 @@ def test_generic_oracle_counts_calls():
 def test_min_requires_two_elements():
     with pytest.raises(ValueError):
         minimize_symmetric(cut_oracle(1, []))
-
-
-def _random_elements(rng, m):
-    label = [rng.randrange(max(2, m // 2)) for _ in range(m)]
-    label[0], label[-1] = 0, 1  # at least two elements
-    groups = {}
-    for i, g in enumerate(label):
-        groups.setdefault(g, []).append(i)
-    return [tuple(g) for g in groups.values()]
-
-
-def _bf_min_over_unions(oracle, elements):
-    best = None
-    for size in range(1, len(elements)):
-        for pick in itertools.combinations(elements, size):
-            X = tuple(sorted(i for e in pick for i in e))
-            v = oracle.eval(X)
-            if best is None or v < best:
-                best = v
-    return best
-
-
-def test_minimize_over_merged_elements():
-    # with start elements the run minimizes over their unions, q^3 calls
-    rng = random.Random(25)
-    for k in range(60):
-        if k % 2:
-            S = random_matrix(rng, rng.randint(2, 8), rng.randint(1, 8), 0, 2)
-            oracle, check, m = InfoFunction(S), InfoFunction(S), S.m
-        else:
-            m = rng.randint(2, 8)
-            edges = random_cut_oracle_edges(rng, m)
-            oracle, check = cut_oracle(m, edges), cut_oracle(m, edges)
-        elements = _random_elements(rng, m)
-        q = len(elements)
-        X, v, cands = minimize_symmetric_with_candidates(oracle, elements)
-        assert oracle.calls <= q**3
-        assert v == pytest.approx(_bf_min_over_unions(check, elements), abs=1e-9)
-        for cs, _ in cands:
-            assert all(set(e) <= set(cs) or not set(e) & set(cs) for e in elements)
-            assert 0 in cs  # canonical: the side holding the smallest index
-
-
-def test_elements_canonical_over_their_union():
-    # elements covering part of the ground set: cuts are canonical within it
-    oracle = cut_oracle(5, [(1, 3, 1), (3, 4, 2)])
-    X, v, cands = minimize_symmetric_with_candidates(oracle, [(3,), (1, 4)])
-    assert (X, v) == ((1, 4), 3.0) and cands == [((1, 4), 3.0)]
-    for bad in ([(0,), (0, 1)], [(0,), ()], [(0,), (5,)], [(0, 1)]):
-        with pytest.raises(ValueError):
-            minimize_symmetric_with_candidates(cut_oracle(5, []), bad)

@@ -25,6 +25,13 @@ Digested per input: the `recognize_one_product` certificate, the
 certificate, every field of every `iter_two_product_certs_exact`
 certificate, and for the slack matrices the `recognize_2level_matroid_slack`
 expression and column bases (or the rejection).
+
+The script also checks what it digests: every 1-product certificate, every
+factorization and every 2-product certificate must re-expand to its input.
+The product of the factors, with its rows put back in the input's order,
+must equal the input up to a column permutation.  The last line counts the
+answers that fail this check, and the exit status is 1 when it is not 0, so
+a changed digest comes with a proof that the new answers are valid.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import dataclasses
 import hashlib
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -158,18 +166,48 @@ def slack_inputs():
     return out
 
 
+def reexpands(S, P, order):
+    """P equals S's rows `order` (one per row of P) up to a column permutation."""
+    if len(order) != S.m or sorted(order) != list(range(S.m)) or P.n != S.n:
+        return False
+    return Counter(P.cols()) == Counter(Matrix([S.rows[i] for i in order]).cols())
+
+
+def failed_reexpansions(S, cert1, fac, cert2):
+    """How many of the three answers on S do not re-expand to S."""
+    bad = 0
+    if cert1 is not None:
+        bad += not reexpands(S, one_product(cert1.S1, cert1.S2), cert1.X + cert1.Xc)
+    P = fac.factors[0]
+    for factor in fac.factors[1:]:
+        P = one_product(P, factor)
+    bad += not reexpands(S, P, [i for block in fac.blocks for i in block])
+    if cert2 is not None:
+        # two_product stacks S1's rows, then S2's, each without its special row,
+        # then the special row
+        rows = {side: {k: i for i, (s, k) in enumerate(cert2.row_map) if s == side} for side in ("S1", "S2")}
+        order = (
+            [rows["S1"].get(k, -1) for k in range(cert2.S1.m) if k != cert2.x1_index]
+            + [rows["S2"].get(k, -1) for k in range(cert2.S2.m) if k != cert2.y1_index]
+            + [cert2.special_row]
+        )
+        bad += not reexpands(S, two_product(cert2.S1, cert2.x1_index, cert2.S2, cert2.y1_index), order)
+    return bad
+
+
 PARTS = ("1p", "factor", "2p", "iter", "matroid")
 
 
 def main():
     h = hashlib.sha256()
     parts = {name: hashlib.sha256() for name in PARTS}
-    count = 0
+    count = failures = 0
     for S in matrix_inputs():
         cert1 = recognize_one_product(S)
         fac = factorize_irreducible(S)
         cert2 = recognize_two_product(S)
         certs = list(iter_two_product_certs_exact(S))
+        failures += failed_reexpansions(S, cert1, fac, cert2)
         h.update(repr(canon((S, cert1, fac, cert2, certs))).encode())
         for name, answer in zip(PARTS, (cert1, fac, cert2, certs)):
             parts[name].update(repr(canon((S, answer))).encode())
@@ -185,7 +223,9 @@ def main():
     for name in PARTS:
         print(f"{parts[name].hexdigest()}  {name}")
     print(f"{h.hexdigest()}  {count} inputs")
+    print(f"{failures} answers fail re-expansion")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
