@@ -153,9 +153,9 @@ class InfoFunction:
     packing `group_columns` uses, and the keys are counted.  No float enters
     the exact decisions (`is_independent_exact`, `components`, `atoms`).
 
-    As an oracle for `minimize_symmetric` it exposes `m`, `eval`,
-    `ordering_keys` and `calls`, which counts every requested evaluation of f
-    (including ones answered from the cache).
+    As an oracle for `minimize_symmetric` it exposes `m`, `eval` and
+    `calls`, which counts every requested evaluation of f (including ones
+    answered from the cache).
     """
 
     def __init__(self, S: Matrix, given: Optional[int] = None):
@@ -223,10 +223,6 @@ class InfoFunction:
     def eval(self, X: Sequence[int]) -> float:
         self.calls += 1
         return self.f(X)
-
-    def ordering_keys(self, base: tuple, cands: Sequence[tuple]) -> list:
-        """key(c) = f(base + c) - f(c) for each candidate merged element."""
-        return [self.eval(base + c) - self.eval(c) for c in cands]
 
     # -- exact path ----------------------------------------------------------
 

@@ -8,12 +8,22 @@ factor slacks along a coherent pair of special rows (an "x_p >= 0" row on
 one side, a "y_p <= 1" row on the other) followed by duplicate removal.
 
 The recognizer inverts that construction: hypersimplex leaves are matched
-directly, 1-products are split with the information-based factorizer, and
-2-products are enumerated with backtracking.  Every recovered expression is
-re-expanded and checked against the input, so any returned answer is
-correct by construction; the dual ambiguity (each factor can be read as
-U(d,k) or U(d,d-k)) is resolved by trying both orientations where a glue row
-is needed.
+directly, 1-products are split with the information-based factorizer, and a
+2-product is split once, along the first special row whose conditional
+atoms allow a split that is not a mere relabeling (`_two_product_split`).
+One split suffices.  A 2-product split of such a slack matrix is a 2-sum
+split (Cunningham & Edmonds, "A combinatorial decomposition theory", Canad.
+J. Math. 1980); both parts of a 2-sum are minors of the matroid, and the
+2-level class is closed under minors (Grande & Sanyal, "Theta rank,
+levelness, and matroid minors", JCTB 2017), so when S is recognizable both
+sides of any split are, and a failed split means no split succeeds.  The
+search per recursion node therefore reads at most m special rows, each with
+q(q-1)/2 exact checks for q dependence components, instead of backtracking
+over the unions of components.  Every recovered expression is re-expanded
+and checked against the input, so any returned answer is correct by
+construction whatever the argument above; the dual ambiguity (each factor
+can be read as U(d,k) or U(d,d-k)) is resolved by trying both orientations
+where a glue row is needed.
 """
 
 from __future__ import annotations
@@ -24,15 +34,12 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Optional, Sequence, Union
 
-from .info import group_columns
-from .matrix import Matrix
+import numpy as np
+
+from .info import InfoFunction, group_columns
+from .matrix import Matrix, dedupe_rows
 from .polytopes import normalize_nonredundant_with_maps
-from .products import factorize_irreducible, iter_two_product_certs_exact, one_product, two_product
-
-
-#: diagnostic counters for the recognizer (certificates tried and abandoned);
-#: useful for measuring how often greedy 2-product decomposition would fail
-DECOMPOSITION_STATS = {"certs_tried": 0, "cert_backtracks": 0}
+from .products import factorize_irreducible, one_product, two_product
 
 
 class CoherenceError(ValueError):
@@ -386,7 +393,7 @@ def _upper_pattern(bases: Sequence[frozenset], e: int) -> tuple:
     return tuple(0 if e in b else 1 for b in bases)
 
 
-def _drop_dominated_rows(S: Matrix, kept_cols_hint=None):
+def _drop_dominated_rows(S: Matrix):
     """Remove rows whose zero set is strictly contained in another row's.
 
     In a slack matrix such rows are exactly the valid-but-redundant
@@ -673,6 +680,50 @@ def _glue_options(expr: Expr, bases: list, pattern: tuple, side: str):
     return out
 
 
+def _two_product_split(S: Matrix):
+    """The 2-product split that the recursion takes of a screened matrix, or None.
+
+    The special row r is the first row whose conditional atoms
+    (`InfoFunction(S, given=r).atoms()`) still number two or more once the
+    singleton atom of the row equal to 1 - r, if S has one, is set aside.
+    That row is constant within both values of r, so a split that leaves it
+    alone on one side only relabels S through a two-column factor and the
+    recursion would not shrink.  The S1 side is the union of the atoms
+    after the first; the first atom and the row 1 - r form the S2 side.
+    Returns one (factor, special row index, column map) per side
+    (`_split_side`).
+    """
+    for r, row in enumerate(S.rows):
+        F = InfoFunction(S, given=r)
+        comp = tuple(1 - x for x in row)
+        atoms = [tuple(F.ground[i] for i in A) for A in F.atoms()]
+        atoms = [A for A in atoms if not (len(A) == 1 and S.rows[A[0]] == comp)]
+        if len(atoms) < 2:
+            continue
+        X = tuple(sorted(i for A in atoms[1:] for i in A))
+        Xc = tuple(i for i in F.ground if i not in X)
+        order = [j for j in range(S.n) if row[j] == 0] + [j for j in range(S.n) if row[j] == 1]
+        return _split_side(S, X, r, order), _split_side(S, Xc, r, order)
+    return None
+
+
+def _split_side(S: Matrix, rows: tuple, r: int, order: list):
+    """One side of a 2-product split: (factor, special row index, column map).
+
+    The factor holds `rows`, then the special row r, then its complement
+    (dropped when the side already has that row), on the first column of
+    each distinct pattern over `rows` and r; `order` lists the r = 0 columns
+    before the r = 1 columns, so the r = 0 patterns come first.  The column
+    map sends each column of S to its factor column.
+    """
+    inv, _, first = group_columns(S.codes[np.ix_(rows + (r,), order)])
+    F = S.submatrix(rows + (r,), [order[f] for f in first.tolist()])
+    out, keep = dedupe_rows(Matrix(F.rows + (tuple(1 - x for x in F.rows[-1]),)))
+    colmap = np.empty(S.n, dtype=np.int64)
+    colmap[order] = inv
+    return out, keep[len(rows)], colmap.tolist()
+
+
 def _recognize_rec(S: Matrix, strict: bool):
     if _screen(S) is not None:
         return None
@@ -712,41 +763,34 @@ def _recognize_rec(S: Matrix, strict: bool):
             return expr, col_bases
         return None
 
-    for cert in iter_two_product_certs_exact(S):
-        # 2-sums with a two-column factor are relabelings; skipping them keeps
-        # the recursion strictly shrinking without losing any recognizable input
-        if cert.sides1 == cert.block_sizes or cert.sides2 == cert.block_sizes:
-            continue
-        DECOMPOSITION_STATS["certs_tried"] += 1
-        left = _recognize_rec(cert.S1p, False)
-        if left is None:
-            DECOMPOSITION_STATS["cert_backtracks"] += 1
-            continue
-        right = _recognize_rec(cert.S2p, False)
-        if right is None:
-            DECOMPOSITION_STATS["cert_backtracks"] += 1
-            continue
-        x_pattern = cert.S1p.rows[cert.x1_pos]
-        y_pattern = cert.S2p.rows[cert.y1_pos]
-        for exprL, basesL, gl in _glue_options(left[0], left[1], x_pattern, "nonneg"):
-            for exprR, basesR, gr in _glue_options(right[0], right[1], y_pattern, "upper"):
-                expr = TwoSum(exprL, exprR, gl, gr)
-                ml, mr = _two_sum_maps(expr)
-                col_bases = []
-                consistent = True
-                for j in range(S.n):
-                    b1 = basesL[cert.colmap1[j]]
-                    b2 = basesR[cert.colmap2[j]]
-                    if (gl in b1) == (gr in b2):
-                        consistent = False
-                        break
-                    col_bases.append(
-                        frozenset(ml[x] for x in b1 if x != gl)
-                        | frozenset(mr[y] for y in b2 if y != gr)
-                    )
-                if consistent and _verify_candidate(S, expr, col_bases, strict):
-                    return expr, col_bases
-        DECOMPOSITION_STATS["cert_backtracks"] += 1
+    split = _two_product_split(S)
+    if split is None:
+        return None
+    (S1p, x1, colmap1), (S2p, y1, colmap2) = split
+    left = _recognize_rec(S1p, False)
+    if left is None:
+        return None
+    right = _recognize_rec(S2p, False)
+    if right is None:
+        return None
+    for exprL, basesL, gl in _glue_options(left[0], left[1], S1p.rows[x1], "nonneg"):
+        for exprR, basesR, gr in _glue_options(right[0], right[1], S2p.rows[y1], "upper"):
+            expr = TwoSum(exprL, exprR, gl, gr)
+            ml, mr = _two_sum_maps(expr)
+            col_bases = []
+            consistent = True
+            for j in range(S.n):
+                b1 = basesL[colmap1[j]]
+                b2 = basesR[colmap2[j]]
+                if (gl in b1) == (gr in b2):
+                    consistent = False
+                    break
+                col_bases.append(
+                    frozenset(ml[x] for x in b1 if x != gl)
+                    | frozenset(mr[y] for y in b2 if y != gr)
+                )
+            if consistent and _verify_candidate(S, expr, col_bases, strict):
+                return expr, col_bases
     return None
 
 

@@ -18,20 +18,20 @@ A 2-product glues two matrices along 0/1 special rows; recognition guesses
 the special row r and reads the atoms of the conditional information
 I(C_X; C_Xc | C_r) over the remaining rows, which is zero exactly when both
 column blocks r = 0 and r = 1 are 1-products over one common bipartition.
-`iter_two_product_certs_exact` enumerates every such zero set instead of
-the first one.
+The matroid recognizer takes its one split per node from the same
+conditional atoms (`matroids._two_product_split`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .info import InfoFunction, group_columns
-from .matrix import Matrix, dedupe_rows
+from .matrix import Matrix
 
 
 def one_product(S1: Matrix, S2: Matrix) -> Matrix:
@@ -237,110 +237,3 @@ def recognize_two_product(S: Matrix) -> Optional[TwoProductCert]:
         )
         return TwoProductCert(r, X, S1, S1.m - 1, S2, S2.m - 1, row_map)
     return None
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive 2-product certificate enumeration for 0/1 matrices.
-#
-# Used by the matroid recognizer, which must backtrack over all 2-product
-# certificates.  For each special row r the candidate bipartitions are the
-# unions of the components of `InfoFunction(S, given=r).components()` (every
-# zero of I(C_X; C_Xc | C_r) is one), and a union is accepted only when
-# `is_independent_exact` holds, so the (special row, X) pairs are exactly
-# the witnesses `oracles.bf_two_product` finds, repeated columns or not.
-# One `group_columns` call per (side, block) over `S.codes` gives the
-# factor's columns (first column of each pattern) and the column map.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExactTwoProductCert:
-    """A 2-product certificate plus the column bookkeeping the recognizer needs.
-
-    `special_row`, `X` and `colmap1`/`colmap2` hold for any 0/1 input.  The
-    factors keep one column per pattern, so `S1p`, `S2p` and the counts in
-    `sides1`/`sides2` describe a 2-product that re-expands to S (with
-    sides1[k] * sides2[k] == block_sizes[k]) only when S has distinct
-    columns.
-    """
-
-    special_row: int
-    X: tuple  # original row indices on the S1 side
-    S1p: Matrix  # S1 with the complement of its special row added, deduped
-    x1_pos: int
-    S2p: Matrix
-    y1_pos: int
-    colmap1: tuple  # per original column: column index in S1p
-    colmap2: tuple
-    sides1: tuple  # (n1_0, n1_1) distinct patterns of the S1 side per block
-    sides2: tuple
-    block_sizes: tuple  # (|J0|, |J1|)
-
-
-def iter_two_product_certs_exact(S: Matrix) -> Iterator[ExactTwoProductCert]:
-    """All 2-product certificates of a 0/1 matrix, lazily.
-
-    Certificates come in ascending special-row order; for a fixed special row
-    the bipartitions run over unions of pairwise-dependence components in
-    mask order (the component holding the smallest row stays on the S2
-    side), and each one yielded passes the exact independence test.
-    """
-    m, n = S.m, S.n
-    if m < 3 or not S.is_zero_one():
-        return
-    codes = S.codes
-    for r in range(m):
-        row = S.rows[r]
-        if all(x == row[0] for x in row):
-            continue
-        F = InfoFunction(S, given=r)
-        blocks = F.components()
-        q = len(blocks)
-        if q < 2:
-            continue
-        J0 = [j for j in range(n) if row[j] == 0]
-        J1 = [j for j in range(n) if row[j] == 1]
-        rest = F.ground
-        A0 = codes[np.ix_(rest, J0)]
-        A1 = codes[np.ix_(rest, J1)]
-
-        def augmented_factor(rows, grp0, grp1):
-            # the factor's columns are the first column of each pattern;
-            # its last row is the special row (0 on J0, 1 on J1)
-            cols = [J0[f] for f in grp0[2].tolist()] + [J1[f] for f in grp1[2].tolist()]
-            Fm = S.submatrix(rows + (r,), cols)
-            comp_row = tuple(1 - x for x in Fm.rows[-1])
-            out, keep = dedupe_rows(Matrix(Fm.rows + (comp_row,)))
-            return out, keep[Fm.m - 1]
-
-        def colmap(grp0, grp1):
-            cm = np.empty(n, dtype=np.int64)
-            cm[J0] = grp0[0]
-            cm[J1] = len(grp0[1]) + grp1[0]
-            return tuple(cm.tolist())
-
-        for mask in range(1, 1 << (q - 1)):
-            X = sorted(i for b in range(1, q) if mask >> (b - 1) & 1 for i in blocks[b])
-            if not F.is_independent_exact(X):
-                continue
-            Xc = sorted(set(range(len(rest))) - set(X))
-            g1_0, g2_0 = group_columns(A0[X]), group_columns(A0[Xc])
-            g1_1, g2_1 = group_columns(A1[X]), group_columns(A1[Xc])
-            Xrows = tuple(rest[i] for i in X)
-            Xcrows = tuple(rest[i] for i in Xc)
-            S1p, x1_pos = augmented_factor(Xrows, g1_0, g1_1)
-            S2p, y1_pos = augmented_factor(Xcrows, g2_0, g2_1)
-
-            yield ExactTwoProductCert(
-                special_row=r,
-                X=Xrows,
-                S1p=S1p,
-                x1_pos=x1_pos,
-                S2p=S2p,
-                y1_pos=y1_pos,
-                colmap1=colmap(g1_0, g1_1),
-                colmap2=colmap(g2_0, g2_1),
-                sides1=(len(g1_0[1]), len(g1_1[1])),
-                sides2=(len(g2_0[1]), len(g2_1[1])),
-                block_sizes=(len(J0), len(J1)),
-            )

@@ -10,9 +10,10 @@ sets separating u from t.  Recording u as a candidate cut and merging t with
 u, m-1 times, visits a candidate achieving the global minimum of f over
 nonempty proper subsets, with at most m^3 evaluations.
 
-An oracle is any object with the ground-set size `m`, a `calls` counter,
-`eval(X)` and `ordering_keys(base, cands)`.  `info.InfoFunction` is the
-matrix oracle; `SymmetricOracle` adapts a plain callable.
+An oracle is any object with the ground-set size `m`, a `calls` counter
+and `eval(X)`; the ordering keys are computed here from `eval`.
+`info.InfoFunction` is the matrix oracle; `SymmetricOracle` adapts a plain
+callable.
 
 Float comparisons in the ordering are raw.  The recognizers do not use this
 minimizer: they need the zeros of f, not its minimum, and read them exactly
@@ -49,10 +50,6 @@ class SymmetricOracle:
             self._cache[X] = got
         return got
 
-    def ordering_keys(self, base: tuple, cands: Sequence[tuple]) -> list:
-        """key(c) = f(base + c) - f(c) for each candidate merged element."""
-        return [self.eval(base + c) - self.eval(c) for c in cands]
-
 
 def pendent_pair(oracle, elements: Sequence[tuple], start: tuple):
     """Build the key-minimizing ordering from `start`; return its last two elements.
@@ -71,7 +68,7 @@ def pendent_pair(oracle, elements: Sequence[tuple], start: tuple):
     base = start
     remaining = [e for e in elements if e != start]
     while remaining:
-        keys = oracle.ordering_keys(base, remaining)
+        keys = [oracle.eval(base + c) - oracle.eval(c) for c in remaining]
         best = min(range(len(remaining)), key=lambda idx: (keys[idx], remaining[idx][0]))
         chosen = remaining.pop(best)
         order.append(chosen)

@@ -18,7 +18,6 @@ from prodmat import (
     two_product,
 )
 from prodmat.oracles import bf_one_product, bf_two_product
-from prodmat.products import iter_two_product_certs_exact
 
 from helpers import random_matrix
 
@@ -284,13 +283,10 @@ def test_roundtrip_random_two_products():
         done += 1
 
 
-def _exact_witnesses(S):
-    return sorted((c.special_row, c.X) for c in iter_two_product_certs_exact(S))
-
-
 def test_exact_certs_sound_on_repeated_columns():
-    # repeated columns: a component union whose pattern counts multiply to
-    # the block size is not necessarily independent, so no count shortcut
+    # repeated columns: a bipartition whose pattern counts multiply to the
+    # block size is not necessarily independent, so no count shortcut; the
+    # certificate is one of the brute-force witnesses and re-expands
     S = Matrix(
         [
             [0, 1, 0, 0, 1, 0, 0, 0, 0],
@@ -299,7 +295,7 @@ def test_exact_certs_sound_on_repeated_columns():
             [0, 1, 1, 1, 1, 1, 1, 1, 1],
         ]
     )
-    assert _exact_witnesses(S) == [] and not bf_two_product(S).verdict
+    assert recognize_two_product(S) is None and not bf_two_product(S).verdict
     rng = random.Random(38)
     hits = 0
     for k in range(60):
@@ -315,10 +311,15 @@ def test_exact_certs_sound_on_repeated_columns():
             rows[i][j] = 1 - rows[i][j]
             T = Matrix(rows)
         T = seeded_shuffle(T, rng.getrandbits(64))[0]
-        for cert in iter_two_product_certs_exact(T):
-            F = InfoFunction(T, given=cert.special_row)
-            assert F.is_independent_exact([F.ground.index(i) for i in cert.X])
-        got = _exact_witnesses(T)
-        assert got == sorted(bf_two_product(T).witnesses)
-        hits += bool(got)
+        cert = recognize_two_product(T)
+        bf = bf_two_product(T)
+        assert (cert is not None) == bf.verdict
+        if cert is None:
+            continue
+        r = cert.special_row
+        Xc = tuple(i for i in range(T.m) if i != r and i not in cert.X)
+        assert (r, cert.X) in bf.witnesses or (r, Xc) in bf.witnesses
+        re = two_product(cert.S1, cert.x1_index, cert.S2, cert.y1_index)
+        assert is_isomorphic(re, T) is not None
+        hits += 1
     assert hits >= 20
