@@ -86,9 +86,6 @@ class Matrix:
             self._codes = codes
         return self._codes
 
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
-
     def col(self, j: int) -> tuple:
         # tuple([...]) allocates the exact size; tuple(<generator>) allocates
         # 10 slots and resizes, so the freed tuples pile up in CPython's

@@ -11,6 +11,10 @@ The recognizer inverts that construction: hypersimplex leaves are matched
 directly, 1-products are split with the information-based factorizer, and a
 2-product is split once, along the first special row whose conditional
 atoms allow a split that is not a mere relabeling (`_two_product_split`).
+Each side goes to the recursion as an exact non-redundant slack matrix (its
+rows, the special row and its complement, dominated rows dropped), and the
+glue is passed as the special row's pattern over the side's columns, so
+every node verifies its answer against exactly the matrix it was given.
 One split suffices.  A 2-product split of such a slack matrix is a 2-sum
 split (Cunningham & Edmonds, "A combinatorial decomposition theory", Canad.
 J. Math. 1980); both parts of a 2-sum are minors of the matroid, and the
@@ -169,14 +173,6 @@ def expr_size(e: Expr) -> int:
     return expr_size(e.left) + expr_size(e.right) - 2
 
 
-def expr_leaf_count(e: Expr) -> int:
-    if isinstance(e, Leaf):
-        return 1
-    if isinstance(e, OneSum):
-        return sum(expr_leaf_count(p) for p in e.parts)
-    return expr_leaf_count(e.left) + expr_leaf_count(e.right)
-
-
 def dual_expr(e: Expr) -> Expr:
     """Flip every leaf to its dual; glue labels are unchanged."""
     if isinstance(e, Leaf):
@@ -281,47 +277,18 @@ def hypersimplex_col_bases(S: Matrix, form: HypersimplexForm) -> list:
     ]
 
 
-def _side_labeling(S: Matrix, pairs: list, d: int, k: int):
-    """Choose a v-side row per complement pair so the chosen-side columns are
-    exactly all weight-k indicators.  DFS in pair order with multiset pruning:
-    after t pairs every partial pattern pi must occur exactly
-    C(d-t, k-weight(pi)) times."""
-    n = S.n
-
-    def counts(keyed):
-        got = {}
-        for key, w in keyed:
-            got[key] = (got.get(key, (0, w))[0] + 1, w)
-        return got
-
-    def ok(keyed, t):
-        rem = d - t
-        for cnt, w in counts(keyed).values():
-            if w > k or k - w > rem or cnt != comb(rem, k - w):
-                return False
-        return True
-
-    def rec(t, keyed):
-        if t == d:
-            return []
-        for side in (0, 1):
-            row = S.rows[pairs[t][side]]
-            nxt = [(key * 2 + int(row[j] == 1), w + int(row[j] == 1)) for j, (key, w) in enumerate(keyed)]
-            if ok(nxt, t + 1):
-                rest = rec(t + 1, nxt)
-                if rest is not None:
-                    return [side] + rest
-        return None
-
-    return rec(0, [(0, 0)] * n)
-
-
 def recognize_hypersimplex(S: Matrix) -> Optional[HypersimplexForm]:
     """Match S against some S_{d,k} up to row/column permutation.
 
     Returns the canonical reading with k <= d-k (the U(d,d-k) reading is the
-    same matrix with the sides flipped).  Every candidate labeling is
-    verified: the chosen-side column multiset must be all C(d,k) weight-k
+    same matrix with the sides flipped).  In S_{d,k} an "x_e >= 0" row has
+    C(d-1,k-1) = n*k/d ones; it shares C(d-2,k-2) ones with the "x_f >= 0"
+    row and C(d-2,k-1) ones with the "x_f <= 1" row of every other element
+    f, and the two counts differ for k <= d/2.  So the lighter row a of the first complement pair fixes
+    k and every other pair is oriented by its overlap with a.  A valid
+    labeling is unique up to swapping every pair, which is valid only when
+    k = d/2, where the tie goes to the pair's first row.  The labeling is
+    then verified: the chosen-side columns must be all C(d,k) weight-k
     indicators, pairwise distinct.
     """
     if not S.is_zero_one():
@@ -359,17 +326,21 @@ def recognize_hypersimplex(S: Matrix) -> Optional[HypersimplexForm]:
             return None
         pairs.append((i, j))
         used.update((i, j))
-    ks = [k for k in range(2, d // 2 + 1) if comb(d, k) == n]
-    for k in ks:
-        sides = _side_labeling(S, pairs, d, k)
-        if sides is None:
-            continue
-        elem = tuple(
-            (pairs[e][sides[e]], pairs[e][1 - sides[e]]) for e in range(d)
-        )
-        vcols = {tuple(S.rows[elem[e][0]][j] for e in range(d)) for j in range(n)}
-        if len(vcols) == n and all(sum(1 for x in c if x == 1) == k for c in vcols):
-            return HypersimplexForm(d, k, elem)
+    i, j = pairs[0]
+    if 2 * S.rows[i].count(1) > n:
+        i, j = j, i
+    a = S.rows[i]
+    k, rem = divmod(d * a.count(1), n)
+    if rem or not 2 <= k <= d - 2 or comb(d, k) != n:
+        return None
+    shared = comb(d - 2, k - 2)
+    elem = [(i, j)]
+    for i, j in pairs[1:]:
+        overlap = sum(1 for x, y in zip(a, S.rows[i]) if x == y == 1)
+        elem.append((i, j) if overlap == shared else (j, i))
+    vcols = {tuple(S.rows[elem[e][0]][j] for e in range(d)) for j in range(n)}
+    if len(vcols) == n and all(sum(1 for x in c if x == 1) == k for c in vcols):
+        return HypersimplexForm(d, k, tuple(elem))
     return None
 
 
@@ -397,9 +368,10 @@ def _drop_dominated_rows(S: Matrix):
     """Remove rows whose zero set is strictly contained in another row's.
 
     In a slack matrix such rows are exactly the valid-but-redundant
-    inequalities; gluing can produce them (the complement of a special row
-    need not be facet-defining, e.g. the upper-bound row of a simplex
-    element).  Returns (matrix, kept row indices).
+    inequalities; gluing and the complement row of a 2-product split side
+    can produce them (the complement of a special row need not be
+    facet-defining, e.g. the upper-bound row of a simplex element).
+    Returns (matrix, kept row indices).
     """
     zeros = [frozenset(j for j in range(S.n) if row[j] == 0) for row in S.rows]
     keep = [
@@ -575,18 +547,11 @@ class MatroidRecognition:
 
     def row_provenance(self, S: Matrix) -> list:
         """Classify each input row as an element row or a derived (cut) row."""
-        out = []
-        for row in S.rows:
-            tag = ("other", None)
-            for e in range(self.size):
-                if row == _nonneg_pattern(self.col_bases, e):
-                    tag = ("nonneg", e)
-                    break
-                if row == _upper_pattern(self.col_bases, e):
-                    tag = ("upper", e)
-                    break
-            out.append(tag)
-        return out
+        tags = {}
+        for e in range(self.size):
+            tags.setdefault(_nonneg_pattern(self.col_bases, e), ("nonneg", e))
+            tags.setdefault(_upper_pattern(self.col_bases, e), ("upper", e))
+        return [tags.get(row, ("other", None)) for row in S.rows]
 
 
 def _screen(S: Matrix) -> Optional[str]:
@@ -602,17 +567,12 @@ def _screen(S: Matrix) -> Optional[str]:
     return None
 
 
-def _verify_candidate(S: Matrix, expr: Expr, col_bases: list, strict: bool) -> bool:
-    """Re-expand the expression and compare with S through the base matching.
-
-    Strict mode demands exactly the non-redundant slack matrix; otherwise S
-    may carry extra rows as long as each one is an element row (x_e >= 0 or
-    x_e <= 1), which is how complement-row augmentation shows up in
-    sub-problems.
-    """
+def _verify_candidate(S: Matrix, expr: Expr, col_bases: list) -> bool:
+    """Re-expand the expression and compare with S through the base matching:
+    S must be exactly the expression's non-redundant slack matrix."""
     try:
         R, rbases = expr_to_slack_with_bases(expr)
-    except (CoherenceError, ValueError):
+    except ValueError:
         return False
     n = S.n
     if R.n != n or len(set(col_bases)) != n:
@@ -623,41 +583,7 @@ def _verify_candidate(S: Matrix, expr: Expr, col_bases: list, strict: bool) -> b
     inv = [0] * n
     for j, b in enumerate(col_bases):
         inv[pos[b]] = j
-    rows_s = {tuple(row[inv[c]] for c in range(n)) for row in S.rows}
-    rows_r = set(R.rows)
-    if not rows_r <= rows_s:
-        return False
-    extras = rows_s - rows_r
-    if strict:
-        return not extras
-    if not extras:
-        return True
-    allowed = set()
-    for e in range(expr_size(expr)):
-        allowed.add(_nonneg_pattern(rbases, e))
-        allowed.add(_upper_pattern(rbases, e))
-    return extras <= allowed
-
-
-def _identity_with_extras(S: Matrix):
-    """Match "identity plus redundant x_e <= 1 rows", the one leaf shape that
-    complement augmentation can produce (the d x d core plus weight d-1 rows)."""
-    d = S.n
-    if S.m <= d:
-        return None
-    unit = {}
-    for row in S.rows:
-        w = sum(1 for x in row if x == 1)
-        if w == 1:
-            c = row.index(1)
-            if c in unit:
-                return None
-            unit[c] = row
-        elif w != d - 1:
-            return None
-    if len(unit) != d:
-        return None
-    return Leaf(d, 1), [frozenset({j}) for j in range(d)]
+    return {tuple(row[inv[c]] for c in range(n)) for row in S.rows} == set(R.rows)
 
 
 def _glue_options(expr: Expr, bases: list, pattern: tuple, side: str):
@@ -690,8 +616,8 @@ def _two_product_split(S: Matrix):
     alone on one side only relabels S through a two-column factor and the
     recursion would not shrink.  The S1 side is the union of the atoms
     after the first; the first atom and the row 1 - r form the S2 side.
-    Returns one (factor, special row index, column map) per side
-    (`_split_side`).
+    Returns one (factor, glue pattern, column map) per side (`_split_side`);
+    each factor is an exact non-redundant slack matrix when S is one.
     """
     for r, row in enumerate(S.rows):
         F = InfoFunction(S, given=r)
@@ -708,43 +634,43 @@ def _two_product_split(S: Matrix):
 
 
 def _split_side(S: Matrix, rows: tuple, r: int, order: list):
-    """One side of a 2-product split: (factor, special row index, column map).
+    """One side of a 2-product split: (factor, glue pattern, column map).
 
-    The factor holds `rows`, then the special row r, then its complement
-    (dropped when the side already has that row), on the first column of
-    each distinct pattern over `rows` and r; `order` lists the r = 0 columns
-    before the r = 1 columns, so the r = 0 patterns come first.  The column
-    map sends each column of S to its factor column.
+    The factor holds `rows`, then the special row r, then its complement,
+    on the first column of each distinct pattern over `rows` and r; `order`
+    lists the r = 0 columns before the r = 1 columns, so the r = 0 patterns
+    come first.  Duplicate and dominated rows are dropped, so the factor is
+    an exact non-redundant slack matrix: every facet row survives, because a
+    facet's zero set is maximal.  The special row may be among the dropped,
+    so the glue is returned as its pattern over the factor's columns.  The
+    column map sends each column of S to its factor column.
     """
     inv, _, first = group_columns(S.codes[np.ix_(rows + (r,), order)])
     F = S.submatrix(rows + (r,), [order[f] for f in first.tolist()])
-    out, keep = dedupe_rows(Matrix(F.rows + (tuple(1 - x for x in F.rows[-1]),)))
+    glue = F.rows[-1]
+    out, _ = dedupe_rows(Matrix(F.rows + (tuple(1 - x for x in glue),)))
+    out, _ = _drop_dominated_rows(out)
     colmap = np.empty(S.n, dtype=np.int64)
     colmap[order] = inv
-    return out, keep[len(rows)], colmap.tolist()
+    return out, glue, colmap.tolist()
 
 
-def _recognize_rec(S: Matrix, strict: bool):
+def _recognize_rec(S: Matrix):
     if _screen(S) is not None:
         return None
 
     form = recognize_hypersimplex(S)
     if form is not None:
         cand = (Leaf(form.d, form.k), hypersimplex_col_bases(S, form))
-        if _verify_candidate(S, cand[0], cand[1], strict):
+        if _verify_candidate(S, cand[0], cand[1]):
             return cand
         return None
-
-    if not strict:
-        cand = _identity_with_extras(S)
-        if cand is not None and _verify_candidate(S, cand[0], cand[1], strict):
-            return cand
 
     fact = factorize_irreducible(S)
     if fact.t >= 2:
         kids = []
         for block, factor in zip(fact.blocks, fact.factors):
-            sub = _recognize_rec(factor, strict)
+            sub = _recognize_rec(factor)
             if sub is None:
                 return None
             # the factor's columns are the block's patterns in first-occurrence order
@@ -759,22 +685,22 @@ def _recognize_rec(S: Matrix, strict: bool):
                 b |= frozenset(x + offset for x in kbases[cmap[j]])
                 offset += expr_size(kexpr)
             col_bases.append(b)
-        if _verify_candidate(S, expr, col_bases, strict):
+        if _verify_candidate(S, expr, col_bases):
             return expr, col_bases
         return None
 
     split = _two_product_split(S)
     if split is None:
         return None
-    (S1p, x1, colmap1), (S2p, y1, colmap2) = split
-    left = _recognize_rec(S1p, False)
+    (S1p, glue1, colmap1), (S2p, glue2, colmap2) = split
+    left = _recognize_rec(S1p)
     if left is None:
         return None
-    right = _recognize_rec(S2p, False)
+    right = _recognize_rec(S2p)
     if right is None:
         return None
-    for exprL, basesL, gl in _glue_options(left[0], left[1], S1p.rows[x1], "nonneg"):
-        for exprR, basesR, gr in _glue_options(right[0], right[1], S2p.rows[y1], "upper"):
+    for exprL, basesL, gl in _glue_options(left[0], left[1], glue1, "nonneg"):
+        for exprR, basesR, gr in _glue_options(right[0], right[1], glue2, "upper"):
             expr = TwoSum(exprL, exprR, gl, gr)
             ml, mr = _two_sum_maps(expr)
             col_bases = []
@@ -789,7 +715,7 @@ def _recognize_rec(S: Matrix, strict: bool):
                     frozenset(ml[x] for x in b1 if x != gl)
                     | frozenset(mr[y] for y in b2 if y != gr)
                 )
-            if consistent and _verify_candidate(S, expr, col_bases, strict):
+            if consistent and _verify_candidate(S, expr, col_bases):
                 return expr, col_bases
     return None
 
@@ -805,7 +731,7 @@ def recognize_2level_matroid_slack(S: Matrix) -> Optional[MatroidRecognition]:
     reason = _screen(S)
     if reason is not None:
         raise MatroidInputError(reason)
-    res = _recognize_rec(S, strict=True)
+    res = _recognize_rec(S)
     if res is None:
         return None
     expr, col_bases = res

@@ -26,7 +26,7 @@ from prodmat import (
     two_sum,
     uniform_bases,
 )
-from prodmat.matroids import Matroid, _two_product_split, hypersimplex_col_bases
+from prodmat.matroids import Matroid, _drop_dominated_rows, _two_product_split, hypersimplex_col_bases
 from prodmat.oracles import base_exchange_validator
 
 from helpers import base_families_match, random_feasible_expr
@@ -139,6 +139,29 @@ def test_recognize_hypersimplex_negative():
     rows[0][0] = 1 - rows[0][0]
     assert recognize_hypersimplex(Matrix(rows)) is None
     assert recognize_hypersimplex(Matrix([[1, 0], [1, 1]])) is None
+
+
+def test_recognize_hypersimplex_rejects_flipped_pairs():
+    # flipping both rows of a complement pair in one column keeps every row
+    # paired with its complement, so only the column check that runs after
+    # the orientation can reject the matrix
+    rng = random.Random(51)
+    cases = 0
+    for d in range(4, 8):
+        for k in range(2, d - 1):
+            sh, _, _ = seeded_shuffle(hypersimplex_slack(d, k), rng.getrandbits(64))
+            index = {row: i for i, row in enumerate(sh.rows)}
+            for i, row in enumerate(sh.rows):
+                i2 = index[tuple(1 - x for x in row)]
+                if i > i2:
+                    continue
+                for j in range(sh.n):
+                    rows = [list(r) for r in sh.rows]
+                    for h in (i, i2):
+                        rows[h][j] = 1 - rows[h][j]
+                    assert recognize_hypersimplex(Matrix(rows)) is None, (d, k, i, j)
+                    cases += 1
+    assert cases == 1208
 
 
 def test_recognize_identity():
@@ -316,28 +339,35 @@ def test_recognize_matroid_roundtrip_random():
 
 
 def test_recognize_matroid_near_misses():
-    # one flipped entry in a shuffled slack matrix: the recognizer rejects the
-    # input, answers None, or returns an expression whose slack matrix is
-    # the input up to permutation
+    # one flipped entry in a shuffled slack matrix, and the same matrix with
+    # one row deleted as well: the recognizer rejects the input, answers
+    # None, or returns an expression whose slack matrix is the input up to
+    # permutation.  With a row deleted, a recognized answer must still
+    # re-expand to the input, so dropping dominated rows in the sides of a
+    # split cannot hide a missing facet.
     rng = random.Random(49)
-    outcomes = {"input error": 0, "none": 0, "recognized": 0}
+    drop_rng = random.Random(50)
+    outcomes = {
+        kind: {"input error": 0, "none": 0, "recognized": 0} for kind in ("flip", "flip and drop")
+    }
     for _ in range(40):
         _, S, _ = random_feasible_expr(rng, max_leaves=4, dmax=5, max_cols=60, max_rows=32)
         rows = [list(r) for r in seeded_shuffle(S, rng.getrandbits(64))[0].rows]
         i, j = rng.randrange(S.m), rng.randrange(S.n)
         rows[i][j] = 1 - rows[i][j]
-        near = Matrix(rows)
-        try:
-            rec = recognize_2level_matroid_slack(near)
-        except MatroidInputError:
-            outcomes["input error"] += 1
-            continue
-        if rec is None:
-            outcomes["none"] += 1
-            continue
-        assert is_isomorphic(expr_to_slack(rec.expr), near) is not None
-        outcomes["recognized"] += 1
-    assert outcomes["none"] >= 10, outcomes
+        h = drop_rng.randrange(S.m)
+        for kind, near in (("flip", Matrix(rows)), ("flip and drop", Matrix(rows[:h] + rows[h + 1:]))):
+            try:
+                rec = recognize_2level_matroid_slack(near)
+            except MatroidInputError:
+                outcomes[kind]["input error"] += 1
+                continue
+            if rec is None:
+                outcomes[kind]["none"] += 1
+                continue
+            assert is_isomorphic(expr_to_slack(rec.expr), near) is not None
+            outcomes[kind]["recognized"] += 1
+    assert outcomes["flip"]["none"] >= 10 and outcomes["flip and drop"]["none"] >= 10, outcomes
 
 
 def test_row_provenance_tags_elements():
@@ -402,7 +432,8 @@ def test_two_product_split_never_isolates_the_complement_row():
     # singleton atom; a side holding only it would be a two-column factor
     # that relabels S instead of shrinking it.  The sides of a split carry
     # complement rows, so splitting them again reaches inputs that hold the
-    # row 1 - r of their own special row.
+    # row 1 - r of their own special row.  Each side is passed on as an
+    # exact slack matrix, with no dominated row.
     rng = random.Random(50)
     splits = with_complement = 0
     for _ in range(80):
@@ -414,11 +445,12 @@ def test_two_product_split_never_isolates_the_complement_row():
             if split is None:
                 continue
             splits += 1
-            (S1p, x1, colmap1), (S2p, y1, colmap2) = split
-            special = tuple(S1p.rows[x1][c] for c in colmap1)
-            assert special == tuple(S2p.rows[y1][c] for c in colmap2) and special in T.rows
+            (S1p, glue1, colmap1), (S2p, glue2, colmap2) = split
+            special = tuple(glue1[c] for c in colmap1)
+            assert special == tuple(glue2[c] for c in colmap2) and special in T.rows
             with_complement += tuple(1 - x for x in special) in T.rows
             for F in (S1p, S2p):
                 assert 2 < F.n < T.n
+                assert _drop_dominated_rows(F)[0] is F
             todo += [S1p, S2p]
     assert splits >= 20 and with_complement >= 10, (splits, with_complement)
