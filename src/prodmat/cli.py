@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 = success / recognized, 1 = valid negative answer
-(not recognized), 2 = input or usage error.  Recognition and info commands
+(not recognized), 2 = input or usage error, 3 = internal error (a fault of
+prodmat, reported with its traceback on stderr).  Recognition and info commands
 print a JSON document on stdout; generators print a matrix in the standard
 text format.  Diagnostics go to stderr unless --quiet is given.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .info import InfoFunction
 from .matrix import Matrix, MatrixFormatError, format_entry, parse_matrix, seeded_shuffle, write_matrix
@@ -26,7 +28,19 @@ from .oracles import GuardExceeded, bf_one_product, bf_two_product
 from .polytopes import parse_hrep, parse_vrep, slack_from_vh
 from .products import factorize_irreducible, one_product, recognize_one_product, recognize_two_product
 
-OK, NO, ERR = 0, 1, 2
+OK, NO, ERR, INTERNAL = 0, 1, 2, 3
+
+
+class InputError(ValueError):
+    """A file or parameter named on the command line is malformed or inconsistent."""
+
+
+def _from_input(fn, *args):
+    """Call a parser or builder of user input; the ValueError it raises is an input error."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _entry_json(x):
@@ -139,10 +153,10 @@ def cmd_factor(args) -> int:
 
 def cmd_slack(args) -> int:
     with open(args.vertices) as fh:
-        V = parse_vrep(fh.read())
+        V = _from_input(parse_vrep, fh.read())
     with open(args.ineq) as fh:
-        H = parse_hrep(fh.read())
-    sys.stdout.write(write_matrix(slack_from_vh(V, H)))
+        H = _from_input(parse_hrep, fh.read())
+    sys.stdout.write(write_matrix(_from_input(slack_from_vh, V, H)))
     return OK
 
 
@@ -150,15 +164,15 @@ def cmd_gen(args) -> int:
     if args.what == "hypersimplex":
         if len(args.params) != 2:
             raise MatrixFormatError("gen hypersimplex needs d and k")
-        d, k = int(args.params[0]), int(args.params[1])
-        sys.stdout.write(write_matrix(hypersimplex_slack(d, k)))
+        d, k = _from_input(lambda: (int(args.params[0]), int(args.params[1])))
+        sys.stdout.write(write_matrix(_from_input(hypersimplex_slack, d, k)))
         return OK
     if args.what == "expr":
         if len(args.params) != 1:
             raise MatrixFormatError("gen expr needs one expression file")
         with open(args.params[0]) as fh:
-            expr = parse_expr(fh.read())
-        sys.stdout.write(write_matrix(expr_to_slack(expr)))
+            expr = _from_input(parse_expr, fh.read())
+        sys.stdout.write(write_matrix(_from_input(expr_to_slack, expr)))
         return OK
     if args.what == "product":
         if len(args.params) < 2:
@@ -246,9 +260,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (MatrixFormatError, MatroidInputError, GuardExceeded, ValueError, OSError) as exc:
+    except (InputError, MatrixFormatError, MatroidInputError, GuardExceeded, OSError) as exc:
         _diag(args, f"error: {exc}")
         return ERR
+    except Exception:
+        _diag(args, "internal error: " + traceback.format_exc())
+        return INTERNAL
 
 
 if __name__ == "__main__":

@@ -21,6 +21,18 @@ pattern pairs, and `InfoFunction.components` applies the same identity to
 every pair of single rows: every zero of f is a union of the components of
 that dependence graph.
 
+The graph takes one Gram product per value z of the given row.  Let E be
+the one-hot indicator of the codes: one 0/1 row per (row i, value a), D of
+them in all, over the n columns, and E_z its columns where the given row is
+z.  Then G_z = E_z E_z^T holds mu(a,b,z) for every pair of (row, value)
+indices and its diagonal s_z holds mu(a,z), so rows i and j are dependent
+exactly when their block of n_z*G_z - s_z s_z^T has a nonzero cell.  The
+product runs in float64 BLAS, exact while every cell, at most n**2, stays
+below 2**53 (`_FLOAT_EXACT`).  E and G hold D*n and D*D cells; rows of
+near-distinct values push D towards m*n, so above `_GRAM_CAP` cells the
+same identity is checked on the observed value triples of every row pair,
+grouped by `group_columns` a bounded chunk at a time (`_PAIR_CHUNK`).
+
 `InfoFunction.atoms` finds every zero at once.  Since f >= 0 and f is
 submodular, f(X | Y) + f(X & Y) <= f(X) + f(Y), so the zeros are closed
 under union and intersection, and by symmetry under complement: they form a
@@ -48,7 +60,17 @@ from .matrix import Matrix
 #: float screening threshold; values above it cannot be zeros of f.
 ZERO_EPS = 1e-9
 
-#: (row pair, column) entries grouped at once by `InfoFunction.components`
+#: most cells of the one-hot matrix E (D x n) and of a Gram matrix (D x D)
+#: in `InfoFunction.components`: a float64 array of this size takes 32 MB,
+#: and the product holds about four at once.  Rows of near-distinct values,
+#: where D approaches m*n, go over it and are grouped in chunks instead.
+_GRAM_CAP = 1 << 22
+
+#: float64 adds and multiplies integers exactly below 2**53; the Gram cells
+#: and the products compared with them are at most n**2.
+_FLOAT_EXACT = 1 << 53
+
+#: (row pair, column) entries grouped at once when the Gram matrix is too large
 _PAIR_CHUNK = 1 << 16
 
 
@@ -136,6 +158,57 @@ def group_columns(sub: np.ndarray):
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return rank[inv], counts[order], first[order]
+
+
+def _gram_dependence(codes: np.ndarray, z: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """m x m adjacency of the dependence graph from one Gram product per value of z.
+
+    codes: m x n first-occurrence codes, row i with k[i] values; z: the
+    given row's first-occurrence codes.  The diagonal is True.
+    """
+    starts = np.concatenate(([0], np.cumsum(k)[:-1]))
+    D = starts[-1] + k[-1]
+    # E[(i, a), j] = [codes[i, j] == a], the rows of each i in order of a
+    E = np.repeat(codes, k, axis=0) == (np.arange(D) - np.repeat(starts, k))[:, None]
+    bad = np.zeros((D, D), dtype=bool)
+    for v in range(int(z.max()) + 1):
+        Ev = E[:, z == v].astype(np.float64)
+        nv = Ev.shape[1]
+        if nv < 2:  # one column: every count product matches
+            continue
+        G = Ev @ Ev.T
+        s = G.diagonal()
+        bad |= G * nv != s[:, None] * s
+    reach = np.logical_or.reduceat(np.logical_or.reduceat(bad, starts, axis=0), starts, axis=1)
+    np.fill_diagonal(reach, True)
+    return reach
+
+
+def _chunked_dependence(codes: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The adjacency of `_gram_dependence` in O(m*n + _PAIR_CHUNK) memory.
+
+    The observed (x, y, z) triples of each row pair are counted by
+    `group_columns`, a chunk of pairs at a time.  An unobserved pair of
+    observed values needs no test: if every observed triple passes, both
+    sides sum to n_z**2 over them.
+    """
+    m, n = codes.shape
+    cnt_z = np.bincount(z)
+    # mu[i, j]: count of (value of row i, value of the given row) at column j
+    inv, cnt, _ = group_columns(np.vstack((np.repeat(np.arange(m), n), np.tile(z, m), codes.ravel())))
+    mu = cnt[inv].reshape(m, n)
+    reach = np.eye(m, dtype=bool)
+    iu, ju = np.triu_indices(m, 1)
+    step = max(1, _PAIR_CHUNK // n)
+    for lo in range(0, len(iu), step):
+        a, b = iu[lo : lo + step], ju[lo : lo + step]
+        pair = np.repeat(np.arange(len(a)), n)
+        triples = np.vstack((pair, np.tile(z, len(a)), codes[a].ravel(), codes[b].ravel()))
+        _, cnt, first = group_columns(triples)
+        p, j = first // n, first % n
+        bad = p[cnt_z[z[j]] * cnt != mu[a[p], j] * mu[b[p], j]]
+        reach[a[bad], b[bad]] = reach[b[bad], a[bad]] = True
+    return reach
 
 
 class InfoFunction:
@@ -275,39 +348,34 @@ class InfoFunction:
 
         Ground rows i and j are adjacent when some values x of row i, y of
         row j and z of the given row have n_z*mu(x,y,z) != mu(x,z)*mu(y,z),
-        tested in integers on the observed (x, y, z) triples of every row
-        pair, which `group_columns` counts a bounded chunk of pairs at a
-        time.  (An unobserved pair of observed values needs no test: if every
-        observed triple passes, both sides sum to n_z**2 over them.)  Every
-        zero X of f is a union of components, since C_X ⊥ C_Xc | C_given
-        forces C_i ⊥ C_j | C_given for i in X and j outside it.  Sorted by
-        smallest row; [] on an empty ground set.
+        tested in integers: by one Gram product per value of the given row
+        (module docstring) while E and G fit in `_GRAM_CAP` cells and n**2 <
+        `_FLOAT_EXACT`, else by the chunked pair grouping.  Both give the
+        same graph.  Every zero X of f is a union of components, since
+        C_X ⊥ C_Xc | C_given forces C_i ⊥ C_j | C_given for i in X and j
+        outside it.  Sorted by smallest row; [] on an empty ground set.
         """
         m, n = self.m, self.n
         if m == 0:
             return []
-        z, codes = self.given_codes, self.codes
-        cnt_z = np.bincount(z)
-        # mu[i, j]: count of (value of row i, value of the given row) at column j
-        inv, cnt, _ = group_columns(np.vstack((np.repeat(np.arange(m), n), np.tile(z, m), codes.ravel())))
-        mu = cnt[inv].reshape(m, n)
-        reach = np.eye(m, dtype=bool)
-        iu, ju = np.triu_indices(m, 1)
-        step = max(1, _PAIR_CHUNK // n)
-        for lo in range(0, len(iu), step):
-            a, b = iu[lo : lo + step], ju[lo : lo + step]
-            pair = np.repeat(np.arange(len(a)), n)
-            triples = np.vstack((pair, np.tile(z, len(a)), codes[a].ravel(), codes[b].ravel()))
-            _, cnt, first = group_columns(triples)
-            p, j = first // n, first % n
-            bad = p[cnt_z[z[j]] * cnt != mu[a[p], j] * mu[b[p], j]]
-            reach[a[bad], b[bad]] = reach[b[bad], a[bad]] = True
+        k = self.codes.max(axis=1) + 1
+        D = int(k.sum())
+        if D * max(D, n) <= _GRAM_CAP and n * n < _FLOAT_EXACT:
+            reach = _gram_dependence(self.codes, self.given_codes, k)
+        else:
+            reach = _chunked_dependence(self.codes, self.given_codes)
         # transitive closure by repeated squaring
         while True:
             nxt = (reach.astype(np.float64) @ reach) > 0
             if (nxt == reach).all():
-                return sorted({tuple(np.flatnonzero(row).tolist()) for row in reach})
+                break
             reach = nxt
+        # row i now marks its component; its first True is the smallest row,
+        # which first appears as a label at that row itself
+        comps = {}
+        for i, low in enumerate(reach.argmax(axis=1).tolist()):
+            comps.setdefault(low, []).append(i)
+        return [tuple(c) for c in comps.values()]
 
     def atoms(self) -> list:
         """The finest partition of the ground rows into mutually independent blocks.

@@ -178,3 +178,44 @@ def test_console_script_installed():
     res = subprocess.run([exe, "gen", "hypersimplex", "3", "1"], capture_output=True, text=True)
     assert res.returncode == 0
     assert parse_matrix(res.stdout) == Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["gen", "hypersimplex", "3", "x"], {}),
+        (["gen", "hypersimplex", "3", "0"], {}),
+        (["gen", "expr", "{e}"], {"e": "(2sum (u 2 1)"}),
+        (["gen", "expr", "{e}"], {"e": "(u 2 0)"}),
+        (["gen", "expr", "{e}"], {"e": "(2sum [5 0] (u 2 1) (u 2 1))"}),
+        (["gen", "expr", "{e}"], {"e": "(2sum (u 3 1) (u 3 1))"}),
+        (["slack", "--vertices", "{v}", "--ineq", "{h}"], {"v": "2 1\n0\n1\n", "h": "1 2\n0 0 1\n"}),
+        (["slack", "--vertices", "{v}", "--ineq", "{h}"], {"v": "2 1\n0\n2\n", "h": "1 1\n1 -1\n"}),
+    ],
+)
+def test_malformed_parameters_exit2(tmp_path, capsys, argv, files):
+    paths = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
+    code = main([a.format(**paths) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_internal_error_has_its_own_exit_code(paper_file, capsys, monkeypatch):
+    # a plain ValueError inside a recognizer is a fault of the program, not
+    # of the input: neither "not recognized" (1) nor "input error" (2)
+    from prodmat import cli
+
+    def broken(S):
+        raise ValueError("invariant broken")
+
+    monkeypatch.setattr(cli, "recognize_one_product", broken)
+    code = main(["recognize", "1p", paper_file])
+    captured = capsys.readouterr()
+    assert code == cli.INTERNAL == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ") and "invariant broken" in captured.err

@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -257,6 +259,38 @@ def _components_reference(S, given):
     return sorted(tuple(c) for c in comps.values())
 
 
+def _components_by_counters(S, given):
+    # the identity of _components_reference, counted with Counters over the
+    # observed (z, x, y) triples: an unobserved value pair (x, y) within z has
+    # n_z * 0 != mu(x, z) * mu(y, z) and is a dependence by itself.  Pairs
+    # already joined are skipped, which leaves the components as they are
+    # and keeps wide inputs fast.
+    ground = [i for i in range(S.m) if i != given]
+    z = S.rows[given] if given is not None else (0,) * S.n
+    nz = Counter(z)
+    marg = [Counter(zip(z, S.rows[i])) for i in ground]  # mu(x, z)
+    kinds = [Counter(v for v, _ in mu) for mu in marg]  # values x seen with z
+    parent = list(range(len(ground)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for a, b in itertools.combinations(range(len(ground)), 2):
+        if find(a) == find(b):
+            continue
+        joint = Counter(zip(z, S.rows[ground[a]], S.rows[ground[b]]))
+        if len(joint) != sum(kinds[a][v] * kinds[b][v] for v in nz) or any(
+            nz[v] * c != marg[a][v, x] * marg[b][v, y] for (v, x, y), c in joint.items()
+        ):
+            parent[find(b)] = find(a)
+    comps = {}
+    for a in range(len(ground)):
+        comps.setdefault(find(a), []).append(a)
+    return sorted(tuple(c) for c in comps.values())
+
+
 def _component_inputs(rng):
     inputs = []
     for _ in range(40):
@@ -270,24 +304,72 @@ def _component_inputs(rng):
     return inputs
 
 
-def test_components_match_reference():
+@pytest.fixture
+def dependence_paths(monkeypatch):
+    """Counts the calls of the Gram and of the chunked dependence graph."""
+    calls = {"gram": 0, "chunked": 0}
+    for key in calls:
+        real = getattr(info, f"_{key}_dependence")
+
+        def spy(*args, _real=real, _key=key):
+            calls[_key] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(info, f"_{key}_dependence", spy)
+    return calls
+
+
+def _chunked_components(monkeypatch, S, given):
+    # with the cap at 0 no input fits the Gram matrix
+    with monkeypatch.context() as mp:
+        mp.setattr(info, "_GRAM_CAP", 0)
+        return InfoFunction(S, given=given).components()
+
+
+def test_components_match_reference(monkeypatch, dependence_paths):
     rng = random.Random(18)
+    runs = 0
     for S in _component_inputs(rng):
         for given in [None] + list(range(S.m)):
             F = InfoFunction(S, given=given)
             got = F.components()
             assert got == sorted(got) and all(c == tuple(sorted(c)) for c in got)
             assert got == _components_reference(S, given)
+            assert got == _components_by_counters(S, given)
+            assert _chunked_components(monkeypatch, S, given) == got
+            runs += F.m > 0  # an empty ground set builds no graph
+    assert dependence_paths == {"gram": runs, "chunked": runs}
 
 
-def test_components_chunked_pairs(monkeypatch):
+def test_components_chunked_pairs(monkeypatch, dependence_paths):
     # grouping the row pairs a few columns' worth at a time changes nothing
     rng = random.Random(19)
     inputs = _component_inputs(rng)
     want = [[InfoFunction(S, given=g).components() for g in [None] + list(range(S.m))] for S in inputs]
-    monkeypatch.setattr(info, "_PAIR_CHUNK", 7)
-    got = [[InfoFunction(S, given=g).components() for g in [None] + list(range(S.m))] for S in inputs]
-    assert got == want
+    assert dependence_paths["chunked"] == 0
+    for chunk in (info._PAIR_CHUNK, 7):
+        monkeypatch.setattr(info, "_PAIR_CHUNK", chunk)
+        got = [[_chunked_components(monkeypatch, S, g) for g in [None] + list(range(S.m))] for S in inputs]
+        assert got == want
+    assert dependence_paths["chunked"] == dependence_paths["gram"] * 2
+
+
+def test_components_near_distinct_rows_take_the_chunked_path(dependence_paths):
+    # 36 rows of near-distinct values make D, the number of (row, value)
+    # pairs, about 36,000: the Gram matrix would hold over 10**9 cells
+    rng = random.Random(22)
+    n = 1000
+    rows = [[rng.randrange(10**6) for _ in range(n)] for _ in range(36)]
+    rows += [[7] * n, [j // 125 for j in range(n)], [3] * n, [j % 125 for j in range(n)]]
+    S = Matrix(rows)
+    k = S.codes.max(axis=1) + 1
+    assert int(k.sum()) ** 2 > info._GRAM_CAP
+    for given in (None, 0, 37):
+        t0 = time.perf_counter()
+        got = InfoFunction(S, given=given).components()
+        assert time.perf_counter() - t0 < 1.0
+        assert got == _components_by_counters(S, given)
+    assert dependence_paths == {"gram": 0, "chunked": 3}
 
 
 def test_components_edges():

@@ -26,7 +26,15 @@ from prodmat import (
     two_sum,
     uniform_bases,
 )
-from prodmat.matroids import Matroid, _drop_dominated_rows, _two_product_split, hypersimplex_col_bases
+from prodmat.matroids import (
+    Matroid,
+    _drop_dominated_rows,
+    _two_product_split,
+    _verify_candidate,
+    expr_size,
+    expr_to_slack_with_bases,
+    hypersimplex_col_bases,
+)
 from prodmat.oracles import base_exchange_validator
 
 from helpers import base_families_match, random_feasible_expr
@@ -454,3 +462,56 @@ def test_two_product_split_never_isolates_the_complement_row():
                 assert _drop_dominated_rows(F)[0] is F
             todo += [S1p, S2p]
     assert splits >= 20 and with_complement >= 10, (splits, with_complement)
+
+
+def test_verify_candidate_rejects_a_missing_facet_row():
+    # the true expression and column bases of a shuffled slack re-expand to
+    # every row of it; with one facet row deleted, the rows left are a
+    # proper subset of the re-expansion and the comparison must say no
+    rng = random.Random(61)
+    for _ in range(6):
+        e, S, bases = random_feasible_expr(rng, max_leaves=4, dmax=5, max_cols=120, max_rows=24)
+        sh, _, cp = seeded_shuffle(S, rng.getrandbits(64))
+        col_bases = [bases[cp[j]] for j in range(S.n)]
+        assert _verify_candidate(sh, e, col_bases)
+        for h in range(sh.m):
+            assert not _verify_candidate(Matrix(sh.rows[:h] + sh.rows[h + 1:]), e, col_bases)
+
+
+def _u42_chain(rng, leaves):
+    """2-sums of `leaves` copies of U(4,2), each glued at a random element."""
+    e = Leaf(4, 2)
+    for _ in range(leaves - 1):
+        e = TwoSum(e, Leaf(4, 2), rng.randrange(expr_size(e)), rng.randrange(4))
+    return e
+
+
+def test_recognize_wide_u42_chains_and_near_misses():
+    # 32x486 at 5 leaves and 38x1458 at 6: every shuffled slack is recognized
+    # with its base family; each one-flip near-miss is rejected as input,
+    # answered None, or recognized with an expression that re-expands to it
+    rng = random.Random(62)
+    outcomes = {"input error": 0, "none": 0, "recognized": 0}
+    for leaves, shape in ((5, (32, 486)), (6, (38, 1458))):
+        S, bases = expr_to_slack_with_bases(_u42_chain(rng, leaves))
+        assert (S.m, S.n) == shape
+        sh, _, cp = seeded_shuffle(S, rng.getrandbits(64))
+        rec = recognize_2level_matroid_slack(sh)
+        assert rec is not None
+        assert base_families_match([bases[cp[j]] for j in range(S.n)], rec)
+        for _ in range(3):
+            rows = [list(r) for r in sh.rows]
+            i, j = rng.randrange(S.m), rng.randrange(S.n)
+            rows[i][j] = 1 - rows[i][j]
+            near = Matrix(rows)
+            try:
+                rec = recognize_2level_matroid_slack(near)
+            except MatroidInputError:
+                outcomes["input error"] += 1
+                continue
+            if rec is None:
+                outcomes["none"] += 1
+                continue
+            assert is_isomorphic(expr_to_slack(rec.expr), near) is not None
+            outcomes["recognized"] += 1
+    assert sum(outcomes.values()) == 6, outcomes

@@ -1,0 +1,85 @@
+"""Time `InfoFunction.components()` on large seeded inputs.
+
+    python3 tools/components_scale.py [--repeats 3]
+
+The inputs are the ones perfbench does not reach:
+  - the criterion-10 input of the acceptance tests: a shuffled 60x2000
+    1-product of two random 30-row matrices with entries 0..4, one call
+    without a given row;
+  - shuffled slack matrices of chains of L U(4,2) leaves joined by 2-sums at
+    random elements, L = 5, 6, 7 (32x486, 38x1458, 44x4374), one call per row
+    as the given row, as the matroid recursion makes them.
+
+Each line of output is a JSON object with the case, its shape, D (the
+number of (row, value) pairs), the number of calls, the median over the
+repeats of their total time in seconds, and a SHA-256 prefix of the
+components, so two checkouts can be compared on the same answers.  BLAS runs
+on one thread, as in perfbench.  The script imports `prodmat` from the
+`src/` directory next to its own `tools/` directory; to time another commit,
+unpack it (`git archive <rev> | tar -x -C <dir>`), copy this file into
+`<dir>/tools/` and run it there.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import random  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from prodmat import InfoFunction, Matrix, one_product, seeded_shuffle  # noqa: E402
+from prodmat.matroids import Leaf, TwoSum, expr_size, expr_to_slack  # noqa: E402
+
+
+def criterion_10_input() -> Matrix:
+    rng = random.Random(1010)
+    A = Matrix([[rng.randint(0, 4) for _ in range(40)] for _ in range(30)])
+    B = Matrix([[rng.randint(0, 4) for _ in range(50)] for _ in range(30)])
+    return seeded_shuffle(one_product(A, B), 161803)[0]
+
+
+def u42_chain_slack(leaves: int, rng: random.Random) -> Matrix:
+    e = Leaf(4, 2)
+    for _ in range(leaves - 1):
+        e = TwoSum(e, Leaf(4, 2), rng.randrange(expr_size(e)), rng.randrange(4))
+    return seeded_shuffle(expr_to_slack(e), rng.getrandbits(64))[0]
+
+
+def time_case(name: str, S: Matrix, givens: list, repeats: int) -> dict:
+    S.codes  # built once per matrix, as in the recognizers, and not timed
+    times, answers = [], None
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        answers = [InfoFunction(S, given=g).components() for g in givens]
+        times.append(time.perf_counter() - t0)
+    D = int((S.codes.max(axis=1) + 1).sum())
+    digest = hashlib.sha256(repr(answers).encode()).hexdigest()[:16]
+    return {"case": name, "shape": [S.m, S.n], "D": D, "calls": len(givens),
+            "median_s": round(statistics.median(times), 4), "components_sha256": digest}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--repeats", type=int, default=3)
+    args = ap.parse_args(argv)
+    print(json.dumps(time_case("criterion-10", criterion_10_input(), [None], args.repeats)), flush=True)
+    rng = random.Random(9)
+    for leaves in (5, 6, 7):
+        S = u42_chain_slack(leaves, rng)
+        print(json.dumps(time_case(f"u42-chain-L{leaves}", S, list(range(S.m)), args.repeats)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
