@@ -10,12 +10,13 @@ text format.  Diagnostics go to stderr unless --quiet is given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
 
 from .info import InfoFunction
-from .matrix import Matrix, MatrixFormatError, format_entry, parse_matrix, seeded_shuffle, write_matrix
+from .matrix import Matrix, MatrixFormatError, parse_matrix, seeded_shuffle, write_matrix
 from .matroids import (
     MatroidInputError,
     expr_to_slack,
@@ -44,7 +45,7 @@ def _from_input(fn, *args):
 
 
 def _entry_json(x):
-    return x if type(x) is int else format_entry(x)
+    return x if type(x) is int else str(x)
 
 
 def _matrix_rows_json(S: Matrix):
@@ -218,6 +219,7 @@ def cmd_oracle(args) -> int:
     return OK if rep.verdict else NO
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="prodmat", description=__doc__)
     ap.add_argument("--quiet", action="store_true", help="suppress diagnostics on stderr")

@@ -159,14 +159,10 @@ def parse_matrix(text) -> Matrix:
     return Matrix(rows)
 
 
-def format_entry(x) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def write_matrix(S: Matrix) -> str:
-    """Inverse of parse_matrix; integers are written without a denominator."""
+    """Inverse of parse_matrix: an `int` entry is written as "5", a `Fraction` as "-3/4"."""
     out = [f"{S.m} {S.n}"]
-    out.extend(" ".join(format_entry(x) for x in row) for row in S.rows)
+    out.extend(" ".join(map(str, row)) for row in S.rows)
     return "\n".join(out) + "\n"
 
 

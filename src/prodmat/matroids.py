@@ -23,11 +23,16 @@ levelness, and matroid minors", JCTB 2017), so when S is recognizable both
 sides of any split are, and a failed split means no split succeeds.  The
 search per recursion node therefore reads at most m special rows, each with
 q(q-1)/2 exact checks for q dependence components, instead of backtracking
-over the unions of components.  Every recovered expression is re-expanded
-and checked against the input, so any returned answer is correct by
-construction whatever the argument above; the dual ambiguity (each factor
-can be read as U(d,k) or U(d,d-k)) is resolved by trying both orientations
-where a glue row is needed.
+over the unions of components.  Each node checks its answer exactly, so any
+returned answer is correct whatever the argument above: a leaf is
+re-expanded, and a sum node runs the builder's own sum step on its parts'
+matrices and compares the result with its input.  No subtree is expanded
+again, since the builder is a fold of the same two steps and each part's
+matrix has already been matched to the part's exact slack.  Each part may
+be read as U(d,k) or U(d,d-k); both orientations are tried where a glue row
+is needed, and a part read as its dual is the same matrix with complemented
+bases, because the dual 2-sum glues along the reversed coherent pair, which
+produces the same rows.
 """
 
 from __future__ import annotations
@@ -41,8 +46,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .info import InfoFunction, group_columns
-from .matrix import Matrix, dedupe_rows
-from .polytopes import normalize_nonredundant_with_maps
+from .matrix import Matrix
 from .products import factorize_irreducible, one_product, two_product
 
 
@@ -364,91 +368,90 @@ def _upper_pattern(bases: Sequence[frozenset], e: int) -> tuple:
     return tuple(0 if e in b else 1 for b in bases)
 
 
-def _drop_dominated_rows(S: Matrix):
-    """Remove rows whose zero set is strictly contained in another row's.
+def _facet_rows(S: Matrix) -> Matrix:
+    """The 0/1 matrix S without every row whose zero set lies inside another
+    row's, strictly or as a later copy of it (S itself if none).
 
-    In a slack matrix such rows are exactly the valid-but-redundant
+    In a slack matrix such rows are the duplicate and valid-but-redundant
     inequalities; gluing and the complement row of a 2-product split side
     can produce them (the complement of a special row need not be
     facet-defining, e.g. the upper-bound row of a simplex element).
-    Returns (matrix, kept row indices).
     """
-    zeros = [frozenset(j for j in range(S.n) if row[j] == 0) for row in S.rows]
+    ones = [int.from_bytes(bytes(row), "big") for row in S.rows]  # one byte per entry
     keep = [
         i
-        for i in range(S.m)
-        if not any(i != h and zeros[i] < zeros[h] for h in range(S.m))
+        for i, a in enumerate(ones)
+        if not any(b & a == b and (b != a or h < i) for h, b in enumerate(ones) if h != i)
     ]
     if len(keep) == S.m:
-        return S, keep
-    return Matrix(tuple(S.rows[i] for i in keep)), keep
+        return S
+    return Matrix(tuple(S.rows[i] for i in keep))
+
+
+def _one_sum_slack(e: OneSum, parts: list):
+    """The 1-sum step: (slack, column bases) of e from those of its parts.
+
+    The slack is the 1-product of the parts' slacks, so a column's index is
+    the mixed-radix number of its part columns, part 0 the most significant.
+    """
+    acc, bases = parts[0]
+    offset = expr_size(e.parts[0])
+    for part, (Sp, pb) in zip(e.parts[1:], parts[1:]):
+        pb = [frozenset(x + offset for x in b) for b in pb]
+        acc = one_product(acc, Sp)
+        bases = [bases[j // Sp.n] | pb[j % Sp.n] for j in range(acc.n)]
+        offset += expr_size(part)
+    return acc, bases
+
+
+def _two_sum_slack(e: TwoSum, left: tuple, right: tuple):
+    """The 2-sum step: (slack, column bases) of e from those of its parts,
+    plus each column's (left column, right column) pair.
+
+    The parts are glued along a coherent pair: the left part's "x_p >= 0" row
+    and the right part's "y_p <= 1" row, both located by their pattern over
+    the part's columns.  Raises CoherenceError when a needed row does not
+    exist (e.g. a d >= 3 simplex leaf used on the "<= 1" side).
+    """
+    (SL, bl), (SR, br) = left, right
+    gl, gr = e.glue_left, e.glue_right
+    xrow = _find_row(SL, _nonneg_pattern(bl, gl))
+    yrow = _find_row(SR, _upper_pattern(br, gr))
+    if xrow is None or yrow is None:
+        # reversed coherent pair (x <= 1 with y >= 0): the same columns and rows;
+        # needed e.g. when a simplex leaf only carries rows of one kind
+        xrow = _find_row(SL, _upper_pattern(bl, gl))
+        yrow = _find_row(SR, _nonneg_pattern(br, gr))
+        if xrow is None or yrow is None:
+            raise CoherenceError(
+                f"no coherent row pair for glue elements "
+                f"{gl}/{gr} (identity leaf without the needed side)"
+            )
+    P = two_product(SL, xrow, SR, yrow)
+    ml, mr = _two_sum_maps(e)
+    x1, y1 = SL.rows[xrow], SR.rows[yrow]
+    # two_product's column order: the x1 = 0 pairs, then the x1 = 1 pairs, left-major
+    pairs = [
+        (cl, cr) for a in (0, 1) for cl in range(SL.n) if x1[cl] == a for cr in range(SR.n) if y1[cr] == a
+    ]
+    bases = [
+        frozenset(ml[x] for x in bl[cl] if x != gl) | frozenset(mr[y] for y in br[cr] if y != gr)
+        for cl, cr in pairs
+    ]
+    return _facet_rows(P), bases, pairs
 
 
 def expr_to_slack_with_bases(e: Expr):
     """Build the non-redundant slack matrix of B(expr) plus column -> base map.
 
-    Leaves map to hypersimplex slacks, 1-sums to 1-products, 2-sums to
-    2-products glued along a coherent pair: the left factor's "x_p >= 0" row
-    and the right factor's "y_p <= 1" row, both located by their pattern over
-    the factor's columns.  Raises CoherenceError when a needed row does not
-    exist (e.g. a d >= 3 simplex leaf used on the "<= 1" side).
+    Leaves map to hypersimplex slacks; the sums fold `_one_sum_slack` and
+    `_two_sum_slack` over the tree.
     """
     if isinstance(e, Leaf):
         return hypersimplex_slack_with_bases(e.d, e.k)
     if isinstance(e, OneSum):
-        acc, bases = expr_to_slack_with_bases(e.parts[0])
-        offset = expr_size(e.parts[0])
-        for part in e.parts[1:]:
-            Sp, pb = expr_to_slack_with_bases(part)
-            pb = [frozenset(x + offset for x in b) for b in pb]
-            acc2 = one_product(acc, Sp)
-            bases = [bases[j // Sp.n] | pb[j % Sp.n] for j in range(acc2.n)]
-            acc = acc2
-            offset += expr_size(part)
-        return acc, bases
-    SL, bl = expr_to_slack_with_bases(e.left)
-    SR, br = expr_to_slack_with_bases(e.right)
-    xrow = _find_row(SL, _nonneg_pattern(bl, e.glue_left))
-    yrow = _find_row(SR, _upper_pattern(br, e.glue_right))
-    if xrow is None or yrow is None:
-        # reversed coherent pair (x <= 1 with y >= 0) glues the same matroid;
-        # needed e.g. when a simplex leaf only carries rows of one kind
-        xrow = _find_row(SL, _upper_pattern(bl, e.glue_left))
-        yrow = _find_row(SR, _nonneg_pattern(br, e.glue_right))
-        if xrow is None or yrow is None:
-            raise CoherenceError(
-                f"no coherent row pair for glue elements "
-                f"{e.glue_left}/{e.glue_right} (identity leaf without the needed side)"
-            )
-    P = two_product(SL, xrow, SR, yrow)
-    ml, mr = _two_sum_maps(e)
-    J0a = [c for c in range(SL.n) if SL.rows[xrow][c] == 0]
-    J1a = [c for c in range(SL.n) if SL.rows[xrow][c] == 1]
-    J0b = [c for c in range(SR.n) if SR.rows[yrow][c] == 0]
-    J1b = [c for c in range(SR.n) if SR.rows[yrow][c] == 1]
-    pbases = []
-    for t in range(len(J0a) * len(J0b)):
-        cl, cr = J0a[t // len(J0b)], J0b[t % len(J0b)]
-        pbases.append((cl, cr))
-    for t in range(len(J1a) * len(J1b)):
-        cl, cr = J1a[t // len(J1b)], J1b[t % len(J1b)]
-        pbases.append((cl, cr))
-    combined = []
-    for cl, cr in pbases:
-        combined.append(
-            frozenset(ml[x] for x in bl[cl] if x != e.glue_left)
-            | frozenset(mr[y] for y in br[cr] if y != e.glue_right)
-        )
-    out, _, kept_cols = normalize_nonredundant_with_maps(P)
-    content_to_base = {}
-    for j in range(P.n):
-        key = P.col(j)
-        prev = content_to_base.get(key)
-        if prev is not None and prev != combined[j]:
-            raise CoherenceError("duplicate columns with distinct bases")
-        content_to_base[key] = combined[j]
-    out, _ = _drop_dominated_rows(out)
-    return out, [combined[j] for j in kept_cols]
+        return _one_sum_slack(e, [expr_to_slack_with_bases(p) for p in e.parts])
+    return _two_sum_slack(e, expr_to_slack_with_bases(e.left), expr_to_slack_with_bases(e.right))[:2]
 
 
 def expr_to_slack(e: Expr) -> Matrix:
@@ -567,6 +570,15 @@ def _screen(S: Matrix) -> Optional[str]:
     return None
 
 
+def _matches(S: Matrix, R: Matrix, cols: list) -> bool:
+    """S is R with R's column cols[j] as its column j and its rows in any
+    order; `cols` must be a permutation of R's columns."""
+    n = S.n
+    if len(cols) != n or R.n != n or len(set(cols)) != n:
+        return False
+    return {tuple([row[c] for c in cols]) for row in R.rows} == set(S.rows)
+
+
 def _verify_candidate(S: Matrix, expr: Expr, col_bases: list) -> bool:
     """Re-expand the expression and compare with S through the base matching:
     S must be exactly the expression's non-redundant slack matrix."""
@@ -574,16 +586,9 @@ def _verify_candidate(S: Matrix, expr: Expr, col_bases: list) -> bool:
         R, rbases = expr_to_slack_with_bases(expr)
     except ValueError:
         return False
-    n = S.n
-    if R.n != n or len(set(col_bases)) != n:
-        return False
     pos = {b: c for c, b in enumerate(rbases)}
-    if set(col_bases) != set(pos):
-        return False
-    inv = [0] * n
-    for j, b in enumerate(col_bases):
-        inv[pos[b]] = j
-    return {tuple(row[inv[c]] for c in range(n)) for row in S.rows} == set(R.rows)
+    cols = [pos.get(b) for b in col_bases]
+    return None not in cols and _matches(S, R, cols)
 
 
 def _glue_options(expr: Expr, bases: list, pattern: tuple, side: str):
@@ -648,14 +653,15 @@ def _split_side(S: Matrix, rows: tuple, r: int, order: list):
     inv, _, first = group_columns(S.codes[np.ix_(rows + (r,), order)])
     F = S.submatrix(rows + (r,), [order[f] for f in first.tolist()])
     glue = F.rows[-1]
-    out, _ = dedupe_rows(Matrix(F.rows + (tuple(1 - x for x in glue),)))
-    out, _ = _drop_dominated_rows(out)
+    out = _facet_rows(Matrix(F.rows + (tuple(1 - x for x in glue),)))
     colmap = np.empty(S.n, dtype=np.int64)
     colmap[order] = inv
     return out, glue, colmap.tolist()
 
 
 def _recognize_rec(S: Matrix):
+    """(expr, col_bases) such that S is expr's exact slack up to row order,
+    column j having base col_bases[j]; or None."""
     if _screen(S) is not None:
         return None
 
@@ -669,24 +675,19 @@ def _recognize_rec(S: Matrix):
     fact = factorize_irreducible(S)
     if fact.t >= 2:
         kids = []
+        cols = np.zeros(S.n, dtype=np.int64)
         for block, factor in zip(fact.blocks, fact.factors):
             sub = _recognize_rec(factor)
             if sub is None:
                 return None
+            kids.append(sub)
             # the factor's columns are the block's patterns in first-occurrence order
-            cmap = group_columns(S.codes[list(block)])[0].tolist()
-            kids.append((sub[0], sub[1], cmap))
+            cols = cols * factor.n + group_columns(S.codes[list(block)])[0]
         expr = OneSum(tuple(k[0] for k in kids))
-        col_bases = []
-        for j in range(S.n):
-            b = frozenset()
-            offset = 0
-            for kexpr, kbases, cmap in kids:
-                b |= frozenset(x + offset for x in kbases[cmap[j]])
-                offset += expr_size(kexpr)
-            col_bases.append(b)
-        if _verify_candidate(S, expr, col_bases):
-            return expr, col_bases
+        R, rbases = _one_sum_slack(expr, [(F, k[1]) for F, k in zip(fact.factors, kids)])
+        cols = cols.tolist()
+        if _matches(S, R, cols):
+            return expr, [rbases[c] for c in cols]
         return None
 
     split = _two_product_split(S)
@@ -699,24 +700,18 @@ def _recognize_rec(S: Matrix):
     right = _recognize_rec(S2p)
     if right is None:
         return None
+    # a part read as its dual is the same matrix with complemented bases
     for exprL, basesL, gl in _glue_options(left[0], left[1], glue1, "nonneg"):
         for exprR, basesR, gr in _glue_options(right[0], right[1], glue2, "upper"):
             expr = TwoSum(exprL, exprR, gl, gr)
-            ml, mr = _two_sum_maps(expr)
-            col_bases = []
-            consistent = True
-            for j in range(S.n):
-                b1 = basesL[colmap1[j]]
-                b2 = basesR[colmap2[j]]
-                if (gl in b1) == (gr in b2):
-                    consistent = False
-                    break
-                col_bases.append(
-                    frozenset(ml[x] for x in b1 if x != gl)
-                    | frozenset(mr[y] for y in b2 if y != gr)
-                )
-            if consistent and _verify_candidate(S, expr, col_bases):
-                return expr, col_bases
+            try:
+                R, rbases, pairs = _two_sum_slack(expr, (S1p, basesL), (S2p, basesR))
+            except CoherenceError:
+                continue
+            index = {pair: c for c, pair in enumerate(pairs)}
+            cols = [index.get(pair) for pair in zip(colmap1, colmap2)]
+            if None not in cols and _matches(S, R, cols):
+                return expr, [rbases[c] for c in cols]
     return None
 
 

@@ -128,22 +128,20 @@ def two_level_rows(S: Matrix) -> List[Tuple[int, tuple]]:
     return out
 
 
-def _normalize_once(S: Matrix, row_ids: list, col_ids: list):
+def _normalize_once(S: Matrix):
     changed = False
     # rows: drop duplicates, all-zero rows and rows with no zero entry
     seen = set()
-    keep_r = []
-    for i in range(S.m):
-        row = S.rows[i]
+    rows = []
+    for row in S.rows:
         if row in seen or all(x == 0 for x in row) or all(x != 0 for x in row):
             changed = True
             continue
         seen.add(row)
-        keep_r.append(i)
-    if not keep_r:
+        rows.append(row)
+    if not rows:
         raise ValueError("normalization removed every row")
-    S = Matrix(tuple(S.rows[i] for i in keep_r))
-    row_ids[:] = [row_ids[i] for i in keep_r]
+    S = Matrix(rows)
     # columns: same rules
     seen = set()
     keep_c = []
@@ -156,28 +154,16 @@ def _normalize_once(S: Matrix, row_ids: list, col_ids: list):
         keep_c.append(j)
     if not keep_c:
         raise ValueError("normalization removed every column")
-    S = S.restrict_cols(keep_c)
-    col_ids[:] = [col_ids[j] for j in keep_c]
-    return S, changed
-
-
-def normalize_nonredundant_with_maps(S: Matrix):
-    """Iterate the non-redundancy cleanup to a fixpoint; track kept indices.
-
-    Returns (matrix, kept_rows, kept_cols) where the lists hold the original
-    indices of the surviving rows/columns.
-    """
-    row_ids = list(range(S.m))
-    col_ids = list(range(S.n))
-    while True:
-        S, changed = _normalize_once(S, row_ids, col_ids)
-        if not changed:
-            return S, row_ids, col_ids
+    return S.restrict_cols(keep_c), changed
 
 
 def normalize_nonredundant(S: Matrix) -> Matrix:
     """Remove duplicate rows/columns and rows/columns that are all-zero or zero-free.
 
-    Idempotent; raises ValueError if nothing survives.
+    Iterates the cleanup to a fixpoint.  Idempotent; raises ValueError if
+    nothing survives.
     """
-    return normalize_nonredundant_with_maps(S)[0]
+    while True:
+        S, changed = _normalize_once(S)
+        if not changed:
+            return S

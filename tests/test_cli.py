@@ -3,7 +3,7 @@ import json
 import pytest
 
 from prodmat import Matrix, one_product, parse_matrix, write_matrix
-from prodmat.cli import main
+from prodmat.cli import build_parser, main
 
 PAPER_4x6 = one_product(Matrix([[1, 0], [2, 3]]), Matrix([[1, 0, 0], [0, 1, 1]]))
 
@@ -145,6 +145,19 @@ def test_oracle_commands(paper_file, capsys):
 def test_missing_file_exit2(capsys):
     code, _ = run(capsys, ["--quiet", "recognize", "1p", "/nonexistent/file.txt"])
     assert code == 2
+
+
+def test_parser_is_built_once_and_usage_errors_exit2(paper_file, capsys):
+    # the parser is built once per process; a usage error on it leaves the
+    # next call's exit code and stdout unchanged
+    assert build_parser() is build_parser()
+    first = run(capsys, ["recognize", "1p", paper_file])
+    for argv in (["recognize", "3p", paper_file], ["nosuchcommand"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+    assert run(capsys, ["recognize", "1p", paper_file]) == first
 
 
 def test_zero_denominator_exit2(tmp_path, capsys):

@@ -28,7 +28,7 @@ from prodmat import (
 )
 from prodmat.matroids import (
     Matroid,
-    _drop_dominated_rows,
+    _facet_rows,
     _two_product_split,
     _verify_candidate,
     expr_size,
@@ -459,7 +459,7 @@ def test_two_product_split_never_isolates_the_complement_row():
             with_complement += tuple(1 - x for x in special) in T.rows
             for F in (S1p, S2p):
                 assert 2 < F.n < T.n
-                assert _drop_dominated_rows(F)[0] is F
+                assert _facet_rows(F) is F
             todo += [S1p, S2p]
     assert splits >= 20 and with_complement >= 10, (splits, with_complement)
 
@@ -515,3 +515,46 @@ def test_recognize_wide_u42_chains_and_near_misses():
             assert is_isomorphic(expr_to_slack(rec.expr), near) is not None
             outcomes["recognized"] += 1
     assert sum(outcomes.values()) == 6, outcomes
+
+
+def test_facet_rows_keeps_one_copy_of_each_maximal_zero_set():
+    S = Matrix([[0, 0, 1, 1], [1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1], [0, 1, 1, 1]])
+    # row 2 is a later copy of row 0, row 3 has no zero, and row 4's zero set
+    # {0} lies strictly inside row 0's {0, 1}
+    assert _facet_rows(S) == Matrix([[0, 0, 1, 1], [1, 1, 0, 0]])
+    F = Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    assert _facet_rows(F) is F
+
+
+def test_recognized_answers_pass_the_full_reexpansion():
+    # each node checks its answer with the builder's sum step on its parts'
+    # matrices, not by re-expanding its subtree; every answer must still pass
+    # the full re-expansion of its expression.  Next to each shuffled slack
+    # come a one-flip near-miss, the slack with one row deleted, and the
+    # slack with an extra row whose zero set lies strictly inside a row's:
+    # the sides of a split can drop such a row, and then only the sum
+    # node's own comparison rejects the input
+    rng = random.Random(63)
+    outcomes = {"input error": 0, "none": 0, "recognized": 0}
+    for _ in range(150):
+        _, S, _ = random_feasible_expr(rng, max_leaves=5, dmax=5, max_cols=300, max_rows=40)
+        sh = seeded_shuffle(S, rng.getrandbits(64))[0]
+        flipped = [list(r) for r in sh.rows]
+        i, j = rng.randrange(S.m), rng.randrange(S.n)
+        flipped[i][j] = 1 - flipped[i][j]
+        h = rng.randrange(S.m)
+        extra = list(sh.rows[h])
+        extra[rng.choice([c for c, x in enumerate(extra) if x == 0])] = 1
+        near = (Matrix(flipped), Matrix(sh.rows[:h] + sh.rows[h + 1:]), Matrix(sh.rows + (tuple(extra),)))
+        for T in (sh,) + near:
+            try:
+                rec = recognize_2level_matroid_slack(T)
+            except MatroidInputError:
+                outcomes["input error"] += 1
+                continue
+            if rec is None:
+                outcomes["none"] += 1
+                continue
+            assert _verify_candidate(T, rec.expr, list(rec.col_bases)), expr_to_text(rec.expr)
+            outcomes["recognized"] += 1
+    assert outcomes["recognized"] >= 150 and outcomes["none"] >= 300, outcomes

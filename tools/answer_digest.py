@@ -28,9 +28,13 @@ expression and column bases (or the rejection).
 The script also checks what it digests: every 1-product certificate, every
 factorization and every 2-product certificate must re-expand to its input.
 The product of the factors, with its rows put back in the input's order,
-must equal the input up to a column permutation.  The last line counts the
-answers that fail this check, and the exit status is 1 when it is not 0, so
-a changed digest comes with a proof that the new answers are valid.
+must equal the input up to a column permutation.  Every recognized slack
+matrix must pass the matroid recognizer's full re-expansion
+(`matroids._verify_candidate`): the expression's slack matrix, with its
+columns matched to the input's through the column bases, must have exactly
+the input's rows.  The last line counts the answers that fail these checks,
+and the exit status is 1 when it is not 0, so a changed digest comes with a
+proof that the new answers are valid.
 """
 
 from __future__ import annotations
@@ -57,7 +61,15 @@ from prodmat import (  # noqa: E402
     two_product,
     write_matrix,
 )
-from prodmat.matroids import CoherenceError, Leaf, OneSum, TwoSum, expr_size, expr_to_slack  # noqa: E402
+from prodmat.matroids import (  # noqa: E402
+    CoherenceError,
+    Leaf,
+    OneSum,
+    TwoSum,
+    _verify_candidate,
+    expr_size,
+    expr_to_slack,
+)
 
 
 def canon(x):
@@ -214,6 +226,8 @@ def main():
             rec = recognize_2level_matroid_slack(S)
         except MatroidInputError as exc:
             rec = ("input error", str(exc))
+        else:
+            failures += rec is not None and not _verify_candidate(S, rec.expr, rec.col_bases)
         h.update(repr(canon((S, rec))).encode())
         parts["matroid"].update(repr(canon((S, rec))).encode())
         count += 1
