@@ -49,7 +49,7 @@ def _entry_json(x):
 
 
 def _matrix_rows_json(S: Matrix):
-    return [[_entry_json(x) for x in row] for row in S.rows]
+    return [list(map(_entry_json, row)) for row in S.rows]
 
 
 def _read_matrix(path: str) -> Matrix:
@@ -57,9 +57,15 @@ def _read_matrix(path: str) -> Matrix:
         return parse_matrix(fh.read())
 
 
+def _read_text(path: str) -> str:
+    """A text file named on the command line; undecodable bytes are an input error."""
+    with open(path) as fh:
+        return _from_input(fh.read)
+
+
 def _emit(payload) -> None:
-    json.dump(payload, sys.stdout, separators=(",", ":"))
-    sys.stdout.write("\n")
+    # json.dumps takes the C encoder; json.dump always streams through the Python one
+    sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
 
 
 def _diag(args, msg: str) -> None:
@@ -153,10 +159,8 @@ def cmd_factor(args) -> int:
 
 
 def cmd_slack(args) -> int:
-    with open(args.vertices) as fh:
-        V = _from_input(parse_vrep, fh.read())
-    with open(args.ineq) as fh:
-        H = _from_input(parse_hrep, fh.read())
+    V = _from_input(parse_vrep, _read_text(args.vertices))
+    H = _from_input(parse_hrep, _read_text(args.ineq))
     sys.stdout.write(write_matrix(_from_input(slack_from_vh, V, H)))
     return OK
 
@@ -171,8 +175,7 @@ def cmd_gen(args) -> int:
     if args.what == "expr":
         if len(args.params) != 1:
             raise MatrixFormatError("gen expr needs one expression file")
-        with open(args.params[0]) as fh:
-            expr = _from_input(parse_expr, fh.read())
+        expr = _from_input(parse_expr, _read_text(args.params[0]))
         sys.stdout.write(write_matrix(_from_input(expr_to_slack, expr)))
         return OK
     if args.what == "product":

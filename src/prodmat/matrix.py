@@ -25,6 +25,9 @@ import numpy as np
 
 # an integer, optionally followed by a decimal part or a "/q" denominator
 _TOKEN_RE = re.compile(r"[+-]?\d+(\.\d+|/\d+)?")
+# a line whose tokens all match _TOKEN_RE without its optional group;
+# \s is the whitespace str.split() splits at
+_INT_LINE_RE = re.compile(r"\s*[+-]?\d+(?:\s+[+-]?\d+)*\s*")
 
 
 class MatrixFormatError(ValueError):
@@ -133,9 +136,15 @@ def parse_matrix(text) -> Matrix:
     """Parse the standard text format: a header line "m n", then m rows of n tokens.
 
     Tokens may be integers, decimals or "p/q"; decimals convert exactly.
+    A line of integer tokens is read by one `int()` per token, any other line
+    token by token through `_parse_token`; the two agree on every token.
+    Bytes input must be ASCII.
     """
     if isinstance(text, bytes):
-        text = text.decode("ascii")
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise MatrixFormatError(f"non-ASCII byte {text[exc.start]:#04x} at offset {exc.start}") from None
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise MatrixFormatError("empty input")
@@ -155,6 +164,12 @@ def parse_matrix(text) -> Matrix:
         toks = ln.split()
         if len(toks) != n:
             raise MatrixFormatError(f"expected {n} entries, found {len(toks)} in {ln!r}")
+        if _INT_LINE_RE.fullmatch(ln):
+            try:
+                rows.append(tuple(map(int, toks)))
+                continue
+            except ValueError:  # a token beyond int()'s digit limit: _parse_token reports it
+                pass
         rows.append(tuple([_parse_token(t) for t in toks]))
     return Matrix(rows)
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,13 +41,9 @@ def one_product(S1: Matrix, S2: Matrix) -> Matrix:
     Column j of the result (0-based) is S1's column j // n2 stacked on S2's
     column j % n2.
     """
-    n2 = S2.n
-    n = S1.n * n2
-    rows = []
-    for row in S1.rows:
-        rows.append(tuple(row[j // n2] for j in range(n)))
-    for row in S2.rows:
-        rows.append(tuple(row[j % n2] for j in range(n)))
+    n1, n2 = S1.n, S2.n
+    rows = [tuple(chain.from_iterable(map(repeat, row, repeat(n2)))) for row in S1.rows]
+    rows += [row * n1 for row in S2.rows]
     return Matrix(rows)
 
 

@@ -232,3 +232,74 @@ def test_internal_error_has_its_own_exit_code(paper_file, capsys, monkeypatch):
     assert code == cli.INTERNAL == 3
     assert captured.out == ""
     assert captured.err.startswith("internal error: ") and "invariant broken" in captured.err
+
+
+PINNED_INPUTS = {
+    "paper": "4 6\n1 1 1 0 0 0\n2 2 2 3 3 3\n1 0 0 1 0 0\n0 1 1 0 1 1\n",
+    "frac": "4 6\n1 1 1 0 0 0\n1/2 1/2 1/2 3 3 3\n1 0 0 1 0 0\n0 1 1 0 1 1\n",
+    "two": "3 2\n1 0\n1 0\n0 1\n",
+    "hyp": "8 6\n0 0 0 1 1 1\n0 1 1 0 0 1\n1 0 1 0 1 0\n1 1 0 1 0 0\n"
+    "1 1 1 0 0 0\n1 0 0 1 1 0\n0 1 0 1 0 1\n0 0 1 0 1 1\n",
+    "neg": "1 2\n1 0\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout",
+    [
+        (["recognize", "1p", "{frac}"], 0,
+         '{"kind":"1p","recognized":true,"rowPartition":[[0,1],[2,3]],'
+         '"factors":[[[1,0],["1/2",3]],[[1,0,0],[0,1,1]]]}\n'),
+        (["recognize", "2p", "{two}"], 0,
+         '{"kind":"2p","recognized":true,"specialRow":0,"rowPartition":[[1],[2]],'
+         '"specialRowsInFactors":[1,1],"factors":[[[0,1],[0,1]],[[1,0],[0,1]]]}\n'),
+        (["recognize", "matroid", "{hyp}"], 0,
+         '{"kind":"matroid","recognized":true,"expr":"(u 4 2)","elements":4,'
+         '"colBases":[[2,3],[1,3],[1,2],[0,3],[0,2],[0,1]],"rowProvenance":['
+         '{"row":0,"type":"nonneg","element":0},{"row":1,"type":"nonneg","element":1},'
+         '{"row":2,"type":"nonneg","element":2},{"row":3,"type":"nonneg","element":3},'
+         '{"row":4,"type":"upper","element":0},{"row":5,"type":"upper","element":1},'
+         '{"row":6,"type":"upper","element":2},{"row":7,"type":"upper","element":3}]}\n'),
+        (["factor", "{frac}"], 0,
+         '{"kind":"factor","irreducible":false,"rowPartition":[[0,1],[2,3]],'
+         '"factors":[[[1,0],["1/2",3]],[[1,0,0],[0,1,1]]]}\n'),
+        (["info", "{paper}", "--subset", "0,2"], 0,
+         '{"f":1.918295834054,"independent":false,"subset":[0,2]}\n'),
+        (["oracle", "1p", "{paper}"], 0,
+         '{"kind":"oracle-1p","verdict":true,"zeroSets":[[2,3]],"evaluations":7}\n'),
+        (["oracle", "2p", "{two}"], 0,
+         '{"kind":"oracle-2p","verdict":true,"witnesses":[{"specialRow":0,"X":[2]},'
+         '{"specialRow":1,"X":[2]},{"specialRow":2,"X":[1]}],"evaluations":3}\n'),
+        (["recognize", "1p", "{neg}"], 1, '{"recognized":false}\n'),
+    ],
+)
+def test_cli_stdout_is_byte_exact(tmp_path, capsys, argv, code, stdout):
+    # the exact bytes, compact separators and entry forms included
+    paths = {}
+    for name, text in PINNED_INPUTS.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
+    assert run(capsys, [a.format(**paths) for a in argv]) == (code, stdout)
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["recognize", "1p", "{m}"], {"m": b"1 2\n1 \xc3\xa9\n"}),
+        (["factor", "{m}"], {"m": b"1 2\n1 \xc3\xa9\n"}),
+        (["gen", "product", "{m}", "{m}"], {"m": b"1 2\n1 \xc3\xa9\n"}),
+        (["gen", "expr", "{e}"], {"e": b"(u 2 1)\xff"}),
+        (["slack", "--vertices", "{v}", "--ineq", "{h}"], {"v": b"2 1\n0\n\xff\n", "h": b"2 1\n-1 0\n1 1\n"}),
+        (["slack", "--vertices", "{v}", "--ineq", "{h}"], {"v": b"2 1\n0\n1\n", "h": b"2 1\n-1 0\n1 \xff\n"}),
+    ],
+)
+def test_undecodable_input_exit2(tmp_path, capsys, argv, files):
+    paths = {}
+    for name, data in files.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_bytes(data)
+    code = main([a.format(**paths) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err

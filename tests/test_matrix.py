@@ -93,6 +93,76 @@ def test_parse_token_rejects(tok):
         parse_matrix(f"1 2\n0 {tok}")
 
 
+def _per_token_parse(text):
+    """parse_matrix with every entry read by _parse_token: the reference for the integer-line route."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise MatrixFormatError("empty input")
+    header = lines[0].split()
+    if len(header) != 2:
+        raise MatrixFormatError(f"bad header {lines[0]!r}")
+    m, n = int(header[0]), int(header[1])
+    if len(lines) != m + 1:
+        raise MatrixFormatError(f"expected {m} rows, found {len(lines) - 1}")
+    rows = []
+    for ln in lines[1:]:
+        toks = ln.split()
+        if len(toks) != n:
+            raise MatrixFormatError(f"expected {n} entries, found {len(toks)} in {ln!r}")
+        rows.append(tuple([_parse_token(t) for t in toks]))
+    return Matrix(rows)
+
+
+def _outcome(parse, text):
+    try:
+        S = parse(text)
+    except MatrixFormatError as exc:
+        return "error", str(exc)
+    return S.rows, [[type(x) for x in row] for row in S.rows]
+
+
+def test_parse_matches_per_token_reference():
+    rng = random.Random(11)
+    ints = ["0", "7", "-3", "+12", "007", "-0", "+0", "123456789012345678901234567890"]
+    others = ["0.5", "-1.25", "3/4", "+2/6", "4/2", "007.50", "-0/3"]
+    bad = ["1_000", "0x1", "1.", "--1", "1/0", "1e3", ".5", "+-1", "1/-2"]
+    seps = [" ", "  ", "\t", " \t ", "\v", "\f"]
+    ends = ["\n", "\r\n", "\n \t\n"]
+    errors = 0
+    for _ in range(600):
+        m, n = rng.randint(1, 4), rng.randint(1, 6)
+        lines = [f"{m} {n}"]
+        for _ in range(m):
+            kind = rng.random()
+            toks = [rng.choice(ints) for _ in range(n)]
+            if kind < 0.3:
+                toks[rng.randrange(n)] = rng.choice(others)
+            elif kind < 0.4:
+                toks[rng.randrange(n)] = rng.choice(bad)
+            elif kind < 0.45 and n > 1:
+                toks.pop()
+            line = "".join(t + rng.choice(seps) for t in toks[:-1]) + toks[-1]
+            lines.append(rng.choice(["", " ", "\t"]) + line + rng.choice(["", " ", "\t "]))
+        text = "".join(ln + rng.choice(ends) for ln in lines)
+        want = _outcome(_per_token_parse, text)
+        assert _outcome(parse_matrix, text) == want, text
+        errors += want[0] == "error"
+    assert 100 < errors < 500  # both outcomes are exercised
+
+
+def test_parse_token_beyond_the_int_digit_limit():
+    # int() refuses more than sys.get_int_max_str_digits() digits; the integer
+    # line route then leaves the token to _parse_token and its error
+    tok = "1" * 5000
+    with pytest.raises(MatrixFormatError, match="malformed entry"):
+        parse_matrix(f"1 2\n1 {tok}\n")
+
+
+def test_parse_rejects_non_ascii_bytes():
+    with pytest.raises(MatrixFormatError, match="non-ASCII byte 0xc3 at offset 6"):
+        parse_matrix(b"1 2\n1 \xc3\xa9\n")
+
+
 def test_write_parse_roundtrip_random():
     rng = random.Random(1)
     for _ in range(25):

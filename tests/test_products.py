@@ -42,6 +42,16 @@ def test_one_product_single_column():
     assert P == Matrix([[1, 2], [3, 4], [7, 7], [8, 8]])
 
 
+def test_one_product_matches_the_column_definition():
+    rng = random.Random(4)
+    for _ in range(30):
+        S1 = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5), -2, 3)
+        S2 = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5), -2, 3)
+        P = one_product(S1, S2)
+        assert P.n == S1.n * S2.n
+        assert P.cols() == [S1.col(j // S2.n) + S2.col(j % S2.n) for j in range(P.n)]
+
+
 def test_recognize_shuffled_paper_product():
     sh, _, _ = seeded_shuffle(PAPER_4x6, 5)
     cert = recognize_one_product(sh)
