@@ -37,11 +37,14 @@ class InputError(ValueError):
 
 
 def _from_input(fn, *args):
-    """Call a parser or builder of user input; the ValueError it raises is an input error."""
+    """Call a parser or builder of user input; the ValueError it raises is an
+    input error, and so is running out of stack on an input nested too deeply."""
     try:
         return fn(*args)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    except RecursionError as exc:
+        raise InputError("input nested too deeply to parse or build") from exc
 
 
 def _entry_json(x):

@@ -41,24 +41,24 @@ exactly the unions of atoms.  The atoms are built by merging components in
 integers, one exact check per (atom, component) pair.
 
 `group_columns` is the one exact column grouping: given rows of
-`Matrix.codes` it numbers the distinct column patterns and counts them.
-It and the entropies of f pack each column into one int64 key with
-`_column_keys`; `multiplicity_table` stays as the independent dict-based
-reference.
+`Matrix.codes` it numbers the distinct column patterns and counts them,
+packing each column into one int64 key with `_column_keys`.  The entropies
+of f count with it too; `multiplicity_table` stays as the independent
+dict-based reference.
+
+The pendent-pair minimizer takes f through
+`queyranne.SymmetricOracle(F.m, F.f)`, which alone counts and caches the
+evaluations.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .matrix import Matrix
-
-#: float screening threshold; values above it cannot be zeros of f.
-ZERO_EPS = 1e-9
 
 #: most cells of the one-hot matrix E (D x n) and of a Gram matrix (D x D)
 #: in `InfoFunction.components`: a float64 array of this size takes 32 MB,
@@ -117,18 +117,17 @@ def entropy(table: MultiplicityTable) -> float:
     return math.log2(n) - sum(c * math.log2(c) for c in table.counts.values()) / n
 
 
-def _column_keys(sub: np.ndarray, radix: Optional[list] = None) -> np.ndarray:
+def _column_keys(sub: np.ndarray) -> np.ndarray:
     """One int64 key per column of a 2-D array of nonnegative ints.
 
     Two keys are equal exactly when their columns are.  The rows are
-    mixed-radix digits (radix: per row, max + 1 or any larger bound), packed
-    by one product with their place values while the product of the radices
-    stays below 2**63; the keys of a wider array are renumbered densely with
-    np.unique and packed with the remaining rows as the first digit.  No key
-    wraps and equality is never decided by a hash.
+    mixed-radix digits (radix: per row, max + 1), packed by one product with
+    their place values while the product of the radices stays below 2**63;
+    the keys of a wider array are renumbered densely with np.unique and
+    packed with the remaining rows as the first digit.  No key wraps and
+    equality is never decided by a hash.
     """
-    if radix is None:
-        radix = (sub.max(axis=1) + 1).tolist()
+    radix = (sub.max(axis=1) + 1).tolist()
     cut, span = len(radix), math.prod(radix)
     while span >= 1 << 63:  # pack the longest prefix that fits
         cut -= 1
@@ -212,34 +211,28 @@ def _chunked_dependence(codes: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 class InfoFunction:
-    """f(X) = I(C_X; C_Xc | C_given) for a fixed matrix; also the minimizer's oracle.
+    """f(X) = I(C_X; C_Xc | C_given) for a fixed matrix, and its exact zeros.
 
     The ground set is the rows of S other than `given`, renumbered 0..m-1 in
     order; `ground` maps them back to rows of S.  Without a given row
     f(X) = I(C_X; C_Xc).
     With a 0/1 given row r that splits the columns into blocks A (r = 0) and
-    B (r = 1), f(X) = (n0*f_A(X) + n1*f_B(X))/n, so one run of the minimizer
-    searches both blocks for a common bipartition.
+    B (r = 1), f(X) = (n0*f_A(X) + n1*f_B(X))/n, so a common bipartition of
+    both blocks is a zero of f.
 
-    The entropies behind f come from exact column counts: the given row and
-    the rows of X are packed into one key per column by `_column_keys`, the
-    packing `group_columns` uses, and the keys are counted.  No float enters
-    the exact decisions (`is_independent_exact`, `components`, `atoms`).
+    The entropies behind f come from exact column counts: the rows of X and
+    the given row are grouped by `group_columns`.  No float enters the exact
+    decisions (`is_independent_exact`, `components`, `atoms`).
 
-    As an oracle for `minimize_symmetric` it exposes `m`, `eval` and
-    `calls`, which counts every requested evaluation of f (including ones
-    answered from the cache).
+    To minimize f, wrap it: `minimize_symmetric(SymmetricOracle(F.m, F.f))`.
     """
 
     def __init__(self, S: Matrix, given: Optional[int] = None):
         if given is not None and not 0 <= given < S.m:
             raise IndexError(f"given row {given} out of range for {S.m} rows")
-        self.S = S
         self.ground = tuple(i for i in range(S.m) if i != given)
         self.m = len(self.ground)
         self.n = n = S.n
-        self.calls = 0
-        self.given = given
         self.codes = S.codes[list(self.ground)]
         # no given row behaves as a constant one: code 0
         if given is None:
@@ -247,25 +240,15 @@ class InfoFunction:
         else:
             self.given_codes = S.codes[given]
         self._h_cache = {}
-        self._f_cache = {}
         self._exact_cache = {}
 
     # -- f ------------------------------------------------------------------
-
-    @cached_property
-    def _digits(self) -> tuple:
-        """Digit rows of the entropy keys (the ground rows, then the given row), radices."""
-        digits = np.vstack((self.codes, self.given_codes))
-        return digits, (digits.max(axis=1) + 1).tolist()
 
     def _h(self, X: tuple) -> float:
         """H(C_X, C_given) for a sorted row subset (cached)."""
         got = self._h_cache.get(X)
         if got is None:
-            digits, radix = self._digits
-            rows = list(X) + [self.m]
-            keys = _column_keys(digits[rows], [radix[i] for i in rows])
-            counts = np.unique(keys, return_counts=True)[1]
+            counts = group_columns(np.vstack((self.codes[list(X)], self.given_codes)))[1]
             got = math.log2(self.n) - float(np.dot(counts, np.log2(counts))) / self.n
             self._h_cache[X] = got
         return got
@@ -285,17 +268,9 @@ class InfoFunction:
         the ground set raises IndexError.
         """
         X = tuple(sorted(set(X)))
-        got = self._f_cache.get(X)
-        if got is None:
-            self._check_range(X)
-            full = tuple(range(self.m))
-            got = self._h(X) + self._h(self._complement(X)) - self._h(full) - self._h(())
-            self._f_cache[X] = got
-        return got
-
-    def eval(self, X: Sequence[int]) -> float:
-        self.calls += 1
-        return self.f(X)
+        self._check_range(X)
+        full = tuple(range(self.m))
+        return self._h(X) + self._h(self._complement(X)) - self._h(full) - self._h(())
 
     # -- exact path ----------------------------------------------------------
 

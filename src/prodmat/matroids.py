@@ -415,6 +415,7 @@ def _two_sum_slack(e: TwoSum, left: tuple, right: tuple):
     """
     (SL, bl), (SR, br) = left, right
     gl, gr = e.glue_left, e.glue_right
+    ml, mr = _two_sum_maps(e)  # first: it rejects a glue element out of range
     xrow = _find_row(SL, _nonneg_pattern(bl, gl))
     yrow = _find_row(SR, _upper_pattern(br, gr))
     if xrow is None or yrow is None:
@@ -428,7 +429,6 @@ def _two_sum_slack(e: TwoSum, left: tuple, right: tuple):
                 f"{gl}/{gr} (identity leaf without the needed side)"
             )
     P = two_product(SL, xrow, SR, yrow)
-    ml, mr = _two_sum_maps(e)
     x1, y1 = SL.rows[xrow], SR.rows[yrow]
     # two_product's column order: the x1 = 0 pairs, then the x1 = 1 pairs, left-major
     pairs = [
@@ -686,6 +686,10 @@ def _recognize_rec(S: Matrix):
         expr = OneSum(tuple(k[0] for k in kids))
         R, rbases = _one_sum_slack(expr, [(F, k[1]) for F, k in zip(fact.factors, kids)])
         cols = cols.tolist()
+        # Cannot fail once reached: reconstruct_factors has proved the count
+        # identity, so S's distinct columns are exactly the 1-product's and
+        # cols is a permutation.  It stays as the guard that cols follows
+        # _one_sum_slack's mixed-radix column order, part 0 most significant.
         if _matches(S, R, cols):
             return expr, [rbases[c] for c in cols]
         return None

@@ -10,10 +10,10 @@ sets separating u from t.  Recording u as a candidate cut and merging t with
 u, m-1 times, visits a candidate achieving the global minimum of f over
 nonempty proper subsets, with at most m^3 evaluations.
 
-An oracle is any object with the ground-set size `m`, a `calls` counter
-and `eval(X)`; the ordering keys are computed here from `eval`.
-`info.InfoFunction` is the matrix oracle; `SymmetricOracle` adapts a plain
-callable.
+The oracle is a `SymmetricOracle(m, fn)`: the ground-set size `m`,
+`eval(X)` with one cache, and a `calls` counter; the ordering keys are
+computed here from `eval`.  For a matrix, fn is the mutual-information
+function `info.InfoFunction(S).f`.
 
 Float comparisons in the ordering are raw.  The recognizers do not use this
 minimizer: they need the zeros of f, not its minimum, and read them exactly
@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 
 class SymmetricOracle:
-    """Evaluation wrapper around a symmetric set function on ground set [m].
+    """The minimizer's oracle: a symmetric set function fn on ground set [m].
 
     `calls` counts every requested evaluation of f (including ones answered
     from a cache), which is what the m^3 budget is asserted against.

@@ -28,7 +28,7 @@ from prodmat import (
 )
 from prodmat.matroids import hypersimplex_col_bases
 from prodmat.oracles import bf_one_product, bf_submodular_min, bf_two_product, cut_oracle
-from prodmat.queyranne import minimize_symmetric
+from prodmat.queyranne import SymmetricOracle, minimize_symmetric
 
 from helpers import (
     base_families_match,
@@ -103,11 +103,12 @@ def test_criterion_04_queyranne_correctness():
     for _ in range(100):
         m = rng.randint(2, 12)
         S = random_matrix(rng, m, rng.randint(1, 10), 0, 2)
-        oracle = InfoFunction(S)
+        F = InfoFunction(S)
+        oracle = SymmetricOracle(F.m, F.f)
         _, v = minimize_symmetric(oracle)
         if oracle.calls > m**3:
             over_budget += 1
-        _, bv = bf_submodular_min(InfoFunction(S))
+        _, bv = bf_submodular_min(SymmetricOracle(F.m, F.f))
         if abs(v - bv) > 1e-9:
             bad += 1
     for _ in range(100):

@@ -218,6 +218,28 @@ def test_malformed_parameters_exit2(tmp_path, capsys, argv, files):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # 600 levels of (1sum ... (u 2 1)) run out of stack in the slack
+        # builder, 3000 already in the expression parser
+        ("(1sum " * 600 + "(u 2 1)" + " (u 2 1))" * 600, "input nested too deeply to parse or build"),
+        ("(1sum " * 3000 + "(u 2 1)" + " (u 2 1))" * 3000, "input nested too deeply to parse or build"),
+        ("(2sum [9 9] (u 4 2) (u 4 2))", "glue element out of range"),
+        ("(2sum [-1 0] (u 4 2) (u 4 2))", "glue element out of range"),
+    ],
+    ids=["nested-600", "nested-3000", "glue-9-9", "glue-neg"],
+)
+def test_gen_expr_input_error_message(tmp_path, capsys, text, message):
+    p = tmp_path / "e.txt"
+    p.write_text(text)
+    code = main(["gen", "expr", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_internal_error_has_its_own_exit_code(paper_file, capsys, monkeypatch):
     # a plain ValueError inside a recognizer is a fault of the program, not
     # of the input: neither "not recognized" (1) nor "input error" (2)

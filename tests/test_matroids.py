@@ -264,6 +264,17 @@ def test_expr_to_slack_coherence_error():
         expr_to_slack(TwoSum(Leaf(3, 1), Leaf(3, 1), 0, 0))
 
 
+@pytest.mark.parametrize("gl, gr", [(9, 9), (-1, 0), (0, 4)])
+def test_expr_to_slack_glue_out_of_range(gl, gr):
+    # the range check comes before the search for a coherent row pair, so
+    # the builder names the same fault as expr_to_bases
+    e = TwoSum(Leaf(4, 2), Leaf(4, 2), gl, gr)
+    for build in (expr_to_slack, expr_to_bases):
+        with pytest.raises(ValueError, match="glue element out of range") as exc:
+            build(e)
+        assert exc.type is ValueError
+
+
 def test_expr_to_slack_column_bases_consistent():
     rng = random.Random(44)
     for _ in range(15):
@@ -487,23 +498,31 @@ def _u42_chain(rng, leaves):
 
 
 def test_recognize_wide_u42_chains_and_near_misses():
-    # 32x486 at 5 leaves and 38x1458 at 6: every shuffled slack is recognized
-    # with its base family; each one-flip near-miss is rejected as input,
-    # answered None, or recognized with an expression that re-expands to it
-    rng = random.Random(62)
+    # 32x486 at 5 leaves, 38x1458 at 6 and 44x4374 at 7: every shuffled slack
+    # is recognized with its base family; each near-miss (one flipped entry,
+    # and at 7 leaves also one deleted row) is rejected as input, answered
+    # None, or recognized with an expression that re-expands to it.  The
+    # 7-leaf case draws from its own generator, so the others stay unchanged
     outcomes = {"input error": 0, "none": 0, "recognized": 0}
-    for leaves, shape in ((5, (32, 486)), (6, (38, 1458))):
+    rng = random.Random(62)
+    cases = ((5, (32, 486), rng, 0), (6, (38, 1458), rng, 0), (7, (44, 4374), random.Random(72), 3))
+    for leaves, shape, rng, deletions in cases:
         S, bases = expr_to_slack_with_bases(_u42_chain(rng, leaves))
         assert (S.m, S.n) == shape
         sh, _, cp = seeded_shuffle(S, rng.getrandbits(64))
         rec = recognize_2level_matroid_slack(sh)
         assert rec is not None
         assert base_families_match([bases[cp[j]] for j in range(S.n)], rec)
+        nears = []
         for _ in range(3):
             rows = [list(r) for r in sh.rows]
             i, j = rng.randrange(S.m), rng.randrange(S.n)
             rows[i][j] = 1 - rows[i][j]
-            near = Matrix(rows)
+            nears.append(Matrix(rows))
+        for _ in range(deletions):
+            h = rng.randrange(S.m)
+            nears.append(Matrix(sh.rows[:h] + sh.rows[h + 1 :]))
+        for near in nears:
             try:
                 rec = recognize_2level_matroid_slack(near)
             except MatroidInputError:
@@ -514,7 +533,7 @@ def test_recognize_wide_u42_chains_and_near_misses():
                 continue
             assert is_isomorphic(expr_to_slack(rec.expr), near) is not None
             outcomes["recognized"] += 1
-    assert sum(outcomes.values()) == 6, outcomes
+    assert sum(outcomes.values()) == 12, outcomes
 
 
 def test_facet_rows_keeps_one_copy_of_each_maximal_zero_set():

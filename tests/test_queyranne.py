@@ -47,10 +47,11 @@ def test_minimize_matches_bruteforce_matrix_f():
     rng = random.Random(22)
     for _ in range(40):
         S = random_matrix(rng, rng.randint(2, 9), rng.randint(1, 8), 0, 2)
-        o1 = InfoFunction(S)
+        F = InfoFunction(S)
+        o1 = SymmetricOracle(F.m, F.f)
         X, v = minimize_symmetric(o1)
         assert o1.calls <= S.m**3
-        _, bv = bf_submodular_min(InfoFunction(S))
+        _, bv = bf_submodular_min(SymmetricOracle(F.m, F.f))
         assert v == pytest.approx(bv, abs=1e-9)
 
 
@@ -70,7 +71,8 @@ def test_paper_product_min_is_zero():
     from prodmat import one_product
 
     P = one_product(Matrix([[1, 0], [2, 3]]), Matrix([[1, 0, 0], [0, 1, 1]]))
-    X, v = minimize_symmetric(InfoFunction(P))
+    F = InfoFunction(P)
+    X, v = minimize_symmetric(SymmetricOracle(F.m, F.f))
     assert abs(v) <= 1e-12
     assert X in ((0, 1), (2, 3))
 
@@ -78,8 +80,9 @@ def test_paper_product_min_is_zero():
 def test_deterministic():
     rng = random.Random(24)
     S = random_matrix(rng, 7, 6, 0, 2)
-    r1 = minimize_symmetric_with_candidates(InfoFunction(S))
-    r2 = minimize_symmetric_with_candidates(InfoFunction(S))
+    F, G = InfoFunction(S), InfoFunction(S)
+    r1 = minimize_symmetric_with_candidates(SymmetricOracle(F.m, F.f))
+    r2 = minimize_symmetric_with_candidates(SymmetricOracle(G.m, G.f))
     assert r1[0] == r2[0] and r1[1] == r2[1] and r1[2] == r2[2]
 
 
