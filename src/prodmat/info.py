@@ -33,6 +33,19 @@ near-distinct values push D towards m*n, so above `_GRAM_CAP` cells the
 same identity is checked on the observed value triples of every row pair,
 grouped by `group_columns` a bounded chunk at a time (`_PAIR_CHUNK`).
 
+For a 0/1 matrix the graph given every row comes from one count.  Let B be
+the matrix as 0/1 rows, P = B B^T its pair counts (n1 = diag P the ones per
+row) and T[r, i, j] the columns where rows r, i and j are all 1.  A 2x2
+table with fixed margins is independent exactly when one cell matches its
+margins, so rows i and j are dependent given r exactly when
+n1[r]*T[r,i,j] != P[r,i]*P[r,j] (the r = 1 block) or
+(n - n1[r])*(P[i,j] - T[r,i,j]) != (n1[i] - P[r,i])*(n1[j] - P[r,j])
+(the r = 0 block): the Gram identity above with the value-1 cells alone.
+T comes from float64 products of 0/1 rows, exact below 2**53, for a block
+of given rows at a time (`_binary_dependence`); the products are compared
+as int64.  `_special_row_candidates` reads every row's components from it,
+for the matroid recursion's 2-product split.
+
 `InfoFunction.atoms` finds every zero at once.  Since f >= 0 and f is
 submodular, f(X | Y) + f(X & Y) <= f(X) + f(Y), so the zeros are closed
 under union and intersection, and by symmetry under complement: they form a
@@ -181,6 +194,63 @@ def _gram_dependence(codes: np.ndarray, z: np.ndarray, k: np.ndarray) -> np.ndar
     reach = np.logical_or.reduceat(np.logical_or.reduceat(bad, starts, axis=0), starts, axis=1)
     np.fill_diagonal(reach, True)
     return reach
+
+
+def _binary_dependence(B: np.ndarray, P: np.ndarray):
+    """Yield (rows, dep): dep[t] is the dependence graph given row rows[t] of B.
+
+    B: an m x n float64 0/1 matrix; P = B @ B.T.  dep[t, i, j] is True when
+    rows i and j are dependent given row r = rows[t], the adjacency of
+    `_gram_dependence` for that given row (module docstring), with r itself
+    kept as an isolated row; the diagonal carries no meaning.  The triple
+    counts T[r, i, j] of the rows r of a block come from one product whose
+    input and output hold at most `_PAIR_CHUNK` cells, or those of one given
+    row when it alone has more.
+    """
+    m, n = B.shape
+    Pi = P.astype(np.int64)
+    n1 = Pi.diagonal()
+    step = max(1, _PAIR_CHUNK // (m * max(m, n)))
+    for lo in range(0, m, step):
+        rows = np.arange(lo, min(m, lo + step))
+        T = ((B[rows, None, :] * B).reshape(-1, n) @ B.T).astype(np.int64).reshape(len(rows), m, m)
+        p1, c1 = Pi[rows], n1[rows]  # given r = 1: pair counts with r, and n_1
+        p0, c0 = n1 - p1, n - c1  # given r = 0
+        dep = c1[:, None, None] * T != p1[:, :, None] * p1[:, None, :]
+        dep |= c0[:, None, None] * (Pi - T) != p0[:, :, None] * p0[:, None, :]
+        yield rows, dep
+
+
+def _special_row_candidates(codes: np.ndarray):
+    """Yield the rows r whose dependence graph given r splits, for a 0/1 code matrix.
+
+    codes: the `Matrix.codes` of a 0/1 matrix with distinct rows.  Row r is
+    yielded, in increasing order, when the rows other than r and the row
+    1 - r number two or more and are disconnected in the graph of
+    `InfoFunction(S, given=r).components()`.  The row 1 - r is isolated in
+    that graph (it is constant within both values of r), and every zero of f
+    is a union of components, so any row not yielded has at most one atom
+    besides the singleton of 1 - r.  One reachability from the first such
+    row, run for a block of given rows at once, decides connectivity; a
+    block is counted only when the rows before it have been consumed.
+    """
+    B = codes.astype(np.float64)
+    P = B @ B.T
+    n1 = P.diagonal()
+    # the first-occurrence codes of two distinct 0/1 rows agree exactly when
+    # one row is 1 - the other; each row also agrees with itself
+    twin = (P == n1[:, None]) & (P == n1)
+    for rows, dep in _binary_dependence(B, P):
+        alive = ~twin[rows]
+        reach = np.zeros_like(alive)
+        reach[np.arange(len(rows)), alive.argmax(axis=1)] = True
+        while True:
+            nxt = reach | ((dep & reach[:, :, None]).any(axis=1) & alive)
+            if (nxt == reach).all():
+                break
+            reach = nxt
+        split = (alive.sum(axis=1) >= 2) & (alive & ~reach).any(axis=1)
+        yield from rows[split].tolist()
 
 
 def _chunked_dependence(codes: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -25,9 +25,10 @@ import numpy as np
 
 # an integer, optionally followed by a decimal part or a "/q" denominator
 _TOKEN_RE = re.compile(r"[+-]?\d+(\.\d+|/\d+)?")
-# a line whose tokens all match _TOKEN_RE without its optional group;
-# \s is the whitespace str.split() splits at
-_INT_LINE_RE = re.compile(r"\s*[+-]?\d+(?:\s+[+-]?\d+)*\s*")
+# a line of ASCII integer tokens; any line it rejects, such as one with
+# other whitespace or digits, goes token by token through _parse_token,
+# which reads those with the same values.  ASCII classes match faster.
+_INT_LINE_RE = re.compile(r"\s*[+-]?\d+(?:\s+[+-]?\d+)*\s*", re.ASCII)
 
 
 class MatrixFormatError(ValueError):

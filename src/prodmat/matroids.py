@@ -21,18 +21,20 @@ J. Math. 1980); both parts of a 2-sum are minors of the matroid, and the
 2-level class is closed under minors (Grande & Sanyal, "Theta rank,
 levelness, and matroid minors", JCTB 2017), so when S is recognizable both
 sides of any split are, and a failed split means no split succeeds.  The
-search per recursion node therefore reads at most m special rows, each with
-q(q-1)/2 exact checks for q dependence components, instead of backtracking
-over the unions of components.  Each node checks its answer exactly, so any
-returned answer is correct whatever the argument above: a leaf is
-re-expanded, and a sum node runs the builder's own sum step on its parts'
-matrices and compares the result with its input.  No subtree is expanded
-again, since the builder is a fold of the same two steps and each part's
-matrix has already been matched to the part's exact slack.  Each part may
-be read as U(d,k) or U(d,d-k); both orientations are tried where a glue row
-is needed, and a part read as its dual is the same matrix with complemented
-bases, because the dual 2-sum glues along the reversed coherent pair, which
-produces the same rows.
+search per recursion node therefore takes one split instead of backtracking
+over the unions of components: one batched screen counts the dependence
+graph given every row at once (`info._special_row_candidates`), and the
+atoms, with q(q-1)/2 exact checks for q dependence components, are built
+only for the rows whose graph splits, in order, up to the first that
+splits S.  Each node checks its answer exactly, so any returned answer is
+correct whatever the argument above: a leaf is re-expanded, and a sum node
+runs the builder's own sum step on its parts' matrices and compares the
+result with its input.  No subtree is expanded again, since the builder is
+a fold of the same two steps and each part's matrix has already been matched
+to the part's exact slack.  Each part may be read as U(d,k) or U(d,d-k);
+both orientations are tried where a glue row is needed, and a part read as
+its dual is the same matrix with complemented bases, because the dual 2-sum
+glues along the reversed coherent pair, which produces the same rows.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .info import InfoFunction, group_columns
+from .info import InfoFunction, _special_row_candidates, group_columns
 from .matrix import Matrix
 from .products import factorize_irreducible, one_product, two_product
 
@@ -619,13 +621,18 @@ def _two_product_split(S: Matrix):
     singleton atom of the row equal to 1 - r, if S has one, is set aside.
     That row is constant within both values of r, so a split that leaves it
     alone on one side only relabels S through a two-column factor and the
-    recursion would not shrink.  The S1 side is the union of the atoms
+    recursion would not shrink.  Atoms are unions of dependence components,
+    so only the rows whose conditional graph has two or more components
+    besides that row can qualify: one batched count
+    (`info._special_row_candidates`) finds them, and the atoms are built for
+    those rows alone, in order.  The S1 side is the union of the atoms
     after the first; the first atom and the row 1 - r form the S2 side.
     Returns one (factor, glue pattern, column map) per side (`_split_side`);
     each factor is an exact non-redundant slack matrix when S is one.
     """
-    for r, row in enumerate(S.rows):
+    for r in _special_row_candidates(S.codes):
         F = InfoFunction(S, given=r)
+        row = S.rows[r]
         comp = tuple(1 - x for x in row)
         atoms = [tuple(F.ground[i] for i in A) for A in F.atoms()]
         atoms = [A for A in atoms if not (len(A) == 1 and S.rows[A[0]] == comp)]

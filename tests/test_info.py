@@ -520,3 +520,101 @@ def test_atoms_of_pairwise_independent_rows(k):
     single = (row_perm.index(P.m),)
     want = sorted([single, tuple(i for i in range(S.m) if i != single[0])])
     assert InfoFunction(S).atoms() == want
+
+
+def _distinct_01(rng, m, n):
+    """A 0/1 matrix of m distinct non-constant rows over n columns (m < 2**n - 1)."""
+    rows = set()
+    while len(rows) < m:
+        row = tuple(rng.randint(0, 1) for _ in range(n))
+        if 0 < sum(row) < n:
+            rows.add(row)
+    return Matrix(sorted(rows, key=lambda _: rng.random()))
+
+
+def _binary_screen_inputs(rng):
+    """0/1 matrices with distinct non-constant rows: random ones, 1-products
+    (whose graphs split given any row), and both with a planted row 1 - r."""
+    inputs = []
+    for _ in range(30):
+        inputs.append(_distinct_01(rng, rng.randint(2, 7), rng.randint(4, 12)))
+    for _ in range(30):
+        A = _distinct_01(rng, rng.randint(1, 3), rng.randint(3, 4))
+        B = _distinct_01(rng, rng.randint(1, 3), rng.randint(3, 4))
+        inputs.append(seeded_shuffle(one_product(A, B), rng.getrandbits(64))[0])
+    for S in inputs[::3]:
+        r = rng.randrange(S.m)
+        rows = list(S.rows) + [tuple(1 - x for x in S.rows[r])]
+        inputs.append(seeded_shuffle(Matrix(rows), rng.getrandbits(64))[0])
+    return inputs
+
+
+def _graph_components(dep, rows):
+    """Components of the adjacency dep over the given rows (BFS reference)."""
+    left, comps = set(rows), set()
+    while left:
+        todo = [min(left)]
+        comp = set(todo)
+        while todo:
+            i = todo.pop()
+            for j in left - comp:
+                if dep[i, j]:
+                    comp.add(j)
+                    todo.append(j)
+        left -= comp
+        comps.add(frozenset(comp))
+    return comps
+
+
+def _conditional_components(S, r):
+    """InfoFunction(S, given=r).components() as rows of S, without the row 1 - r."""
+    comp = tuple(1 - x for x in S.rows[r])
+    F = InfoFunction(S, given=r)
+    got = {frozenset(F.ground[i] for i in c) for c in F.components()}
+    return {c - {i for i in c if S.rows[i] == comp} for c in got} - {frozenset()}
+
+
+def _check_binary_screen(S):
+    """The batched graphs give each row's components, and the screen the rows
+    with two or more; returns the numbers of blocks and of those rows."""
+    B = S.codes.astype(np.float64)
+    blocks = list(info._binary_dependence(B, B @ B.T))
+    dep = np.concatenate([d for _, d in blocks])
+    assert np.concatenate([rows for rows, _ in blocks]).tolist() == list(range(S.m))
+    want_rows = []
+    for r in range(S.m):
+        comp = tuple(1 - x for x in S.rows[r])
+        keep = [i for i in range(S.m) if i != r and S.rows[i] != comp]
+        want = _conditional_components(S, r)
+        assert _graph_components(dep[r], keep) == want, (S, r)
+        if len(want) >= 2:
+            want_rows.append(r)
+    assert list(info._special_row_candidates(S.codes)) == want_rows
+    return len(blocks), len(want_rows)
+
+
+def test_binary_screen_matches_conditional_components(monkeypatch):
+    # each row's batched dependence graph has the components of
+    # InfoFunction(S, given=r), and the screen yields exactly the rows whose
+    # graph has two or more components besides r and the row 1 - r; with a
+    # one-cell budget every given row is its own block
+    rng = random.Random(24)
+    inputs = _binary_screen_inputs(rng)
+    found = [_check_binary_screen(S) for S in inputs]
+    assert sum(c > 0 for _, c in found) > 20 and sum(c == 0 for _, c in found) > 10
+    monkeypatch.setattr(info, "_PAIR_CHUNK", 1)
+    assert [_check_binary_screen(S) for S in inputs] == [(S.m, c) for S, (_, c) in zip(inputs, found)]
+
+
+def test_binary_screen_in_several_blocks():
+    # 16 x 400 and a 1-product of two 8 x 20 factors go over the cell budget
+    # in one block, so the given rows are counted a few at a time
+    rng = random.Random(25)
+    big = _distinct_01(rng, 16, 400)
+    rows = list(one_product(_distinct_01(rng, 8, 20), _distinct_01(rng, 8, 20)).rows)
+    rows.append(tuple(1 - x for x in rows[3]))
+    planted = seeded_shuffle(Matrix(rows), rng.getrandbits(64))[0]
+    for S, splits in ((big, False), (planted, True)):
+        blocks, found = _check_binary_screen(S)
+        assert 1 < blocks < S.m
+        assert (found > 0) == splits

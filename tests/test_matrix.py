@@ -158,6 +158,23 @@ def test_parse_token_beyond_the_int_digit_limit():
         parse_matrix(f"1 2\n1 {tok}\n")
 
 
+def test_parse_unicode_whitespace_and_digits_as_ascii():
+    # str.split() splits at U+00A0, U+2003 and U+001F, and int() reads
+    # Arabic-Indic digits; such lines miss the ASCII integer line check and
+    # are read token by token, to the same values as their ASCII spelling
+    ascii_text = "2 3\n1 -20 +3\n0 45 6\n"
+    spellings = [
+        "2 3\n1\u00a0-20 +3\n0\u2003\u200345 6\n",
+        "2 3\n\u0661 -\u0662\u0660 +3\n0 \u0664\u0665\u001f6\u00a0\n",
+    ]
+    want = parse_matrix(ascii_text)
+    for text in spellings:
+        got = parse_matrix(text)
+        assert got == want and {type(x) for row in got.rows for x in row} == {int}
+    with pytest.raises(MatrixFormatError, match="malformed entry"):
+        parse_matrix("1 2\n1\u00a0\u0661.\n")
+
+
 def test_parse_rejects_non_ascii_bytes():
     with pytest.raises(MatrixFormatError, match="non-ASCII byte 0xc3 at offset 6"):
         parse_matrix(b"1 2\n1 \xc3\xa9\n")

@@ -5,6 +5,7 @@ import pytest
 
 from prodmat import (
     CoherenceError,
+    InfoFunction,
     Leaf,
     Matrix,
     MatroidInputError,
@@ -29,6 +30,8 @@ from prodmat import (
 from prodmat.matroids import (
     Matroid,
     _facet_rows,
+    _screen,
+    _split_side,
     _two_product_split,
     _verify_candidate,
     expr_size,
@@ -473,6 +476,48 @@ def test_two_product_split_never_isolates_the_complement_row():
                 assert _facet_rows(F) is F
             todo += [S1p, S2p]
     assert splits >= 20 and with_complement >= 10, (splits, with_complement)
+
+
+def _two_product_split_per_row(S):
+    """The split of `_two_product_split` found by building the atoms given
+    every row in turn, with no screen."""
+    for r, row in enumerate(S.rows):
+        F = InfoFunction(S, given=r)
+        comp = tuple(1 - x for x in row)
+        atoms = [tuple(F.ground[i] for i in A) for A in F.atoms()]
+        atoms = [A for A in atoms if not (len(A) == 1 and S.rows[A[0]] == comp)]
+        if len(atoms) < 2:
+            continue
+        X = tuple(sorted(i for A in atoms[1:] for i in A))
+        Xc = tuple(i for i in F.ground if i not in X)
+        order = [j for j in range(S.n) if row[j] == 0] + [j for j in range(S.n) if row[j] == 1]
+        return _split_side(S, X, r, order), _split_side(S, Xc, r, order)
+    return None
+
+
+def test_two_product_split_matches_the_per_row_search():
+    # the screen builds atoms only for rows whose conditional graph splits;
+    # the split is the one found by trying every row.  Inputs: shuffled
+    # slacks, a one-flip near-miss of each, and the sides of every split
+    rng = random.Random(64)
+    outcomes = {"split": 0, "none": 0}
+    for _ in range(100):
+        _, S, _ = random_feasible_expr(rng, max_leaves=5, dmax=5, max_cols=300, max_rows=40)
+        sh = seeded_shuffle(S, rng.getrandbits(64))[0]
+        rows = [list(r) for r in sh.rows]
+        i, j = rng.randrange(S.m), rng.randrange(S.n)
+        rows[i][j] = 1 - rows[i][j]
+        todo = [sh, Matrix(rows)]
+        while todo:
+            T = todo.pop()
+            if _screen(T) is not None:
+                continue
+            split = _two_product_split(T)
+            assert split == _two_product_split_per_row(T)
+            outcomes["none" if split is None else "split"] += 1
+            if split is not None:
+                todo += [split[0][0], split[1][0]]
+    assert outcomes["split"] > 80 and outcomes["none"] > 200, outcomes
 
 
 def test_verify_candidate_rejects_a_missing_facet_row():

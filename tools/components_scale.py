@@ -1,4 +1,4 @@
-"""Time `InfoFunction.components()` on large seeded inputs.
+"""Time `InfoFunction.components()` and the special-row screen on large seeded inputs.
 
     python3 tools/components_scale.py [--repeats 3]
 
@@ -13,8 +13,13 @@ The inputs are the ones perfbench does not reach:
 Each line of output is a JSON object with the case, its shape, D (the
 number of (row, value) pairs), the number of calls, the median over the
 repeats of their total time in seconds, and a SHA-256 prefix of the
-components, so two checkouts can be compared on the same answers.  BLAS runs
-on one thread, as in perfbench.  The script imports `prodmat` from the
+components, so two checkouts can be compared on the same answers.  A chain's
+line also has a SHA-256 prefix of its candidate special rows, the rows r
+whose components given r number two or more besides the row 1 - r.  After
+it, a "-screen" line times `info._special_row_candidates`, which finds the
+same rows in one batched call over all rows, and prints its own prefix of
+them; a checkout without the screen prints no such line.  BLAS runs on one
+thread, as in perfbench.  The script imports `prodmat` from the
 `src/` directory next to its own `tools/` directory; to time another commit,
 unpack it (`git archive <rev> | tar -x -C <dir>`), copy this file into
 `<dir>/tools/` and run it there.
@@ -38,7 +43,7 @@ from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from prodmat import InfoFunction, Matrix, one_product, seeded_shuffle  # noqa: E402
+from prodmat import InfoFunction, Matrix, info, one_product, seeded_shuffle  # noqa: E402
 from prodmat.matroids import Leaf, TwoSum, expr_size, expr_to_slack  # noqa: E402
 
 
@@ -56,28 +61,58 @@ def u42_chain_slack(leaves: int, rng: random.Random) -> Matrix:
     return seeded_shuffle(expr_to_slack(e), rng.getrandbits(64))[0]
 
 
-def time_case(name: str, S: Matrix, givens: list, repeats: int) -> dict:
-    S.codes  # built once per matrix, as in the recognizers, and not timed
-    times, answers = [], None
+def sha(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def timed(call, repeats: int):
+    """(median seconds, last answer) of `repeats` calls."""
+    times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        answers = [InfoFunction(S, given=g).components() for g in givens]
+        answer = call()
         times.append(time.perf_counter() - t0)
+    return round(statistics.median(times), 4), answer
+
+
+def split_rows(S: Matrix, answers: list) -> list:
+    """Rows r whose components given r, as rows of S, number two or more
+    besides the row 1 - r."""
+    out = []
+    for r, comps in enumerate(answers):
+        ground = [i for i in range(S.m) if i != r]
+        comp = tuple(1 - x for x in S.rows[r])
+        if sum(any(S.rows[ground[i]] != comp for i in c) for c in comps) >= 2:
+            out.append(r)
+    return out
+
+
+def time_case(name: str, S: Matrix, givens: list, repeats: int):
+    """(output line, components per given row)."""
+    S.codes  # built once per matrix, as in the recognizers, and not timed
+    median, answers = timed(lambda: [InfoFunction(S, given=g).components() for g in givens], repeats)
     D = int((S.codes.max(axis=1) + 1).sum())
-    digest = hashlib.sha256(repr(answers).encode()).hexdigest()[:16]
     return {"case": name, "shape": [S.m, S.n], "D": D, "calls": len(givens),
-            "median_s": round(statistics.median(times), 4), "components_sha256": digest}
+            "median_s": median, "components_sha256": sha(answers)}, answers
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args(argv)
-    print(json.dumps(time_case("criterion-10", criterion_10_input(), [None], args.repeats)), flush=True)
+    print(json.dumps(time_case("criterion-10", criterion_10_input(), [None], args.repeats)[0]), flush=True)
     rng = random.Random(9)
+    screen = getattr(info, "_special_row_candidates", None)
     for leaves in (5, 6, 7):
         S = u42_chain_slack(leaves, rng)
-        print(json.dumps(time_case(f"u42-chain-L{leaves}", S, list(range(S.m)), args.repeats)), flush=True)
+        name = f"u42-chain-L{leaves}"
+        line, answers = time_case(name, S, list(range(S.m)), args.repeats)
+        line["candidates_sha256"] = sha(split_rows(S, answers))
+        print(json.dumps(line), flush=True)
+        if screen is not None:
+            median, rows = timed(lambda: list(screen(S.codes)), args.repeats)
+            print(json.dumps({"case": f"{name}-screen", "shape": [S.m, S.n], "calls": 1,
+                              "median_s": median, "candidates_sha256": sha(rows)}), flush=True)
     return 0
 
 
