@@ -16,10 +16,20 @@ keeps these properties and is zero exactly when the factorization holds
 within each value of row r; for a 0/1 row that is the 2-product condition.
 f is evaluated in floats through entropies of exact column counts; the
 zero decision is never made on floats.  `InfoFunction.is_independent_exact`
-checks the integer identity n_z*mu(a,b,z) == mu(a,z)*mu(b,z) over all
-pattern pairs, and `InfoFunction.components` applies the same identity to
-every pair of single rows: every zero of f is a union of the components of
-that dependence graph.
+checks the integer identity n_z*mu(a,b,z) == mu(a,z)*mu(b,z) at every
+column, whose (z, a, b) is one observed triple, and `InfoFunction.components`
+applies the same identity to every pair of single rows: every zero of f is a
+union of the components of that dependence graph.
+
+The exact check reads its counts per column.  One place-value product over
+the codes of X and Y, with the given row as the top digit, packs each column
+into int64 keys for (z, a), (z, b) and (z, a, b); np.bincount counts keys of
+a small span (`_key_counts`), np.unique wider ones, and `_column_keys` packs
+rows whose joint span reaches 2**63.  Unobserved triples need no check: if
+the identity holds on every observed one, both sides sum to n_z over the
+observed pairs of each z, and every term mu(a,z)*mu(b,z)/n_z of the right
+side is positive, so no pair (a, b) seen with z can be missing.  Every
+product is at most n**2 < 2**63, so int64 is exact.
 
 The graph takes one Gram product per value z of the given row.  Let E be
 the one-hot indicator of the codes: one 0/1 row per (row i, value a), D of
@@ -85,6 +95,11 @@ _FLOAT_EXACT = 1 << 53
 
 #: (row pair, column) entries grouped at once when the Gram matrix is too large
 _PAIR_CHUNK = 1 << 16
+
+#: keys of an exact check are counted by np.bincount while their span is at
+#: most this many times the number of columns, or at most _BINCOUNT_MIN
+_BINCOUNT_PER_KEY = 4
+_BINCOUNT_MIN = 1 << 12
 
 
 class MultiplicityTable:
@@ -170,6 +185,18 @@ def group_columns(sub: np.ndarray):
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return rank[inv], counts[order], first[order]
+
+
+def _key_counts(keys: np.ndarray, span: int) -> np.ndarray:
+    """c[j]: the number of entries of keys equal to keys[j], for int keys in [0, span).
+
+    np.bincount counts keys that span at most `_BINCOUNT_PER_KEY` times their
+    number (at least `_BINCOUNT_MIN`); wider keys are sorted by np.unique.
+    """
+    if span <= max(_BINCOUNT_PER_KEY * len(keys), _BINCOUNT_MIN):
+        return np.bincount(keys)[keys]
+    _, inv, cnt = np.unique(keys, return_inverse=True, return_counts=True)
+    return cnt[inv]
 
 
 def _gram_dependence(codes: np.ndarray, z: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -309,6 +336,9 @@ class InfoFunction:
             self.given_codes = np.zeros(n, dtype=np.int64)
         else:
             self.given_codes = S.codes[given]
+        self._radix = (self.codes.max(axis=1) + 1).tolist()
+        self._kz = int(self.given_codes.max()) + 1
+        self._n_z = np.bincount(self.given_codes)[self.given_codes]
         self._h_cache = {}
         self._exact_cache = {}
 
@@ -348,10 +378,13 @@ class InfoFunction:
         """True iff n_z*mu(a,b,z) == mu(a,z) * mu(b,z) for every pattern pair.
 
         Here a and b are patterns of C_X and C_Xc, z is a value of the given
-        row (one constant value without one) and n_z its column count.
-        Unobserved pairs have mu(a,b,z) = 0, so independence additionally
-        forces every pair (a, b) that occurs with z on either side to occur
-        with z jointly; both facts are checked with integer arithmetic only.
+        row (one constant value without one) and n_z its column count.  The
+        identity is checked at every column, on the triple (z, a, b) it
+        holds, in int64: each side is at most n**2 < 2**63.  Unobserved
+        pairs need no check.  Divided by n_z, the identity on every observed
+        triple makes the right side sum to n_z over the observed pairs of z;
+        it sums to n_z over all pairs seen with z as well, and each of its
+        terms mu(a,z)*mu(b,z)/n_z is positive, so no such pair is missing.
         """
         X = tuple(sorted(set(X)))
         self._check_range(X)
@@ -363,28 +396,36 @@ class InfoFunction:
         """The identity of `is_independent_exact` between disjoint row tuples X and Y.
 
         Rows outside X and Y are ignored: this is C_X ⊥ C_Y | C_given.
+        Column j holds one observed triple (z, a, b); the identity is checked
+        at every column, with the counts of its keys for (z, a), (z, b) and
+        (z, a, b) (`_key_counts`).  The keys pack the codes of X + Y with one
+        place-value product while the span of (z, a, b) stays below 2**63,
+        and otherwise come from `_column_keys`.
         """
         got = self._exact_cache.get((X, Y))
         if got is not None:
             return got
-        z = self.given_codes  # first-occurrence codes 0..kz-1
-        inv_a, cnt_a, _ = group_columns(np.vstack((z, self.codes[list(X)])))
-        inv_b, cnt_b, _ = group_columns(np.vstack((z, self.codes[list(Y)])))
-        cnt_z = np.bincount(z)
-        ka, kb, kz = len(cnt_a), len(cnt_b), len(cnt_z)
-        z_a = np.empty(ka, dtype=np.int64)
-        z_a[inv_a] = z
-        z_b = np.empty(kb, dtype=np.int64)
-        z_b[inv_b] = z
-        upairs, joint = np.unique(inv_a * kb + inv_b, return_counts=True)
-        need = int((np.bincount(z_a, minlength=kz) * np.bincount(z_b, minlength=kz)).sum())
-        ok = len(upairs) == need
-        if ok:
-            a = (upairs // kb).astype(np.intp)
-            b = (upairs % kb).astype(np.intp)
-            lhs = joint.astype(object) * cnt_z[z_a[a]].astype(object)
-            rhs = cnt_a[a].astype(object) * cnt_b[b].astype(object)
-            ok = bool((lhs == rhs).all())
+        z, radix, kz = self.given_codes, self._radix, self._kz
+        place, span = [], 1  # place values of the rows X + Y, the last one 1
+        for i in reversed(X + Y):
+            place.append(span)
+            span *= radix[i]
+        span_y = math.prod(radix[i] for i in Y)
+        span_x = span // span_y
+        if kz * span < 1 << 63:
+            key = np.array(place[::-1], dtype=np.int64) @ self.codes[list(X + Y)]
+            kx = key // span_y
+            a = _key_counts(z * span_x + kx, kz * span_x)
+            b = _key_counts(z * span_y + key - kx * span_y, kz * span_y)
+            ab = _key_counts(z * span + key, kz * span)
+        else:  # (z, a) and (z, b) numbered densely: (z, a, b) spans at most n**2
+            (ia, a), (ib, b) = (
+                np.unique(_column_keys(np.vstack((z, self.codes[list(R)]))), return_inverse=True, return_counts=True)[1:]
+                for R in (X, Y)
+            )
+            ab = _key_counts(ia * len(b) + ib, len(a) * len(b))
+            a, b = a[ia], b[ib]
+        ok = bool((self._n_z * ab == a * b).all())
         self._exact_cache[(X, Y)] = self._exact_cache[(Y, X)] = ok
         return ok
 
@@ -403,7 +444,7 @@ class InfoFunction:
         m, n = self.m, self.n
         if m == 0:
             return []
-        k = self.codes.max(axis=1) + 1
+        k = np.array(self._radix, dtype=np.int64)
         D = int(k.sum())
         if D * max(D, n) <= _GRAM_CAP and n * n < _FLOAT_EXACT:
             reach = _gram_dependence(self.codes, self.given_codes, k)

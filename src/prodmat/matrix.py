@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -68,11 +69,29 @@ class Matrix:
         n = len(rows[0])
         if any(len(r) != n for r in rows):
             raise MatrixFormatError("ragged rows")
+        self._set(rows)
+
+    def _set(self, rows: tuple) -> None:
         self.rows = rows
         self.m = len(rows)
-        self.n = n
+        self.n = len(rows[0])
         self._hash = None
         self._codes = None
+
+    @classmethod
+    def _of(cls, rows) -> "Matrix":
+        """A Matrix of rows built from other matrices' entries, unchecked.
+
+        For internal use: `rows` must be equal-length tuples of exact entries
+        (`int`, or `Fraction` when not integral), as a `Matrix` holds them.
+        Only emptiness is checked, as in `Matrix(rows)`.
+        """
+        rows = tuple(rows)
+        if not rows or not rows[0]:
+            raise MatrixFormatError("matrix must have at least one row and one column")
+        self = object.__new__(cls)
+        self._set(rows)
+        return self
 
     @property
     def codes(self) -> np.ndarray:
@@ -100,13 +119,13 @@ class Matrix:
         return [self.col(j) for j in range(self.n)]
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
-        return Matrix([tuple([self.rows[i][j] for j in cols]) for i in rows])  # see col
+        return Matrix._of([tuple([self.rows[i][j] for j in cols]) for i in rows])  # see col
 
     def restrict_cols(self, cols: Sequence[int]) -> "Matrix":
         return self.submatrix(range(self.m), cols)
 
     def is_zero_one(self) -> bool:
-        return all(x == 0 or x == 1 for r in self.rows for x in r)
+        return set(chain.from_iterable(self.rows)) <= {0, 1}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Matrix) and self.rows == other.rows
@@ -189,7 +208,7 @@ def restrict_rows(S: Matrix, X: Iterable[int]) -> Matrix:
         raise ValueError("row subset must be nonempty")
     if X[0] < 0 or X[-1] >= S.m:
         raise IndexError(f"row index out of range in {X}")
-    return Matrix(tuple(S.rows[i] for i in X))
+    return Matrix._of(S.rows[i] for i in X)
 
 
 def check_permutation(perm: Sequence[int], k: int) -> tuple:
@@ -210,7 +229,7 @@ def permute(S: Matrix, row_perm: Sequence[int], col_perm: Sequence[int]) -> Matr
     """result[i][j] = S[row_perm[i]][col_perm[j]]."""
     row_perm = check_permutation(row_perm, S.m)
     col_perm = check_permutation(col_perm, S.n)
-    return Matrix(tuple(tuple(S.rows[row_perm[i]][col_perm[j]] for j in range(S.n)) for i in range(S.m)))
+    return Matrix._of(tuple([S.rows[i][j] for j in col_perm]) for i in row_perm)
 
 
 def dedupe_rows(S: Matrix):
@@ -229,7 +248,7 @@ def dedupe_rows(S: Matrix):
             seen[row] = len(kept)
             keep_map.append(len(kept))
             kept.append(row)
-    return Matrix(kept), keep_map
+    return Matrix._of(kept), keep_map
 
 
 def complement_row(row: Sequence) -> tuple:

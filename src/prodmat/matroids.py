@@ -387,7 +387,7 @@ def _facet_rows(S: Matrix) -> Matrix:
     ]
     if len(keep) == S.m:
         return S
-    return Matrix(tuple(S.rows[i] for i in keep))
+    return Matrix._of(S.rows[i] for i in keep)
 
 
 def _one_sum_slack(e: OneSum, parts: list):
@@ -560,14 +560,15 @@ class MatroidRecognition:
 
 
 def _screen(S: Matrix) -> Optional[str]:
+    """Why S cannot be a non-redundant 2-level slack matrix, or None."""
     if not S.is_zero_one():
         return "entries must be 0/1"
     for i, row in enumerate(S.rows):
-        if all(x == row[0] for x in row):
+        if len(set(row)) == 1:
             return f"row {i} is constant"
     if len(set(S.rows)) != S.m:
         return "rows must be distinct"
-    if len(set(S.col(j) for j in range(S.n))) != S.n:
+    if len(set(zip(*S.rows))) != S.n:
         return "columns must be distinct"
     return None
 
@@ -660,18 +661,20 @@ def _split_side(S: Matrix, rows: tuple, r: int, order: list):
     inv, _, first = group_columns(S.codes[np.ix_(rows + (r,), order)])
     F = S.submatrix(rows + (r,), [order[f] for f in first.tolist()])
     glue = F.rows[-1]
-    out = _facet_rows(Matrix(F.rows + (tuple(1 - x for x in glue),)))
+    out = _facet_rows(Matrix._of(F.rows + (tuple(1 - x for x in glue),)))
     colmap = np.empty(S.n, dtype=np.int64)
     colmap[order] = inv
     return out, glue, colmap.tolist()
 
 
+def _recognize_part(S: Matrix):
+    """`_recognize_rec` of a part that has not been screened, or None."""
+    return None if _screen(S) is not None else _recognize_rec(S)
+
+
 def _recognize_rec(S: Matrix):
     """(expr, col_bases) such that S is expr's exact slack up to row order,
-    column j having base col_bases[j]; or None."""
-    if _screen(S) is not None:
-        return None
-
+    column j having base col_bases[j]; or None.  S has passed `_screen`."""
     form = recognize_hypersimplex(S)
     if form is not None:
         cand = (Leaf(form.d, form.k), hypersimplex_col_bases(S, form))
@@ -684,7 +687,7 @@ def _recognize_rec(S: Matrix):
         kids = []
         cols = np.zeros(S.n, dtype=np.int64)
         for block, factor in zip(fact.blocks, fact.factors):
-            sub = _recognize_rec(factor)
+            sub = _recognize_part(factor)
             if sub is None:
                 return None
             kids.append(sub)
@@ -705,10 +708,10 @@ def _recognize_rec(S: Matrix):
     if split is None:
         return None
     (S1p, glue1, colmap1), (S2p, glue2, colmap2) = split
-    left = _recognize_rec(S1p)
+    left = _recognize_part(S1p)
     if left is None:
         return None
-    right = _recognize_rec(S2p)
+    right = _recognize_part(S2p)
     if right is None:
         return None
     # a part read as its dual is the same matrix with complemented bases

@@ -44,7 +44,7 @@ def one_product(S1: Matrix, S2: Matrix) -> Matrix:
     n1, n2 = S1.n, S2.n
     rows = [tuple(chain.from_iterable(map(repeat, row, repeat(n2)))) for row in S1.rows]
     rows += [row * n1 for row in S2.rows]
-    return Matrix(rows)
+    return Matrix._of(rows)
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ def two_product(S1: Matrix, x1: int, S2: Matrix, y1: int) -> Matrix:
 
 def _glue(L: Matrix, R: Matrix) -> Matrix:
     """[L | R] with the special row 0...0 1...1 appended."""
-    return Matrix(tuple(a + b for a, b in zip(L.rows, R.rows)) + ((0,) * L.n + (1,) * R.n,))
+    return Matrix._of(tuple(a + b for a, b in zip(L.rows, R.rows)) + ((0,) * L.n + (1,) * R.n,))
 
 
 def recognize_two_product(S: Matrix) -> Optional[TwoProductCert]:

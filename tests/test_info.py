@@ -464,6 +464,111 @@ def _atoms_reference(S, given):
     return sorted({tuple(sorted(c)) for c in cell})
 
 
+def _nonconstant_rows(rng, m, n, top):
+    rows = []
+    while len(rows) < m:
+        row = [rng.randint(0, top) for _ in range(n)]
+        if len(set(row)) > 1:
+            rows.append(row)
+    return rows
+
+
+#: (factor rows, top value, factor columns) of the planted 1-products per
+#: branch of `InfoFunction._independent`: small keys are counted by
+#: np.bincount, 8 + 8 rows of 0..2 over at most 36 columns span over 2**15
+#: and are counted by np.unique, and 32 + 32 rows of 0/1 span 2**63 or more
+#: even without the given row, so their keys come from `_column_keys`
+_EXACT_BRANCHES = {"bincount": ((1, 3), 2, (2, 4)), "unique": ((8, 8), 2, (4, 6)), "wide": ((32, 32), 1, (5, 6))}
+
+
+def _exact_check_inputs(rng, branch):
+    """(S, given, X, Y): X, Y disjoint rows of S other than `given`.
+
+    Shuffled 1-products split along their factors, whole or in part, with
+    the given row (if any) in either factor: C_X ⊥ C_Y | C_given holds.  The
+    same with one entry changed, which mostly breaks it.  For the bincount
+    branch also random matrices with a given row of 2-3 values or none.
+    """
+    (lo, hi), top, (c_lo, c_hi) = _EXACT_BRANCHES[branch]
+    out = []
+    for t in range(24):
+        ma, mb = rng.randint(lo, hi), rng.randint(lo, hi)
+        A = Matrix(_nonconstant_rows(rng, ma, rng.randint(c_lo, c_hi), top))
+        B = Matrix(_nonconstant_rows(rng, mb, rng.randint(c_lo, c_hi), top))
+        S, row_perm, _ = seeded_shuffle(one_product(A, B), rng.getrandbits(64))
+        side_a = [row_perm.index(i) for i in range(ma)]
+        side_b = [row_perm.index(ma + i) for i in range(mb)]
+        given = None if t % 3 == 0 else rng.choice(side_a if t % 3 == 1 else side_b)
+        if t % 2:
+            rows = [list(r) for r in S.rows]
+            i, j = rng.randrange(S.m), rng.randrange(S.n)
+            rows[i][j] = (rows[i][j] + 1) % (top + 1)
+            S = Matrix(rows)
+        X = [i for i in side_a if i != given]
+        Y = [i for i in side_b if i != given]
+        if not X or not Y:
+            continue
+        out.append((S, given, X, Y))
+        if len(X) > 1 and rng.random() < 0.5:  # X without one row
+            out.append((S, given, rng.sample(X, len(X) - 1), Y))
+    if branch == "bincount":
+        for _ in range(40):
+            m = rng.randint(2, 6)
+            S = random_matrix(rng, m, rng.randint(1, 10), 0, 2)
+            given = rng.choice([None, rng.randrange(m)])
+            rows = [i for i in range(m) if i != given]
+            if len(rows) < 2:
+                continue
+            X = rng.sample(rows, rng.randint(1, len(rows) - 1))
+            Y = [i for i in rows if i not in X]
+            out.append((S, given, X, Y))
+            if len(Y) > 1:
+                out.append((S, given, X, Y[1:]))
+    return out
+
+
+@pytest.mark.parametrize("branch", sorted(_EXACT_BRANCHES))
+def test_exact_check_matches_reference(monkeypatch, branch):
+    # is_independent_exact (Y the complement of X) and _independent on
+    # disjoint X and Y agree with the multiplicity_table reference, on each
+    # branch of the key counting
+    paths = Counter()
+    real_counts, real_keys = info._key_counts, info._column_keys
+
+    def counts(keys, span):
+        paths["bincount" if span <= max(info._BINCOUNT_PER_KEY * len(keys), info._BINCOUNT_MIN) else "unique"] += 1
+        return real_counts(keys, span)
+
+    def column_keys(sub):
+        paths["wide"] += 1
+        return real_keys(sub)
+
+    monkeypatch.setattr(info, "_key_counts", counts)
+    monkeypatch.setattr(info, "_column_keys", column_keys)
+    rng = random.Random(26 + len(branch))
+    verdicts = Counter()
+    checks = 0
+    for S, given, X, Y in _exact_check_inputs(rng, branch):
+        X, Y = sorted(X), sorted(Y)
+        want = _independent_reference(S, given, X, Y)
+        F = InfoFunction(S, given=given)
+        x, y = (tuple(sorted(F.ground.index(i) for i in side)) for side in (X, Y))
+        assert F._independent(x, y) == want, (S, given, X, Y)
+        assert InfoFunction(S, given=given)._independent(y, x) == want
+        checks += 2
+        if len(x) + len(y) == F.m:
+            assert InfoFunction(S, given=given).is_independent_exact(x) == want
+            checks += 1
+        verdicts[want] += 1
+    assert verdicts[True] >= 8 and verdicts[False] >= 8
+    if branch == "wide":
+        assert paths["wide"] >= 2 * checks
+    else:
+        assert paths["wide"] == 0 and paths[branch] >= checks
+        if branch == "bincount":
+            assert paths["unique"] == 0
+
+
 def _parity_rows(k):
     """All 2**k - 1 nonzero GF(2) parity rows over the 2**k points of GF(2)**k."""
     return Matrix([[bin(v & x).count("1") % 2 for x in range(1 << k)] for v in range(1, 1 << k)])

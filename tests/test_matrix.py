@@ -260,6 +260,28 @@ def test_is_isomorphic_rejects_different_multisets():
     assert is_isomorphic(A, B) is None
 
 
+def test_derived_matrices_match_the_public_constructor():
+    # the operations build their results without re-checking the entries;
+    # each result equals Matrix(...) of its rows, entries keep their types
+    # and hashes, and permute follows result[i][j] = S[row_perm[i]][col_perm[j]]
+    rng = random.Random(7)
+    rows = [[rng.choice([0, 1, 2, Fraction(1, 3), Fraction(-5, 2)]) for _ in range(5)] for _ in range(4)]
+    S = Matrix(rows + [rows[1]])
+    row_perm, col_perm = (2, 0, 4, 1, 3), (4, 2, 0, 3, 1)
+    P = permute(S, row_perm, col_perm)
+    assert [list(r) for r in P.rows] == [[S.rows[i][j] for j in col_perm] for i in row_perm]
+    derived = [P, S.submatrix((3, 0), (1, 4)), S.restrict_cols([2, 2]), restrict_rows(S, {1, 3}), dedupe_rows(S)[0]]
+    for D in derived:
+        public = Matrix(D.rows)
+        assert D == public and hash(D) == hash(public) and (D.m, D.n) == (public.m, public.n)
+        assert [list(map(type, r)) for r in D.rows] == [list(map(type, r)) for r in public.rows]
+        assert np.array_equal(D.codes, public.codes)
+    with pytest.raises(MatrixFormatError):
+        S.submatrix((0, 1), ())
+    with pytest.raises(MatrixFormatError):
+        S.submatrix((), (0, 1))
+
+
 def test_dedupe_rows():
     S = Matrix([[1, 0], [1, 0], [0, 1]])
     D, keep = dedupe_rows(S)

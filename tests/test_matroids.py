@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -27,6 +28,7 @@ from prodmat import (
     two_sum,
     uniform_bases,
 )
+from prodmat import matroids
 from prodmat.matroids import (
     Matroid,
     _facet_rows,
@@ -346,6 +348,48 @@ def test_recognize_matroid_preconditions():
         recognize_2level_matroid_slack(Matrix([[1, 0], [1, 0], [0, 1]]))  # dup rows
     with pytest.raises(MatroidInputError):
         recognize_2level_matroid_slack(Matrix([[1, 1, 0], [0, 0, 1]]))  # dup cols
+
+
+def test_screen_reasons_in_order():
+    # each input breaks the conditions from its own onward, so the reason is
+    # the first condition it breaks
+    cases = [
+        (Matrix([[2, 0], [0, 0], [0, 0]]), "entries must be 0/1"),
+        (Matrix([[0, 1], [1, 1], [1, 1]]), "row 1 is constant"),
+        (Matrix([[0, 1, 1], [1, 0, 0], [0, 1, 1]]), "rows must be distinct"),
+        (Matrix([[0, 1, 1], [1, 0, 0]]), "columns must be distinct"),
+        (Matrix([[Fraction(1, 2), 1], [0, 1]]), "entries must be 0/1"),
+        (Matrix([[0, 1], [1, 0]]), None),
+    ]
+    for S, reason in cases:
+        assert _screen(S) == reason
+        if reason is not None:
+            with pytest.raises(MatroidInputError, match=reason):
+                recognize_2level_matroid_slack(S)
+
+
+def test_recognizer_screens_each_node_once(monkeypatch):
+    # the root is screened by recognize_2level_matroid_slack and every part
+    # before its recursion; every part of a recognized slack passes
+    calls = {"screen": 0, "node": 0}
+    real_screen, real_rec = matroids._screen, matroids._recognize_rec
+
+    def screen(S):
+        calls["screen"] += 1
+        return real_screen(S)
+
+    def rec(S):
+        calls["node"] += 1
+        return real_rec(S)
+
+    monkeypatch.setattr(matroids, "_screen", screen)
+    monkeypatch.setattr(matroids, "_recognize_rec", rec)
+    rng = random.Random(47)
+    for _ in range(10):
+        _, S, _ = random_feasible_expr(rng, max_leaves=4, dmax=5, max_cols=300, max_rows=32)
+        calls.update(screen=0, node=0)
+        assert recognize_2level_matroid_slack(seeded_shuffle(S, rng.getrandbits(64))[0]) is not None
+        assert calls["screen"] == calls["node"] >= 1
 
 
 def test_recognize_matroid_roundtrip_random():

@@ -1,4 +1,4 @@
-"""Time `InfoFunction.components()` and the special-row screen on large seeded inputs.
+"""Time `InfoFunction.components()`, `atoms()` and the special-row screen on large seeded inputs.
 
     python3 tools/components_scale.py [--repeats 3]
 
@@ -18,11 +18,18 @@ line also has a SHA-256 prefix of its candidate special rows, the rows r
 whose components given r number two or more besides the row 1 - r.  After
 it, a "-screen" line times `info._special_row_candidates`, which finds the
 same rows in one batched call over all rows, and prints its own prefix of
-them; a checkout without the screen prints no such line.  BLAS runs on one
-thread, as in perfbench.  The script imports `prodmat` from the
-`src/` directory next to its own `tools/` directory; to time another commit,
-unpack it (`git archive <rev> | tar -x -C <dir>`), copy this file into
-`<dir>/tools/` and run it there.
+them; a checkout without the screen prints no such line.
+
+Right after each case's line, an "-atoms" line times `InfoFunction.atoms()`
+(the components plus the exact checks of the atom merge) and prints a
+SHA-256 prefix of the atoms: without a given row for criterion-10, whose
+two 30-row sides pack past 2**63, and given each of a chain's candidate
+special rows.
+
+BLAS runs on one thread, as in perfbench.  The script imports `prodmat`
+from the `src/` directory next to its own `tools/` directory; to time
+another commit, unpack it (`git archive <rev> | tar -x -C <dir>`), copy
+this file into `<dir>/tools/` and run it there.
 """
 
 from __future__ import annotations
@@ -96,23 +103,33 @@ def time_case(name: str, S: Matrix, givens: list, repeats: int):
             "median_s": median, "components_sha256": sha(answers)}, answers
 
 
+def time_atoms(name: str, S: Matrix, givens: list, repeats: int) -> dict:
+    median, answers = timed(lambda: [InfoFunction(S, given=g).atoms() for g in givens], repeats)
+    return {"case": f"{name}-atoms", "shape": [S.m, S.n], "calls": len(givens),
+            "median_s": median, "atoms_sha256": sha(answers)}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args(argv)
-    print(json.dumps(time_case("criterion-10", criterion_10_input(), [None], args.repeats)[0]), flush=True)
+    S = criterion_10_input()
+    print(json.dumps(time_case("criterion-10", S, [None], args.repeats)[0]), flush=True)
+    print(json.dumps(time_atoms("criterion-10", S, [None], args.repeats)), flush=True)
     rng = random.Random(9)
     screen = getattr(info, "_special_row_candidates", None)
     for leaves in (5, 6, 7):
         S = u42_chain_slack(leaves, rng)
         name = f"u42-chain-L{leaves}"
         line, answers = time_case(name, S, list(range(S.m)), args.repeats)
-        line["candidates_sha256"] = sha(split_rows(S, answers))
+        rows = split_rows(S, answers)
+        line["candidates_sha256"] = sha(rows)
         print(json.dumps(line), flush=True)
+        print(json.dumps(time_atoms(name, S, rows, args.repeats)), flush=True)
         if screen is not None:
-            median, rows = timed(lambda: list(screen(S.codes)), args.repeats)
+            median, found = timed(lambda: list(screen(S.codes)), args.repeats)
             print(json.dumps({"case": f"{name}-screen", "shape": [S.m, S.n], "calls": 1,
-                              "median_s": median, "candidates_sha256": sha(rows)}), flush=True)
+                              "median_s": median, "candidates_sha256": sha(found)}), flush=True)
     return 0
 
 
