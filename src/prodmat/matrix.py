@@ -13,6 +13,10 @@ works on: each entry replaced by the index of its value among the distinct
 values of its row, in order of first occurrence.  Two columns agree on a row
 set exactly when their codes agree there, so every exact pattern count
 (`info.group_columns` over rows of `codes`) needs no `Fraction` comparison.
+`parse_matrix` reads a file of int64-sized integers into one int64 array
+with one C-level conversion and numbers its codes from that array in numpy
+(`_first_occurrence_codes`) unless a row's values spread too wide; any other
+matrix builds its codes once from its rows, on first use.
 """
 
 from __future__ import annotations
@@ -26,10 +30,16 @@ import numpy as np
 
 # an integer, optionally followed by a decimal part or a "/q" denominator
 _TOKEN_RE = re.compile(r"[+-]?\d+(\.\d+|/\d+)?")
-# a line of ASCII integer tokens; any line it rejects, such as one with
+# a line of ASCII integer tokens of at most 18 digits, so that every value
+# fits in int64; any line it rejects, such as one with longer tokens or with
 # other whitespace or digits, goes token by token through _parse_token,
 # which reads those with the same values.  ASCII classes match faster.
-_INT_LINE_RE = re.compile(r"\s*[+-]?\d+(?:\s+[+-]?\d+)*\s*", re.ASCII)
+_INT_LINE_RE = re.compile(r"\s*[+-]?\d{1,18}(?:\s+[+-]?\d{1,18})*\s*", re.ASCII)
+# _first_occurrence_codes keeps one table slot per value in each row's range
+# while that is at most this many slots per entry (or _TABLE_MIN in all); a
+# matrix with wider rows builds its codes from its rows, as any other does
+_TABLE_PER_ENTRY = 4
+_TABLE_MIN = 1 << 12
 
 
 class MatrixFormatError(ValueError):
@@ -80,7 +90,7 @@ class Matrix:
 
     @classmethod
     def _of(cls, rows) -> "Matrix":
-        """A Matrix of rows built from other matrices' entries, unchecked.
+        """A Matrix of rows built from other matrices' entries or the parser's array, unchecked.
 
         For internal use: `rows` must be equal-length tuples of exact entries
         (`int`, or `Fraction` when not integral), as a `Matrix` holds them.
@@ -95,10 +105,12 @@ class Matrix:
 
     @property
     def codes(self) -> np.ndarray:
-        """Read-only int64 m x n array of per-row value codes (built once).
+        """Read-only int64 m x n array of per-row value codes.
 
         codes[i, j] is the index of rows[i][j] among the distinct values of
-        row i, numbered in order of first occurrence.
+        row i, numbered in order of first occurrence.  A matrix read by
+        `parse_matrix` from int64-sized integers has them from the parser's
+        array; any other builds them once from its rows, on first use.
         """
         if self._codes is None:
             codes = np.empty((self.m, self.n), dtype=np.int64)
@@ -139,6 +151,32 @@ class Matrix:
         return f"Matrix({self.m}x{self.n})"
 
 
+def _first_occurrence_codes(A: np.ndarray) -> Optional[np.ndarray]:
+    """The read-only `Matrix.codes` of an int64 array A, numbered in numpy.
+
+    Each (row, value) pair gets one slot of a table: the value's offset from
+    its row's minimum plus the row's base.  One `np.minimum.at` keeps the
+    first column of each pair, and an entry's code is the number of first
+    columns before its own in its row.  None when the values of some row
+    spread too wide for the table.
+    """
+    m, n = A.shape
+    # offsets from each row's minimum, exact in uint64 however wide the row
+    d = A.view(np.uint64) - A.min(axis=1, keepdims=True).view(np.uint64)
+    span = int(d.max()) + 1
+    if m * span > max(_TABLE_PER_ENTRY * m * n, _TABLE_MIN):
+        return None
+    keys = (d.astype(np.int64) + np.arange(0, m * span, span)[:, None]).ravel()
+    flat = np.arange(m * n)
+    first = np.full(m * span, m * n)
+    np.minimum.at(first, keys, flat)
+    first = first[keys]  # the flat index of each entry's first occurrence
+    rank = np.cumsum((first == flat).reshape(m, n), axis=1).ravel() - 1
+    codes = rank[first].reshape(m, n)
+    codes.flags.writeable = False
+    return codes
+
+
 def _parse_token(tok: str):
     """One matrix entry: an `int` for an integer token, else an exact value."""
     match = _TOKEN_RE.fullmatch(tok)
@@ -152,13 +190,24 @@ def _parse_token(tok: str):
         raise MatrixFormatError(f"malformed entry {tok!r}") from None
 
 
+def _row_tokens(ln: str, n: int) -> list:
+    toks = ln.split()
+    if len(toks) != n:
+        raise MatrixFormatError(f"expected {n} entries, found {len(toks)} in {ln!r}")
+    return toks
+
+
 def parse_matrix(text) -> Matrix:
     """Parse the standard text format: a header line "m n", then m rows of n tokens.
 
     Tokens may be integers, decimals or "p/q"; decimals convert exactly.
-    A line of integer tokens is read by one `int()` per token, any other line
-    token by token through `_parse_token`; the two agree on every token.
-    Bytes input must be ASCII.
+    When every row is a line of ASCII integers of at most 18 digits, the
+    whole body is read by one C-level `np.fromstring` into an int64 array,
+    and the matrix takes its codes from that array.  Otherwise a line of such
+    integers is read by one `int()` per token and any other line token by
+    token through `_parse_token`; all three agree on every token, and rows
+    are checked, and errors reported, line by line in order.  Bytes input
+    must be ASCII.
     """
     if isinstance(text, bytes):
         try:
@@ -179,18 +228,20 @@ def parse_matrix(text) -> Matrix:
         raise MatrixFormatError("m and n must be at least 1")
     if len(lines) != m + 1:
         raise MatrixFormatError(f"expected {m} rows, found {len(lines) - 1}")
+    body = lines[1:]
+    for ln in body:
+        _row_tokens(ln, n)
+        if not _INT_LINE_RE.fullmatch(ln):
+            break
+    else:  # every row a line of int64 integers: one C-level conversion
+        A = np.fromstring(" ".join(body), dtype=np.int64, sep=" ").reshape(m, n)
+        S = Matrix._of(map(tuple, A.tolist()))
+        S._codes = _first_occurrence_codes(A)  # if None, Matrix.codes builds them
+        return S
     rows = []
-    for ln in lines[1:]:
-        toks = ln.split()
-        if len(toks) != n:
-            raise MatrixFormatError(f"expected {n} entries, found {len(toks)} in {ln!r}")
-        if _INT_LINE_RE.fullmatch(ln):
-            try:
-                rows.append(tuple(map(int, toks)))
-                continue
-            except ValueError:  # a token beyond int()'s digit limit: _parse_token reports it
-                pass
-        rows.append(tuple([_parse_token(t) for t in toks]))
+    for ln in body:
+        toks = _row_tokens(ln, n)
+        rows.append(tuple(map(int, toks)) if _INT_LINE_RE.fullmatch(ln) else tuple([_parse_token(t) for t in toks]))
     return Matrix(rows)
 
 

@@ -425,7 +425,9 @@ def test_f_does_not_depend_on_the_exact_path():
 
 def _independent_reference(S, given, X, Y):
     # C_X ⊥ C_Y | C_given by multiplicity_table counts within each value of
-    # the given row; X and Y are rows of S
+    # the given row; X and Y are rows of S, in any order (the tables are
+    # keyed by the sorted rows)
+    X, Y = sorted(X), sorted(Y)
     if given is None:
         blocks = [S]
     else:
@@ -487,7 +489,8 @@ def _exact_check_inputs(rng, branch):
     Shuffled 1-products split along their factors, whole or in part, with
     the given row (if any) in either factor: C_X ⊥ C_Y | C_given holds.  The
     same with one entry changed, which mostly breaks it.  For the bincount
-    branch also random matrices with a given row of 2-3 values or none.
+    branch also random matrices with a given row of 2-3 values or none, and
+    one 1-product whose sides are not listed in row order.
     """
     (lo, hi), top, (c_lo, c_hi) = _EXACT_BRANCHES[branch]
     out = []
@@ -524,6 +527,17 @@ def _exact_check_inputs(rng, branch):
             out.append((S, given, X, Y))
             if len(Y) > 1:
                 out.append((S, given, X, Y[1:]))
+        # rows out of order: A's rows at 2, 0, 4 and B's at 1, 3 of A x B
+        S = Matrix(
+            [
+                [0, 0, 0, 0, 1, 1, 1, 1],
+                [0, 1, 1, 0, 0, 1, 1, 0],
+                [1, 1, 1, 1, 0, 0, 0, 0],
+                [0, 0, 1, 2, 0, 0, 1, 2],
+                [2, 2, 2, 2, 0, 0, 0, 0],
+            ]
+        )
+        out.append((S, None, [2, 0, 4], [1, 3]))
     return out
 
 
@@ -549,7 +563,6 @@ def test_exact_check_matches_reference(monkeypatch, branch):
     verdicts = Counter()
     checks = 0
     for S, given, X, Y in _exact_check_inputs(rng, branch):
-        X, Y = sorted(X), sorted(Y)
         want = _independent_reference(S, given, X, Y)
         F = InfoFunction(S, given=given)
         x, y = (tuple(sorted(F.ground.index(i) for i in side)) for side in (X, Y))

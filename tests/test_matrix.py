@@ -1,4 +1,5 @@
 import random
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from prodmat import (
     seeded_shuffle,
     write_matrix,
 )
+from prodmat import matrix
 from prodmat.matrix import _parse_token, inverse_permutation
 from prodmat.matroids import hypersimplex_slack
 
@@ -118,12 +120,25 @@ def _outcome(parse, text):
         S = parse(text)
     except MatrixFormatError as exc:
         return "error", str(exc)
+    # the codes, from the parser's array or from the rows, are the rows' codes
+    assert not S.codes.flags.writeable and S.codes.dtype == np.int64
+    assert np.array_equal(S.codes, Matrix(S.rows).codes)
     return S.rows, [[type(x) for x in row] for row in S.rows]
 
 
-def test_parse_matches_per_token_reference():
+def test_parse_matches_per_token_reference(monkeypatch):
+    arrays = []
+    real = matrix._first_occurrence_codes
+    monkeypatch.setattr(matrix, "_first_occurrence_codes", lambda A: arrays.append(A.shape) or real(A))
     rng = random.Random(11)
-    ints = ["0", "7", "-3", "+12", "007", "-0", "+0", "123456789012345678901234567890"]
+    ints = ["0", "7", "-3", "+12", "007", "-0", "+0"]
+    # around int64 and the 18 digits of the array route: 18, 19 and more digits
+    edge = [
+        "123456789012345678901234567890",
+        "999999999999999999", "-123456789012345678", "+000000000000000042", "1000000000000000000",
+        "9223372036854775807", "-9223372036854775808", "9223372036854775808", "-9223372036854775809",
+        "0000000000000000000001", "-00000000000000000000", "+00009223372036854775807",
+    ]
     others = ["0.5", "-1.25", "3/4", "+2/6", "4/2", "007.50", "-0/3"]
     bad = ["1_000", "0x1", "1.", "--1", "1/0", "1e3", ".5", "+-1", "1/-2"]
     seps = [" ", "  ", "\t", " \t ", "\v", "\f"]
@@ -141,6 +156,8 @@ def test_parse_matches_per_token_reference():
                 toks[rng.randrange(n)] = rng.choice(bad)
             elif kind < 0.45 and n > 1:
                 toks.pop()
+            elif kind < 0.6:
+                toks[rng.randrange(n)] = rng.choice(edge)
             line = "".join(t + rng.choice(seps) for t in toks[:-1]) + toks[-1]
             lines.append(rng.choice(["", " ", "\t"]) + line + rng.choice(["", " ", "\t "]))
         text = "".join(ln + rng.choice(ends) for ln in lines)
@@ -148,11 +165,13 @@ def test_parse_matches_per_token_reference():
         assert _outcome(parse_matrix, text) == want, text
         errors += want[0] == "error"
     assert 100 < errors < 500  # both outcomes are exercised
+    assert 20 < len(arrays) < 580 - errors  # and both routes to a matrix
 
 
 def test_parse_token_beyond_the_int_digit_limit():
-    # int() refuses more than sys.get_int_max_str_digits() digits; the integer
-    # line route then leaves the token to _parse_token and its error
+    # int() refuses more than sys.get_int_max_str_digits() digits; the line
+    # has a token beyond the integer line check's 18 digits, so the token
+    # goes to _parse_token and its error
     tok = "1" * 5000
     with pytest.raises(MatrixFormatError, match="malformed entry"):
         parse_matrix(f"1 2\n1 {tok}\n")
@@ -173,6 +192,62 @@ def test_parse_unicode_whitespace_and_digits_as_ascii():
         assert got == want and {type(x) for row in got.rows for x in row} == {int}
     with pytest.raises(MatrixFormatError, match="malformed entry"):
         parse_matrix("1 2\n1\u00a0\u0661.\n")
+
+
+def test_parse_array_route_raises_no_warning():
+    # the array route's text-mode np.fromstring must stay free of
+    # deprecation and conversion warnings
+    big = 999999999999999999
+    text = (
+        f"4 4\n1 -2 3 +4\n  0 0 007 -0\t\n{big} {big - 2} +{big} {big - 1}\n"
+        f"-{big} -{big - 1} -{big} -{big}\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        S = parse_matrix(text)
+    assert S.rows == ((1, -2, 3, 4), (0, 0, 7, 0), (big, big - 2, big, big - 1), (-big, 1 - big, -big, -big))
+    assert {type(x) for row in S.rows for x in row} == {int}
+    assert S._codes is not None and S.codes.tolist() == [[0, 1, 2, 3], [0, 0, 1, 0], [0, 1, 0, 2], [0, 1, 0, 0]]
+
+
+def _first_occurrence_arrays(rng):
+    """Random int64 arrays: small and wide values, thin shapes, constant rows, 0/1 rows."""
+    top = 2**63 - 1
+    for _ in range(200):
+        m, n = rng.choice([(1, rng.randint(1, 12)), (rng.randint(1, 12), 1), (rng.randint(1, 8), rng.randint(1, 40))])
+        kind = rng.randrange(5)
+        if kind == 0:  # small, with negatives
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        elif kind == 1:  # a few values spread over the whole int64 range
+            vals = [rng.randint(-top - 1, top) for _ in range(3)] + [-top - 1, top]
+            rows = [[rng.choice(vals) for _ in range(n)] for _ in range(m)]
+        elif kind == 2:  # each row at its own level, spread within or beyond the table
+            jump = rng.choice([2, 4 * n, 5000])
+            bases = [rng.randint(-10**12, 10**12) for _ in range(m)]
+            rows = [[base + rng.choice([0, 1, jump]) for _ in range(n)] for base in bases]
+        elif kind == 3:  # constant rows
+            rows = [[rng.randint(-5, 5)] * n for _ in range(m)]
+        else:  # 0/1 rows, most of them starting with 1
+            rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
+            rows = [[1] + row[1:] if rng.random() < 0.7 else row for row in rows]
+        yield np.array(rows, dtype=np.int64)
+
+
+def test_first_occurrence_codes_match_the_rows_codes():
+    # the parser's numpy numbering equals Matrix.codes' per-row dict numbering;
+    # beyond the table bound it leaves the codes to Matrix.codes
+    wide = 0
+    for A in _first_occurrence_arrays(random.Random(41)):
+        m, n = A.shape
+        got = matrix._first_occurrence_codes(A)
+        span = max(max(r) - min(r) for r in A.tolist()) + 1
+        if m * span > max(matrix._TABLE_PER_ENTRY * m * n, matrix._TABLE_MIN):
+            assert got is None, A
+            wide += 1
+            continue
+        assert got.dtype == np.int64 and got.shape == A.shape and not got.flags.writeable
+        assert np.array_equal(got, Matrix(A.tolist()).codes), A
+    assert 20 < wide < 180
 
 
 def test_parse_rejects_non_ascii_bytes():

@@ -32,9 +32,15 @@ must equal the input up to a column permutation.  Every recognized slack
 matrix must pass the matroid recognizer's full re-expansion
 (`matroids._verify_candidate`): the expression's slack matrix, with its
 columns matched to the input's through the column bases, must have exactly
-the input's rows.  The last line counts the answers that fail these checks,
+the input's rows.  A further line counts the answers that fail these checks,
 and the exit status is 1 when it is not 0, so a changed digest comes with a
 proof that the new answers are valid.
+
+Each input is written with `write_matrix` and read back with `parse_matrix`,
+and the recognizers run on the matrix read back, so the parser's codes are
+the ones digested.  The last line counts the inputs whose parsed rows or
+`Matrix.codes` differ from those of the constructed `Matrix`; those too
+make the exit status 1.
 """
 
 from __future__ import annotations
@@ -47,6 +53,8 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from prodmat import (  # noqa: E402
@@ -54,6 +62,7 @@ from prodmat import (  # noqa: E402
     MatroidInputError,
     factorize_irreducible,
     one_product,
+    parse_matrix,
     recognize_2level_matroid_slack,
     recognize_one_product,
     recognize_two_product,
@@ -208,11 +217,19 @@ def failed_reexpansions(S, cert1, fac, cert2):
 PARTS = ("1p", "factor", "2p", "matroid")
 
 
+def round_trip(S):
+    """(S written and parsed back, whether its rows or codes differ from S's)."""
+    P = parse_matrix(write_matrix(S))
+    return P, P.rows != S.rows or not np.array_equal(P.codes, S.codes)
+
+
 def main():
     h = hashlib.sha256()
     parts = {name: hashlib.sha256() for name in PARTS}
-    count = failures = 0
+    count = failures = mismatches = 0
     for S in matrix_inputs():
+        S, differs = round_trip(S)
+        mismatches += differs
         cert1 = recognize_one_product(S)
         fac = factorize_irreducible(S)
         cert2 = recognize_two_product(S)
@@ -222,6 +239,8 @@ def main():
             parts[name].update(repr(canon((S, answer))).encode())
         count += 1
     for S in slack_inputs():
+        S, differs = round_trip(S)
+        mismatches += differs
         try:
             rec = recognize_2level_matroid_slack(S)
         except MatroidInputError as exc:
@@ -235,7 +254,8 @@ def main():
         print(f"{parts[name].hexdigest()}  {name}")
     print(f"{h.hexdigest()}  {count} inputs")
     print(f"{failures} answers fail re-expansion")
-    return 1 if failures else 0
+    print(f"{mismatches} inputs differ after write_matrix and parse_matrix")
+    return 1 if failures or mismatches else 0
 
 
 if __name__ == "__main__":
