@@ -31,9 +31,10 @@ import numpy as np
 # an integer, optionally followed by a decimal part or a "/q" denominator
 _TOKEN_RE = re.compile(r"[+-]?\d+(\.\d+|/\d+)?")
 # a line of ASCII integer tokens of at most 18 digits, so that every value
-# fits in int64; any line it rejects, such as one with longer tokens or with
-# other whitespace or digits, goes token by token through _parse_token,
-# which reads those with the same values.  ASCII classes match faster.
+# fits in int64; a file with a line it rejects, such as one with longer
+# tokens or with other whitespace or digits, goes token by token through
+# _parse_token, which reads those with the same values.  ASCII classes
+# match faster.
 _INT_LINE_RE = re.compile(r"\s*[+-]?\d{1,18}(?:\s+[+-]?\d{1,18})*\s*", re.ASCII)
 # _first_occurrence_codes keeps one table slot per value in each row's range
 # while that is at most this many slots per entry (or _TABLE_MIN in all); a
@@ -203,11 +204,10 @@ def parse_matrix(text) -> Matrix:
     Tokens may be integers, decimals or "p/q"; decimals convert exactly.
     When every row is a line of ASCII integers of at most 18 digits, the
     whole body is read by one C-level `np.fromstring` into an int64 array,
-    and the matrix takes its codes from that array.  Otherwise a line of such
-    integers is read by one `int()` per token and any other line token by
-    token through `_parse_token`; all three agree on every token, and rows
-    are checked, and errors reported, line by line in order.  Bytes input
-    must be ASCII.
+    and the matrix takes its codes from that array.  Otherwise every token is
+    read through `_parse_token`, to the same values; either way rows are
+    checked, and errors reported, line by line in order.  Bytes input must
+    be ASCII.
     """
     if isinstance(text, bytes):
         try:
@@ -229,8 +229,9 @@ def parse_matrix(text) -> Matrix:
     if len(lines) != m + 1:
         raise MatrixFormatError(f"expected {m} rows, found {len(lines) - 1}")
     body = lines[1:]
+    checked = []  # tokens of the lines read so far, up to the first non-integer line
     for ln in body:
-        _row_tokens(ln, n)
+        checked.append(_row_tokens(ln, n))
         if not _INT_LINE_RE.fullmatch(ln):
             break
     else:  # every row a line of int64 integers: one C-level conversion
@@ -238,10 +239,9 @@ def parse_matrix(text) -> Matrix:
         S = Matrix._of(map(tuple, A.tolist()))
         S._codes = _first_occurrence_codes(A)  # if None, Matrix.codes builds them
         return S
-    rows = []
-    for ln in body:
-        toks = _row_tokens(ln, n)
-        rows.append(tuple(map(int, toks)) if _INT_LINE_RE.fullmatch(ln) else tuple([_parse_token(t) for t in toks]))
+    rows = [tuple([_parse_token(t) for t in toks]) for toks in checked]
+    for ln in body[len(checked):]:
+        rows.append(tuple([_parse_token(t) for t in _row_tokens(ln, n)]))
     return Matrix(rows)
 
 

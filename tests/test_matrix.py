@@ -82,7 +82,7 @@ def test_parse_token_values(tok):
     want = Fraction(tok)
     assert got == want
     assert type(got) is (int if want.denominator == 1 else Fraction)
-    # inside a line: an all-integer line is read by int(), any other per token
+    # inside a file: an all-integer file is read as one array, any other per token
     row = parse_matrix(f"1 2\n5 {tok}").rows[0]
     assert row == (5, got) and [type(x) for x in row] == [int, type(got)]
 
@@ -96,7 +96,7 @@ def test_parse_token_rejects(tok):
 
 
 def _per_token_parse(text):
-    """parse_matrix with every entry read by _parse_token: the reference for the integer-line route."""
+    """parse_matrix with every entry read by _parse_token: the reference for the array route."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise MatrixFormatError("empty input")
@@ -131,10 +131,10 @@ def test_parse_matches_per_token_reference(monkeypatch):
     real = matrix._first_occurrence_codes
     monkeypatch.setattr(matrix, "_first_occurrence_codes", lambda A: arrays.append(A.shape) or real(A))
     rng = random.Random(11)
-    ints = ["0", "7", "-3", "+12", "007", "-0", "+0"]
+    ints = ["0", "7", "-3", "+12", "007", "-0", "+0", "123456789012345678901234567890"]
+    short = ints[:-1]  # at most 18 digits, as the array route reads
     # around int64 and the 18 digits of the array route: 18, 19 and more digits
     edge = [
-        "123456789012345678901234567890",
         "999999999999999999", "-123456789012345678", "+000000000000000042", "1000000000000000000",
         "9223372036854775807", "-9223372036854775808", "9223372036854775808", "-9223372036854775809",
         "0000000000000000000001", "-00000000000000000000", "+00009223372036854775807",
@@ -147,9 +147,12 @@ def test_parse_matches_per_token_reference(monkeypatch):
     for _ in range(600):
         m, n = rng.randint(1, 4), rng.randint(1, 6)
         lines = [f"{m} {n}"]
+        # a plain file: short integers, bar an edge token on some lines, so
+        # that whole files reach the array route or just miss it
+        plain = rng.random() < 0.25
         for _ in range(m):
-            kind = rng.random()
-            toks = [rng.choice(ints) for _ in range(n)]
+            kind = rng.uniform(0.45, 1) if plain else rng.random()
+            toks = [rng.choice(short if plain else ints) for _ in range(n)]
             if kind < 0.3:
                 toks[rng.randrange(n)] = rng.choice(others)
             elif kind < 0.4:
@@ -165,7 +168,8 @@ def test_parse_matches_per_token_reference(monkeypatch):
         assert _outcome(parse_matrix, text) == want, text
         errors += want[0] == "error"
     assert 100 < errors < 500  # both outcomes are exercised
-    assert 20 < len(arrays) < 580 - errors  # and both routes to a matrix
+    parsed = 600 - errors
+    assert 20 < len(arrays) < parsed - 20  # and both routes to a matrix
 
 
 def test_parse_token_beyond_the_int_digit_limit():
