@@ -45,7 +45,6 @@ from .polytopes import (
     HRep,
     SlackError,
     slack_from_vh,
-    cartesian_factorize,
     two_level_rows,
     normalize_nonredundant,
 )

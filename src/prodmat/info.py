@@ -31,30 +31,24 @@ observed pairs of each z, and every term mu(a,z)*mu(b,z)/n_z of the right
 side is positive, so no pair (a, b) seen with z can be missing.  Every
 product is at most n**2 < 2**63, so int64 is exact.
 
-The graph takes one Gram product per value z of the given row.  Let E be
-the one-hot indicator of the codes: one 0/1 row per (row i, value a), D of
-them in all, over the n columns, and E_z its columns where the given row is
-z.  Then G_z = E_z E_z^T holds mu(a,b,z) for every pair of (row, value)
-indices and its diagonal s_z holds mu(a,z), so rows i and j are dependent
-exactly when their block of n_z*G_z - s_z s_z^T has a nonzero cell.  The
-product runs in float64 BLAS, exact while every cell, at most n**2, stays
-below 2**53 (`_FLOAT_EXACT`).  E and G hold D*n and D*D cells; rows of
+The graph is read from reduced indicators: E holds one 0/1 row
+[codes[i] == a] per row i and code a >= 1, D = sum(k_i - 1) rows over the
+n columns, none for code 0.  Rows i and j are independent given z exactly
+when n_v*mu(a,b,v) == mu(a,v)*mu(b,v) for every value v of z and all codes
+a, b >= 1: the cells of code 0 follow from the margins, since then
+n_v*mu(a,0,v) = n_v*mu(a,v) - sum_{b>=1} mu(a,v)*mu(b,v) = mu(a,v)*mu(0,v).
+G_v = (E w_v) E^T, with w_v the indicator of z == v, holds every mu(a,b,v)
+and its diagonal s_v every mu(a,v), so rows i and j are dependent exactly
+when their block of some n_v*G_v - s_v s_v^T has a nonzero cell.  Each
+value v >= 1 takes one weighted product, for a block of given rows at once,
+and the value 0 takes E E^T less the others (`_indicator_dependence`).
+Every cell is a count, at most n, so the float64 products are exact; the
+identity is compared in int64.  The special-row screen
+(`_special_row_candidates`) takes the 0/1 rows as given rows, each with one
+indicator; on a 0/1 matrix E is `Matrix.codes` itself.  Rows of
 near-distinct values push D towards m*n, so above `_GRAM_CAP` cells the
 same identity is checked on the observed value triples of every row pair,
-grouped by `group_columns` a bounded chunk at a time (`_PAIR_CHUNK`).
-
-For a 0/1 matrix the graph given every row comes from one count.  Let B be
-the matrix as 0/1 rows, P = B B^T its pair counts (n1 = diag P the ones per
-row) and T[r, i, j] the columns where rows r, i and j are all 1.  A 2x2
-table with fixed margins is independent exactly when one cell matches its
-margins, so rows i and j are dependent given r exactly when
-n1[r]*T[r,i,j] != P[r,i]*P[r,j] (the r = 1 block) or
-(n - n1[r])*(P[i,j] - T[r,i,j]) != (n1[i] - P[r,i])*(n1[j] - P[r,j])
-(the r = 0 block): the Gram identity above with the value-1 cells alone.
-T comes from float64 products of 0/1 rows, exact below 2**53, for a block
-of given rows at a time (`_binary_dependence`); the products are compared
-as int64.  `_special_row_candidates` reads every row's components from it,
-for the matroid recursion's 2-product split.
+grouped by `group_columns` a bounded chunk at a time (`_chunked_dependence`).
 
 `InfoFunction.atoms` finds every zero at once.  Since f >= 0 and f is
 submodular, f(X | Y) + f(X & Y) <= f(X) + f(Y), so the zeros are closed
@@ -83,16 +77,14 @@ import numpy as np
 
 from .matrix import Matrix
 
-#: most cells of the one-hot matrix E (D x n) and of a Gram matrix (D x D)
-#: in `InfoFunction.components`: a float64 array of this size takes 32 MB,
-#: and the product holds about four at once.  Rows of near-distinct values,
-#: where D approaches m*n, go over it and are grouped in chunks instead.
+#: most cells of the reduced indicators E (D x n, times the given row's values
+#: after its first) and of a Gram matrix (D x D): a float64 array of this size
+#: takes 32 MB, and the product holds about four at once.  Rows of
+#: near-distinct values, where D approaches m*n, go over it and are grouped
+#: in chunks instead.
 _GRAM_CAP = 1 << 22
 
-#: float64 adds and multiplies integers exactly below 2**53; the Gram cells
-#: and the products compared with them are at most n**2.
-_FLOAT_EXACT = 1 << 53
-
+#: cells of one weighted product of the special-row screen's given rows, and
 #: (row pair, column) entries grouped at once when the Gram matrix is too large
 _PAIR_CHUNK = 1 << 16
 
@@ -199,89 +191,104 @@ def _key_counts(keys: np.ndarray, span: int) -> np.ndarray:
     return cnt[inv]
 
 
-def _gram_dependence(codes: np.ndarray, z: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """m x m adjacency of the dependence graph from one Gram product per value of z.
+def _indicator_dependence(E, rows, starts, m: int, P, q: int, given) -> np.ndarray:
+    """dep[t]: the m x m dependence graph given the row given[t] (codes of at most
+    q + 1 values), diagonal True.  E: the float64 reduced indicators of the m rows,
+    in blocks that start at `starts`, one per row of `rows`; P = E E^T."""
+    b, (D, n) = len(given), E.shape
+    counts, G0, n0, bad = [], P[None], n, False
+    for v in range(1, q + 1):  # one weighted product per value
+        w = given == v
+        counts.append((((w[:, None, :] * E).reshape(-1, n) @ E.T).reshape(b, D, D), np.add.reduce(w, axis=1)))
+        G0, n0 = G0 - counts[-1][0], n0 - counts[-1][1]
+    for G, n_v in counts + [(G0, n0)]:  # the value 0: the unweighted product less the others
+        G = G.astype(np.int64)
+        s = G.diagonal(0, -2, -1)
+        bad = bad | ((n_v * G.T).T != s[..., :, None] * s[..., None, :])
+    if D > len(rows):  # a row pair is dependent when its block has a True cell
+        bad = np.logical_or.reduceat(np.logical_or.reduceat(bad, starts, axis=-2), starts, axis=-1)
+    if len(rows) < m:  # a constant row has no indicator and no edge
+        dep = np.zeros((b, m, m), dtype=bool)
+        dep[:, rows[:, None], rows] = bad
+    else:
+        dep = bad.reshape(b, m, m)
+    dep.reshape(b, -1)[:, :: m + 1] = True
+    return dep
 
-    codes: m x n first-occurrence codes, row i with k[i] values; z: the
-    given row's first-occurrence codes.  The diagonal is True.
+
+def _dependence_graphs(codes: np.ndarray, given: np.ndarray):
+    """Yield the dependence graphs of the rows of codes given each row of `given`, a block at a time.
+
+    From `_indicator_dependence` while its products fit `_GRAM_CAP` cells, a block
+    of `_PAIR_CHUNK` cells (or one given row) at a time, else `_chunked_dependence`.
     """
-    starts = np.concatenate(([0], np.cumsum(k)[:-1]))
-    D = starts[-1] + k[-1]
-    # E[(i, a), j] = [codes[i, j] == a], the rows of each i in order of a
-    E = np.repeat(codes, k, axis=0) == (np.arange(D) - np.repeat(starts, k))[:, None]
-    bad = np.zeros((D, D), dtype=bool)
-    for v in range(int(z.max()) + 1):
-        Ev = E[:, z == v].astype(np.float64)
-        nv = Ev.shape[1]
-        if nv < 2:  # one column: every count product matches
-            continue
-        G = Ev @ Ev.T
-        s = G.diagonal()
-        bad |= G * nv != s[:, None] * s
-    reach = np.logical_or.reduceat(np.logical_or.reduceat(bad, starts, axis=0), starts, axis=1)
-    np.fill_diagonal(reach, True)
-    return reach
+    m, n = codes.shape
+    k = np.maximum.reduce(codes, axis=1)
+    D, q = int(np.add.reduce(k)), int(given.max())
+    cells = max(q, 1) * D * max(D, n)
+    if cells > _GRAM_CAP:
+        for z in given:
+            yield _chunked_dependence(codes, z)[None]
+        return
+    # E[d] = [codes[i] == a] for the d-th pair (i, a >= 1), by row and then by code
+    starts = k.cumsum() - k
+    owner = np.arange(m).repeat(k)
+    E = (codes[owner] == (np.arange(1, D + 1) - starts[owner])[:, None]).astype(np.float64)
+    P = E @ E.T
+    rows = k.nonzero()[0]
+    step = max(1, _PAIR_CHUNK // max(cells, 1))
+    for lo in range(0, len(given), step):
+        yield _indicator_dependence(E, rows, starts[rows], m, P, q, given[lo : lo + step])
 
 
-def _binary_dependence(B: np.ndarray, P: np.ndarray):
-    """Yield (rows, dep): dep[t] is the dependence graph given row rows[t] of B.
+def _component_labels(adj: np.ndarray) -> np.ndarray:
+    """label[t, i]: the smallest node of the component of i in the graph adj[t] (diagonal True)."""
+    while True:  # transitive closure by repeated squaring
+        nxt = (adj.astype(np.float64) @ adj) > 0
+        if (nxt == adj).all():
+            return adj.argmax(axis=2)
+        adj = nxt
 
-    B: an m x n float64 0/1 matrix; P = B @ B.T.  dep[t, i, j] is True when
-    rows i and j are dependent given row r = rows[t], the adjacency of
-    `_gram_dependence` for that given row (module docstring), with r itself
-    kept as an isolated row; the diagonal carries no meaning.  The triple
-    counts T[r, i, j] of the rows r of a block come from one product whose
-    input and output hold at most `_PAIR_CHUNK` cells, or those of one given
-    row when it alone has more.
+
+def _grouped(labels: list, items) -> list:
+    """The items grouped by their labels, as tuples in order of first item."""
+    groups = {}
+    for label, i in zip(labels, items):
+        groups.setdefault(label, []).append(i)
+    return [tuple(g) for g in groups.values()]
+
+
+def _special_row_candidates(S: Matrix, out: Optional[np.ndarray] = None):
+    """Yield (r, components) for the 0/1 rows r of S whose dependence graph given r splits.
+
+    The graph given r is that of `InfoFunction(S, given=r).components()`
+    without the rows out[r] (out: an m x m bool array, or None).  r is
+    yielded, in increasing order, with its components as `components()` gives
+    them, when they number two or more; a row not yielded has at most one atom
+    over the rows kept.  Row r has no edge in its own graph.
     """
-    m, n = B.shape
-    Pi = P.astype(np.int64)
-    n1 = Pi.diagonal()
-    step = max(1, _PAIR_CHUNK // (m * max(m, n)))
-    for lo in range(0, m, step):
-        rows = np.arange(lo, min(m, lo + step))
-        T = ((B[rows, None, :] * B).reshape(-1, n) @ B.T).astype(np.int64).reshape(len(rows), m, m)
-        p1, c1 = Pi[rows], n1[rows]  # given r = 1: pair counts with r, and n_1
-        p0, c0 = n1 - p1, n - c1  # given r = 0
-        dep = c1[:, None, None] * T != p1[:, :, None] * p1[:, None, :]
-        dep |= c0[:, None, None] * (Pi - T) != p0[:, :, None] * p0[:, None, :]
-        yield rows, dep
-
-
-def _special_row_candidates(codes: np.ndarray):
-    """Yield the rows r whose dependence graph given r splits, for a 0/1 code matrix.
-
-    codes: the `Matrix.codes` of a 0/1 matrix with distinct rows.  Row r is
-    yielded, in increasing order, when the rows other than r and the row
-    1 - r number two or more and are disconnected in the graph of
-    `InfoFunction(S, given=r).components()`.  The row 1 - r is isolated in
-    that graph (it is constant within both values of r), and every zero of f
-    is a union of components, so any row not yielded has at most one atom
-    besides the singleton of 1 - r.  One reachability from the first such
-    row, run for a block of given rows at once, decides connectivity; a
-    block is counted only when the rows before it have been consumed.
-    """
-    B = codes.astype(np.float64)
-    P = B @ B.T
-    n1 = P.diagonal()
-    # the first-occurrence codes of two distinct 0/1 rows agree exactly when
-    # one row is 1 - the other; each row also agrees with itself
-    twin = (P == n1[:, None]) & (P == n1)
-    for rows, dep in _binary_dependence(B, P):
-        alive = ~twin[rows]
-        reach = np.zeros_like(alive)
-        reach[np.arange(len(rows)), alive.argmax(axis=1)] = True
-        while True:
-            nxt = reach | ((dep & reach[:, :, None]).any(axis=1) & alive)
-            if (nxt == reach).all():
-                break
-            reach = nxt
-        split = (alive.sum(axis=1) >= 2) & (alive & ~reach).any(axis=1)
-        yield from rows[split].tolist()
+    codes, m = S.codes, S.m
+    rows = [r for r, row in enumerate(S.rows) if set(row) == {0, 1}]
+    if m < 3 or not rows:  # a graph of one row has one component
+        return
+    done = 0
+    for dep in _dependence_graphs(codes, codes[rows]):
+        block = rows[done : done + len(dep)]
+        done += len(dep)
+        drops = [[False] * m] * len(block)
+        if out is not None:
+            drops = out[block]
+            dep &= ~(drops[:, :, None] | drops[:, None, :])
+            drops = drops.tolist()
+        for r, labels, drop in zip(block, _component_labels(dep).tolist(), drops):
+            kept = [(low, i) for i, low in enumerate(labels) if i != r and not drop[i]]
+            # a row that labels itself is the smallest of its component
+            if sum(low == i for low, i in kept) >= 2:
+                yield r, _grouped([low for low, _ in kept], [i - (i > r) for _, i in kept])
 
 
 def _chunked_dependence(codes: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The adjacency of `_gram_dependence` in O(m*n + _PAIR_CHUNK) memory.
+    """The adjacency of `_indicator_dependence` in O(m*n + _PAIR_CHUNK) memory.
 
     The observed (x, y, z) triples of each row pair are counted by
     `group_columns`, a chunk of pairs at a time.  An unobserved pair of
@@ -434,34 +441,15 @@ class InfoFunction:
 
         Ground rows i and j are adjacent when some values x of row i, y of
         row j and z of the given row have n_z*mu(x,y,z) != mu(x,z)*mu(y,z),
-        tested in integers: by one Gram product per value of the given row
-        (module docstring) while E and G fit in `_GRAM_CAP` cells and n**2 <
-        `_FLOAT_EXACT`, else by the chunked pair grouping.  Both give the
-        same graph.  Every zero X of f is a union of components, since
+        tested in integers by one call of `_dependence_graphs` (module
+        docstring).  Every zero X of f is a union of components, since
         C_X ⊥ C_Xc | C_given forces C_i ⊥ C_j | C_given for i in X and j
         outside it.  Sorted by smallest row; [] on an empty ground set.
         """
-        m, n = self.m, self.n
-        if m == 0:
+        if self.m == 0:
             return []
-        k = np.array(self._radix, dtype=np.int64)
-        D = int(k.sum())
-        if D * max(D, n) <= _GRAM_CAP and n * n < _FLOAT_EXACT:
-            reach = _gram_dependence(self.codes, self.given_codes, k)
-        else:
-            reach = _chunked_dependence(self.codes, self.given_codes)
-        # transitive closure by repeated squaring
-        while True:
-            nxt = (reach.astype(np.float64) @ reach) > 0
-            if (nxt == reach).all():
-                break
-            reach = nxt
-        # row i now marks its component; its first True is the smallest row,
-        # which first appears as a label at that row itself
-        comps = {}
-        for i, low in enumerate(reach.argmax(axis=1).tolist()):
-            comps.setdefault(low, []).append(i)
-        return [tuple(c) for c in comps.values()]
+        reach = next(_dependence_graphs(self.codes, self.given_codes[None]))
+        return _grouped(_component_labels(reach)[0].tolist(), range(self.m))
 
     def atoms(self) -> list:
         """The finest partition of the ground rows into mutually independent blocks.
@@ -470,6 +458,11 @@ class InfoFunction:
         docstring), sorted by smallest row: X is a zero exactly when it is a
         union of atoms, so two or more atoms mean a factorization and atoms[0]
         is the block holding row 0.  [] on an empty ground set.
+        """
+        return self._merge(self.components())
+
+    def _merge(self, components: list) -> list:
+        """The atoms over the rows of `components`, merged from them in integers.
 
         The components arrive in order, and the atoms are kept for the rows Y
         seen so far, the union of the components that have arrived.  When a
@@ -485,7 +478,7 @@ class InfoFunction:
         At most q(q-1)/2 exact checks for q components.
         """
         atoms, seen = [], set()
-        for comp in self.components():
+        for comp in components:
             seen.update(comp)
             kept, merged = [], list(comp)
             for A in atoms:

@@ -22,14 +22,14 @@ J. Math. 1980); both parts of a 2-sum are minors of the matroid, and the
 levelness, and matroid minors", JCTB 2017), so when S is recognizable both
 sides of any split are, and a failed split means no split succeeds.  The
 search per recursion node therefore takes one split instead of backtracking
-over the unions of components: one batched screen counts the dependence
-graph given every row at once (`info._special_row_candidates`), and the
-atoms, with q(q-1)/2 exact checks for q dependence components, are built
-only for the rows whose graph splits, in order, up to the first that
-splits S.  Each node checks its answer exactly, so any returned answer is
-correct whatever the argument above: a leaf is re-expanded, and a sum node
-runs the builder's own sum step on its parts' matrices and compares the
-result with its input.  No subtree is expanded again, since the builder is
+over the unions of components: the 2-product recognizer's screen builds the
+dependence graph given every row at once (`info._special_row_candidates`),
+and the atoms, with q(q-1)/2 exact checks for q dependence components, are
+merged from its components only for the rows whose graph splits, in order,
+up to the first that splits S.  Each node checks its answer exactly, so any
+returned answer is correct whatever the argument above: a leaf is
+re-expanded, and a sum node runs the builder's own sum step on its parts'
+matrices and compares the result with its input.  No subtree is expanded again, since the builder is
 a fold of the same two steps and each part's matrix has already been matched
 to the part's exact slack.  Each part may be read as U(d,k) or U(d,d-k);
 both orientations are tried where a glue row is needed, and a part read as
@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -58,6 +58,14 @@ class CoherenceError(ValueError):
 
 class MatroidInputError(ValueError):
     """Input violates the recognizer preconditions (not merely unrecognized)."""
+
+
+class GuardExceeded(ValueError):
+    """Instance too large for exhaustive enumeration or for the slack builder."""
+
+
+#: most columns of a sum step in `expr_to_slack_with_bases`; each (1sum ... (u 2 1)) level doubles them
+_MAX_COLUMNS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +409,7 @@ def _one_sum_slack(e: OneSum, parts: list):
     for part, (Sp, pb) in zip(e.parts[1:], parts[1:]):
         pb = [frozenset(x + offset for x in b) for b in pb]
         acc = one_product(acc, Sp)
-        bases = [bases[j // Sp.n] | pb[j % Sp.n] for j in range(acc.n)]
+        bases = [a | b for a in bases for b in pb]
         offset += expr_size(part)
     return acc, bases
 
@@ -447,13 +455,23 @@ def expr_to_slack_with_bases(e: Expr):
     """Build the non-redundant slack matrix of B(expr) plus column -> base map.
 
     Leaves map to hypersimplex slacks; the sums fold `_one_sum_slack` and
-    `_two_sum_slack` over the tree.
+    `_two_sum_slack` over the tree.  A sum step with more than `_MAX_COLUMNS`
+    columns, one per base, raises GuardExceeded before it is built.
     """
     if isinstance(e, Leaf):
         return hypersimplex_slack_with_bases(e.d, e.k)
     if isinstance(e, OneSum):
-        return _one_sum_slack(e, [expr_to_slack_with_bases(p) for p in e.parts])
-    return _two_sum_slack(e, expr_to_slack_with_bases(e.left), expr_to_slack_with_bases(e.right))[:2]
+        parts = [expr_to_slack_with_bases(p) for p in e.parts]
+        n = prod(len(b) for _, b in parts)
+    else:
+        parts = [expr_to_slack_with_bases(e.left), expr_to_slack_with_bases(e.right)]
+        (_, bl), (_, br) = parts
+        # a base of the 2-sum holds the glue element on exactly one side
+        kl, kr = sum(e.glue_left in b for b in bl), sum(e.glue_right in b for b in br)
+        n = kl * (len(br) - kr) + (len(bl) - kl) * kr
+    if n > _MAX_COLUMNS:
+        raise GuardExceeded(f"a sum would have {n} columns, more than the bound of {_MAX_COLUMNS}")
+    return _one_sum_slack(e, parts) if isinstance(e, OneSum) else _two_sum_slack(e, *parts)[:2]
 
 
 def expr_to_slack(e: Expr) -> Matrix:
@@ -617,30 +635,27 @@ def _glue_options(expr: Expr, bases: list, pattern: tuple, side: str):
 def _two_product_split(S: Matrix):
     """The 2-product split that the recursion takes of a screened matrix, or None.
 
-    The special row r is the first row whose conditional atoms
-    (`InfoFunction(S, given=r).atoms()`) still number two or more once the
-    singleton atom of the row equal to 1 - r, if S has one, is set aside.
-    That row is constant within both values of r, so a split that leaves it
-    alone on one side only relabels S through a two-column factor and the
-    recursion would not shrink.  Atoms are unions of dependence components,
-    so only the rows whose conditional graph has two or more components
-    besides that row can qualify: one batched count
-    (`info._special_row_candidates`) finds them, and the atoms are built for
-    those rows alone, in order.  The S1 side is the union of the atoms
+    The special row r is the first row whose conditional atoms still number
+    two or more without the row equal to 1 - r, a singleton atom that alone
+    on one side would only relabel S through a two-column factor.  The atoms
+    are merged from the components of the special-row screen
+    (`info._special_row_candidates`).  The S1 side is the union of the atoms
     after the first; the first atom and the row 1 - r form the S2 side.
     Returns one (factor, glue pattern, column map) per side (`_split_side`);
     each factor is an exact non-redundant slack matrix when S is one.
     """
-    for r in _special_row_candidates(S.codes):
+    # in distinct 0/1 rows, 1 - r is the one other row with the codes of r
+    B = S.codes.astype(np.float64)
+    P = B @ B.T
+    twins = (P == P.diagonal()[:, None]) & (P == P.diagonal())
+    for r, comps in _special_row_candidates(S, twins):
         F = InfoFunction(S, given=r)
-        row = S.rows[r]
-        comp = tuple(1 - x for x in row)
-        atoms = [tuple(F.ground[i] for i in A) for A in F.atoms()]
-        atoms = [A for A in atoms if not (len(A) == 1 and S.rows[A[0]] == comp)]
+        atoms = F._merge(comps)
         if len(atoms) < 2:
             continue
-        X = tuple(sorted(i for A in atoms[1:] for i in A))
+        X = tuple(sorted(F.ground[i] for A in atoms[1:] for i in A))
         Xc = tuple(i for i in F.ground if i not in X)
+        row = S.rows[r]
         order = [j for j in range(S.n) if row[j] == 0] + [j for j in range(S.n) if row[j] == 1]
         return _split_side(S, X, r, order), _split_side(S, Xc, r, order)
     return None

@@ -12,12 +12,8 @@ from typing import Sequence, Tuple
 
 from .info import InfoFunction
 from .matrix import Matrix
-from .matroids import Matroid
+from .matroids import GuardExceeded, Matroid
 from .queyranne import SymmetricOracle
-
-
-class GuardExceeded(ValueError):
-    """Instance too large for exhaustive enumeration."""
 
 
 @dataclass

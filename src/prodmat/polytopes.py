@@ -1,10 +1,11 @@
-"""Slack matrices of explicit polytope descriptions and Cartesian decomposition.
+"""Slack matrices of explicit polytope descriptions.
 
 The slack matrix of a polytope given by vertices v_1..v_n and valid
 inequalities a_i . x <= b_i has entries b_i - a_i . v_j, all nonnegative.
 A slack matrix is a 1-product exactly when the polytope is affinely
-equivalent to a Cartesian product, and the irreducible blocks are slack
-matrices of the Cartesian factors.  Whether an arbitrary nonnegative matrix
+equivalent to a Cartesian product, and the irreducible blocks of
+`products.factorize_irreducible` are slack matrices of the Cartesian
+factors.  Whether an arbitrary nonnegative matrix
 is a slack matrix of *some* polytope is not decided here (that verification
 problem is open); callers assert it.
 """
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from .matrix import Matrix, MatrixFormatError, _parse_token
-from .products import Factorization, factorize_irreducible
 
 
 class SlackError(ValueError):
@@ -99,16 +99,6 @@ def slack_from_vh(V: VRep, H: HRep) -> Matrix:
             row.append(s)
         rows.append(tuple(row))
     return Matrix(rows)
-
-
-def cartesian_factorize(S: Matrix) -> Factorization:
-    """Irreducible 1-product factorization of a slack matrix.
-
-    The caller asserts S is a slack matrix; then each factor is the slack
-    matrix of one Cartesian factor of the polytope (up to affine
-    equivalence).
-    """
-    return factorize_irreducible(S)
 
 
 def two_level_rows(S: Matrix) -> List[Tuple[int, tuple]]:

@@ -18,8 +18,9 @@ A 2-product glues two matrices along 0/1 special rows; recognition guesses
 the special row r and reads the atoms of the conditional information
 I(C_X; C_Xc | C_r) over the remaining rows, which is zero exactly when both
 column blocks r = 0 and r = 1 are 1-products over one common bipartition.
-The matroid recognizer takes its one split per node from the same
-conditional atoms (`matroids._two_product_split`).
+The candidates and their conditional components come from one batched
+screen (`info._special_row_candidates`); the matroid recognizer takes its one
+split per node from the same screen (`matroids._two_product_split`).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .info import InfoFunction, group_columns
+from .info import InfoFunction, _special_row_candidates, group_columns
 from .matrix import Matrix
 
 
@@ -207,20 +208,17 @@ def recognize_two_product(S: Matrix) -> Optional[TwoProductCert]:
     For each candidate 0/1 row r the columns split into the r=0 and r=1
     blocks; both blocks must be 1-products with respect to one common row
     bipartition, read from the atoms of I(C_X; C_Xc | C_r) over the other
-    rows (atoms[0], the block holding the smallest of them).  Acceptance
-    requires the exact identity within both values of r.
+    rows (atoms[0], the block holding the smallest of them), merged from the
+    components of the special-row screen, which skips only rows whose graph
+    does not split.  Acceptance requires the exact identity within both
+    values of r.
     """
-    m = S.m
-    if m < 3:
-        return None
-    for r in range(m):
-        row = S.rows[r]
-        if set(row) != {0, 1}:
-            continue
+    for r, comps in _special_row_candidates(S):
         F = InfoFunction(S, given=r)
-        atoms = F.atoms()
+        atoms = F._merge(comps)
         if len(atoms) < 2:
             continue
+        row = S.rows[r]
         found = atoms[0]
         rest = F.ground
         X = tuple(rest[i] for i in found)
@@ -230,7 +228,7 @@ def recognize_two_product(S: Matrix) -> Optional[TwoProductCert]:
         S1, S2 = _glue(A1f, B1f), _glue(A2f, B2f)
         row_map = tuple(
             ("special", None) if i == r else ("S1", X.index(i)) if i in X else ("S2", Xc.index(i))
-            for i in range(m)
+            for i in range(S.m)
         )
         return TwoProductCert(r, X, S1, S1.m - 1, S2, S2.m - 1, row_map)
     return None

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -238,6 +239,21 @@ def test_gen_expr_input_error_message(tmp_path, capsys, text, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_gen_expr_over_the_column_bound_exits_2_within_a_second(tmp_path, capsys):
+    # each (1sum ... (u 2 1)) level doubles the columns, so 300 levels would
+    # never finish; the builder stops at the first sum over the bound
+    p = tmp_path / "e.txt"
+    p.write_text("(1sum " * 300 + "(u 2 1)" + " (u 2 1))" * 300)
+    t0 = time.perf_counter()
+    code = main(["gen", "expr", str(p)])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: a sum would have 131072 columns, more than the bound of 65536\n"
+    assert elapsed < 1.0
 
 
 def test_internal_error_has_its_own_exit_code(paper_file, capsys, monkeypatch):

@@ -14,13 +14,16 @@ from prodmat import (
     entropy,
     multiplicity_table,
     one_product,
+    recognize_two_product,
     seeded_shuffle,
+    two_product,
 )
 from prodmat import info
 from prodmat.info import group_columns, mutual_info_direct
+from prodmat.matroids import _two_product_split
 from prodmat.oracles import bf_one_product, bf_two_product
 
-from helpers import random_matrix
+from helpers import random_feasible_expr, random_matrix
 
 PAPER_4x6 = one_product(Matrix([[1, 0], [2, 3]]), Matrix([[1, 0, 0], [0, 1, 1]]))
 
@@ -308,23 +311,24 @@ def _component_inputs(rng):
 
 @pytest.fixture
 def dependence_paths(monkeypatch):
-    """Counts the calls of the Gram and of the chunked dependence graph."""
+    """Counts the calls of the reduced-indicator and of the chunked dependence graph."""
     calls = {"gram": 0, "chunked": 0}
-    for key in calls:
-        real = getattr(info, f"_{key}_dependence")
+    for key, name in (("gram", "_indicator_dependence"), ("chunked", "_chunked_dependence")):
+        real = getattr(info, name)
 
         def spy(*args, _real=real, _key=key):
             calls[_key] += 1
             return _real(*args)
 
-        monkeypatch.setattr(info, f"_{key}_dependence", spy)
+        monkeypatch.setattr(info, name, spy)
     return calls
 
 
 def _chunked_components(monkeypatch, S, given):
-    # with the cap at 0 no input fits the Gram matrix
+    # with the cap below 0 no input fits the Gram matrix, not even one whose
+    # rows are all constant and have no reduced indicator
     with monkeypatch.context() as mp:
-        mp.setattr(info, "_GRAM_CAP", 0)
+        mp.setattr(info, "_GRAM_CAP", -1)
         return InfoFunction(S, given=given).components()
 
 
@@ -358,13 +362,14 @@ def test_components_chunked_pairs(monkeypatch, dependence_paths):
 
 def test_components_near_distinct_rows_take_the_chunked_path(dependence_paths):
     # 36 rows of near-distinct values make D, the number of (row, value)
-    # pairs, about 36,000: the Gram matrix would hold over 10**9 cells
+    # pairs after each row's first value, about 36,000: the Gram matrix
+    # would hold over 10**9 cells
     rng = random.Random(22)
     n = 1000
     rows = [[rng.randrange(10**6) for _ in range(n)] for _ in range(36)]
     rows += [[7] * n, [j // 125 for j in range(n)], [3] * n, [j % 125 for j in range(n)]]
     S = Matrix(rows)
-    k = S.codes.max(axis=1) + 1
+    k = S.codes.max(axis=1)
     assert int(k.sum()) ** 2 > info._GRAM_CAP
     for given in (None, 0, 37):
         t0 = time.perf_counter()
@@ -692,22 +697,30 @@ def _conditional_components(S, r):
     return {c - {i for i in c if S.rows[i] == comp} for c in got} - {frozenset()}
 
 
+def _twins(S):
+    """out[r, i]: row i is 1 - row r, the row the matroid split leaves out."""
+    comp = [tuple(1 - x for x in row) for row in S.rows]
+    return np.array([[row == comp[r] for row in S.rows] for r in range(S.m)])
+
+
 def _check_binary_screen(S):
     """The batched graphs give each row's components, and the screen the rows
     with two or more; returns the numbers of blocks and of those rows."""
-    B = S.codes.astype(np.float64)
-    blocks = list(info._binary_dependence(B, B @ B.T))
-    dep = np.concatenate([d for _, d in blocks])
-    assert np.concatenate([rows for rows, _ in blocks]).tolist() == list(range(S.m))
+    blocks = list(info._dependence_graphs(S.codes, S.codes))
+    dep = np.concatenate(blocks)
+    assert len(dep) == S.m
+    twin = _twins(S)
     want_rows = []
     for r in range(S.m):
-        comp = tuple(1 - x for x in S.rows[r])
-        keep = [i for i in range(S.m) if i != r and S.rows[i] != comp]
+        keep = [i for i in range(S.m) if i != r and not twin[r, i]]
         want = _conditional_components(S, r)
         assert _graph_components(dep[r], keep) == want, (S, r)
         if len(want) >= 2:
             want_rows.append(r)
-    assert list(info._special_row_candidates(S.codes)) == want_rows
+    got = list(info._special_row_candidates(S, twin))
+    assert [r for r, _ in got] == want_rows
+    for r, comps in got:  # ground rows given r, as rows of S
+        assert {frozenset(i + (i >= r) for i in c) for c in comps} == _conditional_components(S, r)
     return len(blocks), len(want_rows)
 
 
@@ -736,3 +749,114 @@ def test_binary_screen_in_several_blocks():
         blocks, found = _check_binary_screen(S)
         assert 1 < blocks < S.m
         assert (found > 0) == splits
+
+
+def test_reduced_kernel_matches_reference(dependence_paths):
+    # given rows of 3 and 4 values, constant rows (no reduced indicator, or
+    # a given row with none) and Fraction entries: the graph of one kernel
+    # call has the components of the Counter reference
+    rng = random.Random(26)
+    inputs = []
+    for _ in range(60):
+        n = rng.randint(2, 12)
+        rows = [[rng.randint(0, rng.choice((0, 1, 2, 3))) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+        rows.append([rng.randrange(rng.choice((3, 4))) for _ in range(n)])
+        if len(inputs) % 2:
+            rows.insert(rng.randrange(len(rows) + 1), [rng.randint(0, 2)] * n)
+        inputs.append(Matrix(rows))
+    for _ in range(10):
+        n = rng.randint(2, 10)
+        inputs.append(Matrix([[Fraction(rng.randint(0, 2), rng.choice((1, 3))) for _ in range(n)] for _ in range(4)]))
+    runs = many = constant = 0
+    for S in inputs:
+        for given in [None] + list(range(S.m)):
+            F = InfoFunction(S, given=given)
+            assert F.components() == _components_by_counters(S, given)
+            runs += F.m > 0
+            many += given is not None and len(set(S.rows[given])) >= 3
+            constant += any(len(set(row)) == 1 for row in S.rows)
+    assert dependence_paths == {"gram": runs, "chunked": 0}
+    assert many > 150 and constant > 100, (many, constant)
+
+
+def _screen_inputs(rng):
+    """Matrices with entries 0..2 plus planted 0/1 rows (and 2-products of
+    such factors), with rows that are functions of a planted row: 1 - r, 2*r."""
+    inputs = []
+    while len(inputs) < 80:
+        n = rng.randint(3, 10)
+        rows = list(random_matrix(rng, rng.randint(1, 4), n, 0, 2).rows)
+        rows += [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(rng.randint(1, 2))]
+        if len(inputs) % 2:
+            S1 = Matrix(random_matrix(rng, rng.randint(1, 3), 3, 0, 2).rows + ((0, 1, 1),))
+            S2 = Matrix(random_matrix(rng, rng.randint(1, 3), 3, 0, 1).rows + ((1, 0, 1),))
+            rows = list(two_product(S1, S1.m - 1, S2, S2.m - 1).rows)
+        r = rows[-1]
+        rows += [tuple(1 - x for x in r), tuple(2 * x for x in r)][: rng.randint(0, 2)]
+        inputs.append(seeded_shuffle(Matrix(rows), rng.getrandbits(64))[0])
+    return inputs
+
+
+def _screen_reference(S, out):
+    """(r, components) of every 0/1 row r whose graph given r, without the
+    rows out[r], has two or more components, by the Counter reference on
+    the rows kept."""
+    got = []
+    for r, row in enumerate(S.rows):
+        if set(row) != {0, 1}:
+            continue
+        keep = [i for i in range(S.m) if i != r and (out is None or not out[r, i])]
+        comps = _components_by_counters(S.submatrix(keep + [r], range(S.n)), len(keep))
+        if len(comps) >= 2:
+            got.append((r, [tuple(keep[i] - (keep[i] > r) for i in c) for c in comps]))
+    return got
+
+
+def test_special_row_screen_on_any_matrix(monkeypatch):
+    # the given rows are the 0/1 rows; the screen yields exactly those whose
+    # graph, with the rows of out[r] left out, has two or more components,
+    # and those components.  Left out: none, the rows that are functions of
+    # r (isolated in its graph) and random rows (which may carry edges).
+    # The same with a one-cell budget per block and on the chunked path
+    rng = random.Random(27)
+    cases = []
+    for S in _screen_inputs(rng):
+        func = np.array([[len(set(zip(S.rows[r], row))) == len(set(S.rows[r])) for row in S.rows] for r in range(S.m)])
+        rand = np.array([[rng.random() < 0.3 for _ in range(S.m)] for _ in range(S.m)])
+        cases += [(S, None), (S, func), (S, rand)]
+    want = [_screen_reference(S, out) for S, out in cases]
+    assert sum(bool(w) for w in want) > 120 and sum(not w for w in want) > 60
+    assert sum(len(comps) >= 3 for w in want for _, comps in w) > 150
+    for patch in ({}, {"_PAIR_CHUNK": 1}, {"_GRAM_CAP": -1}):
+        with monkeypatch.context() as mp:
+            for name, value in patch.items():
+                mp.setattr(info, name, value)
+            assert [list(info._special_row_candidates(S, out)) for S, out in cases] == want, patch
+
+
+def test_recognizers_build_each_graph_once(monkeypatch):
+    # the 2-product recognizer and the matroid split take every candidate's
+    # components from the screen: each 0/1 row's graph is built once, in
+    # the screen's batched calls, and InfoFunction.components never runs
+    given = []
+    real = info._indicator_dependence
+
+    def spy(*args):
+        given.append(len(args[-1]))  # the given rows' indicators come last
+        return real(*args)
+
+    monkeypatch.setattr(info, "_indicator_dependence", spy)
+    monkeypatch.setattr(InfoFunction, "components", lambda self: pytest.fail("a graph was built again"))
+    rng = random.Random(28)
+    found = 0
+    for S in _screen_inputs(rng):
+        given.clear()
+        found += recognize_two_product(S) is not None
+        # a matrix of two rows cannot split: no graph at all
+        assert sum(given) == (S.m >= 3) * sum(set(row) == {0, 1} for row in S.rows)
+    for _ in range(10):
+        _, S, _ = random_feasible_expr(rng, max_leaves=4, dmax=5, max_cols=120, max_rows=24)
+        given.clear()
+        found += _two_product_split(seeded_shuffle(S, rng.getrandbits(64))[0]) is not None
+        assert sum(given) == (S.m >= 3) * S.m
+    assert found > 50

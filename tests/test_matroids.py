@@ -6,6 +6,7 @@ import pytest
 
 from prodmat import (
     CoherenceError,
+    GuardExceeded,
     InfoFunction,
     Leaf,
     Matrix,
@@ -278,6 +279,25 @@ def test_expr_to_slack_glue_out_of_range(gl, gr):
         with pytest.raises(ValueError, match="glue element out of range") as exc:
             build(e)
         assert exc.type is ValueError
+
+
+def test_builder_guard_counts_each_sum_steps_columns(monkeypatch):
+    # the builder counts a sum step's columns, one per base, before building
+    # it: an expression builds under a bound equal to its column count and
+    # raises GuardExceeded one below it; a part of a sum never has more
+    # columns than the sum
+    rng = random.Random(65)
+    sums = []
+    while len(sums) < 12:
+        e, S, _ = random_feasible_expr(rng, max_leaves=4, dmax=5, max_cols=300, max_rows=40)
+        if not isinstance(e, Leaf):
+            sums.append((e, S))
+    for e, S in sums:
+        monkeypatch.setattr(matroids, "_MAX_COLUMNS", S.n)
+        assert expr_to_slack(e) == S
+        monkeypatch.setattr(matroids, "_MAX_COLUMNS", S.n - 1)
+        with pytest.raises(GuardExceeded, match=f"would have {S.n} columns"):
+            expr_to_slack(e)
 
 
 def test_expr_to_slack_column_bases_consistent():

@@ -7,7 +7,7 @@ from prodmat import (
     Matrix,
     SlackError,
     VRep,
-    cartesian_factorize,
+    factorize_irreducible,
     is_isomorphic,
     normalize_nonredundant,
     one_product,
@@ -62,21 +62,21 @@ def test_dimension_mismatch():
 
 def test_cartesian_factorize_square():
     S = slack_from_vh(*square_vh())
-    fac = cartesian_factorize(S)
+    fac = factorize_irreducible(S)
     assert fac.t == 2
     for F in fac.factors:
         assert is_isomorphic(F, SEGMENT_SLACK) is not None
 
 
 def test_triangle_irreducible():
-    fac = cartesian_factorize(triangle_slack())
+    fac = factorize_irreducible(triangle_slack())
     assert fac.t == 1
 
 
 def test_triangle_times_segment():
     P = one_product(triangle_slack(), SEGMENT_SLACK)
     sh, _, _ = seeded_shuffle(P, 3)
-    fac = cartesian_factorize(sh)
+    fac = factorize_irreducible(sh)
     assert fac.t == 2
     assert sorted(len(b) for b in fac.blocks) == [2, 3]
 

@@ -7,18 +7,22 @@ The inputs are the ones perfbench does not reach:
     1-product of two random 30-row matrices with entries 0..4, one call
     without a given row;
   - shuffled slack matrices of chains of L U(4,2) leaves joined by 2-sums at
-    random elements, L = 5, 6, 7 (32x486, 38x1458, 44x4374), one call per row
-    as the given row, as the matroid recursion makes them.
+    random elements, L = 5 to 9 (32x486, 38x1458, 44x4374, 50x13122,
+    56x39366), one call per row as the given row, as the matroid recursion
+    makes them.
 
 Each line of output is a JSON object with the case, its shape, D (the
-number of (row, value) pairs), the number of calls, the median over the
-repeats of their total time in seconds, and a SHA-256 prefix of the
-components, so two checkouts can be compared on the same answers.  A chain's
-line also has a SHA-256 prefix of its candidate special rows, the rows r
-whose components given r number two or more besides the row 1 - r.  After
-it, a "-screen" line times `info._special_row_candidates`, which finds the
-same rows in one batched call over all rows, and prints its own prefix of
-them; a checkout without the screen prints no such line.
+number of reduced indicators: (row, value) pairs after each row's first
+value), the number of calls, how many graphs each dependence path built
+("gram" for `info._indicator_dependence`, "chunked" for
+`info._chunked_dependence`), the median over the repeats of their total
+time in seconds, and a SHA-256 prefix of the components, so two checkouts
+can be compared on the same answers.  A chain's line also has a SHA-256
+prefix of its candidate special rows, the rows r whose components given r
+number two or more besides the row 1 - r.  After it, a "-screen" line times
+`info._special_row_candidates`, which finds the same rows with their
+components in one batched call over all rows, leaving out the row 1 - r as
+the matroid recursion does, and prints its own prefix of them.
 
 Right after each case's line, an "-atoms" line times `InfoFunction.atoms()`
 (the components plus the exact checks of the atom merge) and prints a
@@ -47,6 +51,8 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -94,12 +100,35 @@ def split_rows(S: Matrix, answers: list) -> list:
     return out
 
 
+def path_counts(call):
+    """(answer of call(), graphs built by each dependence path during it)."""
+    counts = {"gram": 0, "chunked": 0}
+    names = {"gram": "_indicator_dependence", "chunked": "_chunked_dependence"}
+    real = {key: getattr(info, name) for key, name in names.items()}
+
+    def spy(key):
+        def counted(*args):
+            counts[key] += 1
+            return real[key](*args)
+        return counted
+
+    for key, name in names.items():
+        setattr(info, name, spy(key))
+    try:
+        return call(), counts
+    finally:
+        for key, name in names.items():
+            setattr(info, name, real[key])
+
+
 def time_case(name: str, S: Matrix, givens: list, repeats: int):
     """(output line, components per given row)."""
     S.codes  # built once per matrix, as in the recognizers, and not timed
-    median, answers = timed(lambda: [InfoFunction(S, given=g).components() for g in givens], repeats)
-    D = int((S.codes.max(axis=1) + 1).sum())
-    return {"case": name, "shape": [S.m, S.n], "D": D, "calls": len(givens),
+    call = lambda: [InfoFunction(S, given=g).components() for g in givens]  # noqa: E731
+    _, paths = path_counts(call)
+    median, answers = timed(call, repeats)
+    D = int(S.codes.max(axis=1).sum())
+    return {"case": name, "shape": [S.m, S.n], "D": D, "calls": len(givens), "paths": paths,
             "median_s": median, "components_sha256": sha(answers)}, answers
 
 
@@ -117,8 +146,7 @@ def main(argv=None) -> int:
     print(json.dumps(time_case("criterion-10", S, [None], args.repeats)[0]), flush=True)
     print(json.dumps(time_atoms("criterion-10", S, [None], args.repeats)), flush=True)
     rng = random.Random(9)
-    screen = getattr(info, "_special_row_candidates", None)
-    for leaves in (5, 6, 7):
+    for leaves in range(5, 10):
         S = u42_chain_slack(leaves, rng)
         name = f"u42-chain-L{leaves}"
         line, answers = time_case(name, S, list(range(S.m)), args.repeats)
@@ -126,10 +154,12 @@ def main(argv=None) -> int:
         line["candidates_sha256"] = sha(rows)
         print(json.dumps(line), flush=True)
         print(json.dumps(time_atoms(name, S, rows, args.repeats)), flush=True)
-        if screen is not None:
-            median, found = timed(lambda: list(screen(S.codes)), args.repeats)
-            print(json.dumps({"case": f"{name}-screen", "shape": [S.m, S.n], "calls": 1,
-                              "median_s": median, "candidates_sha256": sha(found)}), flush=True)
+        # the row 1 - r has the codes of r, and a slack matrix has distinct rows
+        _, key = np.unique(S.codes, axis=0, return_inverse=True)
+        twins = key.reshape(-1)[:, None] == key.reshape(-1)
+        median, found = timed(lambda: list(info._special_row_candidates(S, twins)), args.repeats)
+        print(json.dumps({"case": f"{name}-screen", "shape": [S.m, S.n], "calls": 1, "median_s": median,
+                          "candidates_sha256": sha([r for r, _ in found])}), flush=True)
     return 0
 
 
