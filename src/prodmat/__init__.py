@@ -45,8 +45,6 @@ from .polytopes import (
     HRep,
     SlackError,
     slack_from_vh,
-    two_level_rows,
-    normalize_nonredundant,
 )
 from .matroids import (
     Matroid,

@@ -21,15 +21,18 @@ column, whose (z, a, b) is one observed triple, and `InfoFunction.components`
 applies the same identity to every pair of single rows: every zero of f is a
 union of the components of that dependence graph.
 
-The exact check reads its counts per column.  One place-value product over
-the codes of X and Y, with the given row as the top digit, packs each column
-into int64 keys for (z, a), (z, b) and (z, a, b); np.bincount counts keys of
-a small span (`_key_counts`), np.unique wider ones, and `_column_keys` packs
-rows whose joint span reaches 2**63.  Unobserved triples need no check: if
-the identity holds on every observed one, both sides sum to n_z over the
-observed pairs of each z, and every term mu(a,z)*mu(b,z)/n_z of the right
-side is positive, so no pair (a, b) seen with z can be missing.  Every
-product is at most n**2 < 2**63, so int64 is exact.
+The exact check reads its counts per column (`InfoFunction._split_counts`).
+One place-value product over the codes of X and Y, with the given row as the
+top digit, packs each column into int64 keys for (z, a), (z, b) and
+(z, a, b); np.bincount counts keys of a small span (`_key_counts`), np.unique
+wider ones, and `_column_keys` packs rows whose joint span reaches 2**63.
+Unobserved triples need no check: if the identity holds on every observed
+one, both sides sum to n_z over the observed pairs of each z, and every term
+mu(a,z)*mu(b,z)/n_z of the right side is positive, so no pair (a, b) seen
+with z can be missing.  Every product is at most n**2 < 2**63, so int64 is
+exact.  The same per-column keys and counts build the factors of a 1-product
+or 2-product (`products._block_factors`), so each factorization rests on the
+identity checked on exactly the counts it is built from.
 
 The graph is read from reduced indicators: E holds one 0/1 row
 [codes[i] == a] per row i and code a >= 1, D = sum(k_i - 1) rows over the
@@ -403,15 +406,26 @@ class InfoFunction:
         """The identity of `is_independent_exact` between disjoint row tuples X and Y.
 
         Rows outside X and Y are ignored: this is C_X ⊥ C_Y | C_given.
-        Column j holds one observed triple (z, a, b); the identity is checked
-        at every column, with the counts of its keys for (z, a), (z, b) and
-        (z, a, b) (`_key_counts`).  The keys pack the codes of X + Y with one
-        place-value product while the span of (z, a, b) stays below 2**63,
-        and otherwise come from `_column_keys`.
+        True when `_split_counts` finds the identity at every column; cached.
         """
         got = self._exact_cache.get((X, Y))
-        if got is not None:
-            return got
+        if got is None:
+            got = bool(self._split_counts(X, Y)[4].all())
+            self._exact_cache[(X, Y)] = self._exact_cache[(Y, X)] = got
+        return got
+
+    def _split_counts(self, X: tuple, Y: tuple):
+        """Per column j, for disjoint row tuples X and Y: (ka, kb, a, b, ok).
+
+        Column j holds one observed triple (z, a, b).  ka[j] and kb[j] are
+        int keys of (z, a) and (z, b), equal exactly when the pairs are; a[j],
+        b[j] count the columns holding them, and ok[j] is the identity
+        n_z*mu(a,b,z) == mu(a,z)*mu(b,z) at j, with the count of (z, a, b)
+        (`_key_counts`).  The keys pack the codes of X + Y with one
+        place-value product while the span of (z, a, b) stays below 2**63,
+        and otherwise are (z, a) and (z, b) numbered densely over
+        `_column_keys`.
+        """
         z, radix, kz = self.given_codes, self._radix, self._kz
         place, span = [], 1  # place values of the rows X + Y, the last one 1
         for i in reversed(X + Y):
@@ -422,19 +436,17 @@ class InfoFunction:
         if kz * span < 1 << 63:
             key = np.array(place[::-1], dtype=np.int64) @ self.codes[list(X + Y)]
             kx = key // span_y
-            a = _key_counts(z * span_x + kx, kz * span_x)
-            b = _key_counts(z * span_y + key - kx * span_y, kz * span_y)
+            ka, kb = z * span_x + kx, z * span_y + key - kx * span_y
+            a, b = _key_counts(ka, kz * span_x), _key_counts(kb, kz * span_y)
             ab = _key_counts(z * span + key, kz * span)
         else:  # (z, a) and (z, b) numbered densely: (z, a, b) spans at most n**2
-            (ia, a), (ib, b) = (
+            (ka, a), (kb, b) = (
                 np.unique(_column_keys(np.vstack((z, self.codes[list(R)]))), return_inverse=True, return_counts=True)[1:]
                 for R in (X, Y)
             )
-            ab = _key_counts(ia * len(b) + ib, len(a) * len(b))
-            a, b = a[ia], b[ib]
-        ok = bool((self._n_z * ab == a * b).all())
-        self._exact_cache[(X, Y)] = self._exact_cache[(Y, X)] = ok
-        return ok
+            ab = _key_counts(ka * len(b) + kb, len(a) * len(b))
+            a, b = a[ka], b[kb]
+        return ka, kb, a, b, self._n_z * ab == a * b
 
     def components(self) -> list:
         """Connected components of the pairwise-dependence graph, as sorted tuples.

@@ -13,7 +13,6 @@ problem is open); callers assert it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
 
 from .matrix import Matrix, MatrixFormatError, _parse_token
 
@@ -99,61 +98,3 @@ def slack_from_vh(V: VRep, H: HRep) -> Matrix:
             row.append(s)
         rows.append(tuple(row))
     return Matrix(rows)
-
-
-def two_level_rows(S: Matrix) -> List[Tuple[int, tuple]]:
-    """Rows taking exactly the values {0, s} for some s > 0, scaled by 1/s to 0/1 ints.
-
-    Constant rows and rows without a zero are excluded.
-    """
-    out = []
-    for i, row in enumerate(S.rows):
-        vals = set(row)
-        if len(vals) != 2 or 0 not in vals:
-            continue
-        s = max(vals)
-        if s <= 0:
-            continue
-        out.append((i, tuple(int(x != 0) for x in row)))
-    return out
-
-
-def _normalize_once(S: Matrix):
-    changed = False
-    # rows: drop duplicates, all-zero rows and rows with no zero entry
-    seen = set()
-    rows = []
-    for row in S.rows:
-        if row in seen or all(x == 0 for x in row) or all(x != 0 for x in row):
-            changed = True
-            continue
-        seen.add(row)
-        rows.append(row)
-    if not rows:
-        raise ValueError("normalization removed every row")
-    S = Matrix(rows)
-    # columns: same rules
-    seen = set()
-    keep_c = []
-    for j in range(S.n):
-        col = S.col(j)
-        if col in seen or all(x == 0 for x in col) or all(x != 0 for x in col):
-            changed = True
-            continue
-        seen.add(col)
-        keep_c.append(j)
-    if not keep_c:
-        raise ValueError("normalization removed every column")
-    return S.restrict_cols(keep_c), changed
-
-
-def normalize_nonredundant(S: Matrix) -> Matrix:
-    """Remove duplicate rows/columns and rows/columns that are all-zero or zero-free.
-
-    Iterates the cleanup to a fixpoint.  Idempotent; raises ValueError if
-    nothing survives.
-    """
-    while True:
-        S, changed = _normalize_once(S)
-        if not changed:
-            return S

@@ -9,10 +9,11 @@ the exact pairwise-dependence graph with exact independence checks, so no
 float enters a verdict.  Two or more atoms make a 1-product, and atoms[0],
 the block holding the smallest row, is the canonical cut;
 `factorize_irreducible` peels every atom off one graph.
-`reconstruct_factors` proves its own output: the factors re-expand to S
-exactly when the joint pattern count table equals the outer product of the
-factors' column repetitions, which is also the exact independence identity.
-All pattern counts here go through `info.group_columns` over `Matrix.codes`.
+The factors come from the exact check's own counts: `InfoFunction._split_counts`
+gives each column the keys and counts of its two patterns and the verdict of
+the identity there, and `_block_factors` builds the factors from those same
+counts and returns them only when the identity holds at every column, which
+is also the statement that the factors re-expand to S.
 
 A 2-product glues two matrices along 0/1 special rows; recognition guesses
 the special row r and reads the atoms of the conditional information
@@ -32,7 +33,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .info import InfoFunction, _special_row_candidates, group_columns
+from .info import InfoFunction, _special_row_candidates
 from .matrix import Matrix
 
 
@@ -89,18 +90,50 @@ class Factorization:
         return len(self.blocks)
 
 
+def _first_columns(keys: np.ndarray) -> np.ndarray:
+    """The first column of each distinct key, ascending: the keys in order of first occurrence."""
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
+    return np.sort(order[new])
+
+
+def _block_factors(S: Matrix, X: tuple, Xc: tuple, counts, cols: np.ndarray) -> Tuple[Matrix, Matrix]:
+    """Integer factors (S1, S2) of the columns `cols` of S, which share one value of z.
+
+    counts is `InfoFunction._split_counts` between the rows X and Xc of S.
+    With mu_X and mu_Xc the pattern counts of the two sides over the n_z
+    columns, the rank-1 split mu_X(a_i) * mu_Xc(b_k) / n_z = u_i * v_k is made
+    integral by dividing the u side by g = gcd_i mu_X(a_i); S1 repeats the
+    first column of each X pattern u_i times and S2 the first column of each
+    Xc pattern v_k times, patterns in order of first occurrence.  The factors
+    are returned only if the identity holds at every column, there are at
+    most n_z pattern pairs and every v_k is an integer: then every pair is
+    observed and mu(a_i, b_k) = u_i * v_k, so the factors re-expand to the
+    columns exactly; otherwise ValueError.
+    """
+    ka, kb, a, b, ok = (c[cols] for c in counts)
+    n = len(cols)
+    first_a, first_b = _first_columns(ka), _first_columns(kb)
+    cnt_a, cnt_b = a[first_a], b[first_b]
+    g = math.gcd(*cnt_a.tolist())
+    u = cnt_a // g
+    v = cnt_b * g // n
+    if not ok.all() or len(first_a) * len(first_b) > n or (v * n != cnt_b * g).any():
+        raise ValueError("rows are not independent across the bipartition")
+    S1 = S.submatrix(X, np.repeat(cols[first_a], u).tolist())
+    S2 = S.submatrix(Xc, np.repeat(cols[first_b], v).tolist())
+    return S1, S2
+
+
 def reconstruct_factors(S: Matrix, X: Sequence[int]) -> Tuple[Matrix, Matrix]:
     """Integer factors (S1, S2) with one_product(S1, S2) column-equivalent to S.
 
-    The rows X go to S1 and the rest to S2, each in ascending order.  With
-    mu_X and mu_Xc the pattern counts of the two sides, the rank-1 split
-    mu_X(a_i) * mu_Xc(b_k) / n = u_i * v_k is made integral by dividing the
-    u side by g = gcd_i mu_X(a_i); S1 repeats the first column of each X
-    pattern u_i times and S2 the first column of each Xc pattern v_k times,
-    patterns in order of first occurrence.  The factors are returned only if
-    the joint count mu(a_i, b_k) equals u_i * v_k for every pair, which is
-    both the exact independence identity on (X, complement) and the
-    statement that the factors re-expand to S; otherwise ValueError.
+    The rows X go to S1 and the rest to S2, each in ascending order; the
+    factors are read from the exact check's counts on (X, complement)
+    (`_block_factors`), and ValueError means the rows are dependent.
     """
     X = tuple(sorted(set(X)))
     if X and (X[0] < 0 or X[-1] >= S.m):
@@ -109,36 +142,23 @@ def reconstruct_factors(S: Matrix, X: Sequence[int]) -> Tuple[Matrix, Matrix]:
     Xc = tuple(i for i in range(S.m) if i not in inX)
     if not X or not Xc:
         raise ValueError("X must be a nonempty proper row subset")
-    n = S.n
-    inv_a, cnt_a, first_a = group_columns(S.codes[list(X)])
-    inv_b, cnt_b, first_b = group_columns(S.codes[list(Xc)])
-    ka, kb = len(cnt_a), len(cnt_b)
-    g = math.gcd(*cnt_a.tolist())
-    u = cnt_a // g
-    v = cnt_b * g // n
-    if (
-        ka * kb > n
-        or (v * n != cnt_b * g).any()
-        or (np.bincount(inv_a * kb + inv_b, minlength=ka * kb) != np.outer(u, v).ravel()).any()
-    ):
-        raise ValueError("rows are not independent across the bipartition")
-    S1 = S.submatrix(X, np.repeat(first_a, u).tolist())
-    S2 = S.submatrix(Xc, np.repeat(first_b, v).tolist())
-    return S1, S2
+    return _block_factors(S, X, Xc, InfoFunction(S)._split_counts(X, Xc), np.arange(S.n))
 
 
 def recognize_one_product(S: Matrix) -> Optional[OneProductCert]:
     """Decide whether S is a 1-product up to permutation; return a certificate if so.
 
     The bipartition is (atoms[0], rest), with atoms[0] the irreducible block
-    holding row 0; the verdict itself is the exact multiplicity identity.
+    holding row 0; the verdict itself is the exact multiplicity identity,
+    checked again on the counts the factors are read from.
     """
-    atoms = InfoFunction(S).atoms()
+    F = InfoFunction(S)
+    atoms = F.atoms()
     if len(atoms) < 2:
         return None
     X = atoms[0]
-    S1, S2 = reconstruct_factors(S, X)
-    Xc = tuple(i for i in range(S.m) if i not in X)
+    Xc = F._complement(X)
+    S1, S2 = _block_factors(S, X, Xc, F._split_counts(X, Xc), np.arange(S.n))
     row_map = tuple(("S1", X.index(i)) if i in X else ("S2", Xc.index(i)) for i in range(S.m))
     return OneProductCert(X, S1, S2, row_map)
 
@@ -218,13 +238,14 @@ def recognize_two_product(S: Matrix) -> Optional[TwoProductCert]:
         atoms = F._merge(comps)
         if len(atoms) < 2:
             continue
-        row = S.rows[r]
         found = atoms[0]
-        rest = F.ground
-        X = tuple(rest[i] for i in found)
-        Xc = tuple(i for i in rest if i not in X)
-        A1f, A2f = reconstruct_factors(S.submatrix(rest, [j for j in range(S.n) if row[j] == 0]), found)
-        B1f, B2f = reconstruct_factors(S.submatrix(rest, [j for j in range(S.n) if row[j] == 1]), found)
+        counts = F._split_counts(found, F._complement(found))
+        X = tuple(F.ground[i] for i in found)
+        Xc = tuple(i for i in F.ground if i not in X)
+        # the r = 0 columns by value: code 0 is whichever value comes first
+        zero = F.given_codes == F.given_codes[S.rows[r].index(0)]
+        A1f, A2f = _block_factors(S, X, Xc, counts, np.flatnonzero(zero))
+        B1f, B2f = _block_factors(S, X, Xc, counts, np.flatnonzero(~zero))
         S1, S2 = _glue(A1f, B1f), _glue(A2f, B2f)
         row_map = tuple(
             ("special", None) if i == r else ("S1", X.index(i)) if i in X else ("S2", Xc.index(i))

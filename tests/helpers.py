@@ -4,10 +4,14 @@ All randomness is seeded `random.Random` so every run is reproducible.
 """
 
 import itertools
+import math
 import random
 from collections import Counter
 
+import numpy as np
+
 from prodmat import CoherenceError, Leaf, Matrix, OneSum, TwoSum
+from prodmat.info import group_columns
 from prodmat.matroids import expr_size, expr_to_slack_with_bases
 
 
@@ -96,3 +100,31 @@ def random_cut_oracle_edges(rng, nv, wmax=5, p=0.5):
             if rng.random() < p:
                 edges.append((u, w, rng.randint(1, wmax)))
     return edges
+
+
+def reconstruct_factors_reference(S, X):
+    """`reconstruct_factors` from its own pattern grouping and joint count table.
+
+    Groups the columns over X and over its complement with `group_columns`,
+    splits the counts as u_i = mu_X(a_i)/g and v_k = mu_Xc(b_k)*g/n with
+    g = gcd_i mu_X(a_i), and accepts only if the joint table of pattern pairs
+    equals the outer product of u and v; ValueError otherwise.
+    """
+    X = tuple(sorted(set(X)))
+    Xc = tuple(i for i in range(S.m) if i not in X)
+    if not X or not Xc:
+        raise ValueError("X must be a nonempty proper row subset")
+    n = S.n
+    inv_a, cnt_a, first_a = group_columns(S.codes[list(X)])
+    inv_b, cnt_b, first_b = group_columns(S.codes[list(Xc)])
+    ka, kb = len(cnt_a), len(cnt_b)
+    g = math.gcd(*cnt_a.tolist())
+    u = cnt_a // g
+    v = cnt_b * g // n
+    if (
+        ka * kb > n
+        or (v * n != cnt_b * g).any()
+        or (np.bincount(inv_a * kb + inv_b, minlength=ka * kb) != np.outer(u, v).ravel()).any()
+    ):
+        raise ValueError("rows are not independent across the bipartition")
+    return S.submatrix(X, np.repeat(first_a, u).tolist()), S.submatrix(Xc, np.repeat(first_b, v).tolist())

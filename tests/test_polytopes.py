@@ -7,14 +7,13 @@ from prodmat import (
     Matrix,
     SlackError,
     VRep,
+    dedupe_rows,
     factorize_irreducible,
     is_isomorphic,
-    normalize_nonredundant,
     one_product,
     recognize_one_product,
     seeded_shuffle,
     slack_from_vh,
-    two_level_rows,
 )
 from prodmat.polytopes import parse_hrep, parse_vrep
 
@@ -81,40 +80,10 @@ def test_triangle_times_segment():
     assert sorted(len(b) for b in fac.blocks) == [2, 3]
 
 
-def test_two_level_rows():
-    S = Matrix([[0, 3, 3, 0], [1, 2, 1, 2], [1, 1, 1, 1], [0, 0, 1, 1]])
-    got = two_level_rows(S)
-    assert (0, (Fraction(0), Fraction(1), Fraction(1), Fraction(0))) in got
-    assert all(i != 1 for i, _ in got)  # no zero value
-    assert all(i != 2 for i, _ in got)  # constant
-    assert (3, (Fraction(0), Fraction(0), Fraction(1), Fraction(1))) in got
-    zo = Matrix([[0, 1], [1, 0]])
-    assert [i for i, _ in two_level_rows(zo)] == [0, 1]
-
-
-def test_two_level_rows_exact_ints():
-    S = Matrix([[0, 3, 3, 0], [0, Fraction(1, 2), 0, Fraction(1, 2)]])
-    got = two_level_rows(S)
-    assert got == [(0, (0, 1, 1, 0)), (1, (0, 1, 0, 1))]
-    assert all(type(x) is int for _, row in got for x in row)
-
-
-def test_normalize_nonredundant():
-    S = Matrix([[1, 0], [1, 0], [0, 1]])
-    assert normalize_nonredundant(S) == Matrix([[1, 0], [0, 1]])
-    clean = Matrix([[1, 0], [0, 1]])
-    assert normalize_nonredundant(clean) == clean
-    # idempotent
-    N = normalize_nonredundant(Matrix([[1, 0, 1], [1, 0, 1], [0, 1, 1], [0, 0, 0]]))
-    assert normalize_nonredundant(N) == N
-    with pytest.raises(ValueError):
-        normalize_nonredundant(Matrix([[1, 1], [1, 1]]))
-
-
 def test_normalize_preserves_recognizer_verdicts():
     S = one_product(triangle_slack(), SEGMENT_SLACK)
     padded = Matrix(S.rows + (S.rows[0],))  # duplicate row
-    N = normalize_nonredundant(padded)
+    N = dedupe_rows(padded)[0]
     assert (recognize_one_product(N) is not None) == (recognize_one_product(S) is not None)
 
 

@@ -1,6 +1,9 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from prodmat import (
@@ -18,8 +21,9 @@ from prodmat import (
     two_product,
 )
 from prodmat.oracles import bf_one_product, bf_two_product
+from prodmat.products import _block_factors, _glue
 
-from helpers import random_matrix
+from helpers import random_matrix, reconstruct_factors_reference
 
 A_26 = Matrix([[1, 0], [2, 3]])
 B_23 = Matrix([[1, 0, 0], [0, 1, 1]])
@@ -115,6 +119,154 @@ def test_reconstruct_factors_agrees_with_exact_check():
                 )
                 accepted += 1
     assert accepted > 100
+
+
+def _factors_or_error(fn, S, X):
+    try:
+        return fn(S, X)
+    except ValueError:
+        return ValueError
+
+
+FRACTIONS = (0, Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2))
+
+
+def _fraction_matrix(rng, m, n):
+    return Matrix([[rng.choice(FRACTIONS) for _ in range(n)] for _ in range(m)])
+
+
+def _diagonal(A, B):
+    """A stacked on B, with every column repeated A.n times.  When the columns
+    of A and of B are distinct, each side has A.n patterns of A.n columns, so
+    the pattern counts pass every guard but the identity, which fails."""
+    return Matrix(A.rows + B.rows).restrict_cols(list(range(A.n)) * A.n)
+
+
+def _wide(rng, kind="product"):
+    """A shuffled 22x64 matrix whose rows take 8 values each, so that the
+    joint span of its rows is 8**22 >= 2**63 and the exact check packs wide
+    keys; and the rows X of its first 11-row half.  kind "product": a
+    1-product over X; "flip": one with an entry changed; "diagonal": A and B
+    stacked by `_diagonal`."""
+    A, B = (Matrix([rng.sample(range(8), 8) for _ in range(11)]) for _ in range(2))
+    rows = [list(row) for row in (_diagonal(A, B) if kind == "diagonal" else one_product(A, B)).rows]
+    if kind == "flip":
+        rows[rng.randrange(22)][rng.randrange(64)] = rng.randrange(8)
+    S, rp, _ = seeded_shuffle(Matrix(rows), rng.getrandbits(64))
+    assert math.prod(InfoFunction(S)._radix) >= 1 << 63
+    # rp[i]: the row of the unshuffled matrix that row i of S holds
+    return S, tuple(i for i in range(22) if rp[i] < 11)
+
+
+def test_factors_equal_the_reference():
+    # the factors read from the exact check's counts are the factors of the
+    # grouping-and-table reference, entry for entry and column for column
+    rng = random.Random(39)
+    inputs = [random_matrix(rng, rng.randint(2, 5), rng.randint(1, 10), 0, 2) for _ in range(40)]
+    inputs += _random_products(rng, 40)
+    inputs += [_fraction_matrix(rng, rng.randint(2, 5), rng.randint(1, 8)) for _ in range(20)]
+    for _ in range(20):
+        A = _with_repeated_columns(rng, _fraction_matrix(rng, rng.randint(1, 2), rng.randint(1, 3)))
+        B = _fraction_matrix(rng, rng.randint(1, 3), rng.randint(1, 3))
+        inputs.append(seeded_shuffle(one_product(A, B), rng.getrandbits(64))[0])
+    accepted = 0
+    for S in inputs:
+        for size in range(1, S.m):
+            for X in itertools.combinations(range(S.m), size):
+                want = _factors_or_error(reconstruct_factors_reference, S, X)
+                assert _factors_or_error(reconstruct_factors, S, X) == want
+                accepted += want is not ValueError
+    assert accepted > 200
+    for kind in ("product", "flip", "diagonal") * 2:
+        S, X = _wide(rng, kind)
+        splits = [X] + [tuple(rng.sample(range(22), rng.randint(1, 21))) for _ in range(5)]
+        for Y in splits:
+            want = _factors_or_error(reconstruct_factors_reference, S, Y)
+            assert _factors_or_error(reconstruct_factors, S, Y) == want
+            assert (want is ValueError) == (kind != "product" or Y is not X)
+
+
+def _two_product_inputs(rng, count, lo=0, hi=2):
+    out = []
+    while len(out) < count:
+        n1, n2 = rng.randint(2, 4), rng.randint(2, 4)
+        m1, m2 = rng.randint(2, 4), rng.randint(2, 4)
+        x1 = tuple(rng.randint(0, 1) for _ in range(n1))
+        y1 = tuple(rng.randint(0, 1) for _ in range(n2))
+        if len(set(x1)) < 2 or len(set(y1)) < 2:
+            continue
+        S1 = Matrix(random_matrix(rng, m1 - 1, n1, lo, hi).rows + (x1,))
+        S2 = Matrix(random_matrix(rng, m2 - 1, n2, lo, hi).rows + (y1,))
+        out.append(seeded_shuffle(two_product(S1, m1 - 1, S2, m2 - 1), rng.getrandbits(64))[0])
+    return out
+
+
+def test_two_product_factors_equal_the_reference():
+    # each side of a certificate glues the reference factors of the r = 0
+    # and the r = 1 block, also when the special row starts with a 1
+    rng = random.Random(40)
+    first_one = 0
+    for T in _two_product_inputs(rng, 40) + _two_product_inputs(rng, 20, -1, 3):
+        cert = recognize_two_product(T)
+        assert cert is not None
+        r = cert.special_row
+        row = T.rows[r]
+        rest = tuple(i for i in range(T.m) if i != r)
+        found = [rest.index(i) for i in cert.X]
+        A1, A2 = reconstruct_factors_reference(T.submatrix(rest, [j for j in range(T.n) if row[j] == 0]), found)
+        B1, B2 = reconstruct_factors_reference(T.submatrix(rest, [j for j in range(T.n) if row[j] == 1]), found)
+        assert cert.S1 == _glue(A1, B1) and cert.S2 == _glue(A2, B2)
+        first_one += row[0] == 1
+    assert first_one >= 10
+
+
+def test_block_factors_reject_every_dependent_split():
+    # in both key branches: the place-value keys and the wide keys
+    rng = random.Random(41)
+    inputs = [random_matrix(rng, rng.randint(2, 5), rng.randint(1, 10), 0, 2) for _ in range(30)]
+    for _ in range(20):
+        c = rng.randint(2, 3)
+        A = Matrix([tuple(range(c)), *random_matrix(rng, 1, c, 0, 2).rows[: rng.randint(0, 1)]])
+        B = Matrix([rng.sample(range(c), c), *random_matrix(rng, 1, c, 0, 2).rows[: rng.randint(0, 1)]])
+        inputs.append(seeded_shuffle(_diagonal(A, B), rng.getrandbits(64))[0])
+    wide = [_wide(rng, kind) for kind in ("flip", "diagonal") * 2]
+    rejected = 0
+    for S, half in [(S, None) for S in inputs] + wide:
+        F = InfoFunction(S)
+        splits = (
+            [X for size in range(1, S.m) for X in itertools.combinations(range(S.m), size)]
+            if half is None
+            else [half] + [tuple(sorted(rng.sample(range(S.m), rng.randint(1, S.m - 1)))) for _ in range(8)]
+        )
+        for X in splits:
+            Xc = F._complement(X)
+            if F._independent(X, Xc):
+                continue
+            with pytest.raises(ValueError):
+                _block_factors(S, X, Xc, F._split_counts(X, Xc), np.arange(S.n))
+            rejected += 1
+    assert rejected > 100
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_block_factors_reject_the_dependent_block_of_a_given_row(wide):
+    # given the last row r, the r = 0 block L is a 1-product over (X, Xc)
+    # and the r = 1 block R is not, though its counts pass the other guards
+    rng = random.Random(42)
+    k, c = (11, 8) if wide else (1, 3)
+    A, B = (Matrix([rng.sample(range(c), c) for _ in range(k)]) for _ in range(2))
+    L, R, X = one_product(A, B), _diagonal(A, B), tuple(range(k))
+    with pytest.raises(ValueError):
+        reconstruct_factors_reference(R, X)
+    S = _glue(L, R)
+    r = S.m - 1
+    Xc = tuple(range(k, r))
+    F = InfoFunction(S, given=r)
+    assert (F._kz * math.prod(F._radix) >= 1 << 63) == wide
+    counts = F._split_counts(X, Xc)
+    assert _block_factors(S, X, Xc, counts, np.arange(L.n)) == reconstruct_factors_reference(L, X)
+    with pytest.raises(ValueError):
+        _block_factors(S, X, Xc, counts, np.arange(L.n, S.n))
 
 
 def test_factorize_paper_product():
