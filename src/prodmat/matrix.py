@@ -246,7 +246,22 @@ def parse_matrix(text) -> Matrix:
 
 
 def write_matrix(S: Matrix) -> str:
-    """Inverse of parse_matrix: an `int` entry is written as "5", a `Fraction` as "-3/4"."""
+    """Inverse of parse_matrix: an `int` entry is written as "5", a `Fraction` as "-3/4".
+
+    A matrix whose entries are all ints in 0..9 is written from one uint8
+    buffer of digits, spaces and newlines: `bytes(row)` reads each row, and
+    raises on any negative, wider or `Fraction` entry, which sends the
+    matrix to the per-entry `str` join.  The text is the same either way.
+    """
+    try:
+        A = np.frombuffer(b"".join(map(bytes, S.rows)), dtype=np.uint8).reshape(S.m, S.n)
+    except (TypeError, ValueError):
+        A = None
+    if A is not None and A.max() <= 9:
+        text = np.full((S.m, 2 * S.n), ord(" "), dtype=np.uint8)
+        text[:, ::2] = A + ord("0")
+        text[:, -1] = ord("\n")
+        return f"{S.m} {S.n}\n" + text.tobytes().decode("ascii")
     out = [f"{S.m} {S.n}"]
     out.extend(" ".join(map(str, row)) for row in S.rows)
     return "\n".join(out) + "\n"

@@ -35,6 +35,18 @@ to the part's exact slack.  Each part may be read as U(d,k) or U(d,d-k);
 both orientations are tried where a glue row is needed, and a part read as
 its dual is the same matrix with complemented bases, because the dual 2-sum
 glues along the reversed coherent pair, which produces the same rows.
+
+The builder and the recognizer's checks share one implementation of each
+step, on arrays.  A node is a uint8 slack array plus a boolean column x
+element base incidence array B, B[j, e] saying whether element e lies in
+the base of column j.  A leaf U(d,k) enumerates its C(d,k) bases in
+ascending lexicographic order of their 0/1 vectors; a 1-sum repeats and
+tiles both arrays (mixed-radix columns, part 0 most significant); a 2-sum
+finds its coherent rows by one comparison with a column of B, takes the
+parts' columns through index arrays (cl, cr), appends the 0...0 1...1 row
+and drops dominated rows with one product (`_facet_rows`).  The recursion
+carries its column bases as incidence arrays and compares row sets as byte
+keys; bases become frozensets once, at the public entry points.
 """
 
 from __future__ import annotations
@@ -49,7 +61,7 @@ import numpy as np
 
 from .info import InfoFunction, _special_row_candidates, group_columns
 from .matrix import Matrix
-from .products import factorize_irreducible, one_product, two_product
+from .products import factorize_irreducible
 
 
 class CoherenceError(ValueError):
@@ -240,36 +252,15 @@ def expr_to_bases(e: Expr) -> Matroid:
 # ---------------------------------------------------------------------------
 
 
-def hypersimplex_slack_with_bases(d: int, k: int):
-    """Slack matrix of the base polytope of U_{d,k} plus the column -> base map.
+def hypersimplex_slack(d: int, k: int) -> Matrix:
+    """Slack matrix of the base polytope of U_{d,k} (`_uniform`'s layout).
 
-    For 2 <= k <= d-2 the matrix is 2d x C(d,k) with columns (v, 1-v) over
-    all weight-k indicator vectors v in ascending lexicographic order; rows
-    0..d-1 are the "x_e >= 0" rows, rows d..2d-1 the "x_e <= 1" rows.  For
-    k in {1, d-1} every column is a vertex of a simplex and the non-redundant
-    slack matrix is the d x d identity.
+    Raises GuardExceeded, before enumerating, when C(d,k) is over
+    `_MAX_COLUMNS`.
     """
     if d < 2 or not 1 <= k <= d - 1:
         raise ValueError(f"no hypersimplex slack for d={d}, k={k}")
-    if k == 1 or k == d - 1:
-        rows = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-        if k == 1:
-            bases = [frozenset({j}) for j in range(d)]
-        else:
-            bases = [frozenset(range(d)) - {j} for j in range(d)]
-        return Matrix(rows), bases
-    vectors = sorted(
-        tuple(1 if i in c else 0 for i in range(d))
-        for c in itertools.combinations(range(d), k)
-    )
-    rows = [tuple(v[e] for v in vectors) for e in range(d)]
-    rows += [tuple(1 - v[e] for v in vectors) for e in range(d)]
-    bases = [frozenset(i for i in range(d) if v[i] == 1) for v in vectors]
-    return Matrix(rows), bases
-
-
-def hypersimplex_slack(d: int, k: int) -> Matrix:
-    return hypersimplex_slack_with_bases(d, k)[0]
+    return expr_to_slack(Leaf(d, k))
 
 
 @dataclass(frozen=True)
@@ -363,13 +354,6 @@ def recognize_hypersimplex(S: Matrix) -> Optional[HypersimplexForm]:
 # ---------------------------------------------------------------------------
 
 
-def _find_row(S: Matrix, pattern: tuple) -> Optional[int]:
-    for i, row in enumerate(S.rows):
-        if row == pattern:
-            return i
-    return None
-
-
 def _nonneg_pattern(bases: Sequence[frozenset], e: int) -> tuple:
     return tuple(1 if e in b else 0 for b in bases)
 
@@ -378,104 +362,179 @@ def _upper_pattern(bases: Sequence[frozenset], e: int) -> tuple:
     return tuple(0 if e in b else 1 for b in bases)
 
 
-def _facet_rows(S: Matrix) -> Matrix:
-    """The 0/1 matrix S without every row whose zero set lies inside another
-    row's, strictly or as a later copy of it (S itself if none).
+def _array(S: Matrix) -> np.ndarray:
+    """The entries of a matrix with entries in 0..255 as an m x n uint8 array, from one byte buffer."""
+    return np.frombuffer(b"".join(map(bytes, S.rows)), dtype=np.uint8).reshape(S.m, S.n)
+
+
+def _matrix(A: np.ndarray) -> Matrix:
+    return Matrix._of(map(tuple, A.tolist()))
+
+
+def _row_keys(A: np.ndarray) -> list:
+    """Each row of a 2-D uint8 or boolean array as one bytes key."""
+    w = A.shape[1]
+    buf = np.ascontiguousarray(A).tobytes()
+    return [buf[i : i + w] for i in range(0, len(buf), w)]
+
+
+def _base_sets(B: np.ndarray) -> list:
+    """The rows of a base incidence array as frozensets of elements; every row
+    holds the same number of ones, as the bases of a matroid do."""
+    return list(map(frozenset, np.nonzero(B)[1].reshape(len(B), -1).tolist()))
+
+
+def _uniform(d: int, k: int):
+    """(uint8 slack, base incidence) of U(d,k), with no column bound.
+
+    For 2 <= k <= d-2 the slack is 2d x C(d,k) with columns (v, 1-v) over
+    all weight-k indicator vectors v in ascending lexicographic order (the
+    reverse of `itertools.combinations`' order); rows 0..d-1 are the
+    "x_e >= 0" rows, rows d..2d-1 the "x_e <= 1" rows.  For k in {1, d-1}
+    every column is a vertex of a simplex and the non-redundant slack is the
+    d x d identity, column j the base {j} or its complement.
+    """
+    if k == 1 or k == d - 1:
+        eye = np.eye(d, dtype=bool)
+        return eye.view(np.uint8), eye if k == 1 else ~eye
+    subsets = np.array(list(itertools.combinations(range(d), k))[::-1])
+    B = np.zeros((len(subsets), d), dtype=bool)
+    B[np.arange(len(subsets))[:, None], subsets] = True
+    return np.concatenate((B.T, ~B.T)).view(np.uint8), B
+
+
+def _facet_rows(A: np.ndarray) -> np.ndarray:
+    """The 0/1 array A without every row whose zero set lies inside another
+    row's, strictly or as a later copy of it (A itself if none).
 
     In a slack matrix such rows are the duplicate and valid-but-redundant
     inequalities; gluing and the complement row of a 2-product split side
     can produce them (the complement of a special row need not be
-    facet-defining, e.g. the upper-bound row of a simplex element).
+    facet-defining, e.g. the upper-bound row of a simplex element).  Row h's
+    ones lie inside row i's exactly when C = A (1 - A)^T has C[h, i] = 0:
+    a sum of nonnegative terms, which no rounding takes to 0 unless every
+    term is 0.
     """
-    ones = [int.from_bytes(bytes(row), "big") for row in S.rows]  # one byte per entry
-    keep = [
-        i
-        for i, a in enumerate(ones)
-        if not any(b & a == b and (b != a or h < i) for h, b in enumerate(ones) if h != i)
-    ]
-    if len(keep) == S.m:
-        return S
-    return Matrix._of(S.rows[i] for i in keep)
+    F = A.astype(np.float32)
+    inside = F @ (1 - F).T == 0  # inside[h, i]: row h's ones lie inside row i's
+    h = np.arange(len(A))
+    # drop i if some row h lies inside it, unless i lies inside h too and h >= i
+    drop = (inside > (inside.T & (h[:, None] >= h))).any(axis=0)
+    return A[~drop] if drop.any() else A
 
 
-def _one_sum_slack(e: OneSum, parts: list):
-    """The 1-sum step: (slack, column bases) of e from those of its parts.
+def _one_sum(parts: list):
+    """The 1-sum step: (slack, base incidence) of a 1-sum from its parts'.
 
     The slack is the 1-product of the parts' slacks, so a column's index is
-    the mixed-radix number of its part columns, part 0 the most significant.
+    the mixed-radix number of its part columns, part 0 the most significant;
+    a column's base is the union of its part columns' bases, each part's
+    elements after the previous parts'.
     """
-    acc, bases = parts[0]
-    offset = expr_size(e.parts[0])
-    for part, (Sp, pb) in zip(e.parts[1:], parts[1:]):
-        pb = [frozenset(x + offset for x in b) for b in pb]
-        acc = one_product(acc, Sp)
-        bases = [a | b for a in bases for b in pb]
-        offset += expr_size(part)
-    return acc, bases
+    A, B = parts[0]
+    for Ap, Bp in parts[1:]:
+        n, npart = len(B), len(Bp)
+        tiled = np.broadcast_to(Ap[:, None, :], (len(Ap), n, npart)).reshape(len(Ap), -1)
+        A = np.concatenate((np.repeat(A, npart, axis=1), tiled))
+        B = np.concatenate(
+            (np.repeat(B, npart, axis=0), np.broadcast_to(Bp, (n,) + Bp.shape).reshape(n * npart, -1)), axis=1
+        )
+    return A, B
 
 
-def _two_sum_slack(e: TwoSum, left: tuple, right: tuple):
-    """The 2-sum step: (slack, column bases) of e from those of its parts,
-    plus each column's (left column, right column) pair.
+def _pattern_rows(A: np.ndarray, pattern: np.ndarray) -> tuple:
+    """The first row of A equal to the 0/1 pattern and the first equal to its
+    complement, each None when there is none."""
+    eq = A == pattern
+    same, compl = eq.all(axis=1), ~eq.any(axis=1)
+    return tuple(int(m.argmax()) if m.any() else None for m in (same, compl))
+
+
+def _two_sum(e: TwoSum, left: tuple, right: tuple):
+    """The 2-sum step: (slack, base incidence) of e from its parts', plus
+    each column's left column `cl` and right column `cr`.
 
     The parts are glued along a coherent pair: the left part's "x_p >= 0" row
     and the right part's "y_p <= 1" row, both located by their pattern over
-    the part's columns.  Raises CoherenceError when a needed row does not
-    exist (e.g. a d >= 3 simplex leaf used on the "<= 1" side).
+    the part's columns, or else the reversed pair.  Raises CoherenceError
+    when neither pair exists (e.g. a d >= 3 simplex leaf used on the "<= 1"
+    side).  The columns are `two_product`'s: the pairs with x_p = 0, then
+    those with x_p = 1, left-major; its rows are the left rows, the right
+    rows and the 0...0 1...1 row, dominated rows dropped (`_facet_rows`).
     """
-    (SL, bl), (SR, br) = left, right
+    (AL, BL), (AR, BR) = left, right
     gl, gr = e.glue_left, e.glue_right
-    ml, mr = _two_sum_maps(e)  # first: it rejects a glue element out of range
-    xrow = _find_row(SL, _nonneg_pattern(bl, gl))
-    yrow = _find_row(SR, _upper_pattern(br, gr))
+    x_nonneg, x_upper = _pattern_rows(AL, BL[:, gl])
+    y_nonneg, y_upper = _pattern_rows(AR, BR[:, gr])
+    xrow, yrow = x_nonneg, y_upper
     if xrow is None or yrow is None:
         # reversed coherent pair (x <= 1 with y >= 0): the same columns and rows;
         # needed e.g. when a simplex leaf only carries rows of one kind
-        xrow = _find_row(SL, _upper_pattern(bl, gl))
-        yrow = _find_row(SR, _nonneg_pattern(br, gr))
+        xrow, yrow = x_upper, y_nonneg
         if xrow is None or yrow is None:
             raise CoherenceError(
                 f"no coherent row pair for glue elements "
                 f"{gl}/{gr} (identity leaf without the needed side)"
             )
-    P = two_product(SL, xrow, SR, yrow)
-    x1, y1 = SL.rows[xrow], SR.rows[yrow]
-    # two_product's column order: the x1 = 0 pairs, then the x1 = 1 pairs, left-major
-    pairs = [
-        (cl, cr) for a in (0, 1) for cl in range(SL.n) if x1[cl] == a for cr in range(SR.n) if y1[cr] == a
-    ]
-    bases = [
-        frozenset(ml[x] for x in bl[cl] if x != gl) | frozenset(mr[y] for y in br[cr] if y != gr)
-        for cl, cr in pairs
-    ]
-    return _facet_rows(P), bases, pairs
+    x1, y1 = AL[xrow], AR[yrow]
+    # the column pairs within x_p = 0, then within x_p = 1, each left-major
+    cl, cr = map(np.concatenate, zip(*(np.nonzero(np.logical_and.outer(x1 == a, y1 == a)) for a in (0, 1))))
+    L, R = AL[:, cl], AR[:, cr]
+    A = np.concatenate((L[:xrow], L[xrow + 1 :], R[:yrow], R[yrow + 1 :], L[xrow : xrow + 1]))
+    L, R = BL[cl], BR[cr]
+    B = np.concatenate((L[:, :gl], L[:, gl + 1 :], R[:, :gr], R[:, gr + 1 :]), axis=1)
+    return _facet_rows(A), B, cl, cr
+
+
+def _check_columns(n: int, what: str) -> None:
+    if n > _MAX_COLUMNS:
+        raise GuardExceeded(f"{what} would have {n} columns, more than the bound of {_MAX_COLUMNS}")
+
+
+def _build(e: Expr):
+    """(uint8 slack, base incidence) of e: `_uniform` at the leaves, folded
+    with `_one_sum` and `_two_sum`.
+
+    A leaf or sum step with more than `_MAX_COLUMNS` columns, one per base,
+    raises GuardExceeded before it is built; a step's count comes from the
+    C(d,k) of a leaf or from its parts' incidence arrays.
+    """
+    if isinstance(e, Leaf):
+        _check_columns(comb(e.d, e.k), f"U({e.d},{e.k})")
+        return _uniform(e.d, e.k)
+    if isinstance(e, OneSum):
+        parts = [_build(p) for p in e.parts]
+        _check_columns(prod(len(B) for _, B in parts), "a sum")
+        return _one_sum(parts)
+    left, right = _build(e.left), _build(e.right)
+    _two_sum_maps(e)  # first: it rejects a glue element out of range
+    (_, BL), (_, BR) = left, right
+    # a base of the 2-sum holds the glue element on exactly one side
+    kl, kr = int(BL[:, e.glue_left].sum()), int(BR[:, e.glue_right].sum())
+    _check_columns(kl * (len(BR) - kr) + (len(BL) - kl) * kr, "a sum")
+    return _two_sum(e, left, right)[:2]
 
 
 def expr_to_slack_with_bases(e: Expr):
     """Build the non-redundant slack matrix of B(expr) plus column -> base map.
 
-    Leaves map to hypersimplex slacks; the sums fold `_one_sum_slack` and
-    `_two_sum_slack` over the tree.  A sum step with more than `_MAX_COLUMNS`
-    columns, one per base, raises GuardExceeded before it is built.
+    The fold (`_build`) runs on arrays: each node is a uint8 slack array and
+    a boolean column x element base incidence array B, where B[j, e] says
+    whether element e lies in the base of column j.  Leaves are hypersimplex
+    slacks (`_uniform`); a 1-sum repeats and tiles its parts' arrays; a
+    2-sum finds its coherent rows by one comparison with a column of B,
+    takes the parts' columns by index arrays, and drops dominated rows with
+    one product (`_facet_rows`).  The result is converted once, to a Matrix
+    and one frozenset per column.  A leaf or sum step with more than
+    `_MAX_COLUMNS` columns raises GuardExceeded before it is built.
     """
-    if isinstance(e, Leaf):
-        return hypersimplex_slack_with_bases(e.d, e.k)
-    if isinstance(e, OneSum):
-        parts = [expr_to_slack_with_bases(p) for p in e.parts]
-        n = prod(len(b) for _, b in parts)
-    else:
-        parts = [expr_to_slack_with_bases(e.left), expr_to_slack_with_bases(e.right)]
-        (_, bl), (_, br) = parts
-        # a base of the 2-sum holds the glue element on exactly one side
-        kl, kr = sum(e.glue_left in b for b in bl), sum(e.glue_right in b for b in br)
-        n = kl * (len(br) - kr) + (len(bl) - kl) * kr
-    if n > _MAX_COLUMNS:
-        raise GuardExceeded(f"a sum would have {n} columns, more than the bound of {_MAX_COLUMNS}")
-    return _one_sum_slack(e, parts) if isinstance(e, OneSum) else _two_sum_slack(e, *parts)[:2]
+    A, B = _build(e)
+    return _matrix(A), _base_sets(B)
 
 
 def expr_to_slack(e: Expr) -> Matrix:
-    return expr_to_slack_with_bases(e)[0]
+    """The slack matrix of `expr_to_slack_with_bases`, without the column bases."""
+    return _matrix(_build(e)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -591,44 +650,58 @@ def _screen(S: Matrix) -> Optional[str]:
     return None
 
 
-def _matches(S: Matrix, R: Matrix, cols: list) -> bool:
-    """S is R with R's column cols[j] as its column j and its rows in any
-    order; `cols` must be a permutation of R's columns."""
+def _matches(S: Matrix, R: np.ndarray, cols: np.ndarray) -> bool:
+    """S is the 0/1 array R with R's column cols[j] as its column j and its
+    rows in any order; `cols`, column indices of R, must be a permutation of
+    them.  The row sets are compared as byte keys."""
     n = S.n
-    if len(cols) != n or R.n != n or len(set(cols)) != n:
+    if len(cols) != n or R.shape[1] != n or np.bincount(cols, minlength=n).max() != 1:
         return False
-    return {tuple([row[c] for c in cols]) for row in R.rows} == set(S.rows)
+    return set(_row_keys(R[:, cols])) == set(map(bytes, S.rows))
 
 
-def _verify_candidate(S: Matrix, expr: Expr, col_bases: list) -> bool:
-    """Re-expand the expression and compare with S through the base matching:
-    S must be exactly the expression's non-redundant slack matrix."""
+def _reexpands(S: Matrix, expr: Expr, B: np.ndarray) -> bool:
+    """S is exactly expr's non-redundant slack matrix, its column j being the
+    slack's column with base B[j] (a row of a base incidence array).
+
+    A leaf is built without the column bound: S already has its columns."""
     try:
-        R, rbases = expr_to_slack_with_bases(expr)
+        R, RB = _uniform(expr.d, expr.k) if isinstance(expr, Leaf) else _build(expr)
     except ValueError:
         return False
-    pos = {b: c for c, b in enumerate(rbases)}
-    cols = [pos.get(b) for b in col_bases]
-    return None not in cols and _matches(S, R, cols)
+    pos = dict(zip(_row_keys(RB), range(len(RB))))
+    cols = [pos.get(key) for key in _row_keys(B)]
+    return None not in cols and _matches(S, R, np.array(cols))
 
 
-def _glue_options(expr: Expr, bases: list, pattern: tuple, side: str):
+def _verify_candidate(S: Matrix, expr: Expr, col_bases: Sequence[frozenset]) -> bool:
+    """Re-expand the expression and compare with S through the base matching:
+    S must be exactly the expression's non-redundant slack matrix, its column
+    j having the base col_bases[j]."""
+    ground = range(expr_size(expr))
+    B = np.zeros((len(col_bases), len(ground)), dtype=bool)
+    for j, b in enumerate(col_bases):
+        if not all(x in ground for x in b):
+            return False
+        B[j, list(b)] = True
+    return _reexpands(S, expr, B)
+
+
+def _glue_options(expr: Expr, B: np.ndarray, pattern: tuple, side: str):
     """Ways to read `pattern` as a coherent glue row of the child, in order.
 
-    Yields (expr', bases', element): either the child as returned or its
-    dual, whichever makes the pattern an "x_e >= 0" row (side "nonneg") or an
-    "x_e <= 1" row (side "upper")."""
-    size = expr_size(expr)
-    full = frozenset(range(size))
+    Yields (expr', B', element): either the child as returned or its dual,
+    whichever makes the pattern an "x_e >= 0" row (side "nonneg") or an
+    "x_e <= 1" row (side "upper"); B is the child's base incidence array."""
+    eq = B == np.array(pattern, dtype=bool)[:, None]
+    direct, compl = eq.all(axis=0), ~eq.any(axis=0)
+    as_is, as_dual = (direct, compl) if side == "nonneg" else (compl, direct)
     out = []
-    for e in range(size):
-        direct = _nonneg_pattern(bases, e)
-        compl = _upper_pattern(bases, e)
-        want_asis, want_dual = (direct, compl) if side == "nonneg" else (compl, direct)
-        if pattern == want_asis:
-            out.append((expr, bases, e))
-        if pattern == want_dual:
-            out.append((dual_expr(expr), [full - b for b in bases], e))
+    for e in np.flatnonzero(as_is | as_dual).tolist():
+        if as_is[e]:
+            out.append((expr, B, e))
+        if as_dual[e]:
+            out.append((dual_expr(expr), ~B, e))
     return out
 
 
@@ -673,13 +746,16 @@ def _split_side(S: Matrix, rows: tuple, r: int, order: list):
     so the glue is returned as its pattern over the factor's columns.  The
     column map sends each column of S to its factor column.
     """
-    inv, _, first = group_columns(S.codes[np.ix_(rows + (r,), order)])
-    F = S.submatrix(rows + (r,), [order[f] for f in first.tolist()])
-    glue = F.rows[-1]
-    out = _facet_rows(Matrix._of(F.rows + (tuple(1 - x for x in glue),)))
+    rows = rows + (r, r)  # the second copy of r becomes its complement
+    codes = S.codes[np.ix_(rows, order)]
+    inv, _, first = group_columns(codes)
+    # a 0/1 row's code is 0 exactly where its entry equals its first entry
+    flip = [S.rows[i][0] for i in rows]
+    flip[-1] = 1 - flip[-1]
+    F = codes[:, first] ^ np.array(flip)[:, None]
     colmap = np.empty(S.n, dtype=np.int64)
     colmap[order] = inv
-    return out, glue, colmap.tolist()
+    return _matrix(_facet_rows(F)), tuple(F[-2].tolist()), colmap.tolist()
 
 
 def _recognize_part(S: Matrix):
@@ -688,14 +764,15 @@ def _recognize_part(S: Matrix):
 
 
 def _recognize_rec(S: Matrix):
-    """(expr, col_bases) such that S is expr's exact slack up to row order,
-    column j having base col_bases[j]; or None.  S has passed `_screen`."""
+    """(expr, B) such that S is expr's exact slack up to row order, column j
+    having the base B[j] (a boolean column x element incidence array); or
+    None.  S has passed `_screen`.  Every check runs the builder's own
+    array steps on the matrices at hand."""
     form = recognize_hypersimplex(S)
     if form is not None:
-        cand = (Leaf(form.d, form.k), hypersimplex_col_bases(S, form))
-        if _verify_candidate(S, cand[0], cand[1]):
-            return cand
-        return None
+        leaf = Leaf(form.d, form.k)
+        B = _array(S)[[v for v, _ in form.elem_rows]].T.astype(bool)
+        return (leaf, B) if _reexpands(S, leaf, B) else None
 
     fact = factorize_irreducible(S)
     if fact.t >= 2:
@@ -705,19 +782,16 @@ def _recognize_rec(S: Matrix):
             sub = _recognize_part(factor)
             if sub is None:
                 return None
-            kids.append(sub)
+            kids.append((sub[0], _array(factor), sub[1]))
             # the factor's columns are the block's patterns in first-occurrence order
             cols = cols * factor.n + group_columns(S.codes[list(block)])[0]
         expr = OneSum(tuple(k[0] for k in kids))
-        R, rbases = _one_sum_slack(expr, [(F, k[1]) for F, k in zip(fact.factors, kids)])
-        cols = cols.tolist()
+        R, RB = _one_sum([k[1:] for k in kids])
         # Cannot fail once reached: reconstruct_factors has proved the count
         # identity, so S's distinct columns are exactly the 1-product's and
         # cols is a permutation.  It stays as the guard that cols follows
-        # _one_sum_slack's mixed-radix column order, part 0 most significant.
-        if _matches(S, R, cols):
-            return expr, [rbases[c] for c in cols]
-        return None
+        # _one_sum's mixed-radix column order, part 0 most significant.
+        return (expr, RB[cols]) if _matches(S, R, cols) else None
 
     split = _two_product_split(S)
     if split is None:
@@ -729,18 +803,21 @@ def _recognize_rec(S: Matrix):
     right = _recognize_part(S2p)
     if right is None:
         return None
+    A1, A2 = _array(S1p), _array(S2p)
+    pair = np.array(colmap1) * S2p.n + colmap2  # each column's (left, right) pair
     # a part read as its dual is the same matrix with complemented bases
-    for exprL, basesL, gl in _glue_options(left[0], left[1], glue1, "nonneg"):
-        for exprR, basesR, gr in _glue_options(right[0], right[1], glue2, "upper"):
+    for exprL, BL, gl in _glue_options(left[0], left[1], glue1, "nonneg"):
+        for exprR, BR, gr in _glue_options(right[0], right[1], glue2, "upper"):
             expr = TwoSum(exprL, exprR, gl, gr)
             try:
-                R, rbases, pairs = _two_sum_slack(expr, (S1p, basesL), (S2p, basesR))
+                R, RB, cl, cr = _two_sum(expr, (A1, BL), (A2, BR))
             except CoherenceError:
                 continue
-            index = {pair: c for c, pair in enumerate(pairs)}
-            cols = [index.get(pair) for pair in zip(colmap1, colmap2)]
-            if None not in cols and _matches(S, R, cols):
-                return expr, [rbases[c] for c in cols]
+            index = np.full(S1p.n * S2p.n, -1)
+            index[cl * S2p.n + cr] = np.arange(len(cl))
+            cols = index[pair]
+            if (cols >= 0).all() and _matches(S, R, cols):
+                return expr, RB[cols]
     return None
 
 
@@ -750,7 +827,8 @@ def recognize_2level_matroid_slack(S: Matrix) -> Optional[MatroidRecognition]:
 
     Precondition violations (non-0/1 entries, constant rows, duplicate rows
     or columns) raise MatroidInputError; an unrecognized but well-formed
-    input returns None.
+    input returns None.  The recursion carries column bases as incidence
+    arrays; they become frozensets here, once.
     """
     reason = _screen(S)
     if reason is not None:
@@ -758,5 +836,5 @@ def recognize_2level_matroid_slack(S: Matrix) -> Optional[MatroidRecognition]:
     res = _recognize_rec(S)
     if res is None:
         return None
-    expr, col_bases = res
-    return MatroidRecognition(expr, tuple(col_bases), expr_size(expr))
+    expr, B = res
+    return MatroidRecognition(expr, tuple(_base_sets(B)), expr_size(expr))

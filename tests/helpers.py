@@ -10,9 +10,9 @@ from collections import Counter
 
 import numpy as np
 
-from prodmat import CoherenceError, Leaf, Matrix, OneSum, TwoSum
+from prodmat import CoherenceError, Leaf, Matrix, OneSum, TwoSum, one_product, two_product
 from prodmat.info import group_columns
-from prodmat.matroids import expr_size, expr_to_slack_with_bases
+from prodmat.matroids import _two_sum_maps, expr_size, expr_to_slack_with_bases
 
 
 def random_matrix(rng, m, n, lo=0, hi=3):
@@ -128,3 +128,92 @@ def reconstruct_factors_reference(S, X):
     ):
         raise ValueError("rows are not independent across the bipartition")
     return S.submatrix(X, np.repeat(first_a, u).tolist()), S.submatrix(Xc, np.repeat(first_b, v).tolist())
+
+
+# ---------------------------------------------------------------------------
+# Reference slack builder: the tuple fold the array builder replaced.  Each
+# step works on Matrix rows and frozenset column bases, entry by entry.
+# ---------------------------------------------------------------------------
+
+
+def hypersimplex_slack_reference(d, k):
+    """(slack, column bases) of U(d,k): the identity for k in {1, d-1}, else
+    the columns (v, 1-v) over the weight-k vectors v in ascending order."""
+    if k == 1 or k == d - 1:
+        rows = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
+        if k == 1:
+            bases = [frozenset({j}) for j in range(d)]
+        else:
+            bases = [frozenset(range(d)) - {j} for j in range(d)]
+        return Matrix(rows), bases
+    vectors = sorted(
+        tuple(1 if i in c else 0 for i in range(d)) for c in itertools.combinations(range(d), k)
+    )
+    rows = [tuple(v[e] for v in vectors) for e in range(d)]
+    rows += [tuple(1 - v[e] for v in vectors) for e in range(d)]
+    bases = [frozenset(i for i in range(d) if v[i] == 1) for v in vectors]
+    return Matrix(rows), bases
+
+
+def facet_rows_reference(S):
+    """S without every row whose zero set lies inside another row's, strictly
+    or as a later copy of it, from one bit mask per row."""
+    ones = [int.from_bytes(bytes(row), "big") for row in S.rows]
+    keep = [
+        i
+        for i, a in enumerate(ones)
+        if not any(b & a == b and (b != a or h < i) for h, b in enumerate(ones) if h != i)
+    ]
+    return Matrix([S.rows[i] for i in keep])
+
+
+def _find_row(S, pattern):
+    return next((i for i, row in enumerate(S.rows) if row == pattern), None)
+
+
+def one_sum_slack_reference(e, parts):
+    """The 1-sum step: the 1-product of the parts' slacks, bases unioned in
+    mixed-radix column order, part 0 the most significant."""
+    acc, bases = parts[0]
+    offset = expr_size(e.parts[0])
+    for part, (Sp, pb) in zip(e.parts[1:], parts[1:]):
+        pb = [frozenset(x + offset for x in b) for b in pb]
+        acc = one_product(acc, Sp)
+        bases = [a | b for a in bases for b in pb]
+        offset += expr_size(part)
+    return acc, bases
+
+
+def two_sum_slack_reference(e, left, right):
+    """The 2-sum step: (slack, column bases, (left column, right column) per
+    column), glued along the first coherent row pair, the reversed pair if
+    there is none; CoherenceError if neither exists."""
+    (SL, bl), (SR, br) = left, right
+    gl, gr = e.glue_left, e.glue_right
+    ml, mr = _two_sum_maps(e)
+    nonneg = lambda bases, x: tuple(1 if x in b else 0 for b in bases)  # noqa: E731
+    upper = lambda bases, x: tuple(0 if x in b else 1 for b in bases)  # noqa: E731
+    xrow, yrow = _find_row(SL, nonneg(bl, gl)), _find_row(SR, upper(br, gr))
+    if xrow is None or yrow is None:
+        xrow, yrow = _find_row(SL, upper(bl, gl)), _find_row(SR, nonneg(br, gr))
+        if xrow is None or yrow is None:
+            raise CoherenceError("no coherent row pair")
+    P = two_product(SL, xrow, SR, yrow)
+    x1, y1 = SL.rows[xrow], SR.rows[yrow]
+    pairs = [
+        (cl, cr) for a in (0, 1) for cl in range(SL.n) if x1[cl] == a for cr in range(SR.n) if y1[cr] == a
+    ]
+    bases = [
+        frozenset(ml[x] for x in bl[cl] if x != gl) | frozenset(mr[y] for y in br[cr] if y != gr)
+        for cl, cr in pairs
+    ]
+    return facet_rows_reference(P), bases, pairs
+
+
+def expr_to_slack_reference(e):
+    """(slack, column bases) of e: the fold of the three reference steps."""
+    if isinstance(e, Leaf):
+        return hypersimplex_slack_reference(e.d, e.k)
+    if isinstance(e, OneSum):
+        return one_sum_slack_reference(e, [expr_to_slack_reference(p) for p in e.parts])
+    return two_sum_slack_reference(e, expr_to_slack_reference(e.left), expr_to_slack_reference(e.right))[:2]

@@ -256,6 +256,25 @@ def test_gen_expr_over_the_column_bound_exits_2_within_a_second(tmp_path, capsys
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("argv", [["hypersimplex", "40", "20"], ["expr", "(u 40 20)"]])
+def test_gen_of_a_huge_leaf_exits_2_before_enumerating(tmp_path, capsys, argv):
+    # U(40,20) has C(40,20) = 1.4e11 bases; the leaf is counted with
+    # math.comb and refused before any of them is enumerated
+    if argv[0] == "expr":
+        p = tmp_path / "e.txt"
+        p.write_text(argv[1] + "\n")
+        argv = ["expr", str(p)]
+    t0 = time.perf_counter()
+    code = main(["gen"] + argv)
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: U(40,20) would have 137846528820 columns, more than the bound of 65536\n"
+    assert "Traceback" not in captured.err
+    assert elapsed < 1.0
+
+
 def test_internal_error_has_its_own_exit_code(paper_file, capsys, monkeypatch):
     # a plain ValueError inside a recognizer is a fault of the program, not
     # of the input: neither "not recognized" (1) nor "input error" (2)

@@ -272,6 +272,35 @@ def test_write_parse_roundtrip_random():
         assert parse_matrix(write_matrix(S)) == S
 
 
+def _write_reference(S):
+    """The text format by a per-entry str join."""
+    return f"{S.m} {S.n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in S.rows)
+
+
+def test_write_matrix_equals_the_per_entry_join():
+    # 0/1 and 0..9 matrices take the byte-buffer route; a 10, a -1, a 300, a
+    # huge int or a Fraction anywhere sends the matrix to the str join
+    rng = random.Random(5)
+    cases = [
+        Matrix([[0]]),
+        Matrix([[9]]),
+        Matrix([[1, 0, 1, 1, 0]]),
+        Matrix([[3], [0], [9]]),
+        hypersimplex_slack(5, 2),
+        Matrix([[rng.randint(0, 1) for _ in range(40)] for _ in range(12)]),
+        Matrix([[rng.randint(0, 9) for _ in range(17)] for _ in range(6)]),
+    ]
+    for odd in (10, -1, 300, 2**70, Fraction(-3, 4)):
+        for m, n in ((1, 1), (1, 5), (4, 1), (3, 6)):
+            rows = [[rng.randint(0, 9) for _ in range(n)] for _ in range(m)]
+            rows[rng.randrange(m)][rng.randrange(n)] = odd
+            cases.append(Matrix(rows))
+    for S in cases:
+        text = write_matrix(S)
+        assert text == _write_reference(S)
+        assert parse_matrix(text) == S
+
+
 def test_rational_arithmetic_exact():
     rng = random.Random(2)
     for _ in range(100):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from prodmat import (
@@ -32,10 +33,13 @@ from prodmat import (
 from prodmat import matroids
 from prodmat.matroids import (
     Matroid,
+    _array,
+    _build,
     _facet_rows,
     _screen,
     _split_side,
     _two_product_split,
+    _two_sum,
     _verify_candidate,
     expr_size,
     expr_to_slack_with_bases,
@@ -43,7 +47,14 @@ from prodmat.matroids import (
 )
 from prodmat.oracles import base_exchange_validator
 
-from helpers import base_families_match, random_feasible_expr
+from helpers import (
+    base_families_match,
+    expr_to_slack_reference,
+    facet_rows_reference,
+    random_expr,
+    random_feasible_expr,
+    two_sum_slack_reference,
+)
 
 
 def test_uniform_bases():
@@ -537,7 +548,8 @@ def test_two_product_split_never_isolates_the_complement_row():
             with_complement += tuple(1 - x for x in special) in T.rows
             for F in (S1p, S2p):
                 assert 2 < F.n < T.n
-                assert _facet_rows(F) is F
+                A = _array(F)
+                assert _facet_rows(A) is A
             todo += [S1p, S2p]
     assert splits >= 20 and with_complement >= 10, (splits, with_complement)
 
@@ -649,8 +661,8 @@ def test_facet_rows_keeps_one_copy_of_each_maximal_zero_set():
     S = Matrix([[0, 0, 1, 1], [1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1], [0, 1, 1, 1]])
     # row 2 is a later copy of row 0, row 3 has no zero, and row 4's zero set
     # {0} lies strictly inside row 0's {0, 1}
-    assert _facet_rows(S) == Matrix([[0, 0, 1, 1], [1, 1, 0, 0]])
-    F = Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    assert _facet_rows(_array(S)).tolist() == [[0, 0, 1, 1], [1, 1, 0, 0]]
+    F = _array(Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
     assert _facet_rows(F) is F
 
 
@@ -686,3 +698,87 @@ def test_recognized_answers_pass_the_full_reexpansion():
             assert _verify_candidate(T, rec.expr, list(rec.col_bases)), expr_to_text(rec.expr)
             outcomes["recognized"] += 1
     assert outcomes["recognized"] >= 150 and outcomes["none"] >= 300, outcomes
+
+
+def _leaf_product(e):
+    """Product of the leaves' base counts: a bound on the columns of e's slack."""
+    if isinstance(e, Leaf):
+        return comb(e.d, e.k)
+    parts = e.parts if isinstance(e, OneSum) else (e.left, e.right)
+    out = 1
+    for p in parts:
+        out *= _leaf_product(p)
+    return out
+
+
+def _two_sum_nodes(e):
+    if isinstance(e, OneSum):
+        return [n for p in e.parts for n in _two_sum_nodes(p)]
+    if isinstance(e, TwoSum):
+        return _two_sum_nodes(e.left) + _two_sum_nodes(e.right) + [e]
+    return []
+
+
+def _assert_builds_like_the_reference(e):
+    """expr_to_slack_with_bases equals the tuple fold of tests/helpers.py in
+    rows and column bases, and every 2-sum step gives the reference's column
+    pairs; or both raise the same exception type.  True if e built."""
+    try:
+        want = expr_to_slack_reference(e)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            expr_to_slack_with_bases(e)
+        assert got.type is type(exc)
+        return False
+    S, bases = expr_to_slack_with_bases(e)
+    assert S.rows == want[0].rows and bases == want[1]
+    assert expr_to_slack(e) == S
+    for node in _two_sum_nodes(e):
+        R, RB, cl, cr = _two_sum(node, _build(node.left), _build(node.right))
+        ref = two_sum_slack_reference(node, expr_to_slack_reference(node.left), expr_to_slack_reference(node.right))
+        assert list(zip(cl.tolist(), cr.tolist())) == ref[2]
+        assert R.tolist() == [list(r) for r in ref[0].rows]
+    return True
+
+
+def test_builder_equals_the_tuple_reference():
+    # random 1-sum/2-sum trees over leaves of every kind, identity leaves
+    # included, so some 2-sums find no coherent row pair
+    rng = random.Random(66)
+    outcomes = {"leaf": 0, "sum": 0, "raised": 0}
+    while sum(outcomes.values()) < 320:
+        e = random_expr(rng, rng.randint(1, 5), dmax=6)
+        if _leaf_product(e) > 3000:
+            continue
+        if not _assert_builds_like_the_reference(e):
+            outcomes["raised"] += 1
+        else:
+            outcomes["leaf" if isinstance(e, Leaf) else "sum"] += 1
+    assert outcomes["sum"] >= 120 and outcomes["raised"] >= 25, outcomes
+
+
+def test_builder_equals_the_tuple_reference_on_u42_chains():
+    rng = random.Random(62)
+    for leaves in (5, 6, 7):
+        assert _assert_builds_like_the_reference(_u42_chain(rng, leaves))
+
+
+def test_facet_rows_equals_the_bitmask_reference():
+    # random 0/1 rows with planted copies, all-ones and all-zeros rows and
+    # rows whose ones lie inside another row's
+    rng = random.Random(67)
+    for _ in range(300):
+        m, n = rng.randint(1, 8), rng.randint(1, 7)
+        rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
+        for _ in range(rng.randint(0, 3)):
+            src = list(rng.choice(rows))
+            kind = rng.randrange(4)
+            if kind == 1:
+                src = [1] * n
+            elif kind == 2:
+                src = [0] * n
+            elif kind == 3:
+                src = [x * rng.randint(0, 1) for x in src]
+            rows.insert(rng.randint(0, len(rows)), src)
+        A = np.array(rows, dtype=np.uint8)
+        assert _facet_rows(A).tolist() == [list(r) for r in facet_rows_reference(Matrix(rows)).rows]

@@ -3,7 +3,7 @@
 Two checkouts whose recognizers give the same exact answers print the same
 digest, so a refactor can show "same answers" with one command.  One
 SHA-256 per part (1p, factor, 2p, matroid) comes first, so a change
-shows which answers moved; the last line is the combined digest:
+shows which answers moved; then comes the combined digest:
 
     python3 tools/answer_digest.py
 
@@ -36,6 +36,14 @@ the input's rows.  A further line counts the answers that fail these checks,
 and the exit status is 1 when it is not 0, so a changed digest comes with a
 proof that the new answers are valid.
 
+A separate `build` line digests the build direction, which the recognizers'
+answers do not cover: for 240 fixed-seed random expressions (1-5 uniform
+leaves, d <= 5, at most 350 columns), the expression's text and either the
+`write_matrix` text of `expr_to_slack_with_bases` with its column bases in
+column order, or the type of the exception the builder raised (an
+incoherent 2-sum raises CoherenceError).  It is not part of the combined
+digest.
+
 Each input is written with `write_matrix` and read back with `parse_matrix`,
 and the recognizers run on the matrix read back, so the parser's codes are
 the ones digested.  The last line counts the inputs whose parsed rows or
@@ -50,6 +58,7 @@ import hashlib
 import random
 import sys
 from collections import Counter
+from math import comb
 from fractions import Fraction
 from pathlib import Path
 
@@ -78,6 +87,8 @@ from prodmat.matroids import (  # noqa: E402
     _verify_candidate,
     expr_size,
     expr_to_slack,
+    expr_to_slack_with_bases,
+    expr_to_text,
 )
 
 
@@ -185,6 +196,36 @@ def slack_inputs():
     return out
 
 
+def leaf_product(e):
+    """Product of the leaves' base counts: a bound on the columns of e's slack."""
+    if isinstance(e, Leaf):
+        return comb(e.d, e.k)
+    parts = e.parts if isinstance(e, OneSum) else (e.left, e.right)
+    return leaf_product(parts[0]) * leaf_product(parts[1])
+
+
+def build_digest():
+    """(SHA-256 over the builder's output on the build expressions, their number)."""
+    rng = random.Random(20240604)
+    h = hashlib.sha256()
+    count = 0
+    while count < 240:
+        e = random_expr(rng, rng.randint(1, 5))
+        if leaf_product(e) > 2000:
+            continue
+        try:
+            S, bases = expr_to_slack_with_bases(e)
+        except (CoherenceError, ValueError) as exc:
+            answer = type(exc).__name__
+        else:
+            if S.n > 350:
+                continue
+            answer = (write_matrix(S), [sorted(b) for b in bases])
+        h.update(repr((expr_to_text(e), answer)).encode())
+        count += 1
+    return h.hexdigest(), count
+
+
 def reexpands(S, P, order):
     """P equals S's rows `order` (one per row of P) up to a column permutation."""
     if len(order) != S.m or sorted(order) != list(range(S.m)) or P.n != S.n:
@@ -253,6 +294,7 @@ def main():
     for name in PARTS:
         print(f"{parts[name].hexdigest()}  {name}")
     print(f"{h.hexdigest()}  {count} inputs")
+    print("{}  build, {} expressions".format(*build_digest()))
     print(f"{failures} answers fail re-expansion")
     print(f"{mismatches} inputs differ after write_matrix and parse_matrix")
     return 1 if failures or mismatches else 0
