@@ -52,7 +52,8 @@ def _entry_json(x):
 
 
 def _matrix_rows_json(S: Matrix):
-    return [list(map(_entry_json, row)) for row in S.rows]
+    rows = S.array.tolist()
+    return [list(map(_entry_json, row)) for row in rows] if S.array.dtype == object else rows
 
 
 def _read_matrix(path: str) -> Matrix:

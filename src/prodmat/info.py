@@ -125,9 +125,10 @@ def multiplicity_table(S: Matrix, X: Iterable[int]) -> MultiplicityTable:
     X = tuple(sorted(set(X)))
     if X and (X[0] < 0 or X[-1] >= S.m):
         raise IndexError(f"row subset out of range: {X}")
+    rows = S.rows
     counts = {}
     for j in range(S.n):
-        key = tuple(S.rows[i][j] for i in X)
+        key = tuple(rows[i][j] for i in X)
         counts[key] = counts.get(key, 0) + 1
     return MultiplicityTable(X, counts, S.n)
 
@@ -271,7 +272,8 @@ def _special_row_candidates(S: Matrix, out: Optional[np.ndarray] = None):
     over the rows kept.  Row r has no edge in its own graph.
     """
     codes, m = S.codes, S.m
-    rows = [r for r, row in enumerate(S.rows) if set(row) == {0, 1}]
+    zero, one = S.array == 0, S.array == 1
+    rows = np.flatnonzero((zero | one).all(axis=1) & zero.any(axis=1) & one.any(axis=1)).tolist()
     if m < 3 or not rows:  # a graph of one row has one component
         return
     done = 0
@@ -511,12 +513,13 @@ def mutual_info_direct(S: Matrix, X: Iterable[int]) -> float:
     X = tuple(sorted(set(X)))
     Xc = tuple(i for i in range(S.m) if i not in set(X))
     n = S.n
+    rows = S.rows
     joint = {}
     ma = {}
     mb = {}
     for j in range(n):
-        a = tuple(S.rows[i][j] for i in X)
-        b = tuple(S.rows[i][j] for i in Xc)
+        a = tuple(rows[i][j] for i in X)
+        b = tuple(rows[i][j] for i in Xc)
         joint[(a, b)] = joint.get((a, b), 0) + 1
         ma[a] = ma.get(a, 0) + 1
         mb[b] = mb.get(b, 0) + 1

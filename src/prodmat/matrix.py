@@ -1,22 +1,31 @@
 """Dense matrices with exact rational entries and permutational operations.
 
-Entries are exact: an integral value is stored as `int` and any other value
-as `fractions.Fraction`, so each value has one stored form and column
-equality (the basis of every multiplicity count elsewhere) is unambiguous.
+A `Matrix` holds one read-only m x n numpy array, `Matrix.array`.  Entries
+are exact: an integral value is an `int` and any other value a
+`fractions.Fraction`, so each value has one stored form and column equality
+(the basis of every multiplicity count elsewhere) is unambiguous.  The
+dtype follows from the entries: int64 when every entry is an `int` that
+fits in int64, else `object`, holding those `int`s and `Fraction`s.
 Integral input of any type (`Fraction(4, 2)`, `True`, `2.0`, numpy
 integers) becomes `int`; decimal input is converted exactly (0.25 -> 1/4).
 Quantization of noisy real data is the caller's responsibility; this module
 never rounds.
+
+`Matrix(entries)` is the one constructor: it takes an int64 array as it is
+and converts anything else entry by entry.  The structural operations
+(submatrices, permutations, and the products built in `products`) index,
+repeat and concatenate the array, for either dtype, and pass the result to
+it, so a derived object matrix whose entries all fit is int64 again.
 
 `Matrix.codes` is the one integer form of a matrix that the counting code
 works on: each entry replaced by the index of its value among the distinct
 values of its row, in order of first occurrence.  Two columns agree on a row
 set exactly when their codes agree there, so every exact pattern count
 (`info.group_columns` over rows of `codes`) needs no `Fraction` comparison.
-`parse_matrix` reads a file of int64-sized integers into one int64 array
-with one C-level conversion and numbers its codes from that array in numpy
-(`_first_occurrence_codes`) unless a row's values spread too wide; any other
-matrix builds its codes once from its rows, on first use.
+They are numbered once, on first use (`_codes`): in numpy for an int64
+array whose rows' values spread little (`_first_occurrence_codes`), else by
+one dict per row.  `parse_matrix` reads a file of int64-sized integers into
+one int64 array with one C-level conversion and hands that array over.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ _TOKEN_RE = re.compile(r"[+-]?\d+(\.\d+|/\d+)?")
 _INT_LINE_RE = re.compile(r"\s*[+-]?\d{1,18}(?:\s+[+-]?\d{1,18})*\s*", re.ASCII)
 # _first_occurrence_codes keeps one table slot per value in each row's range
 # while that is at most this many slots per entry (or _TABLE_MIN in all); a
-# matrix with wider rows builds its codes from its rows, as any other does
+# matrix with wider rows numbers its codes with one dict per row
 _TABLE_PER_ENTRY = 4
 _TABLE_MIN = 1 << 12
 
@@ -56,100 +65,115 @@ def _exact(x):
     return num if den == 1 else Fraction(num, den)
 
 
-def _exact_row(row) -> tuple:
-    row = tuple(row)
-    if set(map(type, row)) <= {int}:
-        return row
-    return tuple(_exact(x) for x in row)
+def _exact_array(rows) -> np.ndarray:
+    """The m x n array of a sequence of equal-length rows, each entry made exact
+    (`_exact`): int64 when every entry is an `int` that fits, else object."""
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    rows = [tuple(r) for r in rows]
+    if not rows or not rows[0]:
+        raise MatrixFormatError("matrix must have at least one row and one column")
+    n = len(rows[0])
+    if any(len(r) != n for r in rows):
+        raise MatrixFormatError("ragged rows")
+    flat = list(chain.from_iterable(rows))
+    if not set(map(type, flat)) <= {int}:
+        flat = list(map(_exact, flat))
+    if all(type(x) is int for x in flat):
+        try:
+            return np.array(flat, dtype=np.int64).reshape(len(rows), n)
+        except OverflowError:  # an int beyond int64
+            pass
+    return np.array(flat, dtype=object).reshape(len(rows), n)
 
 
 class Matrix:
     """Immutable m x n matrix of exact entries; equality and hashing are entrywise-exact.
 
-    Each entry is an `int` when integral and a `Fraction` otherwise, whatever
+    `array` is the read-only m x n array of the entries: int64 when every
+    entry is an `int` that fits, else object, holding `int`s and `Fraction`s.
+    An int64 array is taken as it is, unchecked and not copied, and made
+    read-only.  Any other sequence of rows is converted entry by entry: each
+    entry becomes an `int` when integral and a `Fraction` otherwise, whatever
     exact or float type it was given as (`bool`, `float`, `Decimal`, numpy
-    integers, ...).
+    integers, ...).  `rows`, `col` and `cols` read the entries back as
+    tuples, built on each call.
     """
 
-    __slots__ = ("m", "n", "rows", "_hash", "_codes")
+    __slots__ = ("array", "m", "n", "_hash", "_codes")
 
-    def __init__(self, rows: Sequence[Sequence]):
-        rows = tuple(_exact_row(r) for r in rows)
-        if not rows or not rows[0]:
+    def __init__(self, entries):
+        if type(entries) is not np.ndarray or entries.dtype != np.int64:
+            entries = _exact_array(entries)
+        if entries.ndim != 2 or not entries.size:
             raise MatrixFormatError("matrix must have at least one row and one column")
-        n = len(rows[0])
-        if any(len(r) != n for r in rows):
-            raise MatrixFormatError("ragged rows")
-        self._set(rows)
-
-    def _set(self, rows: tuple) -> None:
-        self.rows = rows
-        self.m = len(rows)
-        self.n = len(rows[0])
+        entries.setflags(write=False)
+        self.array = entries
+        self.m, self.n = entries.shape
         self._hash = None
         self._codes = None
-
-    @classmethod
-    def _of(cls, rows) -> "Matrix":
-        """A Matrix of rows built from other matrices' entries or the parser's array, unchecked.
-
-        For internal use: `rows` must be equal-length tuples of exact entries
-        (`int`, or `Fraction` when not integral), as a `Matrix` holds them.
-        Only emptiness is checked, as in `Matrix(rows)`.
-        """
-        rows = tuple(rows)
-        if not rows or not rows[0]:
-            raise MatrixFormatError("matrix must have at least one row and one column")
-        self = object.__new__(cls)
-        self._set(rows)
-        return self
 
     @property
     def codes(self) -> np.ndarray:
         """Read-only int64 m x n array of per-row value codes.
 
-        codes[i, j] is the index of rows[i][j] among the distinct values of
-        row i, numbered in order of first occurrence.  A matrix read by
-        `parse_matrix` from int64-sized integers has them from the parser's
-        array; any other builds them once from its rows, on first use.
+        codes[i, j] is the index of the entry [i, j] among the distinct
+        values of row i, numbered in order of first occurrence; built once,
+        on first use (`_codes`).
         """
         if self._codes is None:
-            codes = np.empty((self.m, self.n), dtype=np.int64)
-            for i, row in enumerate(self.rows):
-                seen = {}
-                codes[i] = [seen.setdefault(x, len(seen)) for x in row]
-            codes.flags.writeable = False
-            self._codes = codes
+            self._codes = _codes(self.array)
         return self._codes
 
+    @property
+    def rows(self) -> tuple:
+        return tuple(map(tuple, self.array.tolist()))
+
     def col(self, j: int) -> tuple:
-        # tuple([...]) allocates the exact size; tuple(<generator>) allocates
-        # 10 slots and resizes, so the freed tuples pile up in CPython's
-        # per-size free lists (gen-expr peak RSS: +0.9 MB here, +0.2 MB in submatrix)
-        return tuple([r[j] for r in self.rows])
+        return tuple(self.array[:, j].tolist())
 
     def cols(self) -> list:
-        return [self.col(j) for j in range(self.n)]
+        return list(map(tuple, self.array.T.tolist()))
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
-        return Matrix._of([tuple([self.rows[i][j] for j in cols]) for i in rows])  # see col
+        return Matrix(self.array.take(rows, axis=0).take(cols, axis=1))
 
     def restrict_cols(self, cols: Sequence[int]) -> "Matrix":
-        return self.submatrix(range(self.m), cols)
+        return Matrix(self.array.take(cols, axis=1))
 
     def is_zero_one(self) -> bool:
-        return set(chain.from_iterable(self.rows)) <= {0, 1}
+        # an object array holds a Fraction or an int beyond int64
+        A = self.array
+        return A.dtype == np.int64 and bool(0 <= A.min() and A.max() <= 1)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.rows == other.rows
+        if not isinstance(other, Matrix):
+            return False
+        A, B = self.array, other.array
+        # equal entries have equal dtypes: the dtype follows from them
+        return A.shape == B.shape and A.dtype == B.dtype and bool((A == B).all())
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self.rows)
+            A = self.array
+            self._hash = hash((A.shape, A.tobytes() if A.dtype == np.int64 else tuple(A.ravel().tolist())))
         return self._hash
 
     def __repr__(self) -> str:
         return f"Matrix({self.m}x{self.n})"
+
+
+def _codes(A: np.ndarray) -> np.ndarray:
+    """The read-only `Matrix.codes` of the entry array A: numbered in numpy when
+    A is int64 and its rows' values spread little, else by one dict per row."""
+    codes = _first_occurrence_codes(A) if A.dtype == np.int64 else None
+    if codes is None:
+        codes = np.empty(A.shape, dtype=np.int64)
+        for i, row in enumerate(A.tolist()):
+            seen = {}
+            codes[i] = [seen.setdefault(x, len(seen)) for x in row]
+        codes.flags.writeable = False
+    return codes
 
 
 def _first_occurrence_codes(A: np.ndarray) -> Optional[np.ndarray]:
@@ -204,7 +228,7 @@ def parse_matrix(text) -> Matrix:
     Tokens may be integers, decimals or "p/q"; decimals convert exactly.
     When every row is a line of ASCII integers of at most 18 digits, the
     whole body is read by one C-level `np.fromstring` into an int64 array,
-    and the matrix takes its codes from that array.  Otherwise every token is
+    which becomes the matrix as it is.  Otherwise every token is
     read through `_parse_token`, to the same values; either way rows are
     checked, and errors reported, line by line in order.  Bytes input must
     be ASCII.
@@ -235,10 +259,7 @@ def parse_matrix(text) -> Matrix:
         if not _INT_LINE_RE.fullmatch(ln):
             break
     else:  # every row a line of int64 integers: one C-level conversion
-        A = np.fromstring(" ".join(body), dtype=np.int64, sep=" ").reshape(m, n)
-        S = Matrix._of(map(tuple, A.tolist()))
-        S._codes = _first_occurrence_codes(A)  # if None, Matrix.codes builds them
-        return S
+        return Matrix(np.fromstring(" ".join(body), dtype=np.int64, sep=" ").reshape(m, n))
     rows = [tuple([_parse_token(t) for t in toks]) for toks in checked]
     for ln in body[len(checked):]:
         rows.append(tuple([_parse_token(t) for t in _row_tokens(ln, n)]))
@@ -248,22 +269,19 @@ def parse_matrix(text) -> Matrix:
 def write_matrix(S: Matrix) -> str:
     """Inverse of parse_matrix: an `int` entry is written as "5", a `Fraction` as "-3/4".
 
-    A matrix whose entries are all ints in 0..9 is written from one uint8
-    buffer of digits, spaces and newlines: `bytes(row)` reads each row, and
-    raises on any negative, wider or `Fraction` entry, which sends the
-    matrix to the per-entry `str` join.  The text is the same either way.
+    An int64 matrix with entries in 0..9 is written from one uint8 buffer
+    of digits, spaces and newlines, any other by a per-entry `str` join.
+    The text is the same either way.
     """
-    try:
-        A = np.frombuffer(b"".join(map(bytes, S.rows)), dtype=np.uint8).reshape(S.m, S.n)
-    except (TypeError, ValueError):
-        A = None
-    if A is not None and A.max() <= 9:
+    A = S.array
+    if A.dtype == np.int64 and 0 <= A.min() and A.max() <= 9:
         text = np.full((S.m, 2 * S.n), ord(" "), dtype=np.uint8)
-        text[:, ::2] = A + ord("0")
+        text[:, ::2] = A
+        text[:, ::2] += ord("0")
         text[:, -1] = ord("\n")
         return f"{S.m} {S.n}\n" + text.tobytes().decode("ascii")
     out = [f"{S.m} {S.n}"]
-    out.extend(" ".join(map(str, row)) for row in S.rows)
+    out.extend(" ".join(map(str, row)) for row in A.tolist())
     return "\n".join(out) + "\n"
 
 
@@ -274,7 +292,7 @@ def restrict_rows(S: Matrix, X: Iterable[int]) -> Matrix:
         raise ValueError("row subset must be nonempty")
     if X[0] < 0 or X[-1] >= S.m:
         raise IndexError(f"row index out of range in {X}")
-    return Matrix._of(S.rows[i] for i in X)
+    return Matrix(S.array.take(X, axis=0))
 
 
 def check_permutation(perm: Sequence[int], k: int) -> tuple:
@@ -295,7 +313,7 @@ def permute(S: Matrix, row_perm: Sequence[int], col_perm: Sequence[int]) -> Matr
     """result[i][j] = S[row_perm[i]][col_perm[j]]."""
     row_perm = check_permutation(row_perm, S.m)
     col_perm = check_permutation(col_perm, S.n)
-    return Matrix._of(tuple([S.rows[i][j] for j in col_perm]) for i in row_perm)
+    return Matrix(S.array.take(row_perm, axis=0).take(col_perm, axis=1))
 
 
 def dedupe_rows(S: Matrix):
@@ -304,17 +322,15 @@ def dedupe_rows(S: Matrix):
     Returns (matrix, keep) where keep[i] is the index, in the result, of the
     kept copy of row i.
     """
-    seen = {}
+    index = {}
     kept = []
     keep_map = []
-    for row in S.rows:
-        if row in seen:
-            keep_map.append(seen[row])
-        else:
-            seen[row] = len(kept)
-            keep_map.append(len(kept))
-            kept.append(row)
-    return Matrix._of(kept), keep_map
+    for i, row in enumerate(map(tuple, S.array.tolist())):
+        k = index.setdefault(row, len(kept))
+        if k == len(kept):
+            kept.append(i)
+        keep_map.append(k)
+    return Matrix(S.array.take(kept, axis=0)), keep_map
 
 
 def complement_row(row: Sequence) -> tuple:
@@ -335,17 +351,18 @@ def complement_row(row: Sequence) -> tuple:
 
 def _refine_classes(M: Matrix):
     """Stable row and column class labels under alternating refinement."""
+    rows = M.rows
     rlab = [0] * M.m
     clab = [0] * M.n
     while True:
         rsig = [
-            (rlab[i], tuple(sorted((clab[j], M.rows[i][j]) for j in range(M.n))))
+            (rlab[i], tuple(sorted((clab[j], rows[i][j]) for j in range(M.n))))
             for i in range(M.m)
         ]
         rmap = {s: k for k, s in enumerate(sorted(set(rsig)))}
         new_rlab = [rmap[s] for s in rsig]
         csig = [
-            (clab[j], tuple(sorted((new_rlab[i], M.rows[i][j]) for i in range(M.m))))
+            (clab[j], tuple(sorted((new_rlab[i], rows[i][j]) for i in range(M.m))))
             for j in range(M.n)
         ]
         cmap = {s: k for k, s in enumerate(sorted(set(csig)))}
@@ -391,20 +408,21 @@ def is_isomorphic(A: Matrix, B: Matrix) -> Optional[tuple]:
 
     row_perm = [-1] * m
     used = [False] * m
+    arows, brows = A.rows, B.rows
 
     def split(groups_in, i, a):
         out = []
         for acols, bcols in groups_in:
             if len(acols) == 1:
-                if A.rows[a][acols[0]] != B.rows[i][bcols[0]]:
+                if arows[a][acols[0]] != brows[i][bcols[0]]:
                     return None
                 out.append((acols, bcols))
                 continue
             asub, bsub = {}, {}
             for c in acols:
-                asub.setdefault(A.rows[a][c], []).append(c)
+                asub.setdefault(arows[a][c], []).append(c)
             for c in bcols:
-                bsub.setdefault(B.rows[i][c], []).append(c)
+                bsub.setdefault(brows[i][c], []).append(c)
             if len(asub) != len(bsub):
                 return None
             for v, ac in asub.items():

@@ -37,16 +37,18 @@ its dual is the same matrix with complemented bases, because the dual 2-sum
 glues along the reversed coherent pair, which produces the same rows.
 
 The builder and the recognizer's checks share one implementation of each
-step, on arrays.  A node is a uint8 slack array plus a boolean column x
-element base incidence array B, B[j, e] saying whether element e lies in
-the base of column j.  A leaf U(d,k) enumerates its C(d,k) bases in
+step, on arrays.  A node is a 0/1 slack array (uint8 in the builder, the
+part's own `Matrix.array` in the recognizer's checks) plus a boolean
+column x element base incidence array B, B[j, e] saying whether element e
+lies in the base of column j.  A leaf U(d,k) enumerates its C(d,k) bases in
 ascending lexicographic order of their 0/1 vectors; a 1-sum repeats and
 tiles both arrays (mixed-radix columns, part 0 most significant); a 2-sum
 finds its coherent rows by one comparison with a column of B, takes the
 parts' columns through index arrays (cl, cr), appends the 0...0 1...1 row
 and drops dominated rows with one product (`_facet_rows`).  The recursion
 carries its column bases as incidence arrays and compares row sets as byte
-keys; bases become frozensets once, at the public entry points.
+keys; bases become frozensets once, at the public entry points, and a
+built slack becomes a Matrix by one cast to int64.
 """
 
 from __future__ import annotations
@@ -78,6 +80,9 @@ class GuardExceeded(ValueError):
 
 #: most columns of a sum step in `expr_to_slack_with_bases`; each (1sum ... (u 2 1)) level doubles them
 _MAX_COLUMNS = 1 << 16
+#: most rows x columns of a leaf or sum step: an identity leaf U(d,1) has d
+#: columns but d x d entries
+_MAX_CELLS = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +261,7 @@ def hypersimplex_slack(d: int, k: int) -> Matrix:
     """Slack matrix of the base polytope of U_{d,k} (`_uniform`'s layout).
 
     Raises GuardExceeded, before enumerating, when C(d,k) is over
-    `_MAX_COLUMNS`.
+    `_MAX_COLUMNS` or the slack's entries are over `_MAX_CELLS`.
     """
     if d < 2 or not 1 <= k <= d - 1:
         raise ValueError(f"no hypersimplex slack for d={d}, k={k}")
@@ -276,10 +281,8 @@ class HypersimplexForm:
 
 
 def hypersimplex_col_bases(S: Matrix, form: HypersimplexForm) -> list:
-    return [
-        frozenset(e for e in range(form.d) if S.rows[form.elem_rows[e][0]][j] == 1)
-        for j in range(S.n)
-    ]
+    V = S.array[[v for v, _ in form.elem_rows]]
+    return [frozenset(np.flatnonzero(c == 1).tolist()) for c in V.T]
 
 
 def recognize_hypersimplex(S: Matrix) -> Optional[HypersimplexForm]:
@@ -298,53 +301,31 @@ def recognize_hypersimplex(S: Matrix) -> Optional[HypersimplexForm]:
     """
     if not S.is_zero_one():
         return None
-    m, n = S.m, S.n
+    A, m, n = S.array, S.m, S.n
+    ones = A.sum(axis=1).tolist()
     # identity: square permutation matrix of size >= 2
-    if m == n and m >= 2:
-        colof = {}
-        ok = True
-        for i, row in enumerate(S.rows):
-            ones = [j for j, x in enumerate(row) if x == 1]
-            if len(ones) != 1 or ones[0] in colof:
-                ok = False
-                break
-            colof[ones[0]] = i
-        if ok and len(colof) == m:
-            elem = tuple((colof[e], None) for e in range(m))
-            return HypersimplexForm(m, 1, elem)
+    if m == n and m >= 2 and set(ones) == {1} and (A.sum(axis=0) == 1).all():
+        return HypersimplexForm(m, 1, tuple((i, None) for i in A.argmax(axis=0).tolist()))
     if m % 2 or m < 8:
         return None
     d = m // 2
-    by_row = {}
-    for i, row in enumerate(S.rows):
-        if row in by_row:
-            return None
-        by_row[row] = i
-    pairs = []
-    used = set()
-    for i in range(m):
-        if i in used:
-            continue
-        comp_key = tuple(1 - x for x in S.rows[i])
-        j = by_row.get(comp_key)
-        if j is None or j in used or j == i:
-            return None
-        pairs.append((i, j))
-        used.update((i, j))
+    # rows distinct, and paired with their complements in order of the first
+    index = dict(zip(_row_keys(A), range(m)))
+    comp = [index.get(key) for key in _row_keys(1 - A)]
+    if len(index) != m or None in comp:
+        return None
+    pairs = [(i, j) for i, j in enumerate(comp) if i < j]
     i, j = pairs[0]
-    if 2 * S.rows[i].count(1) > n:
+    if 2 * ones[i] > n:
         i, j = j, i
-    a = S.rows[i]
-    k, rem = divmod(d * a.count(1), n)
+    k, rem = divmod(d * ones[i], n)
     if rem or not 2 <= k <= d - 2 or comb(d, k) != n:
         return None
     shared = comb(d - 2, k - 2)
-    elem = [(i, j)]
-    for i, j in pairs[1:]:
-        overlap = sum(1 for x, y in zip(a, S.rows[i]) if x == y == 1)
-        elem.append((i, j) if overlap == shared else (j, i))
-    vcols = {tuple(S.rows[elem[e][0]][j] for e in range(d)) for j in range(n)}
-    if len(vcols) == n and all(sum(1 for x in c if x == 1) == k for c in vcols):
+    overlap = (A @ A[i]).tolist()  # ones shared with row i
+    elem = [(i, j)] + [(p, q) if overlap[p] == shared else (q, p) for p, q in pairs[1:]]
+    V = A[[v for v, _ in elem]]
+    if (V.sum(axis=0) == k).all() and len(set(_row_keys(V.T))) == n:
         return HypersimplexForm(d, k, tuple(elem))
     return None
 
@@ -354,27 +335,10 @@ def recognize_hypersimplex(S: Matrix) -> Optional[HypersimplexForm]:
 # ---------------------------------------------------------------------------
 
 
-def _nonneg_pattern(bases: Sequence[frozenset], e: int) -> tuple:
-    return tuple(1 if e in b else 0 for b in bases)
-
-
-def _upper_pattern(bases: Sequence[frozenset], e: int) -> tuple:
-    return tuple(0 if e in b else 1 for b in bases)
-
-
-def _array(S: Matrix) -> np.ndarray:
-    """The entries of a matrix with entries in 0..255 as an m x n uint8 array, from one byte buffer."""
-    return np.frombuffer(b"".join(map(bytes, S.rows)), dtype=np.uint8).reshape(S.m, S.n)
-
-
-def _matrix(A: np.ndarray) -> Matrix:
-    return Matrix._of(map(tuple, A.tolist()))
-
-
 def _row_keys(A: np.ndarray) -> list:
-    """Each row of a 2-D uint8 or boolean array as one bytes key."""
+    """Each row of a 2-D 0/1 or boolean array as one bytes key, one byte per entry."""
     w = A.shape[1]
-    buf = np.ascontiguousarray(A).tobytes()
+    buf = np.ascontiguousarray(A, dtype=np.uint8).tobytes()
     return [buf[i : i + w] for i in range(0, len(buf), w)]
 
 
@@ -486,9 +450,11 @@ def _two_sum(e: TwoSum, left: tuple, right: tuple):
     return _facet_rows(A), B, cl, cr
 
 
-def _check_columns(n: int, what: str) -> None:
+def _check_size(m: int, n: int, what: str) -> None:
     if n > _MAX_COLUMNS:
         raise GuardExceeded(f"{what} would have {n} columns, more than the bound of {_MAX_COLUMNS}")
+    if m * n > _MAX_CELLS:
+        raise GuardExceeded(f"{what} would have {m} x {n} entries, more than the bound of {_MAX_CELLS}")
 
 
 def _build(e: Expr):
@@ -496,22 +462,25 @@ def _build(e: Expr):
     with `_one_sum` and `_two_sum`.
 
     A leaf or sum step with more than `_MAX_COLUMNS` columns, one per base,
-    raises GuardExceeded before it is built; a step's count comes from the
-    C(d,k) of a leaf or from its parts' incidence arrays.
+    or more than `_MAX_CELLS` entries raises GuardExceeded before it is
+    built; a step's columns come from the C(d,k) of a leaf or from its
+    parts' incidence arrays, its rows from d or from its parts' rows (before
+    a 2-sum drops dominated rows).
     """
     if isinstance(e, Leaf):
-        _check_columns(comb(e.d, e.k), f"U({e.d},{e.k})")
+        rows = e.d if e.k in (1, e.d - 1) else 2 * e.d  # `_uniform`'s layout
+        _check_size(rows, comb(e.d, e.k), f"U({e.d},{e.k})")
         return _uniform(e.d, e.k)
     if isinstance(e, OneSum):
         parts = [_build(p) for p in e.parts]
-        _check_columns(prod(len(B) for _, B in parts), "a sum")
+        _check_size(sum(len(A) for A, _ in parts), prod(len(B) for _, B in parts), "a sum")
         return _one_sum(parts)
     left, right = _build(e.left), _build(e.right)
     _two_sum_maps(e)  # first: it rejects a glue element out of range
-    (_, BL), (_, BR) = left, right
+    (AL, BL), (AR, BR) = left, right
     # a base of the 2-sum holds the glue element on exactly one side
     kl, kr = int(BL[:, e.glue_left].sum()), int(BR[:, e.glue_right].sum())
-    _check_columns(kl * (len(BR) - kr) + (len(BL) - kl) * kr, "a sum")
+    _check_size(len(AL) + len(AR) - 1, kl * (len(BR) - kr) + (len(BL) - kl) * kr, "a sum")
     return _two_sum(e, left, right)[:2]
 
 
@@ -524,17 +493,18 @@ def expr_to_slack_with_bases(e: Expr):
     slacks (`_uniform`); a 1-sum repeats and tiles its parts' arrays; a
     2-sum finds its coherent rows by one comparison with a column of B,
     takes the parts' columns by index arrays, and drops dominated rows with
-    one product (`_facet_rows`).  The result is converted once, to a Matrix
-    and one frozenset per column.  A leaf or sum step with more than
-    `_MAX_COLUMNS` columns raises GuardExceeded before it is built.
+    one product (`_facet_rows`).  The slack becomes a Matrix by one cast to
+    int64, and B one frozenset per column.  A leaf or sum step with more
+    than `_MAX_COLUMNS` columns or `_MAX_CELLS` entries raises GuardExceeded
+    before it is built.
     """
     A, B = _build(e)
-    return _matrix(A), _base_sets(B)
+    return Matrix(A.astype(np.int64)), _base_sets(B)
 
 
 def expr_to_slack(e: Expr) -> Matrix:
     """The slack matrix of `expr_to_slack_with_bases`, without the column bases."""
-    return _matrix(_build(e)[0])
+    return Matrix(_build(e)[0].astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -629,23 +599,29 @@ class MatroidRecognition:
 
     def row_provenance(self, S: Matrix) -> list:
         """Classify each input row as an element row or a derived (cut) row."""
+        B = np.zeros((self.size, len(self.col_bases)), dtype=bool)  # B[e, j]: e in column j's base
+        cols = np.repeat(np.arange(len(self.col_bases)), [len(b) for b in self.col_bases])
+        B[list(itertools.chain.from_iterable(self.col_bases)), cols] = True
         tags = {}
-        for e in range(self.size):
-            tags.setdefault(_nonneg_pattern(self.col_bases, e), ("nonneg", e))
-            tags.setdefault(_upper_pattern(self.col_bases, e), ("upper", e))
-        return [tags.get(row, ("other", None)) for row in S.rows]
+        for e, (nonneg, upper) in enumerate(zip(_row_keys(B), _row_keys(~B))):
+            tags.setdefault(nonneg, ("nonneg", e))
+            tags.setdefault(upper, ("upper", e))
+        A, other = S.array, ("other", None)
+        zero_one = ((A == 0) | (A == 1)).all(axis=1).tolist()
+        return [tags.get(key, other) if ok else other for key, ok in zip(_row_keys(A == 1), zero_one)]
 
 
 def _screen(S: Matrix) -> Optional[str]:
     """Why S cannot be a non-redundant 2-level slack matrix, or None."""
     if not S.is_zero_one():
         return "entries must be 0/1"
-    for i, row in enumerate(S.rows):
-        if len(set(row)) == 1:
-            return f"row {i} is constant"
-    if len(set(S.rows)) != S.m:
+    A = S.array
+    constant = np.flatnonzero(A.min(axis=1) == A.max(axis=1))
+    if len(constant):
+        return f"row {constant[0]} is constant"
+    if len(set(_row_keys(A))) != S.m:
         return "rows must be distinct"
-    if len(set(zip(*S.rows))) != S.n:
+    if len(set(_row_keys(A.T))) != S.n:
         return "columns must be distinct"
     return None
 
@@ -657,7 +633,7 @@ def _matches(S: Matrix, R: np.ndarray, cols: np.ndarray) -> bool:
     n = S.n
     if len(cols) != n or R.shape[1] != n or np.bincount(cols, minlength=n).max() != 1:
         return False
-    return set(_row_keys(R[:, cols])) == set(map(bytes, S.rows))
+    return set(_row_keys(R[:, cols])) == set(_row_keys(S.array))
 
 
 def _reexpands(S: Matrix, expr: Expr, B: np.ndarray) -> bool:
@@ -728,13 +704,12 @@ def _two_product_split(S: Matrix):
             continue
         X = tuple(sorted(F.ground[i] for A in atoms[1:] for i in A))
         Xc = tuple(i for i in F.ground if i not in X)
-        row = S.rows[r]
-        order = [j for j in range(S.n) if row[j] == 0] + [j for j in range(S.n) if row[j] == 1]
+        order = np.argsort(S.array[r], kind="stable")
         return _split_side(S, X, r, order), _split_side(S, Xc, r, order)
     return None
 
 
-def _split_side(S: Matrix, rows: tuple, r: int, order: list):
+def _split_side(S: Matrix, rows: tuple, r: int, order: np.ndarray):
     """One side of a 2-product split: (factor, glue pattern, column map).
 
     The factor holds `rows`, then the special row r, then its complement,
@@ -750,12 +725,12 @@ def _split_side(S: Matrix, rows: tuple, r: int, order: list):
     codes = S.codes[np.ix_(rows, order)]
     inv, _, first = group_columns(codes)
     # a 0/1 row's code is 0 exactly where its entry equals its first entry
-    flip = [S.rows[i][0] for i in rows]
+    flip = S.array[rows, :1]
     flip[-1] = 1 - flip[-1]
-    F = codes[:, first] ^ np.array(flip)[:, None]
+    F = codes[:, first] ^ flip
     colmap = np.empty(S.n, dtype=np.int64)
     colmap[order] = inv
-    return _matrix(_facet_rows(F)), tuple(F[-2].tolist()), colmap.tolist()
+    return Matrix(_facet_rows(F)), tuple(F[-2].tolist()), colmap.tolist()
 
 
 def _recognize_part(S: Matrix):
@@ -771,7 +746,7 @@ def _recognize_rec(S: Matrix):
     form = recognize_hypersimplex(S)
     if form is not None:
         leaf = Leaf(form.d, form.k)
-        B = _array(S)[[v for v, _ in form.elem_rows]].T.astype(bool)
+        B = S.array[[v for v, _ in form.elem_rows]].T.astype(bool)
         return (leaf, B) if _reexpands(S, leaf, B) else None
 
     fact = factorize_irreducible(S)
@@ -782,7 +757,7 @@ def _recognize_rec(S: Matrix):
             sub = _recognize_part(factor)
             if sub is None:
                 return None
-            kids.append((sub[0], _array(factor), sub[1]))
+            kids.append((sub[0], factor.array, sub[1]))
             # the factor's columns are the block's patterns in first-occurrence order
             cols = cols * factor.n + group_columns(S.codes[list(block)])[0]
         expr = OneSum(tuple(k[0] for k in kids))
@@ -803,7 +778,7 @@ def _recognize_rec(S: Matrix):
     right = _recognize_part(S2p)
     if right is None:
         return None
-    A1, A2 = _array(S1p), _array(S2p)
+    A1, A2 = S1p.array, S2p.array
     pair = np.array(colmap1) * S2p.n + colmap2  # each column's (left, right) pair
     # a part read as its dual is the same matrix with complemented bases
     for exprL, BL, gl in _glue_options(left[0], left[1], glue1, "nonneg"):

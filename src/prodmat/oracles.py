@@ -75,8 +75,9 @@ def bf_two_product(S: Matrix) -> OracleReport:
     witnesses = []
     count = 0
     if m >= 3:
+        rows = S.rows
         for r in range(m):
-            row = S.rows[r]
+            row = rows[r]
             if any(x != 0 and x != 1 for x in row):
                 continue
             if all(x == row[0] for x in row):

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,10 +42,7 @@ def one_product(S1: Matrix, S2: Matrix) -> Matrix:
     Column j of the result (0-based) is S1's column j // n2 stacked on S2's
     column j % n2.
     """
-    n1, n2 = S1.n, S2.n
-    rows = [tuple(chain.from_iterable(map(repeat, row, repeat(n2)))) for row in S1.rows]
-    rows += [row * n1 for row in S2.rows]
-    return Matrix._of(rows)
+    return Matrix(np.concatenate((np.repeat(S1.array, S2.n, axis=1), np.tile(S2.array, S1.n))))
 
 
 @dataclass(frozen=True)
@@ -123,8 +119,8 @@ def _block_factors(S: Matrix, X: tuple, Xc: tuple, counts, cols: np.ndarray) -> 
     v = cnt_b * g // n
     if not ok.all() or len(first_a) * len(first_b) > n or (v * n != cnt_b * g).any():
         raise ValueError("rows are not independent across the bipartition")
-    S1 = S.submatrix(X, np.repeat(cols[first_a], u).tolist())
-    S2 = S.submatrix(Xc, np.repeat(cols[first_b], v).tolist())
+    S1 = S.submatrix(X, np.repeat(cols[first_a], u))
+    S2 = S.submatrix(Xc, np.repeat(cols[first_b], v))
     return S1, S2
 
 
@@ -188,12 +184,11 @@ def factorize_irreducible(S: Matrix) -> Factorization:
 
 
 def _special_row_split(S: Matrix, r: int):
-    row = S.rows[r]
-    if any(x != 0 and x != 1 for x in row):
+    row = S.array[r]
+    J0, J1 = np.flatnonzero(row == 0), np.flatnonzero(row == 1)
+    if len(J0) + len(J1) < S.n:
         raise ValueError(f"row {r} is not 0/1")
-    J0 = [j for j in range(S.n) if row[j] == 0]
-    J1 = [j for j in range(S.n) if row[j] == 1]
-    if not J0 or not J1:
+    if not len(J0) or not len(J1):
         raise ValueError(f"row {r} must take both values 0 and 1")
     return J0, J1
 
@@ -219,7 +214,9 @@ def two_product(S1: Matrix, x1: int, S2: Matrix, y1: int) -> Matrix:
 
 def _glue(L: Matrix, R: Matrix) -> Matrix:
     """[L | R] with the special row 0...0 1...1 appended."""
-    return Matrix._of(tuple(a + b for a, b in zip(L.rows, R.rows)) + ((0,) * L.n + (1,) * R.n,))
+    A = np.zeros((L.m + 1, L.n + R.n), dtype=np.result_type(L.array, R.array))
+    A[:-1, : L.n], A[:-1, L.n :], A[-1, L.n :] = L.array, R.array, 1
+    return Matrix(A)
 
 
 def recognize_two_product(S: Matrix) -> Optional[TwoProductCert]:
@@ -242,8 +239,7 @@ def recognize_two_product(S: Matrix) -> Optional[TwoProductCert]:
         counts = F._split_counts(found, F._complement(found))
         X = tuple(F.ground[i] for i in found)
         Xc = tuple(i for i in F.ground if i not in X)
-        # the r = 0 columns by value: code 0 is whichever value comes first
-        zero = F.given_codes == F.given_codes[S.rows[r].index(0)]
+        zero = S.array[r] == 0
         A1f, A2f = _block_factors(S, X, Xc, counts, np.flatnonzero(zero))
         B1f, B2f = _block_factors(S, X, Xc, counts, np.flatnonzero(~zero))
         S1, S2 = _glue(A1f, B1f), _glue(A2f, B2f)

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -256,10 +257,25 @@ def test_gen_expr_over_the_column_bound_exits_2_within_a_second(tmp_path, capsys
     assert elapsed < 1.0
 
 
-@pytest.mark.parametrize("argv", [["hypersimplex", "40", "20"], ["expr", "(u 40 20)"]])
-def test_gen_of_a_huge_leaf_exits_2_before_enumerating(tmp_path, capsys, argv):
+HUGE_LEAVES = {
+    "40 20": "U(40,20) would have 137846528820 columns, more than the bound of 65536",
+    "65536 1": "U(65536,1) would have 65536 x 65536 entries, more than the bound of 16777216",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["hypersimplex", "40", "20"], ["expr", "(u 40 20)"], ["hypersimplex", "65536", "1"], ["expr", "(u 65536 1)"]],
+)
+def test_gen_of_a_huge_leaf_exits_2_before_enumerating(tmp_path, capsys, monkeypatch, argv):
     # U(40,20) has C(40,20) = 1.4e11 bases; the leaf is counted with
-    # math.comb and refused before any of them is enumerated
+    # math.comb and refused before any of them is enumerated.  U(65536,1)
+    # has only 65536 bases, but its slack is the 65536 x 65536 identity,
+    # refused by its count of entries before it is allocated
+    from prodmat import matroids
+
+    monkeypatch.setattr(matroids, "_uniform", lambda d, k: pytest.fail(f"U({d},{k}) was built"))
+    message = HUGE_LEAVES[" ".join(re.findall(r"\d+", " ".join(argv[1:])))]
     if argv[0] == "expr":
         p = tmp_path / "e.txt"
         p.write_text(argv[1] + "\n")
@@ -270,7 +286,7 @@ def test_gen_of_a_huge_leaf_exits_2_before_enumerating(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == "error: U(40,20) would have 137846528820 columns, more than the bound of 65536\n"
+    assert captured.err == f"error: {message}\n"
     assert "Traceback" not in captured.err
     assert elapsed < 1.0
 

@@ -12,10 +12,12 @@ from prodmat import (
     complement_row,
     dedupe_rows,
     is_isomorphic,
+    one_product,
     parse_matrix,
     permute,
     restrict_rows,
     seeded_shuffle,
+    two_product,
     write_matrix,
 )
 from prodmat import matrix
@@ -57,8 +59,10 @@ def test_entry_types_int_when_integral():
     S = Matrix([[Fraction(2), True, 2.0, np.int64(3), Fraction(1, 2), 0.25, Decimal("1.50"), Fraction(-4, 2)]])
     assert [type(x) for x in S.rows[0]] == [int, int, int, int, Fraction, Fraction, Fraction, int]
     assert S.rows[0] == (2, 1, 2, 3, Fraction(1, 2), Fraction(1, 4), Fraction(3, 2), -2)
-    ints = ((0, 1), (2, 3))
-    assert Matrix(ints).rows[0] is ints[0]  # an all-int row is taken as it is
+    # the dtype follows from the entries: int64 when every entry is an int that fits
+    assert S.array.dtype == object and Matrix(((0, 1), (2, 3))).array.dtype == np.int64
+    assert Matrix([[2**63 - 1, -(2**63)]]).array.dtype == np.int64
+    assert Matrix([[2**63, 0]]).array.dtype == object
 
 
 def test_int_and_fraction_forms_equivalent():
@@ -127,9 +131,10 @@ def _outcome(parse, text):
 
 
 def test_parse_matches_per_token_reference(monkeypatch):
-    arrays = []
-    real = matrix._first_occurrence_codes
-    monkeypatch.setattr(matrix, "_first_occurrence_codes", lambda A: arrays.append(A.shape) or real(A))
+    tokens = []  # the tokens parse_matrix read one by one
+    real = matrix._parse_token
+    monkeypatch.setattr(matrix, "_parse_token", lambda tok: tokens.append(tok) or real(tok))
+    arrays = 0  # matrices read by the array route, without a token read one by one
     rng = random.Random(11)
     ints = ["0", "7", "-3", "+12", "007", "-0", "+0", "123456789012345678901234567890"]
     short = ints[:-1]  # at most 18 digits, as the array route reads
@@ -165,11 +170,13 @@ def test_parse_matches_per_token_reference(monkeypatch):
             lines.append(rng.choice(["", " ", "\t"]) + line + rng.choice(["", " ", "\t "]))
         text = "".join(ln + rng.choice(ends) for ln in lines)
         want = _outcome(_per_token_parse, text)
+        read = len(tokens)
         assert _outcome(parse_matrix, text) == want, text
         errors += want[0] == "error"
+        arrays += want[0] != "error" and len(tokens) == read
     assert 100 < errors < 500  # both outcomes are exercised
     parsed = 600 - errors
-    assert 20 < len(arrays) < parsed - 20  # and both routes to a matrix
+    assert 20 < arrays < parsed - 20  # and both routes to a matrix
 
 
 def test_parse_token_beyond_the_int_digit_limit():
@@ -211,7 +218,8 @@ def test_parse_array_route_raises_no_warning():
         S = parse_matrix(text)
     assert S.rows == ((1, -2, 3, 4), (0, 0, 7, 0), (big, big - 2, big, big - 1), (-big, 1 - big, -big, -big))
     assert {type(x) for row in S.rows for x in row} == {int}
-    assert S._codes is not None and S.codes.tolist() == [[0, 1, 2, 3], [0, 0, 1, 0], [0, 1, 0, 2], [0, 1, 0, 0]]
+    assert S.array.dtype == np.int64
+    assert S.codes.tolist() == [[0, 1, 2, 3], [0, 0, 1, 0], [0, 1, 0, 2], [0, 1, 0, 0]]
 
 
 def _first_occurrence_arrays(rng):
@@ -369,21 +377,42 @@ def test_is_isomorphic_rejects_different_multisets():
 
 
 def test_derived_matrices_match_the_public_constructor():
-    # the operations build their results without re-checking the entries;
-    # each result equals Matrix(...) of its rows, entries keep their types
-    # and hashes, and permute follows result[i][j] = S[row_perm[i]][col_perm[j]]
+    # the operations build their results from the entry array, for either
+    # dtype; each result equals Matrix(...) of its rows, with the same dtype,
+    # entry types, hash and codes, and permute follows
+    # result[i][j] = S[row_perm[i]][col_perm[j]]
     rng = random.Random(7)
-    rows = [[rng.choice([0, 1, 2, Fraction(1, 3), Fraction(-5, 2)]) for _ in range(5)] for _ in range(4)]
-    S = Matrix(rows + [rows[1]])
+    big = 2**70
+    sources = []
+    for values in ([0, 1, 2, Fraction(1, 3), Fraction(-5, 2)], [0, 1, 2, big, -big - 1], [0, 1, 2, 3, -4]):
+        rows = [[rng.choice(values) for _ in range(5)] for _ in range(4)]
+        sources.append(Matrix(rows + [rows[1]]))
+    S, W, I = sources
+    assert [T.array.dtype for T in sources] == [object, object, np.int64]
     row_perm, col_perm = (2, 0, 4, 1, 3), (4, 2, 0, 3, 1)
-    P = permute(S, row_perm, col_perm)
-    assert [list(r) for r in P.rows] == [[S.rows[i][j] for j in col_perm] for i in row_perm]
-    derived = [P, S.submatrix((3, 0), (1, 4)), S.restrict_cols([2, 2]), restrict_rows(S, {1, 3}), dedupe_rows(S)[0]]
+    derived = []
+    for T in sources:
+        P = permute(T, row_perm, col_perm)
+        assert [list(r) for r in P.rows] == [[T.rows[i][j] for j in col_perm] for i in row_perm]
+        derived += [P, T.submatrix((3, 0), (1, 4)), T.restrict_cols([2, 2]), restrict_rows(T, {1, 3}), dedupe_rows(T)[0]]
+    # products of mixed dtypes
+    special = ((0, 1, 1, 0, 1),)
+    for A, B in ((S, I), (I, W), (W, S)):
+        derived.append(one_product(A, B))
+        derived.append(two_product(Matrix(A.rows + special), A.m, Matrix(B.rows + special), B.m))
+    # an object matrix's submatrix of int64-range entries is int64 again
+    X = Matrix([[1, Fraction(1, 2), 2], [3, big, -4]])
+    fit = X.submatrix((0, 1), (0, 2))
+    want = Matrix([[1, 2], [3, -4]])
+    assert fit.array.dtype == np.int64 and fit == want and hash(fit) == hash(want)
+    derived += [fit, X.restrict_cols([1])]
     for D in derived:
         public = Matrix(D.rows)
         assert D == public and hash(D) == hash(public) and (D.m, D.n) == (public.m, public.n)
+        assert D.array.dtype == public.array.dtype and not D.array.flags.writeable
         assert [list(map(type, r)) for r in D.rows] == [list(map(type, r)) for r in public.rows]
         assert np.array_equal(D.codes, public.codes)
+    assert {D.array.dtype for D in derived} == {np.dtype(object), np.dtype(np.int64)}
     with pytest.raises(MatrixFormatError):
         S.submatrix((0, 1), ())
     with pytest.raises(MatrixFormatError):

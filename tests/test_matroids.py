@@ -33,7 +33,6 @@ from prodmat import (
 from prodmat import matroids
 from prodmat.matroids import (
     Matroid,
-    _array,
     _build,
     _facet_rows,
     _screen,
@@ -548,7 +547,7 @@ def test_two_product_split_never_isolates_the_complement_row():
             with_complement += tuple(1 - x for x in special) in T.rows
             for F in (S1p, S2p):
                 assert 2 < F.n < T.n
-                A = _array(F)
+                A = F.array
                 assert _facet_rows(A) is A
             todo += [S1p, S2p]
     assert splits >= 20 and with_complement >= 10, (splits, with_complement)
@@ -661,8 +660,8 @@ def test_facet_rows_keeps_one_copy_of_each_maximal_zero_set():
     S = Matrix([[0, 0, 1, 1], [1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1], [0, 1, 1, 1]])
     # row 2 is a later copy of row 0, row 3 has no zero, and row 4's zero set
     # {0} lies strictly inside row 0's {0, 1}
-    assert _facet_rows(_array(S)).tolist() == [[0, 0, 1, 1], [1, 1, 0, 0]]
-    F = _array(Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
+    assert _facet_rows(S.array).tolist() == [[0, 0, 1, 1], [1, 1, 0, 0]]
+    F = Matrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]).array
     assert _facet_rows(F) is F
 
 

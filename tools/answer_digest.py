@@ -44,6 +44,16 @@ column order, or the type of the exception the builder raised (an
 incoherent 2-sum raises CoherenceError).  It is not part of the combined
 digest.
 
+A separate `exact` line digests the recognizers on matrices whose entries
+do not all fit in int64: a fixed-seed sample of 150 of the inputs above
+(120 matrices, 30 slack matrices), each in two forms, every entry divided
+by 3 (`Fraction`s) and every entry plus 2**70 (wider ints).  All four
+recognizers run on each (the matroid recognizer refuses as input errors
+those whose entries are not all 0/1), their answers are checked for
+re-expansion like the others, and the digest covers each input with its
+answers.  It is not part of the
+combined digest either.
+
 Each input is written with `write_matrix` and read back with `parse_matrix`,
 and the recognizers run on the matrix read back, so the parser's codes are
 the ones digested.  The last line counts the inputs whose parsed rows or
@@ -264,11 +274,45 @@ def round_trip(S):
     return P, P.rows != S.rows or not np.array_equal(P.codes, S.codes)
 
 
+def exact_inputs(matrices, slacks):
+    """A fixed-seed sample of the inputs, each divided by 3 and shifted by 2**70."""
+    rng = random.Random(20240605)
+    out = []
+    for S in rng.sample(matrices, 120) + rng.sample(slacks, 30):
+        rows = [list(r) for r in S.rows]
+        out.append(Matrix([[Fraction(x, 3) for x in r] for r in rows]))
+        out.append(Matrix([[x + 2**70 for x in r] for r in rows]))
+    return out
+
+
+def exact_digest(inputs):
+    """(SHA-256 over the four recognizers' answers on the inputs, their number,
+    failed re-expansions, round-trip differences)."""
+    h = hashlib.sha256()
+    failures = mismatches = 0
+    for S in inputs:
+        S, differs = round_trip(S)
+        mismatches += differs
+        cert1 = recognize_one_product(S)
+        fac = factorize_irreducible(S)
+        cert2 = recognize_two_product(S)
+        failures += failed_reexpansions(S, cert1, fac, cert2)
+        try:
+            rec = recognize_2level_matroid_slack(S)
+        except MatroidInputError as exc:
+            rec = ("input error", str(exc))
+        else:
+            failures += rec is not None and not _verify_candidate(S, rec.expr, rec.col_bases)
+        h.update(repr(canon((S, cert1, fac, cert2, rec))).encode())
+    return h.hexdigest(), len(inputs), failures, mismatches
+
+
 def main():
     h = hashlib.sha256()
     parts = {name: hashlib.sha256() for name in PARTS}
     count = failures = mismatches = 0
-    for S in matrix_inputs():
+    matrices, slacks = matrix_inputs(), slack_inputs()
+    for S in matrices:
         S, differs = round_trip(S)
         mismatches += differs
         cert1 = recognize_one_product(S)
@@ -279,7 +323,7 @@ def main():
         for name, answer in zip(PARTS, (cert1, fac, cert2)):
             parts[name].update(repr(canon((S, answer))).encode())
         count += 1
-    for S in slack_inputs():
+    for S in slacks:
         S, differs = round_trip(S)
         mismatches += differs
         try:
@@ -295,6 +339,10 @@ def main():
         print(f"{parts[name].hexdigest()}  {name}")
     print(f"{h.hexdigest()}  {count} inputs")
     print("{}  build, {} expressions".format(*build_digest()))
+    exact, exact_count, exact_failures, exact_mismatches = exact_digest(exact_inputs(matrices, slacks))
+    failures += exact_failures
+    mismatches += exact_mismatches
+    print(f"{exact}  exact, {exact_count} inputs")
     print(f"{failures} answers fail re-expansion")
     print(f"{mismatches} inputs differ after write_matrix and parse_matrix")
     return 1 if failures or mismatches else 0
