@@ -226,6 +226,17 @@ def cmd_oracle(args) -> int:
     return OK if rep.verdict else NO
 
 
+def _seed(text: str) -> int:
+    """A shuffle seed: an integer in 0 .. 2**64 - 1 (a usage error otherwise)."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed {seed} is outside 0 .. 2**64 - 1")
+    return seed
+
+
 @functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="prodmat", description=__doc__)
@@ -254,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generators: hypersimplex d k | expr FILE | product F1 F2.. | shuffle FILE")
     p.add_argument("what", choices=["hypersimplex", "expr", "product", "shuffle"])
     p.add_argument("params", nargs="*")
-    p.add_argument("--seed", type=int, default=0, help="64-bit seed for shuffle")
+    p.add_argument("--seed", type=_seed, default=0, help="64-bit seed for shuffle, 0 .. 2**64 - 1")
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("oracle", help="brute-force oracles for reproducing derived values")

@@ -46,12 +46,30 @@ when their block of some n_v*G_v - s_v s_v^T has a nonzero cell.  Each
 value v >= 1 takes one weighted product, for a block of given rows at once,
 and the value 0 takes E E^T less the others (`_indicator_dependence`).
 Every cell is a count, at most n, so the float64 products are exact; the
-identity is compared in int64.  The special-row screen
-(`_special_row_candidates`) takes the 0/1 rows as given rows, each with one
-indicator; on a 0/1 matrix E is `Matrix.codes` itself.  Rows of
-near-distinct values push D towards m*n, so above `_GRAM_CAP` cells the
-same identity is checked on the observed value triples of every row pair,
-grouped by `group_columns` a bounded chunk at a time (`_chunked_dependence`).
+identity is compared in int64.  E and P = E E^T are built once per matrix,
+on first use (`_pair_counts`); the graph without a given row is read from P
+alone, and on a matrix whose rows all take two values E is `Matrix.codes`
+itself.  Rows of near-distinct values push D towards m*n, so above
+`_GRAM_CAP` cells the same identity is checked on the observed value
+triples of every row pair, grouped by `group_columns` a bounded chunk at a
+time (`_chunked_dependence`).
+
+The special-row screen (`_special_row_candidates`) takes the 0/1 rows as
+given rows, and reads a first graph for each from P alone.  Let row r, of
+one indicator, hold n1 ones and n0 zeros (the ones being that indicator).
+For indicators d and e write p_d = P[r, d], q_d = P[d, d] - p_d and T for
+the count of columns where r, d and e are all 1.  If d and e pass the
+identity given r, then n1*T = p_d*p_e at the value 1 and
+n0*(P[d, e] - T) = q_d*q_e at the value 0; eliminating T gives
+
+    n0*n1*P[d, e] == n0*p_d*p_e + n1*q_d*q_e.
+
+A cell where this fails is dependent given r, so the graph read from P is a
+subgraph of the graph given r, and a row whose graph there is connected
+(without r and the rows left out) cannot split: it is dropped before the
+weighted products run (`_pair_graphs`).  Each term is at most n0*n1*n <=
+n**3/4, so the check is exact in int64 below `_PRESCREEN_N` = 2**21
+columns; wider matrices send every 0/1 row to the weighted products.
 
 `InfoFunction.atoms` finds every zero at once.  Since f >= 0 and f is
 submodular, f(X | Y) + f(X & Y) <= f(X) + f(Y), so the zeros are closed
@@ -90,6 +108,10 @@ _GRAM_CAP = 1 << 22
 #: cells of one weighted product of the special-row screen's given rows, and
 #: (row pair, column) entries grouped at once when the Gram matrix is too large
 _PAIR_CHUNK = 1 << 16
+
+#: columns below which the P-only screen (`_pair_graphs`) is exact in int64:
+#: its terms reach n**3/4
+_PRESCREEN_N = 1 << 21
 
 #: keys of an exact check are counted by np.bincount while their span is at
 #: most this many times the number of columns, or at most _BINCOUNT_MIN
@@ -195,6 +217,24 @@ def _key_counts(keys: np.ndarray, span: int) -> np.ndarray:
     return cnt[inv]
 
 
+def _row_graph(bad: np.ndarray, rows: np.ndarray, starts: np.ndarray, m: int) -> np.ndarray:
+    """dep[t]: the m x m row graph of the indicator graph bad[t] (D x D), diagonal True.
+
+    Rows are adjacent when their blocks of indicators, which start at `starts`,
+    one per row of `rows`, have a True cell; a constant row has no indicator
+    and no edge."""
+    b = len(bad)
+    if bad.shape[-1] > len(rows):
+        bad = np.logical_or.reduceat(np.logical_or.reduceat(bad, starts, axis=-2), starts, axis=-1)
+    if len(rows) < m:
+        dep = np.zeros((b, m, m), dtype=bool)
+        dep[:, rows[:, None], rows] = bad
+    else:
+        dep = bad.reshape(b, m, m)
+    dep.reshape(b, -1)[:, :: m + 1] = True
+    return dep
+
+
 def _indicator_dependence(E, rows, starts, m: int, P, q: int, given) -> np.ndarray:
     """dep[t]: the m x m dependence graph given the row given[t] (codes of at most
     q + 1 values), diagonal True.  E: the float64 reduced indicators of the m rows,
@@ -209,49 +249,94 @@ def _indicator_dependence(E, rows, starts, m: int, P, q: int, given) -> np.ndarr
         G = G.astype(np.int64)
         s = G.diagonal(0, -2, -1)
         bad = bad | ((n_v * G.T).T != s[..., :, None] * s[..., None, :])
-    if D > len(rows):  # a row pair is dependent when its block has a True cell
-        bad = np.logical_or.reduceat(np.logical_or.reduceat(bad, starts, axis=-2), starts, axis=-1)
-    if len(rows) < m:  # a constant row has no indicator and no edge
-        dep = np.zeros((b, m, m), dtype=bool)
-        dep[:, rows[:, None], rows] = bad
-    else:
-        dep = bad.reshape(b, m, m)
-    dep.reshape(b, -1)[:, :: m + 1] = True
-    return dep
+    return _row_graph(bad, rows, starts, m)
 
 
-def _dependence_graphs(codes: np.ndarray, given: np.ndarray):
+def _pair_graphs(pairs, n: int, given: list):
+    """Yield, a block of `_PAIR_CHUNK` cells at a time, a subgraph of the
+    dependence graph given each 0/1 row of `given`, read from P alone.
+
+    pairs is `_reduced_indicators` of the matrix, whose 0/1 rows have one
+    indicator each.  With p = P[r] and q = diag(P) - p, a cell (d, e) where
+    n0*n1*P[d, e] != n0*p[d]*p[e] + n1*q[d]*q[e] is dependent given r (module
+    docstring); each term is at most n**3/4, so exact in int64 below
+    `_PRESCREEN_N` columns.
+    """
+    _, P, rows, starts, _ = pairs
+    s, m = P.diagonal(), len(starts)
+    step = max(1, _PAIR_CHUNK // max(len(s) ** 2, 1))
+    for lo in range(0, len(given), step):
+        t = starts[given[lo : lo + step]]
+        p = P[t]
+        q = s - p
+        n1 = s[t][:, None, None]
+        n0 = n - n1
+        bad = n0 * n1 * P != n0 * p[:, :, None] * p[:, None, :] + n1 * q[:, :, None] * q[:, None, :]
+        yield _row_graph(bad, rows, starts[rows], m)
+
+
+def _reduced_indicators(codes: np.ndarray, q: int = 1):
+    """(E, P, rows, starts, cells) of the rows of codes, or None when a given row
+    of q + 1 values takes more than `_GRAM_CAP` cells.
+
+    E: the float64 reduced indicators (one 0/1 row [codes[i] == a] per row i
+    and code a >= 1), in blocks that start at starts[i], one per row of `rows`,
+    the rows of two or more values; P = E E^T in int64, D x D; cells:
+    D*max(D, n).  When every row has two values, E is codes itself.
+    """
+    m, n = codes.shape
+    k = np.maximum.reduce(codes, axis=1)
+    D = int(np.add.reduce(k))
+    cells = D * max(D, n)
+    if max(q, 1) * cells > _GRAM_CAP:
+        return None
+    starts = k.cumsum() - k
+    if D == m and np.count_nonzero(k) == m:  # one indicator per row
+        E = codes.astype(np.float64)
+    else:  # E[d] = [codes[i] == a] for the d-th pair (i, a >= 1), by row and then by code
+        owner = np.arange(m).repeat(k)
+        E = (codes[owner] == (np.arange(1, D + 1) - starts[owner])[:, None]).astype(np.float64)
+    return E, (E @ E.T).astype(np.int64), k.nonzero()[0], starts, cells
+
+
+def _pair_counts(S: Matrix):
+    """`_reduced_indicators(S.codes)`, built once per matrix on first use; None
+    while it takes more than `_GRAM_CAP` cells, as read at each call."""
+    pairs = S._pairs
+    if pairs is None:
+        pairs = S._pairs = _reduced_indicators(S.codes)
+    return None if pairs is None or pairs[-1] > _GRAM_CAP else pairs
+
+
+def _dependence_graphs(codes: np.ndarray, given: np.ndarray, pairs=None):
     """Yield the dependence graphs of the rows of codes given each row of `given`, a block at a time.
 
     From `_indicator_dependence` while its products fit `_GRAM_CAP` cells, a block
     of `_PAIR_CHUNK` cells (or one given row) at a time, else `_chunked_dependence`.
+    pairs: `_reduced_indicators(codes)` when already built, for given rows of
+    at most two values.
     """
-    m, n = codes.shape
-    k = np.maximum.reduce(codes, axis=1)
-    D, q = int(np.add.reduce(k)), int(given.max())
-    cells = max(q, 1) * D * max(D, n)
-    if cells > _GRAM_CAP:
+    q = int(given.max())
+    pairs = pairs or _reduced_indicators(codes, q)
+    if pairs is None:
         for z in given:
             yield _chunked_dependence(codes, z)[None]
         return
-    # E[d] = [codes[i] == a] for the d-th pair (i, a >= 1), by row and then by code
-    starts = k.cumsum() - k
-    owner = np.arange(m).repeat(k)
-    E = (codes[owner] == (np.arange(1, D + 1) - starts[owner])[:, None]).astype(np.float64)
-    P = E @ E.T
-    rows = k.nonzero()[0]
-    step = max(1, _PAIR_CHUNK // max(cells, 1))
+    E, P, rows, starts, cells = pairs
+    step = max(1, _PAIR_CHUNK // max(max(q, 1) * cells, 1))
     for lo in range(0, len(given), step):
-        yield _indicator_dependence(E, rows, starts[rows], m, P, q, given[lo : lo + step])
+        yield _indicator_dependence(E, rows, starts[rows], len(codes), P, q, given[lo : lo + step])
 
 
 def _component_labels(adj: np.ndarray) -> np.ndarray:
     """label[t, i]: the smallest node of the component of i in the graph adj[t] (diagonal True)."""
-    while True:  # transitive closure by repeated squaring
-        nxt = (adj.astype(np.float64) @ adj) > 0
-        if (nxt == adj).all():
+    edges = np.count_nonzero(adj)
+    while True:  # transitive closure by repeated squaring, until no edge is added
+        a = adj.astype(np.float64)
+        adj = (a @ a) > 0
+        edges, last = np.count_nonzero(adj), edges
+        if edges == last:
             return adj.argmax(axis=2)
-        adj = nxt
 
 
 def _grouped(labels: list, items) -> list:
@@ -262,6 +347,24 @@ def _grouped(labels: list, items) -> list:
     return [tuple(g) for g in groups.values()]
 
 
+def _split_rows(graphs, given: list, keep: np.ndarray):
+    """Yield (r, labels, kept) for the rows r of `given` whose graph, from the
+    blocks `graphs` in order, has two or more components over the rows
+    keep[r].  kept is keep[r], and labels[i] is the smallest row of the
+    component of row i."""
+    done = 0
+    for dep in graphs:
+        block = given[done : done + len(dep)]
+        done += len(dep)
+        kept = keep[block]
+        dep &= kept[:, :, None] & kept[:, None, :]
+        labels = _component_labels(dep)
+        # a kept row that labels itself is the smallest of its component
+        splits = np.add.reduce((labels == np.arange(len(keep))) & kept, axis=1) >= 2
+        for t in splits.nonzero()[0].tolist():
+            yield block[t], labels[t], kept[t]
+
+
 def _special_row_candidates(S: Matrix, out: Optional[np.ndarray] = None):
     """Yield (r, components) for the 0/1 rows r of S whose dependence graph given r splits.
 
@@ -269,27 +372,26 @@ def _special_row_candidates(S: Matrix, out: Optional[np.ndarray] = None):
     without the rows out[r] (out: an m x m bool array, or None).  r is
     yielded, in increasing order, with its components as `components()` gives
     them, when they number two or more; a row not yielded has at most one atom
-    over the rows kept.  Row r has no edge in its own graph.
+    over the rows kept.  Row r has no edge in its own graph.  The graphs read
+    from P alone (`_pair_graphs`) are subgraphs of these, so a row whose
+    graph there does not split is dropped before the triple counts.
     """
-    codes, m = S.codes, S.m
+    m = S.m
     zero, one = S.array == 0, S.array == 1
     rows = np.flatnonzero((zero | one).all(axis=1) & zero.any(axis=1) & one.any(axis=1)).tolist()
     if m < 3 or not rows:  # a graph of one row has one component
         return
-    done = 0
-    for dep in _dependence_graphs(codes, codes[rows]):
-        block = rows[done : done + len(dep)]
-        done += len(dep)
-        drops = [[False] * m] * len(block)
-        if out is not None:
-            drops = out[block]
-            dep &= ~(drops[:, :, None] | drops[:, None, :])
-            drops = drops.tolist()
-        for r, labels, drop in zip(block, _component_labels(dep).tolist(), drops):
-            kept = [(low, i) for i, low in enumerate(labels) if i != r and not drop[i]]
-            # a row that labels itself is the smallest of its component
-            if sum(low == i for low, i in kept) >= 2:
-                yield r, _grouped([low for low, _ in kept], [i - (i > r) for _, i in kept])
+    keep = ~np.eye(m, dtype=bool)  # keep[r]: the rows of r's graph
+    if out is not None:
+        keep &= ~out
+    pairs = _pair_counts(S)
+    if pairs is not None and S.n < _PRESCREEN_N:
+        rows = [r for r, _, _ in _split_rows(_pair_graphs(pairs, S.n, rows), rows, keep)]
+        if not rows:
+            return
+    for r, labels, kept in _split_rows(_dependence_graphs(S.codes, S.codes[rows], pairs), rows, keep):
+        kept = kept.nonzero()[0]
+        yield r, _grouped(labels[kept].tolist(), (kept - (kept > r)).tolist())
 
 
 def _chunked_dependence(codes: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -340,6 +442,8 @@ class InfoFunction:
         if given is not None and not 0 <= given < S.m:
             raise IndexError(f"given row {given} out of range for {S.m} rows")
         self.ground = tuple(i for i in range(S.m) if i != given)
+        # without a given row the graph is S's own, from its pair counts
+        self._pairs_of = S if given is None else None
         self.m = len(self.ground)
         self.n = n = S.n
         self.codes = S.codes[list(self.ground)]
@@ -455,14 +559,21 @@ class InfoFunction:
 
         Ground rows i and j are adjacent when some values x of row i, y of
         row j and z of the given row have n_z*mu(x,y,z) != mu(x,z)*mu(y,z),
-        tested in integers by one call of `_dependence_graphs` (module
-        docstring).  Every zero X of f is a union of components, since
-        C_X ⊥ C_Xc | C_given forces C_i ⊥ C_j | C_given for i in X and j
-        outside it.  Sorted by smallest row; [] on an empty ground set.
+        tested in integers (module docstring): without a given row on the
+        matrix's pair counts as n*P != s s^T, else by one call of
+        `_dependence_graphs`.  Every zero X of f is a union of components,
+        since C_X ⊥ C_Xc | C_given forces C_i ⊥ C_j | C_given for i in X and
+        j outside it.  Sorted by smallest row; [] on an empty ground set.
         """
         if self.m == 0:
             return []
-        reach = next(_dependence_graphs(self.codes, self.given_codes[None]))
+        pairs = None if self._pairs_of is None else _pair_counts(self._pairs_of)
+        if pairs is None:
+            reach = next(_dependence_graphs(self.codes, self.given_codes[None]))
+        else:
+            _, P, rows, starts, _ = pairs
+            s = P.diagonal()
+            reach = _row_graph((self.n * P != s[:, None] * s)[None], rows, starts[rows], self.m)
         return _grouped(_component_labels(reach)[0].tolist(), range(self.m))
 
     def atoms(self) -> list:

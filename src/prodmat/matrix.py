@@ -100,7 +100,7 @@ class Matrix:
     tuples, built on each call.
     """
 
-    __slots__ = ("array", "m", "n", "_hash", "_codes")
+    __slots__ = ("array", "m", "n", "_hash", "_codes", "_pairs")
 
     def __init__(self, entries):
         if type(entries) is not np.ndarray or entries.dtype != np.int64:
@@ -112,6 +112,7 @@ class Matrix:
         self.m, self.n = entries.shape
         self._hash = None
         self._codes = None
+        self._pairs = None  # the reduced indicators and their pair counts (`info._pair_counts`)
 
     @property
     def codes(self) -> np.ndarray:
@@ -183,12 +184,18 @@ def _first_occurrence_codes(A: np.ndarray) -> Optional[np.ndarray]:
     its row's minimum plus the row's base.  One `np.minimum.at` keeps the
     first column of each pair, and an entry's code is the number of first
     columns before its own in its row.  None when the values of some row
-    spread too wide for the table.
+    spread too wide for the table.  When every row's values lie within two
+    consecutive integers (a 0/1 matrix, say), an entry's code is whether it
+    differs from its row's first entry, and no table is built.
     """
     m, n = A.shape
     # offsets from each row's minimum, exact in uint64 however wide the row
     d = A.view(np.uint64) - A.min(axis=1, keepdims=True).view(np.uint64)
     span = int(d.max()) + 1
+    if span <= 2:  # at most two values per row: code 1 where an entry differs from its row's first
+        codes = (A != A[:, :1]).astype(np.int64)
+        codes.flags.writeable = False
+        return codes
     if m * span > max(_TABLE_PER_ENTRY * m * n, _TABLE_MIN):
         return None
     keys = (d.astype(np.int64) + np.arange(0, m * span, span)[:, None]).ravel()

@@ -8,9 +8,11 @@ factor slacks along a coherent pair of special rows (an "x_p >= 0" row on
 one side, a "y_p <= 1" row on the other) followed by duplicate removal.
 
 The recognizer inverts that construction: hypersimplex leaves are matched
-directly, 1-products are split with the information-based factorizer, and a
-2-product is split once, along the first special row whose conditional
-atoms allow a split that is not a mere relabeling (`_two_product_split`).
+directly, a 1-product is split into one factor per atom of its dependence
+graph (`InfoFunction.atoms`), the block's distinct column patterns in order
+of first occurrence, and a 2-product is split once, along the first special
+row whose conditional atoms allow a split that is not a mere relabeling
+(`_two_product_split`).
 Each side goes to the recursion as an exact non-redundant slack matrix (its
 rows, the special row and its complement, dominated rows dropped), and the
 glue is passed as the special row's pattern over the side's columns, so
@@ -22,9 +24,12 @@ J. Math. 1980); both parts of a 2-sum are minors of the matroid, and the
 levelness, and matroid minors", JCTB 2017), so when S is recognizable both
 sides of any split are, and a failed split means no split succeeds.  The
 search per recursion node therefore takes one split instead of backtracking
-over the unions of components: the 2-product recognizer's screen builds the
-dependence graph given every row at once (`info._special_row_candidates`),
-and the atoms, with q(q-1)/2 exact checks for q dependence components, are
+over the unions of components.  Each node builds its pair counts P = E E^T
+once (`info._pair_counts`): the node's unconditional graph, the test for the
+row 1 - r and the 2-product recognizer's screen (`info._special_row_candidates`)
+all read it.  The screen drops every 0/1 row whose graph read from P alone
+is connected, counts the triples given each remaining row in one batch, and
+the atoms, with q(q-1)/2 exact checks for q dependence components, are
 merged from its components only for the rows whose graph splits, in order,
 up to the first that splits S.  Each node checks its answer exactly, so any
 returned answer is correct whatever the argument above: a leaf is
@@ -61,9 +66,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .info import InfoFunction, _special_row_candidates, group_columns
+from .info import InfoFunction, _pair_counts, _special_row_candidates, group_columns
 from .matrix import Matrix
-from .products import factorize_irreducible
 
 
 class CoherenceError(ValueError):
@@ -693,9 +697,14 @@ def _two_product_split(S: Matrix):
     Returns one (factor, glue pattern, column map) per side (`_split_side`);
     each factor is an exact non-redundant slack matrix when S is one.
     """
-    # in distinct 0/1 rows, 1 - r is the one other row with the codes of r
-    B = S.codes.astype(np.float64)
-    P = B @ B.T
+    # in distinct 0/1 rows, 1 - r is the one other row with the codes of r,
+    # and E is the codes themselves: P = codes codes^T
+    pairs = _pair_counts(S)
+    if pairs is None:  # over the Gram cap
+        B = S.codes.astype(np.float64)
+        P = B @ B.T
+    else:
+        P = pairs[1]
     twins = (P == P.diagonal()[:, None]) & (P == P.diagonal())
     for r, comps in _special_row_candidates(S, twins):
         F = InfoFunction(S, given=r)
@@ -749,23 +758,26 @@ def _recognize_rec(S: Matrix):
         B = S.array[[v for v, _ in form.elem_rows]].T.astype(bool)
         return (leaf, B) if _reexpands(S, leaf, B) else None
 
-    fact = factorize_irreducible(S)
-    if fact.t >= 2:
+    atoms = InfoFunction(S).atoms()
+    if len(atoms) >= 2:
         kids = []
         cols = np.zeros(S.n, dtype=np.int64)
-        for block, factor in zip(fact.blocks, fact.factors):
+        for block in atoms:
+            # the factor is the block's distinct patterns in first-occurrence order
+            inv, _, first = group_columns(S.codes[list(block)])
+            factor = S.submatrix(block, first)
             sub = _recognize_part(factor)
             if sub is None:
                 return None
             kids.append((sub[0], factor.array, sub[1]))
-            # the factor's columns are the block's patterns in first-occurrence order
-            cols = cols * factor.n + group_columns(S.codes[list(block)])[0]
+            cols = cols * factor.n + inv
         expr = OneSum(tuple(k[0] for k in kids))
         R, RB = _one_sum([k[1:] for k in kids])
-        # Cannot fail once reached: reconstruct_factors has proved the count
-        # identity, so S's distinct columns are exactly the 1-product's and
-        # cols is a permutation.  It stays as the guard that cols follows
-        # _one_sum's mixed-radix column order, part 0 most significant.
+        # Cannot fail once reached: the atoms are mutually independent, so
+        # S's distinct columns are exactly the 1-product of the blocks'
+        # distinct patterns and cols is a permutation.  It stays as the guard
+        # that cols follows _one_sum's mixed-radix column order, part 0 most
+        # significant.
         return (expr, RB[cols]) if _matches(S, R, cols) else None
 
     split = _two_product_split(S)

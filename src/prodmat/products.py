@@ -8,7 +8,8 @@ exactly the unions of its atoms, which come from merging the components of
 the exact pairwise-dependence graph with exact independence checks, so no
 float enters a verdict.  Two or more atoms make a 1-product, and atoms[0],
 the block holding the smallest row, is the canonical cut;
-`factorize_irreducible` peels every atom off one graph.
+`factorize_irreducible` peels every atom off one graph, whose pair counts
+are built once per matrix and shared with the 2-product screen.
 The factors come from the exact check's own counts: `InfoFunction._split_counts`
 gives each column the keys and counts of its two patterns and the verdict of
 the identity there, and `_block_factors` builds the factors from those same
@@ -19,9 +20,12 @@ A 2-product glues two matrices along 0/1 special rows; recognition guesses
 the special row r and reads the atoms of the conditional information
 I(C_X; C_Xc | C_r) over the remaining rows, which is zero exactly when both
 column blocks r = 0 and r = 1 are 1-products over one common bipartition.
-The candidates and their conditional components come from one batched
-screen (`info._special_row_candidates`); the matroid recognizer takes its one
-split per node from the same screen (`matroids._two_product_split`).
+The candidates and their conditional components come from one screen
+(`info._special_row_candidates`): it drops the rows whose graph read from
+the pair counts alone is connected, and counts the triples given the rest
+in one batch.  The matroid recognizer takes its one split per node from the
+same screen (`matroids._two_product_split`) and splits its 1-products on
+the atoms directly, without `factorize_irreducible`.
 """
 
 from __future__ import annotations

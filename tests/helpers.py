@@ -57,6 +57,14 @@ def random_feasible_expr(rng, max_leaves=5, dmax=6, max_cols=600, max_rows=40):
         return e, S, bases
 
 
+def u42_chain(rng, leaves):
+    """2-sums of `leaves` copies of U(4,2), each glued at a random element."""
+    e = Leaf(4, 2)
+    for _ in range(leaves - 1):
+        e = TwoSum(e, Leaf(4, 2), rng.randrange(expr_size(e)), rng.randrange(4))
+    return e
+
+
 def top_components(expr):
     return list(expr.parts) if isinstance(expr, OneSum) else [expr]
 

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from prodmat import Matrix, one_product, parse_matrix, write_matrix
+from prodmat import Matrix, one_product, parse_matrix, seeded_shuffle, write_matrix
 from prodmat.cli import build_parser, main
 
 PAPER_4x6 = one_product(Matrix([[1, 0], [2, 3]]), Matrix([[1, 0, 0], [0, 1, 1]]))
@@ -106,6 +106,23 @@ def test_gen_shuffle_deterministic(paper_file, capsys):
     assert out1 == out2
     _, out3 = run(capsys, ["gen", "shuffle", paper_file, "--seed", "8"])
     assert out3 != out1
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "18446744073709551617", "7.0", "x"])
+def test_gen_shuffle_seed_out_of_range_exit2(paper_file, capsys, seed):
+    # a seed outside 0 .. 2**64 - 1 is a usage error, not reduced mod 2**64
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "shuffle", paper_file, "--seed", seed])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--seed" in captured.err
+
+
+def test_gen_shuffle_seed_bounds(paper_file, capsys):
+    assert run(capsys, ["gen", "shuffle", paper_file, "--seed", "0"])[0] == 0
+    code, top = run(capsys, ["gen", "shuffle", paper_file, "--seed", str((1 << 64) - 1)])
+    assert code == 0 and top == write_matrix(seeded_shuffle(PAPER_4x6, (1 << 64) - 1)[0])
 
 
 def test_gen_expr(tmp_path, capsys):

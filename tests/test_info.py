@@ -20,10 +20,10 @@ from prodmat import (
 )
 from prodmat import info
 from prodmat.info import group_columns, mutual_info_direct
-from prodmat.matroids import _two_product_split
+from prodmat.matroids import _two_product_split, expr_to_slack
 from prodmat.oracles import bf_one_product, bf_two_product
 
-from helpers import random_feasible_expr, random_matrix
+from helpers import random_feasible_expr, random_matrix, u42_chain
 
 PAPER_4x6 = one_product(Matrix([[1, 0], [2, 3]]), Matrix([[1, 0, 0], [0, 1, 1]]))
 
@@ -334,7 +334,7 @@ def _chunked_components(monkeypatch, S, given):
 
 def test_components_match_reference(monkeypatch, dependence_paths):
     rng = random.Random(18)
-    runs = 0
+    runs = plain = 0
     for S in _component_inputs(rng):
         for given in [None] + list(range(S.m)):
             F = InfoFunction(S, given=given)
@@ -344,7 +344,8 @@ def test_components_match_reference(monkeypatch, dependence_paths):
             assert got == _components_by_counters(S, given)
             assert _chunked_components(monkeypatch, S, given) == got
             runs += F.m > 0  # an empty ground set builds no graph
-    assert dependence_paths == {"gram": runs, "chunked": runs}
+            plain += given is None  # read from the pair counts, without the kernel
+    assert dependence_paths == {"gram": runs - plain, "chunked": runs}
 
 
 def test_components_chunked_pairs(monkeypatch, dependence_paths):
@@ -357,7 +358,8 @@ def test_components_chunked_pairs(monkeypatch, dependence_paths):
         monkeypatch.setattr(info, "_PAIR_CHUNK", chunk)
         got = [[_chunked_components(monkeypatch, S, g) for g in [None] + list(range(S.m))] for S in inputs]
         assert got == want
-    assert dependence_paths["chunked"] == dependence_paths["gram"] * 2
+    # the graph without a given row is read from the pair counts, not the kernel
+    assert dependence_paths["chunked"] == (dependence_paths["gram"] + len(inputs)) * 2
 
 
 def test_components_near_distinct_rows_take_the_chunked_path(dependence_paths):
@@ -772,7 +774,7 @@ def test_reduced_kernel_matches_reference(dependence_paths):
         for given in [None] + list(range(S.m)):
             F = InfoFunction(S, given=given)
             assert F.components() == _components_by_counters(S, given)
-            runs += F.m > 0
+            runs += F.m > 0 and given is not None  # without one, read from the pair counts
             many += given is not None and len(set(S.rows[given])) >= 3
             constant += any(len(set(row)) == 1 for row in S.rows)
     assert dependence_paths == {"gram": runs, "chunked": 0}
@@ -836,27 +838,80 @@ def test_special_row_screen_on_any_matrix(monkeypatch):
 
 def test_recognizers_build_each_graph_once(monkeypatch):
     # the 2-product recognizer and the matroid split take every candidate's
-    # components from the screen: each 0/1 row's graph is built once, in
-    # the screen's batched calls, and InfoFunction.components never runs
+    # components from the screen, and InfoFunction.components never runs.
+    # Each matrix's pair counts P are built once, and the triple-count
+    # kernel takes only 0/1 rows, among them every row the screen yields
+    given, built = [], []
+    real, real_pairs = info._indicator_dependence, info._reduced_indicators
+
+    def spy(*args):
+        given.extend(args[-1].tolist())  # the given rows' codes come last
+        return real(*args)
+
+    def pairs_spy(*args):
+        built.append(args[0])
+        return real_pairs(*args)
+
+    monkeypatch.setattr(info, "_indicator_dependence", spy)
+    monkeypatch.setattr(info, "_reduced_indicators", pairs_spy)
+    monkeypatch.setattr(InfoFunction, "components", lambda self: pytest.fail("a graph was built again"))
+    rng = random.Random(28)
+    found = kernel = zero_one = 0
+    for S in _screen_inputs(rng):
+        given.clear()
+        built.clear()
+        found += recognize_two_product(S) is not None
+        yielded = [r for r, _ in info._special_row_candidates(S)]
+        codes = S.codes.tolist()
+        binary = [codes[i] for i, row in enumerate(S.rows) if set(row) == {0, 1}]
+        # a matrix of two rows cannot split: no graph at all
+        assert len(built) == (S.m >= 3 and len(binary) > 0)
+        assert all(g in binary for g in given) and all(codes[r] in given for r in yielded)
+        kernel += len(given)
+        zero_one += 2 * (S.m >= 3) * len(binary)
+    for _ in range(10):
+        _, S, _ = random_feasible_expr(rng, max_leaves=4, dmax=5, max_cols=120, max_rows=24)
+        given.clear()
+        built.clear()
+        found += _two_product_split(seeded_shuffle(S, rng.getrandbits(64))[0]) is not None
+        # the twin test and the screen share one P
+        assert len(built) == 1 and len(given) <= S.m
+        kernel += len(given)
+        zero_one += S.m
+    assert found > 50
+    assert kernel < zero_one, (kernel, zero_one)
+
+
+def test_pair_screen_at_its_bound(monkeypatch):
+    # at or above the column bound of the P-only screen every 0/1 row goes
+    # to the triple-count kernel, and the screen yields the same rows and
+    # components; below it the rows reaching the kernel include every row
+    # yielded
+    rng = random.Random(29)
+    inputs = _screen_inputs(rng) + _binary_screen_inputs(rng) + [seeded_shuffle(expr_to_slack(u42_chain(rng, 5)), rng.getrandbits(64))[0]]
+    cases = [(S, None) for S in inputs] + [(S, _twins(S)) for S in inputs[80:]]
     given = []
     real = info._indicator_dependence
 
     def spy(*args):
-        given.append(len(args[-1]))  # the given rows' indicators come last
+        given.extend(args[-1].tolist())
         return real(*args)
 
     monkeypatch.setattr(info, "_indicator_dependence", spy)
-    monkeypatch.setattr(InfoFunction, "components", lambda self: pytest.fail("a graph was built again"))
-    rng = random.Random(28)
-    found = 0
-    for S in _screen_inputs(rng):
+    got, kernel = [], 0
+    for S, out in cases:
         given.clear()
-        found += recognize_two_product(S) is not None
-        # a matrix of two rows cannot split: no graph at all
-        assert sum(given) == (S.m >= 3) * sum(set(row) == {0, 1} for row in S.rows)
-    for _ in range(10):
-        _, S, _ = random_feasible_expr(rng, max_leaves=4, dmax=5, max_cols=120, max_rows=24)
+        got.append(list(info._special_row_candidates(S, out)))
+        codes = S.codes.tolist()
+        assert all(codes[r] in given for r, _ in got[-1])
+        kernel += len(given)
+    monkeypatch.setattr(info, "_PRESCREEN_N", 1)  # every matrix has n >= 1 columns
+    every = 0
+    for (S, out), want in zip(cases, got):
         given.clear()
-        found += _two_product_split(seeded_shuffle(S, rng.getrandbits(64))[0]) is not None
-        assert sum(given) == (S.m >= 3) * S.m
-    assert found > 50
+        assert list(info._special_row_candidates(S, out)) == want
+        assert len(given) == (S.m >= 3) * sum(set(row) == {0, 1} for row in S.rows)
+        every += len(given)
+    assert sum(map(bool, got)) > 80 and kernel < every, (kernel, every)
+
+

@@ -19,6 +19,7 @@ from prodmat import (
     expr_to_bases,
     expr_to_slack,
     expr_to_text,
+    factorize_irreducible,
     hypersimplex_slack,
     is_isomorphic,
     one_product,
@@ -30,7 +31,7 @@ from prodmat import (
     two_sum,
     uniform_bases,
 )
-from prodmat import matroids
+from prodmat import matroids, products
 from prodmat.matroids import (
     Matroid,
     _build,
@@ -40,7 +41,6 @@ from prodmat.matroids import (
     _two_product_split,
     _two_sum,
     _verify_candidate,
-    expr_size,
     expr_to_slack_with_bases,
     hypersimplex_col_bases,
 )
@@ -53,6 +53,7 @@ from helpers import (
     random_expr,
     random_feasible_expr,
     two_sum_slack_reference,
+    u42_chain,
 )
 
 
@@ -422,6 +423,48 @@ def test_recognizer_screens_each_node_once(monkeypatch):
         assert calls["screen"] == calls["node"] >= 1
 
 
+def test_one_sum_nodes_take_one_factor_per_atom(monkeypatch):
+    # a 1-product node splits into one factor per atom, the block's distinct
+    # patterns in first-occurrence order, without the products module's
+    # factorizer; the factors equal factorize_irreducible's
+    def fail(*args):
+        pytest.fail("the recursion called the products factorizer")
+
+    monkeypatch.setattr(products, "factorize_irreducible", fail)
+    monkeypatch.setattr(products, "reconstruct_factors", fail)
+    real_rec, real_part = matroids._recognize_rec, matroids._recognize_part
+    nodes, stack = [], []
+
+    def rec(S):
+        nodes.append((S, []))
+        stack.append(nodes[-1][1])
+        try:
+            return real_rec(S)
+        finally:
+            stack.pop()
+
+    def part(S):
+        stack[-1].append(S)
+        return real_part(S)
+
+    monkeypatch.setattr(matroids, "_recognize_rec", rec)
+    monkeypatch.setattr(matroids, "_recognize_part", part)
+    rng = random.Random(48)
+    for _ in range(12):
+        kids = [random_feasible_expr(rng, max_leaves=2, dmax=4, max_cols=10, max_rows=10)[0] for _ in range(rng.randint(2, 3))]
+        S = seeded_shuffle(expr_to_slack(OneSum(tuple(kids))), rng.getrandbits(64))[0]
+        assert recognize_2level_matroid_slack(S) is not None
+    _, S, _ = random_feasible_expr(random.Random(5), max_leaves=5, dmax=5, max_cols=300, max_rows=32)
+    assert recognize_2level_matroid_slack(seeded_shuffle(S, 5)[0]) is not None
+    monkeypatch.undo()
+    one_sums = 0
+    for S, parts in nodes:
+        if len(InfoFunction(S).atoms()) >= 2:
+            assert tuple(parts) == factorize_irreducible(S).factors
+            one_sums += 1
+    assert one_sums >= 12, one_sums  # at least every root
+
+
 def test_recognize_matroid_roundtrip_random():
     rng = random.Random(46)
     for _ in range(25):
@@ -609,14 +652,6 @@ def test_verify_candidate_rejects_a_missing_facet_row():
             assert not _verify_candidate(Matrix(sh.rows[:h] + sh.rows[h + 1:]), e, col_bases)
 
 
-def _u42_chain(rng, leaves):
-    """2-sums of `leaves` copies of U(4,2), each glued at a random element."""
-    e = Leaf(4, 2)
-    for _ in range(leaves - 1):
-        e = TwoSum(e, Leaf(4, 2), rng.randrange(expr_size(e)), rng.randrange(4))
-    return e
-
-
 def test_recognize_wide_u42_chains_and_near_misses():
     # 32x486 at 5 leaves, 38x1458 at 6 and 44x4374 at 7: every shuffled slack
     # is recognized with its base family; each near-miss (one flipped entry,
@@ -627,7 +662,7 @@ def test_recognize_wide_u42_chains_and_near_misses():
     rng = random.Random(62)
     cases = ((5, (32, 486), rng, 0), (6, (38, 1458), rng, 0), (7, (44, 4374), random.Random(72), 3))
     for leaves, shape, rng, deletions in cases:
-        S, bases = expr_to_slack_with_bases(_u42_chain(rng, leaves))
+        S, bases = expr_to_slack_with_bases(u42_chain(rng, leaves))
         assert (S.m, S.n) == shape
         sh, _, cp = seeded_shuffle(S, rng.getrandbits(64))
         rec = recognize_2level_matroid_slack(sh)
@@ -759,7 +794,7 @@ def test_builder_equals_the_tuple_reference():
 def test_builder_equals_the_tuple_reference_on_u42_chains():
     rng = random.Random(62)
     for leaves in (5, 6, 7):
-        assert _assert_builds_like_the_reference(_u42_chain(rng, leaves))
+        assert _assert_builds_like_the_reference(u42_chain(rng, leaves))
 
 
 def test_facet_rows_equals_the_bitmask_reference():

@@ -15,14 +15,18 @@ Each line of output is a JSON object with the case, its shape, D (the
 number of reduced indicators: (row, value) pairs after each row's first
 value), the number of calls, how many graphs each dependence path built
 ("gram" for `info._indicator_dependence`, "chunked" for
-`info._chunked_dependence`), the median over the repeats of their total
-time in seconds, and a SHA-256 prefix of the components, so two checkouts
-can be compared on the same answers.  A chain's line also has a SHA-256
+`info._chunked_dependence`; the graph without a given row is read from the
+matrix's pair counts and counted in neither), the median over the repeats
+of their total time in seconds, and a SHA-256 prefix of the components, so
+two checkouts can be compared on the same answers.  Every timed repeat
+builds the matrix's pair counts anew, as a recursion node does once.  A chain's line also has a SHA-256
 prefix of its candidate special rows, the rows r whose components given r
 number two or more besides the row 1 - r.  After it, a "-screen" line times
 `info._special_row_candidates`, which finds the same rows with their
 components in one batched call over all rows, leaving out the row 1 - r as
-the matroid recursion does, and prints its own prefix of them.
+the matroid recursion does, and prints its own prefix of them and
+`kernel_rows`, the number of rows that reach the triple-count kernel after
+the screen on the pair counts alone.
 
 Right after each case's line, an "-atoms" line times `InfoFunction.atoms()`
 (the components plus the exact checks of the atom merge) and prints a
@@ -78,10 +82,15 @@ def sha(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
-def timed(call, repeats: int):
-    """(median seconds, last answer) of `repeats` calls."""
+def timed(call, repeats: int, S: Matrix):
+    """(median seconds, last answer) of `repeats` calls on S.
+
+    Each call builds S's pair counts anew, as each recursion node does once;
+    a checkout older than them has no `_pairs` to drop."""
     times = []
     for _ in range(repeats):
+        if hasattr(S, "_pairs"):
+            S._pairs = None
         t0 = time.perf_counter()
         answer = call()
         times.append(time.perf_counter() - t0)
@@ -101,21 +110,24 @@ def split_rows(S: Matrix, answers: list) -> list:
 
 
 def path_counts(call):
-    """(answer of call(), graphs built by each dependence path during it)."""
+    """(answer of call(), graphs built by each dependence path during it, given
+    rows they took: a row of the last argument, or the one given row)."""
     counts = {"gram": 0, "chunked": 0}
+    given = [0]
     names = {"gram": "_indicator_dependence", "chunked": "_chunked_dependence"}
     real = {key: getattr(info, name) for key, name in names.items()}
 
     def spy(key):
         def counted(*args):
             counts[key] += 1
+            given[0] += len(args[-1]) if key == "gram" else 1
             return real[key](*args)
         return counted
 
     for key, name in names.items():
         setattr(info, name, spy(key))
     try:
-        return call(), counts
+        return call(), counts, given[0]
     finally:
         for key, name in names.items():
             setattr(info, name, real[key])
@@ -125,15 +137,15 @@ def time_case(name: str, S: Matrix, givens: list, repeats: int):
     """(output line, components per given row)."""
     S.codes  # built once per matrix, as in the recognizers, and not timed
     call = lambda: [InfoFunction(S, given=g).components() for g in givens]  # noqa: E731
-    _, paths = path_counts(call)
-    median, answers = timed(call, repeats)
+    _, paths, _ = path_counts(call)
+    median, answers = timed(call, repeats, S)
     D = int(S.codes.max(axis=1).sum())
     return {"case": name, "shape": [S.m, S.n], "D": D, "calls": len(givens), "paths": paths,
             "median_s": median, "components_sha256": sha(answers)}, answers
 
 
 def time_atoms(name: str, S: Matrix, givens: list, repeats: int) -> dict:
-    median, answers = timed(lambda: [InfoFunction(S, given=g).atoms() for g in givens], repeats)
+    median, answers = timed(lambda: [InfoFunction(S, given=g).atoms() for g in givens], repeats, S)
     return {"case": f"{name}-atoms", "shape": [S.m, S.n], "calls": len(givens),
             "median_s": median, "atoms_sha256": sha(answers)}
 
@@ -157,9 +169,11 @@ def main(argv=None) -> int:
         # the row 1 - r has the codes of r, and a slack matrix has distinct rows
         _, key = np.unique(S.codes, axis=0, return_inverse=True)
         twins = key.reshape(-1)[:, None] == key.reshape(-1)
-        median, found = timed(lambda: list(info._special_row_candidates(S, twins)), args.repeats)
+        screen = lambda: list(info._special_row_candidates(S, twins))  # noqa: E731
+        _, _, kernel_rows = path_counts(screen)
+        median, found = timed(screen, args.repeats, S)
         print(json.dumps({"case": f"{name}-screen", "shape": [S.m, S.n], "calls": 1, "median_s": median,
-                          "candidates_sha256": sha([r for r, _ in found])}), flush=True)
+                          "kernel_rows": kernel_rows, "candidates_sha256": sha([r for r, _ in found])}), flush=True)
     return 0
 
 
