@@ -46,30 +46,14 @@ when their block of some n_v*G_v - s_v s_v^T has a nonzero cell.  Each
 value v >= 1 takes one weighted product, for a block of given rows at once,
 and the value 0 takes E E^T less the others (`_indicator_dependence`).
 Every cell is a count, at most n, so the float64 products are exact; the
-identity is compared in int64.  E and P = E E^T are built once per matrix,
-on first use (`_pair_counts`); the graph without a given row is read from P
-alone, and on a matrix whose rows all take two values E is `Matrix.codes`
-itself.  Rows of near-distinct values push D towards m*n, so above
-`_GRAM_CAP` cells the same identity is checked on the observed value
-triples of every row pair, grouped by `group_columns` a bounded chunk at a
-time (`_chunked_dependence`).
-
-The special-row screen (`_special_row_candidates`) takes the 0/1 rows as
-given rows, and reads a first graph for each from P alone.  Let row r, of
-one indicator, hold n1 ones and n0 zeros (the ones being that indicator).
-For indicators d and e write p_d = P[r, d], q_d = P[d, d] - p_d and T for
-the count of columns where r, d and e are all 1.  If d and e pass the
-identity given r, then n1*T = p_d*p_e at the value 1 and
-n0*(P[d, e] - T) = q_d*q_e at the value 0; eliminating T gives
-
-    n0*n1*P[d, e] == n0*p_d*p_e + n1*q_d*q_e.
-
-A cell where this fails is dependent given r, so the graph read from P is a
-subgraph of the graph given r, and a row whose graph there is connected
-(without r and the rows left out) cannot split: it is dropped before the
-weighted products run (`_pair_graphs`).  Each term is at most n0*n1*n <=
-n**3/4, so the check is exact in int64 below `_PRESCREEN_N` = 2**21
-columns; wider matrices send every 0/1 row to the weighted products.
+identity is compared in int64.  P = E E^T is built once per matrix, on
+first use, and kept read-only with it (`_pair_counts`); the graph without
+a given row is read from P alone, and the special-row screen, which takes
+the 0/1 rows as given rows, rebuilds only E, which on a matrix whose rows
+all take two values is `Matrix.codes` itself.  Rows of near-distinct
+values push D towards m*n, so above `_GRAM_CAP` cells the same identity is
+checked on the observed value triples of every row pair, grouped by
+`group_columns` a bounded chunk at a time (`_chunked_dependence`).
 
 `InfoFunction.atoms` finds every zero at once.  Since f >= 0 and f is
 submodular, f(X | Y) + f(X & Y) <= f(X) + f(Y), so the zeros are closed
@@ -108,10 +92,6 @@ _GRAM_CAP = 1 << 22
 #: cells of one weighted product of the special-row screen's given rows, and
 #: (row pair, column) entries grouped at once when the Gram matrix is too large
 _PAIR_CHUNK = 1 << 16
-
-#: columns below which the P-only screen (`_pair_graphs`) is exact in int64:
-#: its terms reach n**3/4
-_PRESCREEN_N = 1 << 21
 
 #: keys of an exact check are counted by np.bincount while their span is at
 #: most this many times the number of columns, or at most _BINCOUNT_MIN
@@ -252,60 +232,49 @@ def _indicator_dependence(E, rows, starts, m: int, P, q: int, given) -> np.ndarr
     return _row_graph(bad, rows, starts, m)
 
 
-def _pair_graphs(pairs, n: int, given: list):
-    """Yield, a block of `_PAIR_CHUNK` cells at a time, a subgraph of the
-    dependence graph given each 0/1 row of `given`, read from P alone.
-
-    pairs is `_reduced_indicators` of the matrix, whose 0/1 rows have one
-    indicator each.  With p = P[r] and q = diag(P) - p, a cell (d, e) where
-    n0*n1*P[d, e] != n0*p[d]*p[e] + n1*q[d]*q[e] is dependent given r (module
-    docstring); each term is at most n**3/4, so exact in int64 below
-    `_PRESCREEN_N` columns.
-    """
-    _, P, rows, starts, _ = pairs
-    s, m = P.diagonal(), len(starts)
-    step = max(1, _PAIR_CHUNK // max(len(s) ** 2, 1))
-    for lo in range(0, len(given), step):
-        t = starts[given[lo : lo + step]]
-        p = P[t]
-        q = s - p
-        n1 = s[t][:, None, None]
-        n0 = n - n1
-        bad = n0 * n1 * P != n0 * p[:, :, None] * p[:, None, :] + n1 * q[:, :, None] * q[:, None, :]
-        yield _row_graph(bad, rows, starts[rows], m)
+def _indicators(codes: np.ndarray, k: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """E: the float64 reduced indicators of the rows of codes, one 0/1 row
+    [codes[i] == a] per row i and code 1 <= a <= k[i], in blocks that start at
+    starts[i].  When every row has one, E is codes itself."""
+    m, D = len(codes), int(np.add.reduce(k))
+    if D == m and np.count_nonzero(k) == m:
+        return codes.astype(np.float64)
+    # E[d] = [codes[i] == a] for the d-th pair (i, a >= 1), by row and then by code
+    owner = np.arange(m).repeat(k)
+    return (codes[owner] == (np.arange(1, D + 1) - starts[owner])[:, None]).astype(np.float64)
 
 
 def _reduced_indicators(codes: np.ndarray, q: int = 1):
     """(E, P, rows, starts, cells) of the rows of codes, or None when a given row
     of q + 1 values takes more than `_GRAM_CAP` cells.
 
-    E: the float64 reduced indicators (one 0/1 row [codes[i] == a] per row i
-    and code a >= 1), in blocks that start at starts[i], one per row of `rows`,
-    the rows of two or more values; P = E E^T in int64, D x D; cells:
-    D*max(D, n).  When every row has two values, E is codes itself.
+    E: `_indicators`, in blocks that start at starts[i], one per row of
+    `rows`, the rows of two or more values; P = E E^T in int64, D x D; cells:
+    D*max(D, n).
     """
-    m, n = codes.shape
     k = np.maximum.reduce(codes, axis=1)
     D = int(np.add.reduce(k))
-    cells = D * max(D, n)
+    cells = D * max(D, codes.shape[1])
     if max(q, 1) * cells > _GRAM_CAP:
         return None
     starts = k.cumsum() - k
-    if D == m and np.count_nonzero(k) == m:  # one indicator per row
-        E = codes.astype(np.float64)
-    else:  # E[d] = [codes[i] == a] for the d-th pair (i, a >= 1), by row and then by code
-        owner = np.arange(m).repeat(k)
-        E = (codes[owner] == (np.arange(1, D + 1) - starts[owner])[:, None]).astype(np.float64)
+    E = _indicators(codes, k, starts)
     return E, (E @ E.T).astype(np.int64), k.nonzero()[0], starts, cells
 
 
 def _pair_counts(S: Matrix):
-    """`_reduced_indicators(S.codes)`, built once per matrix on first use; None
-    while it takes more than `_GRAM_CAP` cells, as read at each call."""
+    """(P, rows, starts, cells) of `_reduced_indicators(S.codes)`, read-only and
+    built once per matrix on first use; None while they take more than
+    `_GRAM_CAP` cells, as read at each call.  E is not kept."""
     pairs = S._pairs
     if pairs is None:
-        pairs = S._pairs = _reduced_indicators(S.codes)
-    return None if pairs is None or pairs[-1] > _GRAM_CAP else pairs
+        built = _reduced_indicators(S.codes)
+        if built is None:
+            return None
+        for a in built[1:4]:
+            a.flags.writeable = False
+        pairs = S._pairs = built[1:]
+    return None if pairs[-1] > _GRAM_CAP else pairs
 
 
 def _dependence_graphs(codes: np.ndarray, given: np.ndarray, pairs=None):
@@ -313,16 +282,20 @@ def _dependence_graphs(codes: np.ndarray, given: np.ndarray, pairs=None):
 
     From `_indicator_dependence` while its products fit `_GRAM_CAP` cells, a block
     of `_PAIR_CHUNK` cells (or one given row) at a time, else `_chunked_dependence`.
-    pairs: `_reduced_indicators(codes)` when already built, for given rows of
-    at most two values.
+    pairs: `_pair_counts` of the matrix of codes, for given rows of at most two
+    values; E is rebuilt from codes.
     """
     q = int(given.max())
-    pairs = pairs or _reduced_indicators(codes, q)
     if pairs is None:
-        for z in given:
-            yield _chunked_dependence(codes, z)[None]
-        return
-    E, P, rows, starts, cells = pairs
+        built = _reduced_indicators(codes, q)
+        if built is None:
+            for z in given:
+                yield _chunked_dependence(codes, z)[None]
+            return
+        E, P, rows, starts, cells = built
+    else:
+        P, rows, starts, cells = pairs
+        E = _indicators(codes, np.maximum.reduce(codes, axis=1), starts)
     step = max(1, _PAIR_CHUNK // max(max(q, 1) * cells, 1))
     for lo in range(0, len(given), step):
         yield _indicator_dependence(E, rows, starts[rows], len(codes), P, q, given[lo : lo + step])
@@ -347,24 +320,6 @@ def _grouped(labels: list, items) -> list:
     return [tuple(g) for g in groups.values()]
 
 
-def _split_rows(graphs, given: list, keep: np.ndarray):
-    """Yield (r, labels, kept) for the rows r of `given` whose graph, from the
-    blocks `graphs` in order, has two or more components over the rows
-    keep[r].  kept is keep[r], and labels[i] is the smallest row of the
-    component of row i."""
-    done = 0
-    for dep in graphs:
-        block = given[done : done + len(dep)]
-        done += len(dep)
-        kept = keep[block]
-        dep &= kept[:, :, None] & kept[:, None, :]
-        labels = _component_labels(dep)
-        # a kept row that labels itself is the smallest of its component
-        splits = np.add.reduce((labels == np.arange(len(keep))) & kept, axis=1) >= 2
-        for t in splits.nonzero()[0].tolist():
-            yield block[t], labels[t], kept[t]
-
-
 def _special_row_candidates(S: Matrix, out: Optional[np.ndarray] = None):
     """Yield (r, components) for the 0/1 rows r of S whose dependence graph given r splits.
 
@@ -372,9 +327,7 @@ def _special_row_candidates(S: Matrix, out: Optional[np.ndarray] = None):
     without the rows out[r] (out: an m x m bool array, or None).  r is
     yielded, in increasing order, with its components as `components()` gives
     them, when they number two or more; a row not yielded has at most one atom
-    over the rows kept.  Row r has no edge in its own graph.  The graphs read
-    from P alone (`_pair_graphs`) are subgraphs of these, so a row whose
-    graph there does not split is dropped before the triple counts.
+    over the rows kept.  Row r has no edge in its own graph.
     """
     m = S.m
     zero, one = S.array == 0, S.array == 1
@@ -384,14 +337,18 @@ def _special_row_candidates(S: Matrix, out: Optional[np.ndarray] = None):
     keep = ~np.eye(m, dtype=bool)  # keep[r]: the rows of r's graph
     if out is not None:
         keep &= ~out
-    pairs = _pair_counts(S)
-    if pairs is not None and S.n < _PRESCREEN_N:
-        rows = [r for r, _, _ in _split_rows(_pair_graphs(pairs, S.n, rows), rows, keep)]
-        if not rows:
-            return
-    for r, labels, kept in _split_rows(_dependence_graphs(S.codes, S.codes[rows], pairs), rows, keep):
-        kept = kept.nonzero()[0]
-        yield r, _grouped(labels[kept].tolist(), (kept - (kept > r)).tolist())
+    done = 0
+    for dep in _dependence_graphs(S.codes, S.codes[rows], _pair_counts(S)):
+        block = rows[done : done + len(dep)]
+        done += len(dep)
+        kept = keep[block]
+        dep &= kept[:, :, None] & kept[:, None, :]
+        labels = _component_labels(dep)
+        # a kept row that labels itself is the smallest of its component
+        splits = np.add.reduce((labels == np.arange(m)) & kept, axis=1) >= 2
+        for t in splits.nonzero()[0].tolist():
+            r, own = block[t], kept[t].nonzero()[0]
+            yield r, _grouped(labels[t, own].tolist(), (own - (own > r)).tolist())
 
 
 def _chunked_dependence(codes: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -571,7 +528,7 @@ class InfoFunction:
         if pairs is None:
             reach = next(_dependence_graphs(self.codes, self.given_codes[None]))
         else:
-            _, P, rows, starts, _ = pairs
+            P, rows, starts, _ = pairs
             s = P.diagonal()
             reach = _row_graph((self.n * P != s[:, None] * s)[None], rows, starts[rows], self.m)
         return _grouped(_component_labels(reach)[0].tolist(), range(self.m))

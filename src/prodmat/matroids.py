@@ -25,10 +25,9 @@ levelness, and matroid minors", JCTB 2017), so when S is recognizable both
 sides of any split are, and a failed split means no split succeeds.  The
 search per recursion node therefore takes one split instead of backtracking
 over the unions of components.  Each node builds its pair counts P = E E^T
-once (`info._pair_counts`): the node's unconditional graph, the test for the
-row 1 - r and the 2-product recognizer's screen (`info._special_row_candidates`)
-all read it.  The screen drops every 0/1 row whose graph read from P alone
-is connected, counts the triples given each remaining row in one batch, and
+once (`info._pair_counts`): the node's unconditional graph and the
+2-product recognizer's screen (`info._special_row_candidates`) both read
+it.  The screen counts the triples given every 0/1 row in one batch, and
 the atoms, with q(q-1)/2 exact checks for q dependence components, are
 merged from its components only for the rows whose graph splits, in order,
 up to the first that splits S.  Each node checks its answer exactly, so any
@@ -66,7 +65,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .info import InfoFunction, _pair_counts, _special_row_candidates, group_columns
+from .info import InfoFunction, _special_row_candidates, group_columns
 from .matrix import Matrix
 
 
@@ -697,15 +696,10 @@ def _two_product_split(S: Matrix):
     Returns one (factor, glue pattern, column map) per side (`_split_side`);
     each factor is an exact non-redundant slack matrix when S is one.
     """
-    # in distinct 0/1 rows, 1 - r is the one other row with the codes of r,
-    # and E is the codes themselves: P = codes codes^T
-    pairs = _pair_counts(S)
-    if pairs is None:  # over the Gram cap
-        B = S.codes.astype(np.float64)
-        P = B @ B.T
-    else:
-        P = pairs[1]
-    twins = (P == P.diagonal()[:, None]) & (P == P.diagonal())
+    # in distinct 0/1 rows, 1 - r is the one other row with the codes of r
+    ids = {}
+    key = np.array([ids.setdefault(k, len(ids)) for k in _row_keys(S.codes)])
+    twins = key[:, None] == key
     for r, comps in _special_row_candidates(S, twins):
         F = InfoFunction(S, given=r)
         atoms = F._merge(comps)

@@ -21,11 +21,11 @@ the special row r and reads the atoms of the conditional information
 I(C_X; C_Xc | C_r) over the remaining rows, which is zero exactly when both
 column blocks r = 0 and r = 1 are 1-products over one common bipartition.
 The candidates and their conditional components come from one screen
-(`info._special_row_candidates`): it drops the rows whose graph read from
-the pair counts alone is connected, and counts the triples given the rest
-in one batch.  The matroid recognizer takes its one split per node from the
-same screen (`matroids._two_product_split`) and splits its 1-products on
-the atoms directly, without `factorize_irreducible`.
+(`info._special_row_candidates`), which counts the triples given every 0/1
+row in one batch on the matrix's shared pair counts.  The matroid
+recognizer takes its one split per node from the same screen
+(`matroids._two_product_split`) and splits its 1-products on the atoms
+directly, without `factorize_irreducible`.
 """
 
 from __future__ import annotations

@@ -20,10 +20,10 @@ from prodmat import (
 )
 from prodmat import info
 from prodmat.info import group_columns, mutual_info_direct
-from prodmat.matroids import _two_product_split, expr_to_slack
+from prodmat.matroids import _two_product_split
 from prodmat.oracles import bf_one_product, bf_two_product
 
-from helpers import random_feasible_expr, random_matrix, u42_chain
+from helpers import random_feasible_expr, random_matrix
 
 PAPER_4x6 = one_product(Matrix([[1, 0], [2, 3]]), Matrix([[1, 0, 0], [0, 1, 1]]))
 
@@ -838,14 +838,14 @@ def test_special_row_screen_on_any_matrix(monkeypatch):
 
 def test_recognizers_build_each_graph_once(monkeypatch):
     # the 2-product recognizer and the matroid split take every candidate's
-    # components from the screen, and InfoFunction.components never runs.
-    # Each matrix's pair counts P are built once, and the triple-count
-    # kernel takes only 0/1 rows, among them every row the screen yields
+    # components from the screen: each 0/1 row's graph is built once, in
+    # the screen's batched calls, each matrix's pair counts P are built
+    # once, and InfoFunction.components never runs
     given, built = [], []
     real, real_pairs = info._indicator_dependence, info._reduced_indicators
 
     def spy(*args):
-        given.extend(args[-1].tolist())  # the given rows' codes come last
+        given.append(len(args[-1]))  # the given rows' indicators come last
         return real(*args)
 
     def pairs_spy(*args):
@@ -856,62 +856,21 @@ def test_recognizers_build_each_graph_once(monkeypatch):
     monkeypatch.setattr(info, "_reduced_indicators", pairs_spy)
     monkeypatch.setattr(InfoFunction, "components", lambda self: pytest.fail("a graph was built again"))
     rng = random.Random(28)
-    found = kernel = zero_one = 0
+    found = 0
     for S in _screen_inputs(rng):
         given.clear()
         built.clear()
         found += recognize_two_product(S) is not None
-        yielded = [r for r, _ in info._special_row_candidates(S)]
-        codes = S.codes.tolist()
-        binary = [codes[i] for i, row in enumerate(S.rows) if set(row) == {0, 1}]
+        binary = sum(set(row) == {0, 1} for row in S.rows)
         # a matrix of two rows cannot split: no graph at all
-        assert len(built) == (S.m >= 3 and len(binary) > 0)
-        assert all(g in binary for g in given) and all(codes[r] in given for r in yielded)
-        kernel += len(given)
-        zero_one += 2 * (S.m >= 3) * len(binary)
+        assert sum(given) == (S.m >= 3) * binary
+        assert len(built) == (S.m >= 3 and binary > 0)
+        assert not any(a.flags.writeable for a in (S._pairs or ())[:3])  # P, rows, starts
     for _ in range(10):
         _, S, _ = random_feasible_expr(rng, max_leaves=4, dmax=5, max_cols=120, max_rows=24)
         given.clear()
         built.clear()
         found += _two_product_split(seeded_shuffle(S, rng.getrandbits(64))[0]) is not None
-        # the twin test and the screen share one P
-        assert len(built) == 1 and len(given) <= S.m
-        kernel += len(given)
-        zero_one += S.m
+        assert sum(given) == (S.m >= 3) * S.m
+        assert len(built) == (S.m >= 3)
     assert found > 50
-    assert kernel < zero_one, (kernel, zero_one)
-
-
-def test_pair_screen_at_its_bound(monkeypatch):
-    # at or above the column bound of the P-only screen every 0/1 row goes
-    # to the triple-count kernel, and the screen yields the same rows and
-    # components; below it the rows reaching the kernel include every row
-    # yielded
-    rng = random.Random(29)
-    inputs = _screen_inputs(rng) + _binary_screen_inputs(rng) + [seeded_shuffle(expr_to_slack(u42_chain(rng, 5)), rng.getrandbits(64))[0]]
-    cases = [(S, None) for S in inputs] + [(S, _twins(S)) for S in inputs[80:]]
-    given = []
-    real = info._indicator_dependence
-
-    def spy(*args):
-        given.extend(args[-1].tolist())
-        return real(*args)
-
-    monkeypatch.setattr(info, "_indicator_dependence", spy)
-    got, kernel = [], 0
-    for S, out in cases:
-        given.clear()
-        got.append(list(info._special_row_candidates(S, out)))
-        codes = S.codes.tolist()
-        assert all(codes[r] in given for r, _ in got[-1])
-        kernel += len(given)
-    monkeypatch.setattr(info, "_PRESCREEN_N", 1)  # every matrix has n >= 1 columns
-    every = 0
-    for (S, out), want in zip(cases, got):
-        given.clear()
-        assert list(info._special_row_candidates(S, out)) == want
-        assert len(given) == (S.m >= 3) * sum(set(row) == {0, 1} for row in S.rows)
-        every += len(given)
-    assert sum(map(bool, got)) > 80 and kernel < every, (kernel, every)
-
-

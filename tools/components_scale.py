@@ -25,8 +25,7 @@ number two or more besides the row 1 - r.  After it, a "-screen" line times
 `info._special_row_candidates`, which finds the same rows with their
 components in one batched call over all rows, leaving out the row 1 - r as
 the matroid recursion does, and prints its own prefix of them and
-`kernel_rows`, the number of rows that reach the triple-count kernel after
-the screen on the pair counts alone.
+`kernel_rows`, the number of rows that reach the triple-count kernel.
 
 Right after each case's line, an "-atoms" line times `InfoFunction.atoms()`
 (the components plus the exact checks of the atom merge) and prints a
