@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import traceback
 
@@ -19,6 +20,7 @@ from .info import InfoFunction
 from .matrix import Matrix, MatrixFormatError, parse_matrix, seeded_shuffle, write_matrix
 from .matroids import (
     MatroidInputError,
+    _check_size,
     expr_to_slack,
     expr_to_text,
     hypersimplex_slack,
@@ -186,6 +188,7 @@ def cmd_gen(args) -> int:
         if len(args.params) < 2:
             raise MatrixFormatError("gen product needs at least two matrix files")
         mats = [_read_matrix(p) for p in args.params]
+        _check_size(sum(M.m for M in mats), math.prod(M.n for M in mats), "the product")
         out = mats[0]
         for M in mats[1:]:
             out = one_product(out, M)

@@ -34,7 +34,7 @@ exact.  The same per-column keys and counts build the factors of a 1-product
 or 2-product (`products._block_factors`), so each factorization rests on the
 identity checked on exactly the counts it is built from.
 
-The graph is read from reduced indicators: E holds one 0/1 row
+Every graph is read from reduced indicators: E holds one 0/1 row
 [codes[i] == a] per row i and code a >= 1, D = sum(k_i - 1) rows over the
 n columns, none for code 0.  Rows i and j are independent given z exactly
 when n_v*mu(a,b,v) == mu(a,v)*mu(b,v) for every value v of z and all codes
@@ -44,16 +44,16 @@ G_v = (E w_v) E^T, with w_v the indicator of z == v, holds every mu(a,b,v)
 and its diagonal s_v every mu(a,v), so rows i and j are dependent exactly
 when their block of some n_v*G_v - s_v s_v^T has a nonzero cell.  Each
 value v >= 1 takes one weighted product, for a block of given rows at once,
-and the value 0 takes E E^T less the others (`_indicator_dependence`).
-Every cell is a count, at most n, so the float64 products are exact; the
-identity is compared in int64.  P = E E^T is built once per matrix, on
-first use, and kept read-only with it (`_pair_counts`); the graph without
-a given row is read from P alone, and the special-row screen, which takes
-the 0/1 rows as given rows, rebuilds only E, which on a matrix whose rows
-all take two values is `Matrix.codes` itself.  Rows of near-distinct
-values push D towards m*n, so above `_GRAM_CAP` cells the same identity is
-checked on the observed value triples of every row pair, grouped by
-`group_columns` a bounded chunk at a time (`_chunked_dependence`).
+and the value 0 takes P = E E^T less the others (`_indicator_dependence`);
+without a given row z has one value, and the graph is n*P != s s^T.  Every
+cell is a count, at most n, so the float64 products are exact; the identity
+is compared in int64.  `_dependence_graphs` builds every graph over the rows
+of a matrix (a given row of it is a node with no edge), on P built once per
+matrix and kept with it (`_pair_counts`), and rebuilds E only for given rows
+of two or more values.  Rows of near-distinct values push D towards m*n, so
+above `_GRAM_CAP` cells the same identity is checked on the observed value
+triples of every row pair, grouped by `group_columns` a bounded chunk at a
+time (`_chunked_dependence`).
 
 `InfoFunction.atoms` finds every zero at once.  Since f >= 0 and f is
 submodular, f(X | Y) + f(X & Y) <= f(X) + f(Y), so the zeros are closed
@@ -197,108 +197,90 @@ def _key_counts(keys: np.ndarray, span: int) -> np.ndarray:
     return cnt[inv]
 
 
-def _row_graph(bad: np.ndarray, rows: np.ndarray, starts: np.ndarray, m: int) -> np.ndarray:
-    """dep[t]: the m x m row graph of the indicator graph bad[t] (D x D), diagonal True.
-
-    Rows are adjacent when their blocks of indicators, which start at `starts`,
-    one per row of `rows`, have a True cell; a constant row has no indicator
-    and no edge."""
-    b = len(bad)
-    if bad.shape[-1] > len(rows):
+def _indicator_dependence(E, rows, starts, m: int, P, q: int, given) -> np.ndarray:
+    """dep[t]: the m x m dependence graph given the row given[t] (codes of at most
+    q + 1 values), diagonal True.  P = E E^T (D x D) of the reduced indicators E
+    of the m rows; E is used only for q >= 1.  Rows are adjacent when their
+    blocks of E, which start at `starts`, one per row of `rows`, have a nonzero
+    cell of some n_v*G_v - s_v s_v^T; a constant row has no block and no edge."""
+    (b, n), D = given.shape, len(P)
+    counts, G0, n0, bad = [], P[None], n, None
+    for v in range(1, q + 1):  # one weighted product per value
+        w = given == v
+        G = ((w[:, None, :] * E).reshape(-1, n) @ E.T).reshape(b, D, D)
+        counts.append((G, np.add.reduce(w, axis=1)[:, None, None]))
+        G0, n0 = G0 - G, n0 - counts[-1][1]
+    for G, n_v in [(G0, n0)] + counts:  # the value 0: the unweighted product less the others
+        G = G.astype(np.int64)
+        s = G.diagonal(0, -2, -1)
+        cell = n_v * G != s[..., :, None] * s[..., None, :]
+        bad = cell if bad is None else bad | cell
+    if D > len(rows):  # one cell per pair of rows: any cell of their blocks
         bad = np.logical_or.reduceat(np.logical_or.reduceat(bad, starts, axis=-2), starts, axis=-1)
     if len(rows) < m:
-        dep = np.zeros((b, m, m), dtype=bool)
+        dep = np.zeros((len(bad), m, m), dtype=bool)
         dep[:, rows[:, None], rows] = bad
     else:
-        dep = bad.reshape(b, m, m)
-    dep.reshape(b, -1)[:, :: m + 1] = True
+        dep = bad.reshape(-1, m, m)
+    dep.reshape(len(dep), -1)[:, :: m + 1] = True
     return dep
 
 
-def _indicator_dependence(E, rows, starts, m: int, P, q: int, given) -> np.ndarray:
-    """dep[t]: the m x m dependence graph given the row given[t] (codes of at most
-    q + 1 values), diagonal True.  E: the float64 reduced indicators of the m rows,
-    in blocks that start at `starts`, one per row of `rows`; P = E E^T."""
-    b, (D, n) = len(given), E.shape
-    counts, G0, n0, bad = [], P[None], n, False
-    for v in range(1, q + 1):  # one weighted product per value
-        w = given == v
-        counts.append((((w[:, None, :] * E).reshape(-1, n) @ E.T).reshape(b, D, D), np.add.reduce(w, axis=1)))
-        G0, n0 = G0 - counts[-1][0], n0 - counts[-1][1]
-    for G, n_v in counts + [(G0, n0)]:  # the value 0: the unweighted product less the others
-        G = G.astype(np.int64)
-        s = G.diagonal(0, -2, -1)
-        bad = bad | ((n_v * G.T).T != s[..., :, None] * s[..., None, :])
-    return _row_graph(bad, rows, starts, m)
-
-
-def _indicators(codes: np.ndarray, k: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def _indicators(codes: np.ndarray, k: np.ndarray) -> np.ndarray:
     """E: the float64 reduced indicators of the rows of codes, one 0/1 row
-    [codes[i] == a] per row i and code 1 <= a <= k[i], in blocks that start at
-    starts[i].  When every row has one, E is codes itself."""
+    [codes[i] == a] per row i and code 1 <= a <= k[i] = max(codes[i]), by row
+    and then by code.  When every row has one, E is codes itself."""
     m, D = len(codes), int(np.add.reduce(k))
     if D == m and np.count_nonzero(k) == m:
         return codes.astype(np.float64)
     # E[d] = [codes[i] == a] for the d-th pair (i, a >= 1), by row and then by code
     owner = np.arange(m).repeat(k)
-    return (codes[owner] == (np.arange(1, D + 1) - starts[owner])[:, None]).astype(np.float64)
+    return (codes[owner] == (np.arange(1, D + 1) - (k.cumsum() - k)[owner])[:, None]).astype(np.float64)
 
 
-def _reduced_indicators(codes: np.ndarray, q: int = 1):
-    """(E, P, rows, starts, cells) of the rows of codes, or None when a given row
-    of q + 1 values takes more than `_GRAM_CAP` cells.
+def _pair_counts(S: Matrix, q: int):
+    """[P, k, rows, starts, cells] of S, kept with it, or None while the kernel
+    given rows of q + 1 values takes more than `_GRAM_CAP` cells.
 
-    E: `_indicators`, in blocks that start at starts[i], one per row of
-    `rows`, the rows of two or more values; P = E E^T in int64, D x D; cells:
-    D*max(D, n).
-    """
-    k = np.maximum.reduce(codes, axis=1)
-    D = int(np.add.reduce(k))
-    cells = D * max(D, codes.shape[1])
-    if max(q, 1) * cells > _GRAM_CAP:
-        return None
-    starts = k.cumsum() - k
-    E = _indicators(codes, k, starts)
-    return E, (E @ E.T).astype(np.int64), k.nonzero()[0], starts, cells
-
-
-def _pair_counts(S: Matrix):
-    """(P, rows, starts, cells) of `_reduced_indicators(S.codes)`, read-only and
-    built once per matrix on first use; None while they take more than
-    `_GRAM_CAP` cells, as read at each call.  E is not kept."""
+    k: each row's largest code, rows: the rows of two or more values, starts:
+    where their blocks of the reduced indicators E (D x n) start, cells:
+    D*max(D, n).  P = E E^T is built on the first call within the cap, in
+    int32 (each cell is at most n); E is not kept, and the arrays are
+    read-only."""
     pairs = S._pairs
     if pairs is None:
-        built = _reduced_indicators(S.codes)
-        if built is None:
-            return None
-        for a in built[1:4]:
+        k = np.maximum.reduce(S.codes, axis=1)
+        D, rows = int(np.add.reduce(k)), k.nonzero()[0]
+        pairs = S._pairs = [None, k, rows, (k.cumsum() - k)[rows], D * max(D, S.n)]
+        for a in pairs[1:4]:
             a.flags.writeable = False
-        pairs = S._pairs = built[1:]
-    return None if pairs[-1] > _GRAM_CAP else pairs
+    if max(q, 1) * pairs[4] > _GRAM_CAP:
+        return None
+    if pairs[0] is None:
+        E = _indicators(S.codes, pairs[1])
+        pairs[0] = (E @ E.T).astype(np.int32)
+        pairs[0].flags.writeable = False
+    return pairs
 
 
-def _dependence_graphs(codes: np.ndarray, given: np.ndarray, pairs=None):
-    """Yield the dependence graphs of the rows of codes given each row of `given`, a block at a time.
+def _dependence_graphs(S: Matrix, given: np.ndarray):
+    """Yield the dependence graphs of the rows of S given each row of `given`
+    (codes of at most q + 1 values over S's columns), a block at a time.
 
-    From `_indicator_dependence` while its products fit `_GRAM_CAP` cells, a block
-    of `_PAIR_CHUNK` cells (or one given row) at a time, else `_chunked_dependence`.
-    pairs: `_pair_counts` of the matrix of codes, for given rows of at most two
-    values; E is rebuilt from codes.
+    `_indicator_dependence` on S's `_pair_counts`, in blocks of `_PAIR_CHUNK`
+    cells (or one given row), while they fit the cap, else `_chunked_dependence`.
     """
     q = int(given.max())
+    pairs = _pair_counts(S, q)
     if pairs is None:
-        built = _reduced_indicators(codes, q)
-        if built is None:
-            for z in given:
-                yield _chunked_dependence(codes, z)[None]
-            return
-        E, P, rows, starts, cells = built
-    else:
-        P, rows, starts, cells = pairs
-        E = _indicators(codes, np.maximum.reduce(codes, axis=1), starts)
+        for z in given:
+            yield _chunked_dependence(S.codes, z)[None]
+        return
+    P, k, rows, starts, cells = pairs
+    E = _indicators(S.codes, k) if q else None
     step = max(1, _PAIR_CHUNK // max(max(q, 1) * cells, 1))
     for lo in range(0, len(given), step):
-        yield _indicator_dependence(E, rows, starts[rows], len(codes), P, q, given[lo : lo + step])
+        yield _indicator_dependence(E, rows, starts, S.m, P, q, given[lo : lo + step])
 
 
 def _component_labels(adj: np.ndarray) -> np.ndarray:
@@ -324,10 +306,12 @@ def _special_row_candidates(S: Matrix, out: Optional[np.ndarray] = None):
     """Yield (r, components) for the 0/1 rows r of S whose dependence graph given r splits.
 
     The graph given r is that of `InfoFunction(S, given=r).components()`
-    without the rows out[r] (out: an m x m bool array, or None).  r is
-    yielded, in increasing order, with its components as `components()` gives
-    them, when they number two or more; a row not yielded has at most one atom
-    over the rows kept.  Row r has no edge in its own graph.
+    without the rows out[r] (out: an m x m bool array, or None): the 0/1 rows
+    go to one `_dependence_graphs` call on S as its given rows, in blocks,
+    so they share S's pair counts.  r is yielded, in increasing order, with
+    its components as `components()` gives them, when they number two or
+    more; a row not yielded has at most one atom over the rows kept.  Row r
+    has no edge in its own graph.
     """
     m = S.m
     zero, one = S.array == 0, S.array == 1
@@ -338,7 +322,7 @@ def _special_row_candidates(S: Matrix, out: Optional[np.ndarray] = None):
     if out is not None:
         keep &= ~out
     done = 0
-    for dep in _dependence_graphs(S.codes, S.codes[rows], _pair_counts(S)):
+    for dep in _dependence_graphs(S, S.codes[rows]):
         block = rows[done : done + len(dep)]
         done += len(dep)
         kept = keep[block]
@@ -399,8 +383,7 @@ class InfoFunction:
         if given is not None and not 0 <= given < S.m:
             raise IndexError(f"given row {given} out of range for {S.m} rows")
         self.ground = tuple(i for i in range(S.m) if i != given)
-        # without a given row the graph is S's own, from its pair counts
-        self._pairs_of = S if given is None else None
+        self._S = S  # the dependence graph is built over the rows of S
         self.m = len(self.ground)
         self.n = n = S.n
         self.codes = S.codes[list(self.ground)]
@@ -516,22 +499,17 @@ class InfoFunction:
 
         Ground rows i and j are adjacent when some values x of row i, y of
         row j and z of the given row have n_z*mu(x,y,z) != mu(x,z)*mu(y,z),
-        tested in integers (module docstring): without a given row on the
-        matrix's pair counts as n*P != s s^T, else by one call of
-        `_dependence_graphs`.  Every zero X of f is a union of components,
+        tested in integers (module docstring) by one call of
+        `_dependence_graphs` on the rows of S and the given row's codes,
+        zero without one; the given row's own node has no edge and is
+        dropped.  Every zero X of f is a union of components,
         since C_X ⊥ C_Xc | C_given forces C_i ⊥ C_j | C_given for i in X and
         j outside it.  Sorted by smallest row; [] on an empty ground set.
         """
         if self.m == 0:
             return []
-        pairs = None if self._pairs_of is None else _pair_counts(self._pairs_of)
-        if pairs is None:
-            reach = next(_dependence_graphs(self.codes, self.given_codes[None]))
-        else:
-            P, rows, starts, _ = pairs
-            s = P.diagonal()
-            reach = _row_graph((self.n * P != s[:, None] * s)[None], rows, starts[rows], self.m)
-        return _grouped(_component_labels(reach)[0].tolist(), range(self.m))
+        labels = _component_labels(next(_dependence_graphs(self._S, self.given_codes[None])))[0]
+        return _grouped(labels[list(self.ground)].tolist(), range(self.m))
 
     def atoms(self) -> list:
         """The finest partition of the ground rows into mutually independent blocks.

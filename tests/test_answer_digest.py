@@ -1,0 +1,27 @@
+"""The recognizers' answers on the fixed seeded input set of `tools/answer_digest.py`.
+
+A refactor that keeps every exact answer keeps these digests; a change to
+them is a change of answers and must come with its reason.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "answer_digest.py"
+
+WANT = [
+    "982650c4a94a14c88e44bdb4e9237b82291b66aed9ac626b4d43f656051e19b4  1080 inputs",
+    "d92466987d5dbaa0082f52be7c09b77c7bfe82de73475d2b5fd116df20da0798  build, 240 expressions",
+    "3851a0deeb062ce00035adffd7f4ab04580e20cd9e05847b6ea8eb35a02fcdaa  exact, 300 inputs",
+    "0 answers fail re-expansion",
+    "0 inputs differ after write_matrix and parse_matrix",
+]
+
+
+def test_answer_digest_is_unchanged():
+    done = subprocess.run([sys.executable, str(SCRIPT)], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    for line in WANT:
+        assert line in lines, (line, done.stdout)

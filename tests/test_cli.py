@@ -308,6 +308,25 @@ def test_gen_of_a_huge_leaf_exits_2_before_enumerating(tmp_path, capsys, monkeyp
     assert elapsed < 1.0
 
 
+def test_gen_of_a_huge_product_exits_2_before_building(tmp_path, capsys, monkeypatch):
+    # three 1 x 100 factors make 10**6 columns, past the bound `gen expr`
+    # puts on a sum step; the product is refused before it is allocated
+    from prodmat import cli
+
+    monkeypatch.setattr(cli, "one_product", lambda *a: pytest.fail("the product was built"))
+    paths = []
+    for name in "abc":
+        p = tmp_path / f"{name}.txt"
+        p.write_text("1 100\n" + " ".join(["0", "1"] * 50) + "\n")
+        paths.append(str(p))
+    code = main(["gen", "product"] + paths)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: the product would have 1000000 columns, more than the bound of 65536\n"
+    assert "Traceback" not in captured.err
+
+
 def test_internal_error_has_its_own_exit_code(paper_file, capsys, monkeypatch):
     # a plain ValueError inside a recognizer is a fault of the program, not
     # of the input: neither "not recognized" (1) nor "input error" (2)

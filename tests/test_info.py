@@ -334,7 +334,7 @@ def _chunked_components(monkeypatch, S, given):
 
 def test_components_match_reference(monkeypatch, dependence_paths):
     rng = random.Random(18)
-    runs = plain = 0
+    runs = 0
     for S in _component_inputs(rng):
         for given in [None] + list(range(S.m)):
             F = InfoFunction(S, given=given)
@@ -344,8 +344,7 @@ def test_components_match_reference(monkeypatch, dependence_paths):
             assert got == _components_by_counters(S, given)
             assert _chunked_components(monkeypatch, S, given) == got
             runs += F.m > 0  # an empty ground set builds no graph
-            plain += given is None  # read from the pair counts, without the kernel
-    assert dependence_paths == {"gram": runs - plain, "chunked": runs}
+    assert dependence_paths == {"gram": runs, "chunked": runs}
 
 
 def test_components_chunked_pairs(monkeypatch, dependence_paths):
@@ -358,8 +357,7 @@ def test_components_chunked_pairs(monkeypatch, dependence_paths):
         monkeypatch.setattr(info, "_PAIR_CHUNK", chunk)
         got = [[_chunked_components(monkeypatch, S, g) for g in [None] + list(range(S.m))] for S in inputs]
         assert got == want
-    # the graph without a given row is read from the pair counts, not the kernel
-    assert dependence_paths["chunked"] == (dependence_paths["gram"] + len(inputs)) * 2
+    assert dependence_paths["chunked"] == dependence_paths["gram"] * 2
 
 
 def test_components_near_distinct_rows_take_the_chunked_path(dependence_paths):
@@ -708,7 +706,7 @@ def _twins(S):
 def _check_binary_screen(S):
     """The batched graphs give each row's components, and the screen the rows
     with two or more; returns the numbers of blocks and of those rows."""
-    blocks = list(info._dependence_graphs(S.codes, S.codes))
+    blocks = list(info._dependence_graphs(S, S.codes))
     dep = np.concatenate(blocks)
     assert len(dep) == S.m
     twin = _twins(S)
@@ -774,7 +772,7 @@ def test_reduced_kernel_matches_reference(dependence_paths):
         for given in [None] + list(range(S.m)):
             F = InfoFunction(S, given=given)
             assert F.components() == _components_by_counters(S, given)
-            runs += F.m > 0 and given is not None  # without one, read from the pair counts
+            runs += F.m > 0
             many += given is not None and len(set(S.rows[given])) >= 3
             constant += any(len(set(row)) == 1 for row in S.rows)
     assert dependence_paths == {"gram": runs, "chunked": 0}
@@ -842,18 +840,18 @@ def test_recognizers_build_each_graph_once(monkeypatch):
     # the screen's batched calls, each matrix's pair counts P are built
     # once, and InfoFunction.components never runs
     given, built = [], []
-    real, real_pairs = info._indicator_dependence, info._reduced_indicators
+    real, real_pairs = info._indicator_dependence, info._pair_counts
 
     def spy(*args):
-        given.append(len(args[-1]))  # the given rows' indicators come last
+        given.append(len(args[-1]))  # the given rows' codes come last
         return real(*args)
 
-    def pairs_spy(*args):
-        built.append(args[0])
-        return real_pairs(*args)
+    def pairs_spy(S, q):
+        built.append(S._pairs is None or S._pairs[0] is None)
+        return real_pairs(S, q)
 
     monkeypatch.setattr(info, "_indicator_dependence", spy)
-    monkeypatch.setattr(info, "_reduced_indicators", pairs_spy)
+    monkeypatch.setattr(info, "_pair_counts", pairs_spy)
     monkeypatch.setattr(InfoFunction, "components", lambda self: pytest.fail("a graph was built again"))
     rng = random.Random(28)
     found = 0
@@ -864,13 +862,14 @@ def test_recognizers_build_each_graph_once(monkeypatch):
         binary = sum(set(row) == {0, 1} for row in S.rows)
         # a matrix of two rows cannot split: no graph at all
         assert sum(given) == (S.m >= 3) * binary
-        assert len(built) == (S.m >= 3 and binary > 0)
-        assert not any(a.flags.writeable for a in (S._pairs or ())[:3])  # P, rows, starts
+        assert sum(built) == (S.m >= 3 and binary > 0)
+        assert not any(a.flags.writeable for a in (S._pairs or ())[:4])  # P, k, rows, starts
+        assert S._pairs is None or S._pairs[0].dtype == np.int32
     for _ in range(10):
         _, S, _ = random_feasible_expr(rng, max_leaves=4, dmax=5, max_cols=120, max_rows=24)
         given.clear()
         built.clear()
         found += _two_product_split(seeded_shuffle(S, rng.getrandbits(64))[0]) is not None
         assert sum(given) == (S.m >= 3) * S.m
-        assert len(built) == (S.m >= 3)
+        assert sum(built) == (S.m >= 3)
     assert found > 50

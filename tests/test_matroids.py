@@ -653,14 +653,22 @@ def test_verify_candidate_rejects_a_missing_facet_row():
 
 
 def test_recognize_wide_u42_chains_and_near_misses():
-    # 32x486 at 5 leaves, 38x1458 at 6 and 44x4374 at 7: every shuffled slack
-    # is recognized with its base family; each near-miss (one flipped entry,
-    # and at 7 leaves also one deleted row) is rejected as input, answered
-    # None, or recognized with an expression that re-expands to it.  The
-    # 7-leaf case draws from its own generator, so the others stay unchanged
+    # 32x486 at 5 leaves, 38x1458 at 6, 44x4374 at 7, 50x13122 at 8 and
+    # 56x39366 at 9, the widest 0/1 slacks whose pair counts stay under
+    # `info._GRAM_CAP`: every shuffled slack is recognized with its base
+    # family; each near-miss (one flipped entry, and from 7 leaves on also
+    # deleted rows) is rejected as input, answered None, or recognized with
+    # an expression that re-expands to it.  The cases from 7 leaves on draw
+    # from their own generators, so the others stay unchanged
     outcomes = {"input error": 0, "none": 0, "recognized": 0}
     rng = random.Random(62)
-    cases = ((5, (32, 486), rng, 0), (6, (38, 1458), rng, 0), (7, (44, 4374), random.Random(72), 3))
+    cases = (
+        (5, (32, 486), rng, 0),
+        (6, (38, 1458), rng, 0),
+        (7, (44, 4374), random.Random(72), 3),
+        (8, (50, 13122), random.Random(82), 1),
+        (9, (56, 39366), random.Random(92), 1),
+    )
     for leaves, shape, rng, deletions in cases:
         S, bases = expr_to_slack_with_bases(u42_chain(rng, leaves))
         assert (S.m, S.n) == shape
@@ -670,13 +678,12 @@ def test_recognize_wide_u42_chains_and_near_misses():
         assert base_families_match([bases[cp[j]] for j in range(S.n)], rec)
         nears = []
         for _ in range(3):
-            rows = [list(r) for r in sh.rows]
+            flipped = sh.array.copy()
             i, j = rng.randrange(S.m), rng.randrange(S.n)
-            rows[i][j] = 1 - rows[i][j]
-            nears.append(Matrix(rows))
+            flipped[i, j] = 1 - flipped[i, j]
+            nears.append(Matrix(flipped))
         for _ in range(deletions):
-            h = rng.randrange(S.m)
-            nears.append(Matrix(sh.rows[:h] + sh.rows[h + 1 :]))
+            nears.append(Matrix(np.delete(sh.array, rng.randrange(S.m), axis=0)))
         for near in nears:
             try:
                 rec = recognize_2level_matroid_slack(near)
@@ -688,7 +695,7 @@ def test_recognize_wide_u42_chains_and_near_misses():
                 continue
             assert is_isomorphic(expr_to_slack(rec.expr), near) is not None
             outcomes["recognized"] += 1
-    assert sum(outcomes.values()) == 12, outcomes
+    assert sum(outcomes.values()) == 20, outcomes
 
 
 def test_facet_rows_keeps_one_copy_of_each_maximal_zero_set():

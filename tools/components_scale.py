@@ -15,10 +15,11 @@ Each line of output is a JSON object with the case, its shape, D (the
 number of reduced indicators: (row, value) pairs after each row's first
 value), the number of calls, how many graphs each dependence path built
 ("gram" for `info._indicator_dependence`, "chunked" for
-`info._chunked_dependence`; the graph without a given row is read from the
-matrix's pair counts and counted in neither), the median over the repeats
-of their total time in seconds, and a SHA-256 prefix of the components, so
-two checkouts can be compared on the same answers.  Every timed repeat
+`info._chunked_dependence`; the graph without a given row is the kernel's
+one-value case and counts as "gram", so criterion-10 reads {"gram": 1}),
+the median over the repeats of their total time in seconds, and a SHA-256
+prefix of the components, so two checkouts can be compared on the same
+answers.  Every timed repeat
 builds the matrix's pair counts anew, as a recursion node does once.  A chain's line also has a SHA-256
 prefix of its candidate special rows, the rows r whose components given r
 number two or more besides the row 1 - r.  After it, a "-screen" line times
