@@ -59,8 +59,8 @@ time (`_chunked_dependence`).
 submodular, f(X | Y) + f(X & Y) <= f(X) + f(Y), so the zeros are closed
 under union and intersection, and by symmetry under complement: they form a
 Boolean algebra whose atoms are the irreducible blocks, and the zeros are
-exactly the unions of atoms.  The atoms are built by merging components in
-integers, one exact check per (atom, component) pair.
+exactly the unions of atoms.  They are merged from the components in
+integers by one chain of exact checks, whose counts build every factor.
 
 `group_columns` is the one exact column grouping: given rows of
 `Matrix.codes` it numbers the distinct column patterns and counts them,
@@ -396,7 +396,6 @@ class InfoFunction:
         self._kz = int(self.given_codes.max()) + 1
         self._n_z = np.bincount(self.given_codes)[self.given_codes]
         self._h_cache = {}
-        self._exact_cache = {}
 
     # -- f ------------------------------------------------------------------
 
@@ -437,10 +436,7 @@ class InfoFunction:
         row (one constant value without one) and n_z its column count.  The
         identity is checked at every column, on the triple (z, a, b) it
         holds, in int64: each side is at most n**2 < 2**63.  Unobserved
-        pairs need no check.  Divided by n_z, the identity on every observed
-        triple makes the right side sum to n_z over the observed pairs of z;
-        it sums to n_z over all pairs seen with z as well, and each of its
-        terms mu(a,z)*mu(b,z)/n_z is positive, so no such pair is missing.
+        pairs need no check (module docstring).
         """
         X = tuple(sorted(set(X)))
         self._check_range(X)
@@ -449,16 +445,9 @@ class InfoFunction:
         return self._independent(X, self._complement(X))
 
     def _independent(self, X: tuple, Y: tuple) -> bool:
-        """The identity of `is_independent_exact` between disjoint row tuples X and Y.
-
-        Rows outside X and Y are ignored: this is C_X ⊥ C_Y | C_given.
-        True when `_split_counts` finds the identity at every column; cached.
-        """
-        got = self._exact_cache.get((X, Y))
-        if got is None:
-            got = bool(self._split_counts(X, Y)[4].all())
-            self._exact_cache[(X, Y)] = self._exact_cache[(Y, X)] = got
-        return got
+        """C_X ⊥ C_Y | C_given for disjoint row tuples X and Y, other rows ignored:
+        `_split_counts` finds the identity of `is_independent_exact` at every column."""
+        return bool(self._split_counts(X, Y)[4].all())
 
     def _split_counts(self, X: tuple, Y: tuple):
         """Per column j, for disjoint row tuples X and Y: (ka, kb, a, b, ok).
@@ -519,24 +508,28 @@ class InfoFunction:
         union of atoms, so two or more atoms mean a factorization and atoms[0]
         is the block holding row 0.  [] on an empty ground set.
         """
-        return self._merge(self.components())
+        return self._merge(self.components())[0]
 
-    def _merge(self, components: list) -> list:
-        """The atoms over the rows of `components`, merged from them in integers.
+    def _merge(self, components: list):
+        """(atoms, splits): the atoms over the rows of the components, sorted
+        by smallest row as these are, and splits[k], the `_split_counts` of
+        atoms[k] against the union of the later atoms.
 
-        The components arrive in order, and the atoms are kept for the rows Y
-        seen so far, the union of the components that have arrived.  When a
-        component C arrives, each atom A stays an atom exactly when
-        C_A ⊥ C_(Y - A) | C_given (checked exactly, with Y now holding C);
-        every other atom merges into C.  Induction shows the result is the
-        atom set over Y: cutting the columns down to the rows in Y turns a
-        zero X into the zero X & Y, so each new atom is a union of old atoms
-        and at most C; an old atom that is independent of the rest of Y is
-        minimal, hence an atom; and an atom without C made of two or more old
-        atoms would be independent of the rest of Y while its first old atom
-        is independent of the others, so that old atom alone would be a zero.
-        At most q(q-1)/2 exact checks for q components.
+        The chain checks each component C, last first, against the rows Y of
+        the later ones.  If every check holds, the components are the atoms:
+        C is connected, so no zero splits it, and a zero X over C + Y cuts
+        down to the zero X & Y over Y, so the atoms of Y, the later
+        components by induction, stay minimal.  Otherwise the atoms are kept
+        for the rows Y seen so far, in order, and a component C merges every
+        atom A for which C_A ⊥ C_(Y - A) | C_given fails, Y now holding C:
+        each new atom is a union of old atoms and at most C, an old atom
+        independent of the rest of Y is minimal, and an atom without C made
+        of two or more old atoms would leave its first old atom a zero alone.
+        The chain then runs over the atoms, which are mutually independent.
         """
+        splits = self._chain(components)
+        if splits is not None:
+            return components, splits
         atoms, seen = [], set()
         for comp in components:
             seen.update(comp)
@@ -546,8 +539,19 @@ class InfoFunction:
                     kept.append(A)
                 else:
                     merged.extend(A)
-            atoms = kept + [tuple(sorted(merged))]
-        return sorted(atoms)
+            atoms = sorted(kept + [tuple(sorted(merged))])
+        return atoms, self._chain(atoms)
+
+    def _chain(self, blocks: list):
+        """The `_split_counts` of each block against the union of the later
+        ones, or None when one of these checks fails."""
+        splits, later = [], blocks[-1] if blocks else ()
+        for C in reversed(blocks[:-1]):
+            splits.append(self._split_counts(C, later))
+            if not splits[-1][4].all():
+                return None
+            later = tuple(sorted(later + C))
+        return splits[::-1]
 
 
 def mutual_info_direct(S: Matrix, X: Iterable[int]) -> float:

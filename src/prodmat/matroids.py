@@ -702,7 +702,7 @@ def _two_product_split(S: Matrix):
     twins = key[:, None] == key
     for r, comps in _special_row_candidates(S, twins):
         F = InfoFunction(S, given=r)
-        atoms = F._merge(comps)
+        atoms = F._merge(comps)[0]
         if len(atoms) < 2:
             continue
         X = tuple(sorted(F.ground[i] for A in atoms[1:] for i in A))

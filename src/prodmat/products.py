@@ -3,18 +3,16 @@
 A matrix is a 1-product when its column multiset is the full "Cartesian"
 combination of the columns of two smaller matrices stacked on a row
 bipartition.  Every recognizer reads its zero sets from
-`InfoFunction.atoms`: the zeros of the mutual-information function f are
-exactly the unions of its atoms, which come from merging the components of
-the exact pairwise-dependence graph with exact independence checks, so no
-float enters a verdict.  Two or more atoms make a 1-product, and atoms[0],
-the block holding the smallest row, is the canonical cut;
-`factorize_irreducible` peels every atom off one graph, whose pair counts
-are built once per matrix and shared with the 2-product screen.
-The factors come from the exact check's own counts: `InfoFunction._split_counts`
-gives each column the keys and counts of its two patterns and the verdict of
-the identity there, and `_block_factors` builds the factors from those same
-counts and returns them only when the identity holds at every column, which
-is also the statement that the factors re-expand to S.
+`InfoFunction.atoms`, whose unions are exactly the zeros of the
+mutual-information function f.  One chain of exact checks merges them from
+the components of the pairwise-dependence graph (`InfoFunction._merge`), so
+no float enters a verdict.  Two or more atoms make a 1-product, and
+atoms[0], the block holding the smallest row, is the canonical cut.  Each
+check (`InfoFunction._split_counts`) gives every column the keys and counts
+of its two patterns and the verdict of the identity there, and
+`_block_factors` builds the factors of atom k and the later atoms from the
+chain's own counts, only when the identity holds at every column, which is
+also the statement that the factors re-expand to S.
 
 A 2-product glues two matrices along 0/1 special rows; recognition guesses
 the special row r and reads the atoms of the conditional information
@@ -36,7 +34,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .info import InfoFunction, _special_row_candidates
+from .info import InfoFunction, _special_row_candidates, group_columns
 from .matrix import Matrix
 
 
@@ -135,30 +133,29 @@ def reconstruct_factors(S: Matrix, X: Sequence[int]) -> Tuple[Matrix, Matrix]:
     factors are read from the exact check's counts on (X, complement)
     (`_block_factors`), and ValueError means the rows are dependent.
     """
+    F = InfoFunction(S)
     X = tuple(sorted(set(X)))
-    if X and (X[0] < 0 or X[-1] >= S.m):
-        raise IndexError(f"row subset out of range for {S.m} rows: {X}")
-    inX = set(X)
-    Xc = tuple(i for i in range(S.m) if i not in inX)
+    F._check_range(X)
+    Xc = F._complement(X)
     if not X or not Xc:
         raise ValueError("X must be a nonempty proper row subset")
-    return _block_factors(S, X, Xc, InfoFunction(S)._split_counts(X, Xc), np.arange(S.n))
+    return _block_factors(S, X, Xc, F._split_counts(X, Xc), np.arange(S.n))
 
 
 def recognize_one_product(S: Matrix) -> Optional[OneProductCert]:
     """Decide whether S is a 1-product up to permutation; return a certificate if so.
 
     The bipartition is (atoms[0], rest), with atoms[0] the irreducible block
-    holding row 0; the verdict itself is the exact multiplicity identity,
-    checked again on the counts the factors are read from.
+    holding row 0; the factors are read from the counts of the merge's own
+    check of atoms[0] against the rest, where the identity held.
     """
     F = InfoFunction(S)
-    atoms = F.atoms()
+    atoms, splits = F._merge(F.components())
     if len(atoms) < 2:
         return None
     X = atoms[0]
     Xc = F._complement(X)
-    S1, S2 = _block_factors(S, X, Xc, F._split_counts(X, Xc), np.arange(S.n))
+    S1, S2 = _block_factors(S, X, Xc, splits[0], np.arange(S.n))
     row_map = tuple(("S1", X.index(i)) if i in X else ("S2", Xc.index(i)) for i in range(S.m))
     return OneProductCert(X, S1, S2, row_map)
 
@@ -166,20 +163,21 @@ def recognize_one_product(S: Matrix) -> Optional[OneProductCert]:
 def factorize_irreducible(S: Matrix) -> Factorization:
     """Split S into the unique partition of minimal irreducible 1-product blocks.
 
-    The blocks are the atoms of one dependence graph; `reconstruct_factors`
-    peels them off in order, each from the factor left by the one before.
-    That factor repeats S's patterns on its rows in proportion, so the
-    atoms stay independent in it.
+    The blocks are the atoms, and factor k is read from the merge's counts
+    of block k against the later blocks.  S is the product of the factors,
+    so the last one repeats each pattern of its block its count in S over
+    the product of the other factors' widths.
     """
-    blocks = tuple(InfoFunction(S).atoms())
-    factors = []
-    rest = S
-    for k, block in enumerate(blocks[:-1]):
-        # the rows of `rest` are the later blocks' rows in ascending order
-        rows = sorted(i for b in blocks[k:] for i in b)
-        factor, rest = reconstruct_factors(rest, [rows.index(i) for i in block])
-        factors.append(factor)
-    return Factorization(blocks, tuple(factors) + (rest,))
+    F = InfoFunction(S)
+    blocks, splits = F._merge(F.components())
+    factors, later = [], list(range(S.m))
+    for block, counts in zip(blocks, splits):
+        later = [i for i in later if i not in block]
+        factors.append(_block_factors(S, block, tuple(later), counts, np.arange(S.n))[0])
+    if factors:
+        _, cnt, first = group_columns(S.codes[list(blocks[-1])])
+        S = S.submatrix(blocks[-1], np.repeat(first, cnt // math.prod(f.n for f in factors)))
+    return Factorization(tuple(blocks), tuple(factors) + (S,))
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +234,14 @@ def recognize_two_product(S: Matrix) -> Optional[TwoProductCert]:
     """
     for r, comps in _special_row_candidates(S):
         F = InfoFunction(S, given=r)
-        atoms = F._merge(comps)
+        atoms, splits = F._merge(comps)
         if len(atoms) < 2:
             continue
-        found = atoms[0]
-        counts = F._split_counts(found, F._complement(found))
-        X = tuple(F.ground[i] for i in found)
+        X = tuple(F.ground[i] for i in atoms[0])
         Xc = tuple(i for i in F.ground if i not in X)
         zero = S.array[r] == 0
-        A1f, A2f = _block_factors(S, X, Xc, counts, np.flatnonzero(zero))
-        B1f, B2f = _block_factors(S, X, Xc, counts, np.flatnonzero(~zero))
+        A1f, A2f = _block_factors(S, X, Xc, splits[0], np.flatnonzero(zero))
+        B1f, B2f = _block_factors(S, X, Xc, splits[0], np.flatnonzero(~zero))
         S1, S2 = _glue(A1f, B1f), _glue(A2f, B2f)
         row_map = tuple(
             ("special", None) if i == r else ("S1", X.index(i)) if i in X else ("S2", Xc.index(i))

@@ -138,6 +138,43 @@ def reconstruct_factors_reference(S, X):
     return S.submatrix(X, np.repeat(first_a, u).tolist()), S.submatrix(Xc, np.repeat(first_b, v).tolist())
 
 
+def parity_rows(k):
+    """All 2**k - 1 nonzero GF(2) parity rows over the 2**k points of GF(2)**k."""
+    return Matrix([[bin(v & x).count("1") % 2 for x in range(1 << k)] for v in range(1, 1 << k)])
+
+
+def _first_split(S):
+    """(X, (S1, S2)) for the smallest row subset X holding row 0, first in
+    lexicographic order, that `reconstruct_factors_reference` splits off S;
+    None when no proper subset does."""
+    for size in range(1, S.m):
+        for rest in itertools.combinations(range(1, S.m), size - 1):
+            try:
+                return (0,) + rest, reconstruct_factors_reference(S, (0,) + rest)
+            except ValueError:
+                pass
+    return None
+
+
+def factorize_irreducible_reference(S):
+    """(blocks, factors) of `factorize_irreducible` by peeling: the block
+    holding the smallest row left is the smallest subset of the rows left
+    that splits off the factor left by the one before, and the last factor
+    is what is left.  Each split-off subset is a zero of the rows left, so
+    the smallest holding a row is its atom; the factor left repeats S's
+    patterns on its rows in proportion, so the later atoms stay atoms in it.
+    """
+    blocks, factors, rows, rest = [], [], list(range(S.m)), S
+    split = _first_split(rest)
+    while split is not None:
+        X, (factor, rest) = split
+        blocks.append(tuple(rows[i] for i in X))
+        factors.append(factor)
+        rows = [r for i, r in enumerate(rows) if i not in X]
+        split = _first_split(rest)
+    return tuple(blocks) + (tuple(rows),), tuple(factors) + (rest,)
+
+
 # ---------------------------------------------------------------------------
 # Reference slack builder: the tuple fold the array builder replaced.  Each
 # step works on Matrix rows and frozenset column bases, entry by entry.

@@ -23,7 +23,7 @@ from prodmat.info import group_columns, mutual_info_direct
 from prodmat.matroids import _two_product_split
 from prodmat.oracles import bf_one_product, bf_two_product
 
-from helpers import random_feasible_expr, random_matrix
+from helpers import parity_rows, random_feasible_expr, random_matrix
 
 PAPER_4x6 = one_product(Matrix([[1, 0], [2, 3]]), Matrix([[1, 0, 0], [0, 1, 1]]))
 
@@ -587,11 +587,6 @@ def test_exact_check_matches_reference(monkeypatch, branch):
             assert paths["unique"] == 0
 
 
-def _parity_rows(k):
-    """All 2**k - 1 nonzero GF(2) parity rows over the 2**k points of GF(2)**k."""
-    return Matrix([[bin(v & x).count("1") % 2 for x in range(1 << k)] for v in range(1, 1 << k)])
-
-
 def _atom_inputs(rng):
     """Random matrices, shuffled 1-products of 2-4 factors, and parity rows.
 
@@ -605,7 +600,7 @@ def _atom_inputs(rng):
             P = one_product(P, random_matrix(rng, rng.randint(1, 2), rng.randint(1, 3), 0, 2))
         inputs.append(seeded_shuffle(P, rng.getrandbits(64))[0])
     for _ in range(40):
-        P = _parity_rows(rng.randint(2, 3))
+        P = parity_rows(rng.randint(2, 3))
         P = P.submatrix(sorted(rng.sample(range(P.m), rng.randint(3, min(P.m, 5)))), range(P.n))
         if rng.random() < 0.6:
             P = one_product(P, random_matrix(rng, rng.randint(1, 2), rng.randint(1, 3), 0, 2))
@@ -614,13 +609,22 @@ def _atom_inputs(rng):
 
 
 def test_atoms_match_bruteforce_partition():
+    # the merge's splits are the exact check of each atom against the union
+    # of the later atoms, and that check holds at every column, also where
+    # the components merge and the chain runs again over the atoms
     rng = random.Random(22)
     pairs = finer = merged = 0
     for S in _atom_inputs(rng):
         for given in [None] + list(range(S.m)):
             F = InfoFunction(S, given=given)
-            got = F.atoms()
-            assert got == _atoms_reference(S, given)
+            got, splits = F._merge(F.components())
+            assert got == F.atoms() == _atoms_reference(S, given)
+            assert len(splits) == max(len(got) - 1, 0)
+            for k, counts in enumerate(splits):
+                later = tuple(sorted(i for A in got[k + 1 :] for i in A))
+                want = F._split_counts(got[k], later)
+                assert all(np.array_equal(c, w) for c, w in zip(counts, want))
+                assert counts[4].all()
             pairs += 1
             finer += len(got) >= 3
             merged += got != F.components()
@@ -632,7 +636,7 @@ def test_atoms_of_pairwise_independent_rows(k):
     # every pair of parity rows is independent, so each row is its own
     # component, yet no bipartition is a zero: one atom.  Beside a factor
     # that is one row, the product has exactly the two blocks.
-    P = _parity_rows(k)
+    P = parity_rows(k)
     F = InfoFunction(P)
     assert F.components() == [(i,) for i in range(P.m)]
     assert F.atoms() == [tuple(range(P.m))]

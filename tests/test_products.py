@@ -20,10 +20,11 @@ from prodmat import (
     seeded_shuffle,
     two_product,
 )
+from prodmat import products
 from prodmat.oracles import bf_one_product, bf_two_product
 from prodmat.products import _block_factors, _glue
 
-from helpers import random_matrix, reconstruct_factors_reference
+from helpers import factorize_irreducible_reference, parity_rows, random_matrix, reconstruct_factors_reference
 
 A_26 = Matrix([[1, 0], [2, 3]])
 B_23 = Matrix([[1, 0, 0], [0, 1, 1]])
@@ -296,6 +297,79 @@ def test_factorize_three_factors_through_shuffle():
         # map the shuffled partition back through the row permutation
         mapped = {frozenset(rp[i] for i in blk) for blk in fac.blocks}
         assert mapped == {frozenset(blk) for blk in base.blocks}
+
+
+def _peel_inputs(rng):
+    """Shuffled products of 3-4 blocks, the last one or more with repeated
+    columns, and products of parity rows, whose components merge."""
+    inputs = [one_product(one_product(A_26, B_23), Matrix([[0, 0, 1]]))]
+    for _ in range(30):
+        P = random_matrix(rng, rng.randint(1, 2), rng.randint(1, 3), 0, 2)
+        for _ in range(rng.randint(2, 3)):
+            B = random_matrix(rng, rng.randint(1, 2), rng.randint(1, 3), 0, 2)
+            P = one_product(P, _with_repeated_columns(rng, B) if rng.random() < 0.5 else B)
+        inputs.append(seeded_shuffle(_with_repeated_columns(rng, P) if rng.random() < 0.3 else P, rng.getrandbits(64))[0])
+    for _ in range(15):
+        P = parity_rows(2)
+        for _ in range(rng.randint(1, 2)):
+            B = random_matrix(rng, rng.randint(1, 2), rng.randint(1, 3), 0, 2)
+            P = one_product(_with_repeated_columns(rng, B) if rng.random() < 0.5 else B, P)
+        inputs.append(seeded_shuffle(P, rng.getrandbits(64))[0])
+    return inputs
+
+
+def test_factorize_irreducible_equals_the_peel():
+    # the blocks and the factors read from the merge's chain of checks are
+    # those of peeling one block at a time off the factor left before,
+    # byte for byte, also where the last factor repeats its columns
+    rng = random.Random(44)
+    many = repeated = merged = 0
+    for S in _peel_inputs(rng):
+        fac = factorize_irreducible(S)
+        blocks, factors = factorize_irreducible_reference(S)
+        assert fac.blocks == blocks and fac.factors == factors
+        many += fac.t >= 3
+        last = fac.factors[-1]
+        repeated += len(set(zip(*last.rows))) < last.n
+        merged += len(InfoFunction(S).components()) > fac.t
+    assert many > 20 and repeated > 10 and merged > 10
+
+
+def test_one_chain_of_checks_builds_every_factor(monkeypatch):
+    # on q blocks whose dependence graphs are connected, the merge makes q - 1
+    # exact checks, and the recognizer and the factorizer build their
+    # factors from these: no other check, one InfoFunction each
+    rng = random.Random(45)
+    cases = []
+    while len(cases) < 30:
+        blocks = [random_matrix(rng, rng.randint(1, 3), rng.randint(2, 3), 0, 2) for _ in range(rng.randint(2, 4))]
+        if all(len(InfoFunction(B).components()) == 1 < B.n for B in blocks):
+            P = blocks[0]
+            for B in blocks[1:]:
+                P = one_product(P, B)
+            cases.append((seeded_shuffle(P, rng.getrandbits(64))[0], len(blocks)))
+    checks, built = [], []
+    real_counts, real_init = InfoFunction._split_counts, InfoFunction.__init__
+
+    def counts_spy(self, X, Y):
+        checks.append((X, Y))
+        return real_counts(self, X, Y)
+
+    def init_spy(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(InfoFunction, "_split_counts", counts_spy)
+    monkeypatch.setattr(InfoFunction, "__init__", init_spy)
+    monkeypatch.setattr(products, "reconstruct_factors", lambda *args: pytest.fail("a factor was peeled"))
+    for S, q in cases:
+        for run in (recognize_one_product, factorize_irreducible):
+            checks.clear()
+            built.clear()
+            assert run(S) is not None
+            assert len(checks) == q - 1 and len(built) == 1, (run.__name__, q)
+        assert factorize_irreducible(S).t == q
+    assert {q for _, q in cases} == {2, 3, 4}
 
 
 def _random_products(rng, count):

@@ -12,7 +12,9 @@ output JSON holds every run's last stdout line (the perfbench verdict and
 metrics), the `env` line of the first run of each side, the seeds, and per
 workload, side and metric the median and the interquartile range, plus the
 number of pairs in which the working tree did better.  Several `--workload`
-options run one after the other.
+options run one after the other.  A run whose last line says `correct: false`
+or `failed > 0` stops the script with exit code 1, naming the workload, seed
+and side, and no report is written: a wrong answer is never a median.
 """
 
 from __future__ import annotations
@@ -45,6 +47,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
     ).stdout.splitlines()
     env = next((json.loads(ln[4:]) for ln in out if ln.startswith("env ")), {})
     return env, json.loads(out[-1])
+
+
+def check_verdict(last: dict, where: str) -> None:
+    """Exit with code 1, naming `where`, unless the run was correct and no operation failed."""
+    if last.get("correct") is not True or last.get("failed", 1) != 0:
+        raise SystemExit(f"{where}: correct {last.get('correct')}, failed {last.get('failed')}; no report written")
 
 
 def quartiles(values: list) -> dict:
@@ -93,6 +101,7 @@ def main(argv=None) -> int:
                 pair = {"seed": seed, "first": order[0]}
                 for s in order:
                     env, pair[s] = run_once(sides[s], workload, seed, args.seconds)
+                    check_verdict(pair[s], f"{workload} seed {seed} {s}")
                     report["env"].setdefault(s, env)
                 pairs.append(pair)
                 print(workload, seed, {s: round(pair[s]["metrics"]["ops_per_s"]["value"], 1) for s in sides},
