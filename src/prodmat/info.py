@@ -31,7 +31,7 @@ one, both sides sum to n_z over the observed pairs of each z, and every term
 mu(a,z)*mu(b,z)/n_z of the right side is positive, so no pair (a, b) seen
 with z can be missing.  Every product is at most n**2 < 2**63, so int64 is
 exact.  The same per-column keys and counts build the factors of a 1-product
-or 2-product (`products._block_factors`), so each factorization rests on the
+or 2-product (`products._factor_columns`), so each factorization rests on the
 identity checked on exactly the counts it is built from.
 
 Every graph is read from reduced indicators: E holds one 0/1 row

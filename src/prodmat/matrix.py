@@ -24,8 +24,9 @@ set exactly when their codes agree there, so every exact pattern count
 (`info.group_columns` over rows of `codes`) needs no `Fraction` comparison.
 They are numbered once, on first use (`_codes`): in numpy for an int64
 array whose rows' values spread little (`_first_occurrence_codes`), else by
-one dict per row.  `parse_matrix` reads a file of int64-sized integers into
-one int64 array with one C-level conversion and hands that array over.
+one dict per row.  `parse_matrix` reads a file of ASCII integers with
+numpy's C text reader, `np.loadtxt`, into one int64 array and hands that
+array over; any other file is read token by token, to the same values.
 """
 
 from __future__ import annotations
@@ -39,12 +40,11 @@ import numpy as np
 
 # an integer, optionally followed by a decimal part or a "/q" denominator
 _TOKEN_RE = re.compile(r"[+-]?\d+(\.\d+|/\d+)?")
-# a line of ASCII integer tokens of at most 18 digits, so that every value
-# fits in int64; a file with a line it rejects, such as one with longer
-# tokens or with other whitespace or digits, goes token by token through
-# _parse_token, which reads those with the same values.  ASCII classes
-# match faster.
-_INT_LINE_RE = re.compile(r"\s*[+-]?\d{1,18}(?:\s+[+-]?\d{1,18})*\s*", re.ASCII)
+# parse_matrix hands a text to np.loadtxt only if it holds just these bytes,
+# on which numpy's line breaks, tokens and integers are those of
+# str.splitlines, str.split and int(); numpy reads \v, \f, \x1c-\x1f and
+# U+00A0 as in-line whitespace, and has its own integer syntax
+_INT_TEXT = b"0123456789+- \t\r\n"
 # _first_occurrence_codes keeps one table slot per value in each row's range
 # while that is at most this many slots per entry (or _TABLE_MIN in all); a
 # matrix with wider rows numbers its codes with one dict per row
@@ -233,12 +233,12 @@ def parse_matrix(text) -> Matrix:
     """Parse the standard text format: a header line "m n", then m rows of n tokens.
 
     Tokens may be integers, decimals or "p/q"; decimals convert exactly.
-    When every row is a line of ASCII integers of at most 18 digits, the
-    whole body is read by one C-level `np.fromstring` into an int64 array,
-    which becomes the matrix as it is.  Otherwise every token is
-    read through `_parse_token`, to the same values; either way rows are
-    checked, and errors reported, line by line in order.  Bytes input must
-    be ASCII.
+    A text of ASCII digits, signs, spaces, tabs and line ends (`_INT_TEXT`)
+    is read by numpy's C text reader, `np.loadtxt`, into an int64 array,
+    which becomes the matrix as it is when it is m x n.  numpy refuses every
+    token that `int()` refuses or int64 cannot hold, and every other file is
+    read token by token through `_parse_token`, to the same values and the
+    same errors, line by line in order.  Bytes input must be ASCII.
     """
     if isinstance(text, bytes):
         try:
@@ -260,17 +260,15 @@ def parse_matrix(text) -> Matrix:
     if len(lines) != m + 1:
         raise MatrixFormatError(f"expected {m} rows, found {len(lines) - 1}")
     body = lines[1:]
-    checked = []  # tokens of the lines read so far, up to the first non-integer line
-    for ln in body:
-        checked.append(_row_tokens(ln, n))
-        if not _INT_LINE_RE.fullmatch(ln):
-            break
-    else:  # every row a line of int64 integers: one C-level conversion
-        return Matrix(np.fromstring(" ".join(body), dtype=np.int64, sep=" ").reshape(m, n))
-    rows = [tuple([_parse_token(t) for t in toks]) for toks in checked]
-    for ln in body[len(checked):]:
-        rows.append(tuple([_parse_token(t) for t in _row_tokens(ln, n)]))
-    return Matrix(rows)
+    if not text.encode("ascii", "replace").translate(None, _INT_TEXT):  # "?" for a non-ASCII character
+        try:
+            A = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
+        except ValueError:  # a token that is no int64, or rows of unequal widths
+            pass
+        else:
+            if A.shape == (m, n):
+                return Matrix(A)
+    return Matrix([tuple([_parse_token(t) for t in _row_tokens(ln, n)]) for ln in body])
 
 
 def write_matrix(S: Matrix) -> str:

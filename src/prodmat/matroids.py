@@ -725,7 +725,7 @@ def _split_side(S: Matrix, rows: tuple, r: int, order: np.ndarray):
     column map sends each column of S to its factor column.
     """
     rows = rows + (r, r)  # the second copy of r becomes its complement
-    codes = S.codes[np.ix_(rows, order)]
+    codes = S.codes.take(rows, axis=0).take(order, axis=1)
     inv, _, first = group_columns(codes)
     # a 0/1 row's code is 0 exactly where its entry equals its first entry
     flip = S.array[rows, :1]

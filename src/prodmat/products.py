@@ -10,9 +10,9 @@ no float enters a verdict.  Two or more atoms make a 1-product, and
 atoms[0], the block holding the smallest row, is the canonical cut.  Each
 check (`InfoFunction._split_counts`) gives every column the keys and counts
 of its two patterns and the verdict of the identity there, and
-`_block_factors` builds the factors of atom k and the later atoms from the
-chain's own counts, only when the identity holds at every column, which is
-also the statement that the factors re-expand to S.
+`_factor_columns` selects the columns of the factors of atom k and the
+later atoms from the chain's own counts, only when the identity holds at
+every column, which is also the statement that the factors re-expand to S.
 
 A 2-product glues two matrices along 0/1 special rows; recognition guesses
 the special row r and reads the atoms of the conditional information
@@ -98,15 +98,16 @@ def _first_columns(keys: np.ndarray) -> np.ndarray:
     return np.sort(order[new])
 
 
-def _block_factors(S: Matrix, X: tuple, Xc: tuple, counts, cols: np.ndarray) -> Tuple[Matrix, Matrix]:
-    """Integer factors (S1, S2) of the columns `cols` of S, which share one value of z.
+def _factor_columns(counts, cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Columns (J1, J2) with S[X, J1], S[Xc, J2] the integer factors of S's columns `cols`.
 
-    counts is `InfoFunction._split_counts` between the rows X and Xc of S.
+    The columns `cols` share one value of z, and counts is
+    `InfoFunction._split_counts` between the rows X and Xc of S.
     With mu_X and mu_Xc the pattern counts of the two sides over the n_z
     columns, the rank-1 split mu_X(a_i) * mu_Xc(b_k) / n_z = u_i * v_k is made
     integral by dividing the u side by g = gcd_i mu_X(a_i); S1 repeats the
     first column of each X pattern u_i times and S2 the first column of each
-    Xc pattern v_k times, patterns in order of first occurrence.  The factors
+    Xc pattern v_k times, patterns in order of first occurrence.  The columns
     are returned only if the identity holds at every column, there are at
     most n_z pattern pairs and every v_k is an integer: then every pair is
     observed and mu(a_i, b_k) = u_i * v_k, so the factors re-expand to the
@@ -121,9 +122,7 @@ def _block_factors(S: Matrix, X: tuple, Xc: tuple, counts, cols: np.ndarray) -> 
     v = cnt_b * g // n
     if not ok.all() or len(first_a) * len(first_b) > n or (v * n != cnt_b * g).any():
         raise ValueError("rows are not independent across the bipartition")
-    S1 = S.submatrix(X, np.repeat(cols[first_a], u))
-    S2 = S.submatrix(Xc, np.repeat(cols[first_b], v))
-    return S1, S2
+    return np.repeat(cols[first_a], u), np.repeat(cols[first_b], v)
 
 
 def reconstruct_factors(S: Matrix, X: Sequence[int]) -> Tuple[Matrix, Matrix]:
@@ -131,7 +130,7 @@ def reconstruct_factors(S: Matrix, X: Sequence[int]) -> Tuple[Matrix, Matrix]:
 
     The rows X go to S1 and the rest to S2, each in ascending order; the
     factors are read from the exact check's counts on (X, complement)
-    (`_block_factors`), and ValueError means the rows are dependent.
+    (`_factor_columns`), and ValueError means the rows are dependent.
     """
     F = InfoFunction(S)
     X = tuple(sorted(set(X)))
@@ -139,7 +138,8 @@ def reconstruct_factors(S: Matrix, X: Sequence[int]) -> Tuple[Matrix, Matrix]:
     Xc = F._complement(X)
     if not X or not Xc:
         raise ValueError("X must be a nonempty proper row subset")
-    return _block_factors(S, X, Xc, F._split_counts(X, Xc), np.arange(S.n))
+    cols1, cols2 = _factor_columns(F._split_counts(X, Xc), np.arange(S.n))
+    return S.submatrix(X, cols1), S.submatrix(Xc, cols2)
 
 
 def recognize_one_product(S: Matrix) -> Optional[OneProductCert]:
@@ -155,7 +155,8 @@ def recognize_one_product(S: Matrix) -> Optional[OneProductCert]:
         return None
     X = atoms[0]
     Xc = F._complement(X)
-    S1, S2 = _block_factors(S, X, Xc, splits[0], np.arange(S.n))
+    cols1, cols2 = _factor_columns(splits[0], np.arange(S.n))
+    S1, S2 = S.submatrix(X, cols1), S.submatrix(Xc, cols2)
     row_map = tuple(("S1", X.index(i)) if i in X else ("S2", Xc.index(i)) for i in range(S.m))
     return OneProductCert(X, S1, S2, row_map)
 
@@ -170,10 +171,8 @@ def factorize_irreducible(S: Matrix) -> Factorization:
     """
     F = InfoFunction(S)
     blocks, splits = F._merge(F.components())
-    factors, later = [], list(range(S.m))
-    for block, counts in zip(blocks, splits):
-        later = [i for i in later if i not in block]
-        factors.append(_block_factors(S, block, tuple(later), counts, np.arange(S.n))[0])
+    cols = np.arange(S.n)
+    factors = [S.submatrix(block, _factor_columns(counts, cols)[0]) for block, counts in zip(blocks, splits)]
     if factors:
         _, cnt, first = group_columns(S.codes[list(blocks[-1])])
         S = S.submatrix(blocks[-1], np.repeat(first, cnt // math.prod(f.n for f in factors)))
@@ -240,9 +239,10 @@ def recognize_two_product(S: Matrix) -> Optional[TwoProductCert]:
         X = tuple(F.ground[i] for i in atoms[0])
         Xc = tuple(i for i in F.ground if i not in X)
         zero = S.array[r] == 0
-        A1f, A2f = _block_factors(S, X, Xc, splits[0], np.flatnonzero(zero))
-        B1f, B2f = _block_factors(S, X, Xc, splits[0], np.flatnonzero(~zero))
-        S1, S2 = _glue(A1f, B1f), _glue(A2f, B2f)
+        A1, A2 = _factor_columns(splits[0], np.flatnonzero(zero))
+        B1, B2 = _factor_columns(splits[0], np.flatnonzero(~zero))
+        S1 = _glue(S.submatrix(X, A1), S.submatrix(X, B1))
+        S2 = _glue(S.submatrix(Xc, A2), S.submatrix(Xc, B2))
         row_map = tuple(
             ("special", None) if i == r else ("S1", X.index(i)) if i in X else ("S2", Xc.index(i))
             for i in range(S.m)

@@ -1,3 +1,4 @@
+import io
 import random
 import warnings
 from decimal import Decimal
@@ -137,15 +138,16 @@ def test_parse_matches_per_token_reference(monkeypatch):
     arrays = 0  # matrices read by the array route, without a token read one by one
     rng = random.Random(11)
     ints = ["0", "7", "-3", "+12", "007", "-0", "+0", "123456789012345678901234567890"]
-    short = ints[:-1]  # at most 18 digits, as the array route reads
-    # around int64 and the 18 digits of the array route: 18, 19 and more digits
+    short = ints[:-1]  # within int64, as the array route reads
+    # around int64's bounds: 18, 19 and more digits
     edge = [
         "999999999999999999", "-123456789012345678", "+000000000000000042", "1000000000000000000",
         "9223372036854775807", "-9223372036854775808", "9223372036854775808", "-9223372036854775809",
         "0000000000000000000001", "-00000000000000000000", "+00009223372036854775807",
     ]
     others = ["0.5", "-1.25", "3/4", "+2/6", "4/2", "007.50", "-0/3"]
-    bad = ["1_000", "0x1", "1.", "--1", "1/0", "1e3", ".5", "+-1", "1/-2"]
+    # the last six are made of bytes that the gate lets through to numpy, which refuses them
+    bad = ["1_000", "0x1", "1.", "1/0", "1e3", ".5", "1/-2", "+-1", "1-2", "1+", "-", "+", "--1"]
     seps = [" ", "  ", "\t", " \t ", "\v", "\f"]
     ends = ["\n", "\r\n", "\n \t\n"]
     errors = 0
@@ -180,9 +182,9 @@ def test_parse_matches_per_token_reference(monkeypatch):
 
 
 def test_parse_token_beyond_the_int_digit_limit():
-    # int() refuses more than sys.get_int_max_str_digits() digits; the line
-    # has a token beyond the integer line check's 18 digits, so the token
-    # goes to _parse_token and its error
+    # int() refuses more than sys.get_int_max_str_digits() digits; numpy
+    # refuses the token as beyond int64, so it goes to _parse_token and its
+    # error
     tok = "1" * 5000
     with pytest.raises(MatrixFormatError, match="malformed entry"):
         parse_matrix(f"1 2\n1 {tok}\n")
@@ -190,8 +192,9 @@ def test_parse_token_beyond_the_int_digit_limit():
 
 def test_parse_unicode_whitespace_and_digits_as_ascii():
     # str.split() splits at U+00A0, U+2003 and U+001F, and int() reads
-    # Arabic-Indic digits; such lines miss the ASCII integer line check and
-    # are read token by token, to the same values as their ASCII spelling
+    # Arabic-Indic digits; such texts fail the gate of the array route
+    # (`_INT_TEXT`) and are read token by token, to the same values as their
+    # ASCII spelling
     ascii_text = "2 3\n1 -20 +3\n0 45 6\n"
     spellings = [
         "2 3\n1\u00a0-20 +3\n0\u2003\u200345 6\n",
@@ -205,10 +208,11 @@ def test_parse_unicode_whitespace_and_digits_as_ascii():
         parse_matrix("1 2\n1\u00a0\u0661.\n")
 
 
-def test_parse_array_route_raises_no_warning():
-    # the array route's text-mode np.fromstring must stay free of
-    # deprecation and conversion warnings
-    big = 999999999999999999
+def test_parse_array_route_raises_no_warning(monkeypatch):
+    # the array route's np.loadtxt must stay free of deprecation and
+    # conversion warnings
+    monkeypatch.setattr(matrix, "_parse_token", None)  # no token is read on its own
+    big = 2**63 - 1
     text = (
         f"4 4\n1 -2 3 +4\n  0 0 007 -0\t\n{big} {big - 2} +{big} {big - 1}\n"
         f"-{big} -{big - 1} -{big} -{big}\n"
@@ -220,6 +224,34 @@ def test_parse_array_route_raises_no_warning():
     assert {type(x) for row in S.rows for x in row} == {int}
     assert S.array.dtype == np.int64
     assert S.codes.tolist() == [[0, 1, 2, 3], [0, 0, 1, 0], [0, 1, 0, 2], [0, 1, 0, 0]]
+
+
+@pytest.mark.parametrize("sep", ["\v", "\f", "\x1c"])
+def test_parse_gate_keeps_line_breaks_of_splitlines(sep):
+    # numpy reads \v, \f and \x1c as whitespace within a line, but
+    # str.splitlines breaks the line there: the file has three rows
+    body = f"1{sep}2\n3 4\n"
+    assert np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None).shape == (2, 2)
+    text = "2 2\n" + body
+    want = ("error", "expected 2 rows, found 3")
+    assert _outcome(_per_token_parse, text) == want
+    assert _outcome(parse_matrix, text) == want
+    assert _outcome(parse_matrix, text.encode()) == want
+
+
+def test_parse_gate_sends_no_break_space_token_by_token(monkeypatch):
+    # numpy reads U+00A0 as whitespace, as str.split() does; the text fails
+    # the gate and is read token by token, and as bytes it is no ASCII file
+    tokens = []
+    real = matrix._parse_token
+    monkeypatch.setattr(matrix, "_parse_token", lambda tok: tokens.append(tok) or real(tok))
+    text = "2 2\n1\xa02\n3 4\n"
+    assert np.loadtxt(io.StringIO(text[4:]), dtype=np.int64, comments=None).tolist() == [[1, 2], [3, 4]]
+    want = (((1, 2), (3, 4)), [[int, int], [int, int]])
+    assert _outcome(parse_matrix, text) == _outcome(_per_token_parse, text) == want
+    assert tokens == ["1", "2", "3", "4"]
+    with pytest.raises(MatrixFormatError, match="non-ASCII byte 0xc2 at offset 5"):
+        parse_matrix(text.encode())
 
 
 def _first_occurrence_arrays(rng):

@@ -22,7 +22,7 @@ from prodmat import (
 )
 from prodmat import products
 from prodmat.oracles import bf_one_product, bf_two_product
-from prodmat.products import _block_factors, _glue
+from prodmat.products import _factor_columns, _glue
 
 from helpers import factorize_irreducible_reference, parity_rows, random_matrix, reconstruct_factors_reference
 
@@ -244,7 +244,7 @@ def test_block_factors_reject_every_dependent_split():
             if F._independent(X, Xc):
                 continue
             with pytest.raises(ValueError):
-                _block_factors(S, X, Xc, F._split_counts(X, Xc), np.arange(S.n))
+                _factor_columns(F._split_counts(X, Xc), np.arange(S.n))
             rejected += 1
     assert rejected > 100
 
@@ -265,9 +265,10 @@ def test_block_factors_reject_the_dependent_block_of_a_given_row(wide):
     F = InfoFunction(S, given=r)
     assert (F._kz * math.prod(F._radix) >= 1 << 63) == wide
     counts = F._split_counts(X, Xc)
-    assert _block_factors(S, X, Xc, counts, np.arange(L.n)) == reconstruct_factors_reference(L, X)
+    cols1, cols2 = _factor_columns(counts, np.arange(L.n))
+    assert (S.submatrix(X, cols1), S.submatrix(Xc, cols2)) == reconstruct_factors_reference(L, X)
     with pytest.raises(ValueError):
-        _block_factors(S, X, Xc, counts, np.arange(L.n, S.n))
+        _factor_columns(counts, np.arange(L.n, S.n))
 
 
 def test_factorize_paper_product():

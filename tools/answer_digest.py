@@ -54,6 +54,17 @@ re-expansion like the others, and the digest covers each input with its
 answers.  It is not part of the
 combined digest either.
 
+A separate `parse` line digests `parse_matrix` on its own: for 3,000
+fixed-seed adversarial texts, each given as a `str` and as UTF-8 bytes, the
+rows with the type of every entry and the array's dtype, or the message of
+the `MatrixFormatError` it raised.  The texts mix short integers with sign
+and length edge tokens (int64's bounds and one beyond them, leading zeros,
+`1-2`, `--1`, lone signs, more digits than `int()` takes), decimals and
+`p/q`; `\\r\\n`, lone `\\r`, `\\v`, `\\f` and `\\x1c` line ends; `\\v`,
+`\\f`, `\\x1f` and U+00A0 separators; blank and whitespace-only lines, and
+files whose rows all have the same wrong width.  It is not part of the
+combined digest.
+
 Each input is written with `write_matrix` and read back with `parse_matrix`,
 and the recognizers run on the matrix read back, so the parser's codes are
 the ones digested.  The last line counts the inputs whose parsed rows or
@@ -78,6 +89,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from prodmat import (  # noqa: E402
     Matrix,
+    MatrixFormatError,
     MatroidInputError,
     factorize_irreducible,
     one_product,
@@ -236,6 +248,63 @@ def build_digest():
     return h.hexdigest(), count
 
 
+PARSE_PLAIN = ["0", "1", "2", "7", "-3", "+12", "007", "-0", "+0", "40"]
+PARSE_EDGE = [
+    "999999999999999999", "1000000000000000000", "9223372036854775807", "-9223372036854775808",
+    "9223372036854775808", "-9223372036854775809", "+00009223372036854775807", "-00000000000000000000",
+    "0000000000000000000000001", "123456789012345678901234567890", "1" * 4301,
+    "1-2", "1+", "-", "+", "--1", "+-1", "-+1", "1--", "\u0661\u0662", "#1",
+]
+PARSE_OTHER = ["0.5", "-1.25", "3/4", "+2/6", "4/2", "-0/3", "007.50", "1/0", "1e3", ".5", "1.", "0x1", "1_000"]
+PARSE_SEPS = [" ", " ", " ", "  ", "\t", " \t ", "\v", "\f", "\x1f", "\xa0"]
+PARSE_ENDS = ["\n", "\n", "\n", "\r\n", "\r", "\n\n", "\n \t\n", "\n\t", "\v", "\f", "\x1c"]
+
+
+def parse_texts():
+    """The fixed-seed adversarial matrix texts of the `parse` digest."""
+    rng = random.Random(20240606)
+    out = []
+    for _ in range(3000):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        width = n + rng.choice([-1, 1]) if rng.random() < 0.1 and n > 1 else n  # every row the same width
+        plain = rng.random() < 0.4  # a file of short integers and the separators numpy reads
+        lines = [rng.choice([f"{m} {n}", f" {m}\t{n} ", f"{m} {n}"])]
+        for _ in range(m):
+            toks = [rng.choice(PARSE_PLAIN) for _ in range(width)]
+            kind = rng.random()
+            if kind < 0.25:
+                toks[rng.randrange(width)] = rng.choice(PARSE_EDGE)
+            elif kind < 0.35:
+                toks[rng.randrange(width)] = rng.choice(PARSE_OTHER)
+            elif kind < 0.4 and width > 1:
+                toks.pop()  # one short row
+            seps = PARSE_SEPS[:6] if plain else PARSE_SEPS
+            lines.append("".join(t + rng.choice(seps) for t in toks[:-1]) + toks[-1] + rng.choice(["", " ", "\t"]))
+        if rng.random() < 0.1:
+            lines.insert(rng.randint(1, len(lines)), rng.choice(["", " ", "\t \t"]))
+        ends = PARSE_ENDS[:8] if plain else PARSE_ENDS
+        out.append("".join(ln + rng.choice(ends) for ln in lines))
+    return out
+
+
+def parse_outcome(text):
+    """`parse_matrix` on text: its dtype and rows with each entry's type, or its error message."""
+    try:
+        S = parse_matrix(text)
+    except MatrixFormatError as exc:
+        return "error", str(exc)
+    return S.array.dtype.str, tuple(tuple((type(x).__name__, str(x)) for x in row) for row in S.rows)
+
+
+def parse_digest():
+    """(SHA-256 over `parse_matrix`'s outcome on the parse texts, as str and as bytes, their number)."""
+    h = hashlib.sha256()
+    texts = parse_texts()
+    for text in texts:
+        h.update(repr((text, parse_outcome(text), parse_outcome(text.encode()))).encode())
+    return h.hexdigest(), len(texts)
+
+
 def reexpands(S, P, order):
     """P equals S's rows `order` (one per row of P) up to a column permutation."""
     if len(order) != S.m or sorted(order) != list(range(S.m)) or P.n != S.n:
@@ -343,6 +412,7 @@ def main():
     failures += exact_failures
     mismatches += exact_mismatches
     print(f"{exact}  exact, {exact_count} inputs")
+    print("{}  parse, {} texts".format(*parse_digest()))
     print(f"{failures} answers fail re-expansion")
     print(f"{mismatches} inputs differ after write_matrix and parse_matrix")
     return 1 if failures or mismatches else 0
