@@ -229,6 +229,17 @@ def _row_tokens(ln: str, n: int) -> list:
     return toks
 
 
+def _header(line: str) -> tuple:
+    """The two integers of a header line, each an integer entry by `_TOKEN_RE`'s rule."""
+    toks = line.split()
+    if len(toks) == 2 and all((mt := _TOKEN_RE.fullmatch(t)) and mt.group(1) is None for t in toks):
+        try:
+            return int(toks[0]), int(toks[1])
+        except ValueError:  # more digits than int() takes
+            pass
+    raise MatrixFormatError(f"bad header {line!r}")
+
+
 def parse_matrix(text) -> Matrix:
     """Parse the standard text format: a header line "m n", then m rows of n tokens.
 
@@ -248,13 +259,7 @@ def parse_matrix(text) -> Matrix:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise MatrixFormatError("empty input")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise MatrixFormatError(f"bad header {lines[0]!r}")
-    try:
-        m, n = int(header[0]), int(header[1])
-    except ValueError:
-        raise MatrixFormatError(f"bad header {lines[0]!r}")
+    m, n = _header(lines[0])
     if m < 1 or n < 1:
         raise MatrixFormatError("m and n must be at least 1")
     if len(lines) != m + 1:

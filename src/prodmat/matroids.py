@@ -45,11 +45,12 @@ step, on arrays.  A node is a 0/1 slack array (uint8 in the builder, the
 part's own `Matrix.array` in the recognizer's checks) plus a boolean
 column x element base incidence array B, B[j, e] saying whether element e
 lies in the base of column j.  A leaf U(d,k) enumerates its C(d,k) bases in
-ascending lexicographic order of their 0/1 vectors; a 1-sum repeats and
-tiles both arrays (mixed-radix columns, part 0 most significant); a 2-sum
-finds its coherent rows by one comparison with a column of B, takes the
-parts' columns through index arrays (cl, cr), appends the 0...0 1...1 row
-and drops dominated rows with one product (`_facet_rows`).  The recursion
+ascending lexicographic order of their 0/1 vectors.  The sum steps are the
+products' constructions: a 1-sum is the 1-product of the slacks and of the
+element x column incidences; a 2-sum finds its coherent rows by one
+comparison with a column of B, takes the 2-product of the slacks along
+them, with each column's part columns (cl, cr), and drops dominated rows
+with one product (`_facet_rows`).  The recursion
 carries its column bases as incidence arrays and compares row sets as byte
 keys; bases become frozensets once, at the public entry points, and a
 built slack becomes a Matrix by one cast to int64.
@@ -67,6 +68,7 @@ import numpy as np
 
 from .info import InfoFunction, _special_row_candidates, group_columns
 from .matrix import Matrix
+from .products import _one_product, _two_product
 
 
 class CoherenceError(ValueError):
@@ -394,18 +396,15 @@ def _one_sum(parts: list):
     """The 1-sum step: (slack, base incidence) of a 1-sum from its parts'.
 
     The slack is the 1-product of the parts' slacks, so a column's index is
-    the mixed-radix number of its part columns, part 0 the most significant;
-    a column's base is the union of its part columns' bases, each part's
-    elements after the previous parts'.
+    the mixed-radix number of its part columns, part 0 the most significant.
+    A column's base is the union of its part columns' bases, each part's
+    elements after the previous parts': the 1-product of the parts'
+    element x column incidences.
     """
     A, B = parts[0]
     for Ap, Bp in parts[1:]:
-        n, npart = len(B), len(Bp)
-        tiled = np.broadcast_to(Ap[:, None, :], (len(Ap), n, npart)).reshape(len(Ap), -1)
-        A = np.concatenate((np.repeat(A, npart, axis=1), tiled))
-        B = np.concatenate(
-            (np.repeat(B, npart, axis=0), np.broadcast_to(Bp, (n,) + Bp.shape).reshape(n * npart, -1)), axis=1
-        )
+        A = _one_product(A, Ap)
+        B = np.ascontiguousarray(_one_product(B.T, Bp.T).T)
     return A, B
 
 
@@ -425,9 +424,8 @@ def _two_sum(e: TwoSum, left: tuple, right: tuple):
     and the right part's "y_p <= 1" row, both located by their pattern over
     the part's columns, or else the reversed pair.  Raises CoherenceError
     when neither pair exists (e.g. a d >= 3 simplex leaf used on the "<= 1"
-    side).  The columns are `two_product`'s: the pairs with x_p = 0, then
-    those with x_p = 1, left-major; its rows are the left rows, the right
-    rows and the 0...0 1...1 row, dominated rows dropped (`_facet_rows`).
+    side).  The slack is `_two_product` of the parts' slacks along that
+    pair, dominated rows dropped (`_facet_rows`).
     """
     (AL, BL), (AR, BR) = left, right
     gl, gr = e.glue_left, e.glue_right
@@ -443,11 +441,7 @@ def _two_sum(e: TwoSum, left: tuple, right: tuple):
                 f"no coherent row pair for glue elements "
                 f"{gl}/{gr} (identity leaf without the needed side)"
             )
-    x1, y1 = AL[xrow], AR[yrow]
-    # the column pairs within x_p = 0, then within x_p = 1, each left-major
-    cl, cr = map(np.concatenate, zip(*(np.nonzero(np.logical_and.outer(x1 == a, y1 == a)) for a in (0, 1))))
-    L, R = AL[:, cl], AR[:, cr]
-    A = np.concatenate((L[:xrow], L[xrow + 1 :], R[:yrow], R[yrow + 1 :], L[xrow : xrow + 1]))
+    A, cl, cr = _two_product(AL, xrow, AR, yrow)
     L, R = BL[cl], BR[cr]
     B = np.concatenate((L[:, :gl], L[:, gl + 1 :], R[:, :gr], R[:, gr + 1 :]), axis=1)
     return _facet_rows(A), B, cl, cr
@@ -479,8 +473,9 @@ def _build(e: Expr):
         _check_size(sum(len(A) for A, _ in parts), prod(len(B) for _, B in parts), "a sum")
         return _one_sum(parts)
     left, right = _build(e.left), _build(e.right)
-    _two_sum_maps(e)  # first: it rejects a glue element out of range
     (AL, BL), (AR, BR) = left, right
+    if not 0 <= e.glue_left < BL.shape[1] or not 0 <= e.glue_right < BR.shape[1]:
+        raise ValueError("glue element out of range")
     # a base of the 2-sum holds the glue element on exactly one side
     kl, kr = int(BL[:, e.glue_left].sum()), int(BR[:, e.glue_right].sum())
     _check_size(len(AL) + len(AR) - 1, kl * (len(BR) - kr) + (len(BL) - kl) * kr, "a sum")
@@ -493,13 +488,10 @@ def expr_to_slack_with_bases(e: Expr):
     The fold (`_build`) runs on arrays: each node is a uint8 slack array and
     a boolean column x element base incidence array B, where B[j, e] says
     whether element e lies in the base of column j.  Leaves are hypersimplex
-    slacks (`_uniform`); a 1-sum repeats and tiles its parts' arrays; a
-    2-sum finds its coherent rows by one comparison with a column of B,
-    takes the parts' columns by index arrays, and drops dominated rows with
-    one product (`_facet_rows`).  The slack becomes a Matrix by one cast to
-    int64, and B one frozenset per column.  A leaf or sum step with more
-    than `_MAX_COLUMNS` columns or `_MAX_CELLS` entries raises GuardExceeded
-    before it is built.
+    slacks (`_uniform`), and the sum steps are `_one_sum` and `_two_sum`.
+    The slack becomes a Matrix by one cast to int64, and B one frozenset per
+    column.  A leaf or sum step with more than `_MAX_COLUMNS` columns or
+    `_MAX_CELLS` entries raises GuardExceeded before it is built.
     """
     A, B = _build(e)
     return Matrix(A.astype(np.int64)), _base_sets(B)
@@ -724,13 +716,10 @@ def _split_side(S: Matrix, rows: tuple, r: int, order: np.ndarray):
     so the glue is returned as its pattern over the factor's columns.  The
     column map sends each column of S to its factor column.
     """
-    rows = rows + (r, r)  # the second copy of r becomes its complement
-    codes = S.codes.take(rows, axis=0).take(order, axis=1)
-    inv, _, first = group_columns(codes)
-    # a 0/1 row's code is 0 exactly where its entry equals its first entry
-    flip = S.array[rows, :1]
-    flip[-1] = 1 - flip[-1]
-    F = codes[:, first] ^ flip
+    F = S.array.take(rows + (r,), axis=0).take(order, axis=1)
+    inv, _, first = group_columns(F)
+    F = F[:, first]
+    F = np.concatenate((F, 1 - F[-1:]))
     colmap = np.empty(S.n, dtype=np.int64)
     colmap[order] = inv
     return Matrix(_facet_rows(F)), tuple(F[-2].tolist()), colmap.tolist()

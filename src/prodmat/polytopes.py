@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrix import Matrix, MatrixFormatError, _parse_token
+from .matrix import Matrix, MatrixFormatError, _header, _parse_token
 
 
 class SlackError(ValueError):
@@ -54,7 +54,7 @@ def parse_vrep(text: str) -> VRep:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise MatrixFormatError("empty vertex file")
-    n, d = (int(t) for t in lines[0].split())
+    n, d = _header(lines[0])
     if len(lines) != n + 1:
         raise MatrixFormatError(f"expected {n} points")
     pts = []
@@ -71,7 +71,7 @@ def parse_hrep(text: str) -> HRep:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise MatrixFormatError("empty inequality file")
-    m, d = (int(t) for t in lines[0].split())
+    m, d = _header(lines[0])
     if len(lines) != m + 1:
         raise MatrixFormatError(f"expected {m} inequalities")
     ineqs = []

@@ -1,5 +1,8 @@
 """Building, recognizing and factoring 1-products and 2-products.
 
+Each product is built in one place, on arrays (`_one_product`,
+`_two_product`), and so are the matroid slack builder's sum steps.
+
 A matrix is a 1-product when its column multiset is the full "Cartesian"
 combination of the columns of two smaller matrices stacked on a row
 bipartition.  Every recognizer reads its zero sets from
@@ -38,13 +41,14 @@ from .info import InfoFunction, _special_row_candidates, group_columns
 from .matrix import Matrix
 
 
-def one_product(S1: Matrix, S2: Matrix) -> Matrix:
-    """Concatenation of each column of S1 with each column of S2.
+def _one_product(A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
+    """The 1-product of 2-D arrays: column j is A1's column j // n2 over A2's column j % n2."""
+    return np.concatenate((np.repeat(A1, A2.shape[1], axis=1), np.tile(A2, A1.shape[1])))
 
-    Column j of the result (0-based) is S1's column j // n2 stacked on S2's
-    column j % n2.
-    """
-    return Matrix(np.concatenate((np.repeat(S1.array, S2.n, axis=1), np.tile(S2.array, S1.n))))
+
+def one_product(S1: Matrix, S2: Matrix) -> Matrix:
+    """Concatenation of each column of S1 with each column of S2 (`_one_product`)."""
+    return Matrix(_one_product(S1.array, S2.array))
 
 
 @dataclass(frozen=True)
@@ -184,40 +188,42 @@ def factorize_irreducible(S: Matrix) -> Factorization:
 # ---------------------------------------------------------------------------
 
 
-def _special_row_split(S: Matrix, r: int):
-    row = S.array[r]
-    J0, J1 = np.flatnonzero(row == 0), np.flatnonzero(row == 1)
-    if len(J0) + len(J1) < S.n:
+def _check_special_row(S: Matrix, r: int) -> None:
+    """Raise unless r is a row of S that is 0/1 and takes both values."""
+    if not 0 <= r < S.m:
+        raise IndexError(f"special row {r} out of range for {S.m} rows")
+    values = set(S.array[r].tolist())
+    if not values <= {0, 1}:
         raise ValueError(f"row {r} is not 0/1")
-    if not len(J0) or not len(J1):
+    if len(values) < 2:
         raise ValueError(f"row {r} must take both values 0 and 1")
-    return J0, J1
+
+
+def _two_product(A1: np.ndarray, x: int, A2: np.ndarray, y: int):
+    """(A, c1, c2): the 2-product of 2-D arrays A1, A2 along their 0/1 rows x, y.
+
+    Column j of A pairs A1's column c1[j] with A2's column c2[j]: the pairs
+    with x = y = 0, then x = y = 1, each A1-major.  The rows are A1's without
+    x, A2's without y, then x over c1, the 0...0 1...1 special row.
+    """
+    x1, y1 = A1[x], A2[y]
+    c1, c2 = map(np.concatenate, zip(*(np.nonzero(np.logical_and.outer(x1 == a, y1 == a)) for a in (0, 1))))
+    L, R = A1[:, c1], A2[:, c2]
+    return np.concatenate((L[:x], L[x + 1 :], R[:y], R[y + 1 :], L[x : x + 1])), c1, c2
 
 
 def two_product(S1: Matrix, x1: int, S2: Matrix, y1: int) -> Matrix:
     """Glued product [S1^0 x S2^0 | S1^1 x S2^1] with the new 0...0 1...1 special row.
 
     S1^a is S1 without row x1, restricted to the columns where row x1 equals
-    a; none of the four blocks may be empty.
+    a; none of the four blocks may be empty (`_two_product`).  A special
+    row outside the factor raises IndexError.
     """
-    J0a, J1a = _special_row_split(S1, x1)
-    J0b, J1b = _special_row_split(S2, y1)
-    rows1 = [i for i in range(S1.m) if i != x1]
-    rows2 = [i for i in range(S2.m) if i != y1]
-    if not rows1 or not rows2:
+    _check_special_row(S1, x1)
+    _check_special_row(S2, y1)
+    if S1.m < 2 or S2.m < 2:
         raise ValueError("factors must have rows besides the special row")
-    A0 = S1.submatrix(rows1, J0a)
-    A1 = S1.submatrix(rows1, J1a)
-    B0 = S2.submatrix(rows2, J0b)
-    B1 = S2.submatrix(rows2, J1b)
-    return _glue(one_product(A0, B0), one_product(A1, B1))
-
-
-def _glue(L: Matrix, R: Matrix) -> Matrix:
-    """[L | R] with the special row 0...0 1...1 appended."""
-    A = np.zeros((L.m + 1, L.n + R.n), dtype=np.result_type(L.array, R.array))
-    A[:-1, : L.n], A[:-1, L.n :], A[-1, L.n :] = L.array, R.array, 1
-    return Matrix(A)
+    return Matrix(_two_product(S1.array, x1, S2.array, y1)[0])
 
 
 def recognize_two_product(S: Matrix) -> Optional[TwoProductCert]:
@@ -238,11 +244,10 @@ def recognize_two_product(S: Matrix) -> Optional[TwoProductCert]:
             continue
         X = tuple(F.ground[i] for i in atoms[0])
         Xc = tuple(i for i in F.ground if i not in X)
-        zero = S.array[r] == 0
-        A1, A2 = _factor_columns(splits[0], np.flatnonzero(zero))
-        B1, B2 = _factor_columns(splits[0], np.flatnonzero(~zero))
-        S1 = _glue(S.submatrix(X, A1), S.submatrix(X, B1))
-        S2 = _glue(S.submatrix(Xc, A2), S.submatrix(Xc, B2))
+        # the columns where the 0/1 row r is 0, then 1: r ends each factor as 0...0 1...1
+        (A1, A2), (B1, B2) = (_factor_columns(splits[0], np.flatnonzero(S.array[r] == a)) for a in (0, 1))
+        S1 = S.submatrix(X + (r,), np.concatenate((A1, B1)))
+        S2 = S.submatrix(Xc + (r,), np.concatenate((A2, B2)))
         row_map = tuple(
             ("special", None) if i == r else ("S1", X.index(i)) if i in X else ("S2", Xc.index(i))
             for i in range(S.m)

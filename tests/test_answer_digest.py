@@ -2,8 +2,9 @@
 
 A refactor that keeps every exact answer keeps these digests; a change to
 them is a change of answers and must come with its reason.  One digest per
-recognizer names the one whose answers moved, and the `parse` digest covers
-`parse_matrix`'s values, dtypes and error messages.
+recognizer names the one whose answers moved, the `parse` digest covers
+`parse_matrix`'s values, dtypes and error messages, and the `product`
+digest covers `one_product` and `two_product`.
 """
 
 import subprocess
@@ -21,6 +22,7 @@ WANT = [
     "d92466987d5dbaa0082f52be7c09b77c7bfe82de73475d2b5fd116df20da0798  build, 240 expressions",
     "3851a0deeb062ce00035adffd7f4ab04580e20cd9e05847b6ea8eb35a02fcdaa  exact, 300 inputs",
     "b7414f4a4c67dc968893f57de8791d2a786f68034ae3cea0e487162ce5cf0d90  parse, 3000 texts",
+    "82530d9f5027e5b58bd8209dadce74b9272f62ad2e68ec53e693324f18f1ea7a  product, 596 products",
     "0 answers fail re-expansion",
     "0 inputs differ after write_matrix and parse_matrix",
 ]

@@ -223,6 +223,10 @@ def test_console_script_installed():
         (["gen", "expr", "{e}"], {"e": "(2sum (u 3 1) (u 3 1))"}),
         (["slack", "--vertices", "{v}", "--ineq", "{h}"], {"v": "2 1\n0\n1\n", "h": "1 2\n0 0 1\n"}),
         (["slack", "--vertices", "{v}", "--ineq", "{h}"], {"v": "2 1\n0\n2\n", "h": "1 1\n1 -1\n"}),
+        # a header is two integer entries: "1_0" is none, and one token is not two
+        (["recognize", "1p", "{m}"], {"m": "1_0 1\n" + "0\n" * 10}),
+        (["slack", "--vertices", "{v}", "--ineq", "{h}"], {"v": "2\n0\n1\n", "h": "2 1\n-1 0\n1 1\n"}),
+        (["slack", "--vertices", "{v}", "--ineq", "{h}"], {"v": "2 1\n0\n1\n", "h": "2\n-1 0\n1 1\n"}),
     ],
 )
 def test_malformed_parameters_exit2(tmp_path, capsys, argv, files):

@@ -49,6 +49,12 @@ def test_parse_decimal_exact():
         "1 1\n1e3",
         "1",
         "1 1\n1/0",
+        # a header is two integer entries by the entries' rule
+        "1_0 1\n" + "0\n" * 10,
+        "1 1 1\n0",
+        "1 1.0\n0",
+        "1 1/1\n0",
+        "1 " + "1" * 4301 + "\n0",
     ],
 )
 def test_parse_errors(text):

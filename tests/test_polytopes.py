@@ -5,6 +5,7 @@ import pytest
 from prodmat import (
     HRep,
     Matrix,
+    MatrixFormatError,
     SlackError,
     VRep,
     dedupe_rows,
@@ -95,3 +96,11 @@ def test_parse_vrep_hrep():
         parse_vrep("2 1\n0")
     with pytest.raises(Exception):
         parse_hrep("1 2\n1 1")
+
+
+@pytest.mark.parametrize("header", ["2", "2 1 1", "2_0 1", "2 1.0", "x 1"])
+def test_parse_vrep_hrep_reject_a_bad_header(header):
+    with pytest.raises(MatrixFormatError, match="bad header"):
+        parse_vrep(f"{header}\n0\n1")
+    with pytest.raises(MatrixFormatError, match="bad header"):
+        parse_hrep(f"{header}\n-1 0\n1 1")

@@ -22,7 +22,7 @@ from prodmat import (
 )
 from prodmat import products
 from prodmat.oracles import bf_one_product, bf_two_product
-from prodmat.products import _factor_columns, _glue
+from prodmat.products import _factor_columns
 
 from helpers import factorize_irreducible_reference, parity_rows, random_matrix, reconstruct_factors_reference
 
@@ -33,6 +33,11 @@ PAPER_4x6 = Matrix([[1, 1, 1, 0, 0, 0], [2, 2, 2, 3, 3, 3], [1, 0, 0, 1, 0, 0], 
 
 def columns_multiset(S):
     return multiplicity_table(S, range(S.m)).counts
+
+
+def glued(L, R):
+    """[L | R] with the special row 0...0 1...1 appended: a 2-product factor."""
+    return Matrix([a + b for a, b in zip(L.rows, R.rows)] + [(0,) * L.n + (1,) * R.n])
 
 
 def test_one_product_paper_displays():
@@ -216,7 +221,7 @@ def test_two_product_factors_equal_the_reference():
         found = [rest.index(i) for i in cert.X]
         A1, A2 = reconstruct_factors_reference(T.submatrix(rest, [j for j in range(T.n) if row[j] == 0]), found)
         B1, B2 = reconstruct_factors_reference(T.submatrix(rest, [j for j in range(T.n) if row[j] == 1]), found)
-        assert cert.S1 == _glue(A1, B1) and cert.S2 == _glue(A2, B2)
+        assert cert.S1 == glued(A1, B1) and cert.S2 == glued(A2, B2)
         first_one += row[0] == 1
     assert first_one >= 10
 
@@ -259,7 +264,7 @@ def test_block_factors_reject_the_dependent_block_of_a_given_row(wide):
     L, R, X = one_product(A, B), _diagonal(A, B), tuple(range(k))
     with pytest.raises(ValueError):
         reconstruct_factors_reference(R, X)
-    S = _glue(L, R)
+    S = glued(L, R)
     r = S.m - 1
     Xc = tuple(range(k, r))
     F = InfoFunction(S, given=r)
@@ -460,6 +465,42 @@ def test_two_product_errors():
         two_product(Matrix([[0, 2], [1, 0]]), 0, F, 0)  # non-0/1 special row
     with pytest.raises(ValueError):
         two_product(Matrix([[1, 1], [1, 0]]), 0, F, 0)  # constant special row
+    # a special row outside a factor, also a negative index naming a row from the end
+    S1, S2 = Matrix([[0, 1, 1], [5, 6, 7]]), Matrix([[3, 4], [1, 0]])
+    for x1, y1 in ((-2, -1), (-1, 0), (2, 0), (0, -1), (0, 2)):
+        with pytest.raises(IndexError):
+            two_product(S1, x1, S2, y1)
+
+
+def test_two_product_matches_the_column_definition():
+    # the special rows at any position; int64, Fraction and beyond-int64 entries
+    rng = random.Random(44)
+    entries = (
+        lambda: rng.randint(-2, 3),
+        lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+        lambda: rng.randint(0, 3) + 2**64,
+    )
+    dtypes = set()
+    for k in range(60):
+        factors = []
+        for kind in (k % 3, rng.randrange(3)):
+            m, n = rng.randint(2, 4), rng.randint(2, 5)
+            rows = [[entries[kind]() for _ in range(n)] for _ in range(m)]
+            x = rng.randrange(m)
+            rows[x] = rng.sample([0, 1] + [rng.randint(0, 1) for _ in range(n - 2)], n)
+            factors.append((Matrix(rows), x))
+        (S1, x1), (S2, y1) = factors
+        P = two_product(S1, x1, S2, y1)
+        want = []
+        for a in (0, 1):
+            for j1 in range(S1.n):
+                for j2 in range(S2.n):
+                    c1, c2 = S1.col(j1), S2.col(j2)
+                    if c1[x1] == c2[y1] == a:
+                        want.append(c1[:x1] + c1[x1 + 1 :] + c2[:y1] + c2[y1 + 1 :] + (a,))
+        assert P.cols() == want
+        dtypes.add(P.array.dtype)
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
 
 
 def test_recognize_two_product_roundtrip():

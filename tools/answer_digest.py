@@ -65,6 +65,12 @@ and length edge tokens (int64's bounds and one beyond them, leading zeros,
 files whose rows all have the same wrong width.  It is not part of the
 combined digest.
 
+A separate `product` line digests the two constructions on their own: the
+`write_matrix` text and the dtype of `one_product` and `two_product` on 60
+fixed-seed factor pairs with int64, `Fraction` or beyond-int64 entries,
+`two_product` with a 0/1 special row inserted at every position of each
+factor.  It is not part of the combined digest.
+
 Each input is written with `write_matrix` and read back with `parse_matrix`,
 and the recognizers run on the matrix read back, so the parser's codes are
 the ones digested.  The last line counts the inputs whose parsed rows or
@@ -305,6 +311,40 @@ def parse_digest():
     return h.hexdigest(), len(texts)
 
 
+def product_factor(rng, kind):
+    """A small fixed-seed factor with int64 (kind 0), `Fraction` (1) or beyond-int64 (2) entries."""
+    m, n = rng.randint(1, 3), rng.randint(2, 4)
+    if kind == 0:
+        return rand_matrix(rng, m, n, 3)
+    if kind == 1:
+        return Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(m)])
+    return Matrix([[rng.randint(0, 3) + rng.choice([0, 2**70]) for _ in range(n)] for _ in range(m)])
+
+
+def with_special_rows(rng, S):
+    """S with one 0/1 row taking both values inserted at each position, as (matrix, row index) pairs."""
+    row = [0, 1] + [rng.randint(0, 1) for _ in range(S.n - 2)]
+    rng.shuffle(row)
+    return [(Matrix(S.rows[:i] + (tuple(row),) + S.rows[i:]), i) for i in range(S.m + 1)]
+
+
+def product_digest():
+    """(SHA-256 over `one_product` and `two_product` on fixed-seed factors, the number of products)."""
+    rng = random.Random(20240607)
+    h = hashlib.sha256()
+    count = 0
+    for k in range(60):
+        S1, S2 = product_factor(rng, k % 3), product_factor(rng, rng.randrange(3))
+        products = [one_product(S1, S2)]
+        for T1, x1 in with_special_rows(rng, S1):
+            for T2, y1 in with_special_rows(rng, S2):
+                products.append(two_product(T1, x1, T2, y1))
+        for P in products:
+            h.update(repr((write_matrix(P), P.array.dtype.str)).encode())
+        count += len(products)
+    return h.hexdigest(), count
+
+
 def reexpands(S, P, order):
     """P equals S's rows `order` (one per row of P) up to a column permutation."""
     if len(order) != S.m or sorted(order) != list(range(S.m)) or P.n != S.n:
@@ -413,6 +453,7 @@ def main():
     mismatches += exact_mismatches
     print(f"{exact}  exact, {exact_count} inputs")
     print("{}  parse, {} texts".format(*parse_digest()))
+    print("{}  product, {} products".format(*product_digest()))
     print(f"{failures} answers fail re-expansion")
     print(f"{mismatches} inputs differ after write_matrix and parse_matrix")
     return 1 if failures or mismatches else 0
