@@ -20,6 +20,7 @@ from .info import InfoFunction
 from .matrix import Matrix, MatrixFormatError, parse_matrix, seeded_shuffle, write_matrix
 from .matroids import (
     MatroidInputError,
+    _base_lists,
     _check_size,
     expr_to_slack,
     expr_to_text,
@@ -141,7 +142,7 @@ def cmd_recognize(args) -> int:
             "recognized": True,
             "expr": expr_to_text(rec.expr),
             "elements": rec.size,
-            "colBases": [sorted(b) for b in rec.col_bases],
+            "colBases": _base_lists(rec.bases),
             "rowProvenance": [
                 {"row": i, "type": t, "element": e} for i, (t, e) in enumerate(prov)
             ],

@@ -32,6 +32,7 @@ array over; any other file is read token by token, to the same values.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Optional, Sequence
@@ -281,7 +282,7 @@ def write_matrix(S: Matrix) -> str:
 
     An int64 matrix with entries in 0..9 is written from one uint8 buffer
     of digits, spaces and newlines, any other by a per-entry `str` join.
-    The text is the same either way.
+    The text is the same either way.  An entry past Python's digit limit raises MatrixFormatError.
     """
     A = S.array
     if A.dtype == np.int64 and 0 <= A.min() and A.max() <= 9:
@@ -291,7 +292,11 @@ def write_matrix(S: Matrix) -> str:
         text[:, -1] = ord("\n")
         return f"{S.m} {S.n}\n" + text.tobytes().decode("ascii")
     out = [f"{S.m} {S.n}"]
-    out.extend(" ".join(map(str, row)) for row in A.tolist())
+    try:
+        out.extend(" ".join(map(str, row)) for row in A.tolist())
+    except ValueError:  # str() of an int past the limit
+        limit = f"{sys.get_int_max_str_digits()} digits, the limit of Python's integer to string conversion"
+        raise MatrixFormatError(f"an entry has more than {limit}") from None
     return "\n".join(out) + "\n"
 
 

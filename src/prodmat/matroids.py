@@ -52,8 +52,10 @@ comparison with a column of B, takes the 2-product of the slacks along
 them, with each column's part columns (cl, cr), and drops dominated rows
 with one product (`_facet_rows`).  The recursion
 carries its column bases as incidence arrays and compares row sets as byte
-keys; bases become frozensets once, at the public entry points, and a
-built slack becomes a Matrix by one cast to int64.
+keys; a recognition keeps the array it proved, and the CLI writes it.  A
+built slack becomes a Matrix by one cast to int64.  Each expression node sets
+its element count, `size`, when it is built (a plain attribute, not a field),
+so every walker over an expression takes time linear in it.
 """
 
 from __future__ import annotations
@@ -179,6 +181,7 @@ class Leaf:
     def __post_init__(self):
         if self.d < 2 or not 1 <= self.k <= self.d - 1:
             raise ValueError(f"leaf U({self.d},{self.k}) has a loop or coloop")
+        object.__setattr__(self, "size", self.d)
 
 
 @dataclass(frozen=True)
@@ -188,6 +191,7 @@ class OneSum:
     def __post_init__(self):
         if len(self.parts) < 2:
             raise ValueError("1-sum needs at least two parts")
+        object.__setattr__(self, "size", sum(p.size for p in self.parts))
 
 
 @dataclass(frozen=True)
@@ -197,16 +201,13 @@ class TwoSum:
     glue_left: int
     glue_right: int
 
+    def __post_init__(self):
+        if not 0 <= self.glue_left < self.left.size or not 0 <= self.glue_right < self.right.size:
+            raise ValueError("glue element out of range")
+        object.__setattr__(self, "size", self.left.size + self.right.size - 2)
+
 
 Expr = Union[Leaf, OneSum, TwoSum]
-
-
-def expr_size(e: Expr) -> int:
-    if isinstance(e, Leaf):
-        return e.d
-    if isinstance(e, OneSum):
-        return sum(expr_size(p) for p in e.parts)
-    return expr_size(e.left) + expr_size(e.right) - 2
 
 
 def dual_expr(e: Expr) -> Expr:
@@ -216,19 +217,6 @@ def dual_expr(e: Expr) -> Expr:
     if isinstance(e, OneSum):
         return OneSum(tuple(dual_expr(p) for p in e.parts))
     return TwoSum(dual_expr(e.left), dual_expr(e.right), e.glue_left, e.glue_right)
-
-
-def _two_sum_maps(e: TwoSum):
-    """Relabeling of surviving child elements into the parent ground 0..size-1."""
-    sl = expr_size(e.left)
-    sr = expr_size(e.right)
-    if not 0 <= e.glue_left < sl or not 0 <= e.glue_right < sr:
-        raise ValueError("glue element out of range")
-    keep_l = [x for x in range(sl) if x != e.glue_left]
-    keep_r = [x for x in range(sr) if x != e.glue_right]
-    map_l = {x: i for i, x in enumerate(keep_l)}
-    map_r = {x: i + len(keep_l) for i, x in enumerate(keep_r)}
-    return map_l, map_r
 
 
 def expr_to_bases(e: Expr) -> Matroid:
@@ -241,20 +229,21 @@ def expr_to_bases(e: Expr) -> Matroid:
         for part in e.parts:
             sub = expr_to_bases(part)
             bases = [b | frozenset(x + offset for x in pb) for b in bases for pb in sub.bases]
-            offset += expr_size(part)
+            offset += part.size
         return Matroid(range(offset), bases)
-    ml, mr = _two_sum_maps(e)
+    # the left part's elements but the glue come first, then the right part's
+    gl, gr, sl = e.glue_left, e.glue_right, e.left.size
     L = expr_to_bases(e.left)
     R = expr_to_bases(e.right)
     bases = set()
     for b1 in L.bases:
         for b2 in R.bases:
-            if (e.glue_left in b1) != (e.glue_right in b2):
+            if (gl in b1) != (gr in b2):
                 bases.add(
-                    frozenset(ml[x] for x in b1 if x != e.glue_left)
-                    | frozenset(mr[y] for y in b2 if y != e.glue_right)
+                    frozenset(x - (x > gl) for x in b1 if x != gl)
+                    | frozenset(sl - 1 + y - (y > gr) for y in b2 if y != gr)
                 )
-    return Matroid(range(expr_size(e)), bases)
+    return Matroid(range(e.size), bases)
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +336,15 @@ def _row_keys(A: np.ndarray) -> list:
     return [buf[i : i + w] for i in range(0, len(buf), w)]
 
 
+def _base_lists(B: np.ndarray) -> list:
+    """The rows of a base incidence array as ascending lists of elements; every
+    row holds the same number of ones, as the bases of a matroid do."""
+    return np.nonzero(B)[1].reshape(len(B), -1).tolist()
+
+
 def _base_sets(B: np.ndarray) -> list:
-    """The rows of a base incidence array as frozensets of elements; every row
-    holds the same number of ones, as the bases of a matroid do."""
-    return list(map(frozenset, np.nonzero(B)[1].reshape(len(B), -1).tolist()))
+    """The rows of a base incidence array as frozensets of elements."""
+    return list(map(frozenset, _base_lists(B)))
 
 
 def _uniform(d: int, k: int):
@@ -449,7 +443,9 @@ def _two_sum(e: TwoSum, left: tuple, right: tuple):
 
 def _check_size(m: int, n: int, what: str) -> None:
     if n > _MAX_COLUMNS:
-        raise GuardExceeded(f"{what} would have {n} columns, more than the bound of {_MAX_COLUMNS}")
+        # a count of bases can have more digits than Python converts to a string
+        count = n if n.bit_length() <= 64 else f"at least 2**{n.bit_length() - 1}"
+        raise GuardExceeded(f"{what} would have {count} columns, more than the bound of {_MAX_COLUMNS}")
     if m * n > _MAX_CELLS:
         raise GuardExceeded(f"{what} would have {m} x {n} entries, more than the bound of {_MAX_CELLS}")
 
@@ -465,8 +461,13 @@ def _build(e: Expr):
     a 2-sum drops dominated rows).
     """
     if isinstance(e, Leaf):
-        rows = e.d if e.k in (1, e.d - 1) else 2 * e.d  # `_uniform`'s layout
-        _check_size(rows, comb(e.d, e.k), f"U({e.d},{e.k})")
+        what = f"U({e.d},{e.k})"
+        if e.k in (1, e.d - 1):  # `_uniform`'s layout: the d x d identity
+            _check_size(e.d, e.d, what)
+        elif e.d > _MAX_COLUMNS:  # C(d,k) > d; refused before computing C(d,k), which takes seconds
+            raise GuardExceeded(f"{what} would have at least {e.d} columns, more than the bound of {_MAX_COLUMNS}")
+        else:
+            _check_size(2 * e.d, comb(e.d, e.k), what)
         return _uniform(e.d, e.k)
     if isinstance(e, OneSum):
         parts = [_build(p) for p in e.parts]
@@ -474,8 +475,6 @@ def _build(e: Expr):
         return _one_sum(parts)
     left, right = _build(e.left), _build(e.right)
     (AL, BL), (AR, BR) = left, right
-    if not 0 <= e.glue_left < BL.shape[1] or not 0 <= e.glue_right < BR.shape[1]:
-        raise ValueError("glue element out of range")
     # a base of the 2-sum holds the glue element on exactly one side
     kl, kr = int(BL[:, e.glue_left].sum()), int(BR[:, e.glue_right].sum())
     _check_size(len(AL) + len(AR) - 1, kl * (len(BR) - kr) + (len(BL) - kl) * kr, "a sum")
@@ -517,7 +516,7 @@ def expr_to_text(e: Expr) -> str:
         return f"(u {e.d} {e.k})"
     if isinstance(e, OneSum):
         return "(1sum " + " ".join(expr_to_text(p) for p in e.parts) + ")"
-    auto = e.glue_left == expr_size(e.left) - 1 and e.glue_right == 0
+    auto = e.glue_left == e.left.size - 1 and e.glue_right == 0
     inner = f"{expr_to_text(e.left)} {expr_to_text(e.right)}"
     if auto:
         return f"(2sum {inner})"
@@ -566,7 +565,7 @@ def parse_expr(text: str) -> Expr:
             right = parse_node()
             take(")")
             if gl is None:
-                gl, gr = expr_size(left) - 1, 0
+                gl, gr = left.size - 1, 0
             return TwoSum(left, right, gl, gr)
         raise ValueError(f"unknown node type {head!r}")
 
@@ -581,22 +580,28 @@ def parse_expr(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a generated __eq__ would compare arrays
 class MatroidRecognition:
-    """Recovered expression plus the column -> base correspondence."""
+    """Recovered expression plus the column -> base correspondence.
+
+    `bases` is the read-only boolean column x element incidence array that
+    the recognition proved: bases[j, e] says whether element e, of ground
+    0..size-1, lies in the base of input column j.
+    """
 
     expr: Expr
-    col_bases: tuple  # per input column, a frozenset over ground 0..size-1
-    size: int
+    bases: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.expr.size
 
     def matroid(self) -> Matroid:
         return expr_to_bases(self.expr)
 
     def row_provenance(self, S: Matrix) -> list:
         """Classify each input row as an element row or a derived (cut) row."""
-        B = np.zeros((self.size, len(self.col_bases)), dtype=bool)  # B[e, j]: e in column j's base
-        cols = np.repeat(np.arange(len(self.col_bases)), [len(b) for b in self.col_bases])
-        B[list(itertools.chain.from_iterable(self.col_bases)), cols] = True
+        B = self.bases.T  # B[e, j]: e in column j's base
         tags = {}
         for e, (nonneg, upper) in enumerate(zip(_row_keys(B), _row_keys(~B))):
             tags.setdefault(nonneg, ("nonneg", e))
@@ -649,7 +654,7 @@ def _verify_candidate(S: Matrix, expr: Expr, col_bases: Sequence[frozenset]) -> 
     """Re-expand the expression and compare with S through the base matching:
     S must be exactly the expression's non-redundant slack matrix, its column
     j having the base col_bases[j]."""
-    ground = range(expr_size(expr))
+    ground = range(expr.size)
     B = np.zeros((len(col_bases), len(ground)), dtype=bool)
     for j, b in enumerate(col_bases):
         if not all(x in ground for x in b):
@@ -797,8 +802,8 @@ def recognize_2level_matroid_slack(S: Matrix) -> Optional[MatroidRecognition]:
 
     Precondition violations (non-0/1 entries, constant rows, duplicate rows
     or columns) raise MatroidInputError; an unrecognized but well-formed
-    input returns None.  The recursion carries column bases as incidence
-    arrays; they become frozensets here, once.
+    input returns None.  The answer keeps the recursion's base incidence
+    array, made read-only.
     """
     reason = _screen(S)
     if reason is not None:
@@ -807,4 +812,5 @@ def recognize_2level_matroid_slack(S: Matrix) -> Optional[MatroidRecognition]:
     if res is None:
         return None
     expr, B = res
-    return MatroidRecognition(expr, tuple(_base_sets(B)), expr_size(expr))
+    B.flags.writeable = False
+    return MatroidRecognition(expr, B)

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrix import Matrix, MatrixFormatError, _header, _parse_token
+import numpy as np
+
+from .matrix import Matrix, MatrixFormatError, _header, parse_matrix
 
 
 class SlackError(ValueError):
@@ -50,51 +52,32 @@ class HRep:
 
 
 def parse_vrep(text: str) -> VRep:
-    """Vertex file: header "n d" then n rows of d coordinates."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise MatrixFormatError("empty vertex file")
-    n, d = _header(lines[0])
-    if len(lines) != n + 1:
-        raise MatrixFormatError(f"expected {n} points")
-    pts = []
-    for ln in lines[1:]:
-        toks = ln.split()
-        if len(toks) != d:
-            raise MatrixFormatError(f"expected {d} coordinates in {ln!r}")
-        pts.append(tuple(_parse_token(t) for t in toks))
-    return VRep(d, tuple(pts))
+    """Vertex file: the matrix file of n points, header "n d" then n rows of d coordinates."""
+    M = parse_matrix(text)
+    return VRep(M.n, M.rows)
 
 
 def parse_hrep(text: str) -> HRep:
-    """Inequality file: header "m d" then m rows "a_1 ... a_d b"."""
+    """Inequality file: header "m d", then the m rows "a_1 ... a_d b" of an m x (d+1) matrix file."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise MatrixFormatError("empty inequality file")
     m, d = _header(lines[0])
-    if len(lines) != m + 1:
-        raise MatrixFormatError(f"expected {m} inequalities")
-    ineqs = []
-    for ln in lines[1:]:
-        toks = ln.split()
-        if len(toks) != d + 1:
-            raise MatrixFormatError(f"expected {d + 1} numbers in {ln!r}")
-        nums = [_parse_token(t) for t in toks]
-        ineqs.append((tuple(nums[:-1]), nums[-1]))
-    return HRep(d, tuple(ineqs))
+    M = parse_matrix("\n".join([f"{m} {d + 1}"] + lines[1:]))
+    return HRep(d, tuple((row[:-1], row[-1]) for row in M.rows))
 
 
 def slack_from_vh(V: VRep, H: HRep) -> Matrix:
-    """Exact slack matrix S[i][j] = b_i - a_i . v_j; rejects negative slacks."""
+    """Exact slack matrix S[i][j] = b_i - a_i . v_j, one product of object
+    arrays; rejects a negative slack, naming the first in row-major order."""
     if V.d != H.d:
         raise ValueError(f"dimension mismatch: points in R^{V.d}, inequalities in R^{H.d}")
-    rows = []
-    for i, (a, b) in enumerate(H.ineqs):
-        row = []
-        for j, v in enumerate(V.points):
-            s = b - sum(ai * vi for ai, vi in zip(a, v))
-            if s < 0:
-                raise SlackError(f"point {j} violates inequality {i} (slack {s})")
-            row.append(s)
-        rows.append(tuple(row))
-    return Matrix(rows)
+    A = np.array([a for a, _ in H.ineqs], dtype=object).reshape(len(H.ineqs), H.d)
+    b = np.array([b for _, b in H.ineqs], dtype=object)
+    P = np.array(V.points, dtype=object).reshape(len(V.points), V.d)
+    S = b[:, None] - A @ P.T
+    negative = np.argwhere(S < 0)
+    if len(negative):
+        i, j = negative[0].tolist()
+        raise SlackError(f"point {j} violates inequality {i} (slack {S[i, j]})")
+    return Matrix(S)

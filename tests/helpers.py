@@ -12,7 +12,7 @@ import numpy as np
 
 from prodmat import CoherenceError, Leaf, Matrix, OneSum, TwoSum, one_product, two_product
 from prodmat.info import group_columns
-from prodmat.matroids import _two_sum_maps, expr_size, expr_to_slack_with_bases
+from prodmat.matroids import expr_to_slack_with_bases
 
 
 def random_matrix(rng, m, n, lo=0, hi=3):
@@ -41,7 +41,7 @@ def random_expr(rng, budget, dmax=6):
     lb = rng.randint(1, budget - 1)
     left = random_expr(rng, lb, dmax)
     right = random_expr(rng, budget - lb, dmax)
-    return TwoSum(left, right, rng.randrange(expr_size(left)), rng.randrange(expr_size(right)))
+    return TwoSum(left, right, rng.randrange(left.size), rng.randrange(right.size))
 
 
 def random_feasible_expr(rng, max_leaves=5, dmax=6, max_cols=600, max_rows=40):
@@ -61,7 +61,7 @@ def u42_chain(rng, leaves):
     """2-sums of `leaves` copies of U(4,2), each glued at a random element."""
     e = Leaf(4, 2)
     for _ in range(leaves - 1):
-        e = TwoSum(e, Leaf(4, 2), rng.randrange(expr_size(e)), rng.randrange(4))
+        e = TwoSum(e, Leaf(4, 2), rng.randrange(e.size), rng.randrange(4))
     return e
 
 
@@ -76,20 +76,16 @@ def base_families_match(orig_col_bases, rec):
     irreducible component of the recovered expression may be flipped as a
     whole (a slack matrix determines a factor only up to its dual).
     """
-    n = len(rec.col_bases)
+    n = len(rec.bases)
     comps, off = [], 0
     for part in top_components(rec.expr):
-        s = expr_size(part)
-        comps.append(list(range(off, off + s)))
-        off += s
+        comps.append(list(range(off, off + part.size)))
+        off += part.size
     ground = sorted({x for b in orig_col_bases for x in b})
     target = Counter(
         tuple(1 if e in orig_col_bases[j] else 0 for j in range(n)) for e in ground
     )
-    rvec = {
-        e: tuple(1 if e in rec.col_bases[j] else 0 for j in range(n))
-        for e in range(rec.size)
-    }
+    rvec = {e: tuple(rec.bases[:, e].astype(int).tolist()) for e in range(rec.size)}
     for flips in itertools.product([0, 1], repeat=len(comps)):
         got = Counter()
         for ci, comp in enumerate(comps):
@@ -99,6 +95,18 @@ def base_families_match(orig_col_bases, rec):
         if got == target:
             return True
     return False
+
+
+def row_provenance_reference(S, col_sets, size):
+    """`MatroidRecognition.row_provenance` from one frozenset base per column:
+    a row equal to element e's membership row is ("nonneg", e), to its
+    complement ("upper", e), the first element in order taking each row."""
+    tags = {}
+    for e in range(size):
+        nonneg = tuple(1 if e in b else 0 for b in col_sets)
+        tags.setdefault(nonneg, ("nonneg", e))
+        tags.setdefault(tuple(1 - x for x in nonneg), ("upper", e))
+    return [tags.get(row, ("other", None)) for row in S.rows]
 
 
 def random_cut_oracle_edges(rng, nv, wmax=5, p=0.5):
@@ -220,12 +228,12 @@ def one_sum_slack_reference(e, parts):
     """The 1-sum step: the 1-product of the parts' slacks, bases unioned in
     mixed-radix column order, part 0 the most significant."""
     acc, bases = parts[0]
-    offset = expr_size(e.parts[0])
+    offset = e.parts[0].size
     for part, (Sp, pb) in zip(e.parts[1:], parts[1:]):
         pb = [frozenset(x + offset for x in b) for b in pb]
         acc = one_product(acc, Sp)
         bases = [a | b for a in bases for b in pb]
-        offset += expr_size(part)
+        offset += part.size
     return acc, bases
 
 
@@ -234,8 +242,7 @@ def two_sum_slack_reference(e, left, right):
     column), glued along the first coherent row pair, the reversed pair if
     there is none; CoherenceError if neither exists."""
     (SL, bl), (SR, br) = left, right
-    gl, gr = e.glue_left, e.glue_right
-    ml, mr = _two_sum_maps(e)
+    gl, gr, sl = e.glue_left, e.glue_right, e.left.size
     nonneg = lambda bases, x: tuple(1 if x in b else 0 for b in bases)  # noqa: E731
     upper = lambda bases, x: tuple(0 if x in b else 1 for b in bases)  # noqa: E731
     xrow, yrow = _find_row(SL, nonneg(bl, gl)), _find_row(SR, upper(br, gr))
@@ -249,7 +256,8 @@ def two_sum_slack_reference(e, left, right):
         (cl, cr) for a in (0, 1) for cl in range(SL.n) if x1[cl] == a for cr in range(SR.n) if y1[cr] == a
     ]
     bases = [
-        frozenset(ml[x] for x in bl[cl] if x != gl) | frozenset(mr[y] for y in br[cr] if y != gr)
+        frozenset(x - (x > gl) for x in bl[cl] if x != gl)
+        | frozenset(sl - 1 + y - (y > gr) for y in br[cr] if y != gr)
         for cl, cr in pairs
     ]
     return facet_rows_reference(P), bases, pairs

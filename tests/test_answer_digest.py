@@ -3,8 +3,9 @@
 A refactor that keeps every exact answer keeps these digests; a change to
 them is a change of answers and must come with its reason.  One digest per
 recognizer names the one whose answers moved, the `parse` digest covers
-`parse_matrix`'s values, dtypes and error messages, and the `product`
-digest covers `one_product` and `two_product`.
+`parse_matrix`'s values, dtypes and error messages, the `product`
+digest covers `one_product` and `two_product`, and the `cli-matroid`
+digest covers what `prodmat recognize matroid` prints.
 """
 
 import subprocess
@@ -23,6 +24,7 @@ WANT = [
     "3851a0deeb062ce00035adffd7f4ab04580e20cd9e05847b6ea8eb35a02fcdaa  exact, 300 inputs",
     "b7414f4a4c67dc968893f57de8791d2a786f68034ae3cea0e487162ce5cf0d90  parse, 3000 texts",
     "82530d9f5027e5b58bd8209dadce74b9272f62ad2e68ec53e693324f18f1ea7a  product, 596 products",
+    "ff2f2aca9eb78c118ea5119c2845342e1bb6309db8d0a37c8d314512765c2252  cli-matroid, 80 slacks",
     "0 answers fail re-expansion",
     "0 inputs differ after write_matrix and parse_matrix",
 ]

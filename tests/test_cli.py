@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import time
 
 import pytest
@@ -310,6 +311,53 @@ def test_gen_of_a_huge_leaf_exits_2_before_enumerating(tmp_path, capsys, monkeyp
     assert captured.err == f"error: {message}\n"
     assert "Traceback" not in captured.err
     assert elapsed < 1.0
+
+
+BOUND = "more than the bound of 65536"
+LEAVES_ON_MANY_ELEMENTS = [
+    ("expr", "(u 20000000 10000000)", f"U(20000000,10000000) would have at least 20000000 columns, {BOUND}"),
+    ("expr", "(u 2000000 1000000)", f"U(2000000,1000000) would have at least 2000000 columns, {BOUND}"),
+    ("hypersimplex", "2000000 1000000", f"U(2000000,1000000) would have at least 2000000 columns, {BOUND}"),
+    ("expr", "(u 60000 30000)", f"U(60000,30000) would have at least 2**59991 columns, {BOUND}"),
+    ("expr", "(1sum (u 3000 1500) (u 4 2))", f"U(3000,1500) would have at least 2**2993 columns, {BOUND}"),
+]
+
+
+@pytest.mark.parametrize("what, params, message", LEAVES_ON_MANY_ELEMENTS)
+def test_gen_of_a_leaf_on_many_elements_exits_2_within_a_second(tmp_path, capsys, what, params, message):
+    # C(d,k) >= d, so a leaf with d over the column bound is refused without
+    # math.comb, which takes 81 s for C(4*10**6, 2*10**6); a count past 64
+    # bits is written as a power of two: C(60000,30000) has more digits
+    # than Python converts to a string, and C(3000,1500) has 903
+    if what == "expr":
+        p = tmp_path / "e.txt"
+        p.write_text(params + "\n")
+        argv = ["gen", "expr", str(p)]
+    else:
+        argv = ["gen", "hypersimplex"] + params.split()
+    t0 = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert elapsed < 1.0
+
+
+def test_slack_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # each entry of the files is within the digits parsing takes, but the
+    # slack 0 - (-10**3000) * 10**3000 = 10**6000 has more digits than
+    # Python writes: an input error naming the limit, not an internal one
+    v, h = tmp_path / "v.txt", tmp_path / "h.txt"
+    v.write_text("1 1\n1" + "0" * 3000 + "\n")
+    h.write_text("1 1\n-1" + "0" * 3000 + " 0\n")
+    code = main(["slack", "--vertices", str(v), "--ineq", str(h)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    limit = f"{sys.get_int_max_str_digits()} digits, the limit of Python's integer to string conversion"
+    assert captured.err == f"error: an entry has more than {limit}\n"
 
 
 def test_gen_of_a_huge_product_exits_2_before_building(tmp_path, capsys, monkeypatch):

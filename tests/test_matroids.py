@@ -34,8 +34,11 @@ from prodmat import (
 from prodmat import matroids, products
 from prodmat.matroids import (
     Matroid,
+    _base_lists,
+    _base_sets,
     _build,
     _facet_rows,
+    _reexpands,
     _screen,
     _split_side,
     _two_product_split,
@@ -52,6 +55,7 @@ from helpers import (
     facet_rows_reference,
     random_expr,
     random_feasible_expr,
+    row_provenance_reference,
     two_sum_slack_reference,
     u42_chain,
 )
@@ -283,13 +287,11 @@ def test_expr_to_slack_coherence_error():
 
 @pytest.mark.parametrize("gl, gr", [(9, 9), (-1, 0), (0, 4)])
 def test_expr_to_slack_glue_out_of_range(gl, gr):
-    # the range check comes before the search for a coherent row pair, so
-    # the builder names the same fault as expr_to_bases
-    e = TwoSum(Leaf(4, 2), Leaf(4, 2), gl, gr)
-    for build in (expr_to_slack, expr_to_bases):
-        with pytest.raises(ValueError, match="glue element out of range") as exc:
-            build(e)
-        assert exc.type is ValueError
+    # a 2-sum refuses a glue element outside its parts' grounds when it is
+    # built, so neither the builder nor expr_to_bases ever sees one
+    with pytest.raises(ValueError, match="glue element out of range") as exc:
+        TwoSum(Leaf(4, 2), Leaf(4, 2), gl, gr)
+    assert exc.type is ValueError
 
 
 def test_builder_guard_counts_each_sum_steps_columns(monkeypatch):
@@ -331,6 +333,20 @@ def test_expr_text_roundtrip():
         assert parse_expr(expr_to_text(expr)) == expr
     with pytest.raises(ValueError):
         parse_expr("(3sum (u 2 1) (u 2 1))")
+
+
+def test_depth_400_left_deep_chains():
+    # each node holds its size, so no walker recounts a subtree; a 2-sum of
+    # U(2,1) with U(2,1) is U(2,1) again, and 400 2-sums of 401 U(3,1)
+    # leaves make U(403,1), its elements relabeled at every level
+    for d in (2, 3):
+        text = "(2sum " * 400 + f"(u {d} 1)" + f" (u {d} 1))" * 400
+        e = parse_expr(text)
+        size = d + 400 * (d - 2)  # each 2-sum adds d - 2 elements
+        assert e.size == size and e.left.size == size - (d - 2)
+        assert expr_to_text(e) == text
+        M = expr_to_bases(e)
+        assert M.ground == tuple(range(size)) and M == uniform_bases(size, 1)
 
 
 def test_dual_expr_same_slack():
@@ -513,6 +529,8 @@ def test_row_provenance_tags_elements():
     e = TwoSum(Leaf(4, 2), Leaf(3, 2), 3, 0)
     S = expr_to_slack(e)
     rec = recognize_2level_matroid_slack(S)
+    assert rec.bases.dtype == bool and rec.bases.shape == (S.n, rec.size) == (S.n, 5)
+    assert not rec.bases.flags.writeable
     prov = rec.row_provenance(S)
     kinds = {t for t, _ in prov}
     assert "nonneg" in kinds and "upper" in kinds
@@ -528,15 +546,16 @@ def test_base_level_verification_of_recognitions():
         rec = recognize_2level_matroid_slack(sh)
         assert rec is not None
         assert len(rec.matroid().bases) == sh.n
-        assert len(set(rec.col_bases)) == sh.n
+        col_bases = _base_sets(rec.bases)
+        assert len(set(col_bases)) == sh.n
         for i, (kind, elem) in enumerate(rec.row_provenance(sh)):
             if kind == "nonneg":
                 assert sh.rows[i] == tuple(
-                    1 if elem in b else 0 for b in rec.col_bases
+                    1 if elem in b else 0 for b in col_bases
                 )
             elif kind == "upper":
                 assert sh.rows[i] == tuple(
-                    0 if elem in b else 1 for b in rec.col_bases
+                    0 if elem in b else 1 for b in col_bases
                 )
 
 
@@ -676,6 +695,11 @@ def test_recognize_wide_u42_chains_and_near_misses():
         rec = recognize_2level_matroid_slack(sh)
         assert rec is not None
         assert base_families_match([bases[cp[j]] for j in range(S.n)], rec)
+        # the answer's column bases and row tags, read from its incidence
+        # array, against the same read from one frozenset per column
+        col_sets = [frozenset(e for e, x in enumerate(row) if x) for row in rec.bases.tolist()]
+        assert _base_lists(rec.bases) == [sorted(b) for b in col_sets]
+        assert rec.row_provenance(sh) == row_provenance_reference(sh, col_sets, rec.size)
         nears = []
         for _ in range(3):
             flipped = sh.array.copy()
@@ -736,7 +760,7 @@ def test_recognized_answers_pass_the_full_reexpansion():
             if rec is None:
                 outcomes["none"] += 1
                 continue
-            assert _verify_candidate(T, rec.expr, list(rec.col_bases)), expr_to_text(rec.expr)
+            assert _reexpands(T, rec.expr, rec.bases), expr_to_text(rec.expr)
             outcomes["recognized"] += 1
     assert outcomes["recognized"] >= 150 and outcomes["none"] >= 300, outcomes
 

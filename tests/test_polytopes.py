@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from prodmat import (
     seeded_shuffle,
     slack_from_vh,
 )
+from prodmat.matrix import _parse_token
 from prodmat.polytopes import parse_hrep, parse_vrep
 
 SEGMENT_V = VRep(1, ((Fraction(0),), (Fraction(1),)))
@@ -104,3 +106,52 @@ def test_parse_vrep_hrep_reject_a_bad_header(header):
         parse_vrep(f"{header}\n0\n1")
     with pytest.raises(MatrixFormatError, match="bad header"):
         parse_hrep(f"{header}\n-1 0\n1 1")
+
+
+SLACK_TOKENS = ["0", "1", "2", "-1", "+3", "007", "0.5", "-1.25", "3/4", "-2/6", "4/2", "2.0"]
+SLACK_TOKENS += [str(2**70), str(-(2**65))]
+
+
+def slack_reference(V, H):
+    """(slack rows, None) from b_i - a_i . v_j entry by entry, or (None, the
+    message of the first negative slack in row-major order)."""
+    rows = []
+    for i, (a, b) in enumerate(H.ineqs):
+        row = []
+        for j, v in enumerate(V.points):
+            s = b - sum(ai * vi for ai, vi in zip(a, v))
+            if s < 0:
+                return None, f"point {j} violates inequality {i} (slack {s})"
+            row.append(s)
+        rows.append(row)
+    return rows, None
+
+
+def test_vertex_and_inequality_files_are_matrix_files():
+    # every coordinate and coefficient is its token's `_parse_token` value,
+    # and the slack, or the first negative slack, is the per-entry loop's
+    rng = random.Random(73)
+    outcomes = {"slack": 0, "negative": 0}
+    for _ in range(200):
+        n, m, d = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 3)
+        points = [[rng.choice(SLACK_TOKENS) for _ in range(d)] for _ in range(n)]
+        rhs = SLACK_TOKENS + [str(10**25)] * 6  # a large b makes a nonnegative slack likely
+        ineqs = [[rng.choice(SLACK_TOKENS) for _ in range(d)] + [rng.choice(rhs)] for _ in range(m)]
+        if d == 0:
+            points = [[]]  # a vertex file holds at least one coordinate per row
+            V = VRep(0, ((),))
+        else:
+            V = parse_vrep(f"{n} {d}\n" + "".join(" ".join(p) + "\n" for p in points))
+            assert V.d == d and V.points == tuple(tuple(map(_parse_token, p)) for p in points)
+        H = parse_hrep(f"{m} {d}\n" + "".join(" ".join(r) + "\n" for r in ineqs))
+        assert H.d == d and H.ineqs == tuple((tuple(map(_parse_token, r[:-1])), _parse_token(r[-1])) for r in ineqs)
+        rows, message = slack_reference(V, H)
+        if rows is None:
+            with pytest.raises(SlackError) as exc:
+                slack_from_vh(V, H)
+            assert str(exc.value) == message
+            outcomes["negative"] += 1
+        else:
+            assert slack_from_vh(V, H) == Matrix(rows)
+            outcomes["slack"] += 1
+    assert min(outcomes.values()) >= 40, outcomes

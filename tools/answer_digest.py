@@ -30,7 +30,7 @@ factorization and every 2-product certificate must re-expand to its input.
 The product of the factors, with its rows put back in the input's order,
 must equal the input up to a column permutation.  Every recognized slack
 matrix must pass the matroid recognizer's full re-expansion
-(`matroids._verify_candidate`): the expression's slack matrix, with its
+(`matroids._reexpands`): the expression's slack matrix, with its
 columns matched to the input's through the column bases, must have exactly
 the input's rows.  A further line counts the answers that fail these checks,
 and the exit status is 1 when it is not 0, so a changed digest comes with a
@@ -71,6 +71,13 @@ fixed-seed factor pairs with int64, `Fraction` or beyond-int64 entries,
 `two_product` with a 0/1 special row inserted at every position of each
 factor.  It is not part of the combined digest.
 
+A separate `cli-matroid` line digests the command line's matroid answers:
+the exit code and stdout of `cli.main(["recognize", "matroid", FILE])` on
+each of the 80 slack matrices above, near-misses included, written to FILE
+with `write_matrix`.  It covers the JSON the CLI prints from an answer: the
+expression text, the element count, the column bases and the row
+provenance.  It is not part of the combined digest.
+
 Each input is written with `write_matrix` and read back with `parse_matrix`,
 and the recognizers run on the matrix read back, so the parser's codes are
 the ones digested.  The last line counts the inputs whose parsed rows or
@@ -80,10 +87,13 @@ make the exit status 1.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import random
 import sys
+import tempfile
 from collections import Counter
 from math import comb
 from fractions import Fraction
@@ -107,13 +117,15 @@ from prodmat import (  # noqa: E402
     two_product,
     write_matrix,
 )
+from prodmat import cli  # noqa: E402
 from prodmat.matroids import (  # noqa: E402
     CoherenceError,
     Leaf,
+    MatroidRecognition,
     OneSum,
     TwoSum,
-    _verify_candidate,
-    expr_size,
+    _base_lists,
+    _reexpands,
     expr_to_slack,
     expr_to_slack_with_bases,
     expr_to_text,
@@ -121,9 +133,15 @@ from prodmat.matroids import (  # noqa: E402
 
 
 def canon(x):
-    """A repr-stable form: matrices as their text, dataclasses field by field."""
+    """A repr-stable form: matrices as their text, dataclasses field by field.
+
+    A matroid recognition is digested as its expression, its column bases as
+    ascending element tuples, and its element count."""
     if isinstance(x, Matrix):
         return write_matrix(x)
+    if isinstance(x, MatroidRecognition):
+        bases = tuple(map(tuple, _base_lists(x.bases)))
+        return (type(x).__name__, ("expr", canon(x.expr)), ("col_bases", bases), ("size", x.size))
     if dataclasses.is_dataclass(x):
         return (type(x).__name__,) + tuple(
             (f.name, canon(getattr(x, f.name))) for f in dataclasses.fields(x)
@@ -184,7 +202,7 @@ def random_expr(rng, leaves):
     a, b = random_expr(rng, left), random_expr(rng, leaves - left)
     if rng.random() < 0.5:
         return OneSum((a, b))
-    return TwoSum(a, b, rng.randrange(expr_size(a)), rng.randrange(expr_size(b)))
+    return TwoSum(a, b, rng.randrange(a.size), rng.randrange(b.size))
 
 
 def matrix_inputs():
@@ -345,6 +363,20 @@ def product_digest():
     return h.hexdigest(), count
 
 
+def cli_matroid_digest(slacks):
+    """(SHA-256 over the exit code and stdout of `recognize matroid` on each slack, their number)."""
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "slack.txt"
+        for S in slacks:
+            path.write_text(write_matrix(S))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["recognize", "matroid", str(path)])
+            h.update(repr((code, out.getvalue())).encode())
+    return h.hexdigest(), len(slacks)
+
+
 def reexpands(S, P, order):
     """P equals S's rows `order` (one per row of P) up to a column permutation."""
     if len(order) != S.m or sorted(order) != list(range(S.m)) or P.n != S.n:
@@ -411,7 +443,7 @@ def exact_digest(inputs):
         except MatroidInputError as exc:
             rec = ("input error", str(exc))
         else:
-            failures += rec is not None and not _verify_candidate(S, rec.expr, rec.col_bases)
+            failures += rec is not None and not _reexpands(S, rec.expr, rec.bases)
         h.update(repr(canon((S, cert1, fac, cert2, rec))).encode())
     return h.hexdigest(), len(inputs), failures, mismatches
 
@@ -440,7 +472,7 @@ def main():
         except MatroidInputError as exc:
             rec = ("input error", str(exc))
         else:
-            failures += rec is not None and not _verify_candidate(S, rec.expr, rec.col_bases)
+            failures += rec is not None and not _reexpands(S, rec.expr, rec.bases)
         h.update(repr(canon((S, rec))).encode())
         parts["matroid"].update(repr(canon((S, rec))).encode())
         count += 1
@@ -454,6 +486,7 @@ def main():
     print(f"{exact}  exact, {exact_count} inputs")
     print("{}  parse, {} texts".format(*parse_digest()))
     print("{}  product, {} products".format(*product_digest()))
+    print("{}  cli-matroid, {} slacks".format(*cli_matroid_digest(slacks)))
     print(f"{failures} answers fail re-expansion")
     print(f"{mismatches} inputs differ after write_matrix and parse_matrix")
     return 1 if failures or mismatches else 0

@@ -61,7 +61,7 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from prodmat import InfoFunction, Matrix, info, one_product, seeded_shuffle  # noqa: E402
-from prodmat.matroids import Leaf, TwoSum, expr_size, expr_to_slack  # noqa: E402
+from prodmat.matroids import Leaf, TwoSum, expr_to_slack  # noqa: E402
 
 
 def criterion_10_input() -> Matrix:
@@ -74,7 +74,7 @@ def criterion_10_input() -> Matrix:
 def u42_chain_slack(leaves: int, rng: random.Random) -> Matrix:
     e = Leaf(4, 2)
     for _ in range(leaves - 1):
-        e = TwoSum(e, Leaf(4, 2), rng.randrange(expr_size(e)), rng.randrange(4))
+        e = TwoSum(e, Leaf(4, 2), rng.randrange(e.size), rng.randrange(4))
     return seeded_shuffle(expr_to_slack(e), rng.getrandbits(64))[0]
 
 
