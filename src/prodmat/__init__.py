@@ -13,12 +13,8 @@ from .matrix import (
     MatrixFormatError,
     parse_matrix,
     write_matrix,
-    restrict_rows,
     permute,
-    inverse_permutation,
     is_isomorphic,
-    dedupe_rows,
-    complement_row,
     seeded_shuffle,
 )
 from .info import (

@@ -17,7 +17,7 @@ import sys
 import traceback
 
 from .info import InfoFunction
-from .matrix import Matrix, MatrixFormatError, parse_matrix, seeded_shuffle, write_matrix
+from .matrix import Matrix, MatrixFormatError, _ascii, _integer, parse_matrix, seeded_shuffle, write_matrix
 from .matroids import (
     MatroidInputError,
     _base_lists,
@@ -65,9 +65,9 @@ def _read_matrix(path: str) -> Matrix:
 
 
 def _read_text(path: str) -> str:
-    """A text file named on the command line; undecodable bytes are an input error."""
-    with open(path) as fh:
-        return _from_input(fh.read)
+    """A text file named on the command line, which must be ASCII (`_ascii`)."""
+    with open(path, "rb") as fh:
+        return _ascii(fh.read())
 
 
 def _emit(payload) -> None:
@@ -83,8 +83,8 @@ def _diag(args, msg: str) -> None:
 def cmd_info(args) -> int:
     S = _read_matrix(args.matrix)
     try:
-        subset = sorted({int(t) for t in args.subset.split(",") if t.strip() != ""})
-    except ValueError:
+        subset = sorted({_integer(t.strip()) for t in args.subset.split(",") if t.strip() != ""})
+    except MatrixFormatError:
         raise MatrixFormatError(f"bad subset {args.subset!r}")
     if any(i < 0 or i >= S.m for i in subset):
         raise MatrixFormatError(f"subset {subset} out of range for {S.m} rows")
@@ -176,7 +176,7 @@ def cmd_gen(args) -> int:
     if args.what == "hypersimplex":
         if len(args.params) != 2:
             raise MatrixFormatError("gen hypersimplex needs d and k")
-        d, k = _from_input(lambda: (int(args.params[0]), int(args.params[1])))
+        d, k = _integer(args.params[0]), _integer(args.params[1])
         sys.stdout.write(write_matrix(_from_input(hypersimplex_slack, d, k)))
         return OK
     if args.what == "expr":
@@ -233,8 +233,8 @@ def cmd_oracle(args) -> int:
 def _seed(text: str) -> int:
     """A shuffle seed: an integer in 0 .. 2**64 - 1 (a usage error otherwise)."""
     try:
-        seed = int(text)
-    except ValueError:
+        seed = _integer(text)
+    except MatrixFormatError:
         raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
     if not 0 <= seed < 1 << 64:
         raise argparse.ArgumentTypeError(f"seed {seed} is outside 0 .. 2**64 - 1")

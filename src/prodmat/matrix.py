@@ -35,7 +35,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -230,15 +230,35 @@ def _row_tokens(ln: str, n: int) -> list:
     return toks
 
 
-def _header(line: str) -> tuple:
-    """The two integers of a header line, each an integer entry by `_TOKEN_RE`'s rule."""
-    toks = line.split()
-    if len(toks) == 2 and all((mt := _TOKEN_RE.fullmatch(t)) and mt.group(1) is None for t in toks):
+def _integer(tok: str) -> int:
+    """An integer token: ASCII and `_TOKEN_RE` without a fraction part, so
+    neither "1_0" nor non-ASCII digits, which `int()` takes, pass."""
+    match = tok.isascii() and _TOKEN_RE.fullmatch(tok)
+    if match and match.group(1) is None:
         try:
-            return int(toks[0]), int(toks[1])
+            return int(tok)
         except ValueError:  # more digits than int() takes
             pass
+    raise MatrixFormatError(f"malformed integer {tok!r}")
+
+
+def _header(line: str) -> tuple:
+    """The two integers of a header line, each an `_integer`."""
+    toks = line.split()
+    if len(toks) == 2:
+        try:
+            return _integer(toks[0]), _integer(toks[1])
+        except MatrixFormatError:
+            pass
     raise MatrixFormatError(f"bad header {line!r}")
+
+
+def _ascii(data: bytes) -> str:
+    """The text of bytes that must be ASCII; MatrixFormatError names the first other byte."""
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"non-ASCII byte {data[exc.start]:#04x} at offset {exc.start}") from None
 
 
 def parse_matrix(text) -> Matrix:
@@ -253,10 +273,7 @@ def parse_matrix(text) -> Matrix:
     same errors, line by line in order.  Bytes input must be ASCII.
     """
     if isinstance(text, bytes):
-        try:
-            text = text.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise MatrixFormatError(f"non-ASCII byte {text[exc.start]:#04x} at offset {exc.start}") from None
+        text = _ascii(text)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise MatrixFormatError("empty input")
@@ -300,16 +317,6 @@ def write_matrix(S: Matrix) -> str:
     return "\n".join(out) + "\n"
 
 
-def restrict_rows(S: Matrix, X: Iterable[int]) -> Matrix:
-    """Rows of S indexed by X, in ascending order; columns unchanged."""
-    X = sorted(set(X))
-    if not X:
-        raise ValueError("row subset must be nonempty")
-    if X[0] < 0 or X[-1] >= S.m:
-        raise IndexError(f"row index out of range in {X}")
-    return Matrix(S.array.take(X, axis=0))
-
-
 def check_permutation(perm: Sequence[int], k: int) -> tuple:
     perm = tuple(perm)
     if len(perm) != k or sorted(perm) != list(range(k)):
@@ -317,42 +324,11 @@ def check_permutation(perm: Sequence[int], k: int) -> tuple:
     return perm
 
 
-def inverse_permutation(perm: Sequence[int]) -> tuple:
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return tuple(inv)
-
-
 def permute(S: Matrix, row_perm: Sequence[int], col_perm: Sequence[int]) -> Matrix:
     """result[i][j] = S[row_perm[i]][col_perm[j]]."""
     row_perm = check_permutation(row_perm, S.m)
     col_perm = check_permutation(col_perm, S.n)
     return Matrix(S.array.take(row_perm, axis=0).take(col_perm, axis=1))
-
-
-def dedupe_rows(S: Matrix):
-    """Keep the first occurrence of each distinct row.
-
-    Returns (matrix, keep) where keep[i] is the index, in the result, of the
-    kept copy of row i.
-    """
-    index = {}
-    kept = []
-    keep_map = []
-    for i, row in enumerate(map(tuple, S.array.tolist())):
-        k = index.setdefault(row, len(kept))
-        if k == len(kept):
-            kept.append(i)
-        keep_map.append(k)
-    return Matrix(S.array.take(kept, axis=0)), keep_map
-
-
-def complement_row(row: Sequence) -> tuple:
-    """Entrywise 1 - row; requires a 0/1 row."""
-    if any(x != 0 and x != 1 for x in row):
-        raise ValueError("complement_row requires a 0/1 row")
-    return tuple(1 - int(x) for x in row)
 
 
 # ---------------------------------------------------------------------------

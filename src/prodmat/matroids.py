@@ -26,11 +26,12 @@ sides of any split are, and a failed split means no split succeeds.  The
 search per recursion node therefore takes one split instead of backtracking
 over the unions of components.  Each node builds its pair counts P = E E^T
 once (`info._pair_counts`): the node's unconditional graph and the
-2-product recognizer's screen (`info._special_row_candidates`) both read
-it.  The screen counts the triples given every 0/1 row in one batch, and
-the atoms, with q(q-1)/2 exact checks for q dependence components, are
-merged from its components only for the rows whose graph splits, in order,
-up to the first that splits S.  Each node checks its answer exactly, so any
+special-row screen of the 2-product split that both recognizers share
+(`products._two_product_splits`) both read it.  The screen counts the
+triples given every 0/1 row in one batch, and the split merges the atoms
+from its components, with q − 1 exact checks for q dependence
+components when the chain holds, only for the rows whose graph splits, in
+order, up to the first that splits S.  Each node checks its answer exactly, so any
 returned answer is correct whatever the argument above: a leaf is
 re-expanded, and a sum node runs the builder's own sum step on its parts'
 matrices and compares the result with its input.  No subtree is expanded again, since the builder is
@@ -68,9 +69,9 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .info import InfoFunction, _special_row_candidates, group_columns
-from .matrix import Matrix
-from .products import _one_product, _two_product
+from .info import InfoFunction, group_columns
+from .matrix import Matrix, _integer
+from .products import _one_product, _two_product, _two_product_splits
 
 
 class CoherenceError(ValueError):
@@ -173,8 +174,25 @@ def two_sum(M1: Matroid, M2: Matroid, p) -> Matroid:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Leaf:
+class _Node:
+    """An expression node compared, hashed and shown through its text, which
+    `expr_to_text` builds in one frame per level, as `parse_expr` reads it;
+    the repr is the `parse_expr` call that rebuilds the node."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and expr_to_text(self) == expr_to_text(other)
+
+    def __hash__(self):
+        return hash(expr_to_text(self))
+
+    def __repr__(self):
+        return f"parse_expr({expr_to_text(self)!r})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Leaf(_Node):
     d: int
     k: int
 
@@ -184,8 +202,8 @@ class Leaf:
         object.__setattr__(self, "size", self.d)
 
 
-@dataclass(frozen=True)
-class OneSum:
+@dataclass(frozen=True, eq=False, repr=False)
+class OneSum(_Node):
     parts: tuple
 
     def __post_init__(self):
@@ -194,8 +212,8 @@ class OneSum:
         object.__setattr__(self, "size", sum(p.size for p in self.parts))
 
 
-@dataclass(frozen=True)
-class TwoSum:
+@dataclass(frozen=True, eq=False, repr=False)
+class TwoSum(_Node):
     left: "Expr"
     right: "Expr"
     glue_left: int
@@ -515,7 +533,10 @@ def expr_to_text(e: Expr) -> str:
     if isinstance(e, Leaf):
         return f"(u {e.d} {e.k})"
     if isinstance(e, OneSum):
-        return "(1sum " + " ".join(expr_to_text(p) for p in e.parts) + ")"
+        texts = []
+        for p in e.parts:  # a loop, not a generator: one frame per level
+            texts.append(expr_to_text(p))
+        return "(1sum " + " ".join(texts) + ")"
     auto = e.glue_left == e.left.size - 1 and e.glue_right == 0
     inner = f"{expr_to_text(e.left)} {expr_to_text(e.right)}"
     if auto:
@@ -544,8 +565,8 @@ def parse_expr(text: str) -> Expr:
         take("(")
         head = take()
         if head == "u":
-            d = int(take())
-            k = int(take())
+            d = _integer(take())
+            k = _integer(take())
             take(")")
             return Leaf(d, k)
         if head == "1sum":
@@ -558,8 +579,8 @@ def parse_expr(text: str) -> Expr:
             gl = gr = None
             if peek() == "[":
                 take("[")
-                gl = int(take())
-                gr = int(take())
+                gl = _integer(take())
+                gr = _integer(take())
                 take("]")
             left = parse_node()
             right = parse_node()
@@ -686,9 +707,9 @@ def _two_product_split(S: Matrix):
 
     The special row r is the first row whose conditional atoms still number
     two or more without the row equal to 1 - r, a singleton atom that alone
-    on one side would only relabel S through a two-column factor.  The atoms
-    are merged from the components of the special-row screen
-    (`info._special_row_candidates`).  The S1 side is the union of the atoms
+    on one side would only relabel S through a two-column factor: the rows
+    and atoms are those of `products._two_product_splits` with the twin
+    rows left out of each graph.  The S1 side is the union of the atoms
     after the first; the first atom and the row 1 - r form the S2 side.
     Returns one (factor, glue pattern, column map) per side (`_split_side`);
     each factor is an exact non-redundant slack matrix when S is one.
@@ -696,14 +717,9 @@ def _two_product_split(S: Matrix):
     # in distinct 0/1 rows, 1 - r is the one other row with the codes of r
     ids = {}
     key = np.array([ids.setdefault(k, len(ids)) for k in _row_keys(S.codes)])
-    twins = key[:, None] == key
-    for r, comps in _special_row_candidates(S, twins):
-        F = InfoFunction(S, given=r)
-        atoms = F._merge(comps)[0]
-        if len(atoms) < 2:
-            continue
-        X = tuple(sorted(F.ground[i] for A in atoms[1:] for i in A))
-        Xc = tuple(i for i in F.ground if i not in X)
+    for r, atoms, _ in _two_product_splits(S, key[:, None] == key):
+        X = tuple(sorted(itertools.chain.from_iterable(atoms[1:])))
+        Xc = tuple(i for i in range(S.m) if i != r and i not in X)
         order = np.argsort(S.array[r], kind="stable")
         return _split_side(S, X, r, order), _split_side(S, Xc, r, order)
     return None

@@ -23,10 +23,11 @@ I(C_X; C_Xc | C_r) over the remaining rows, which is zero exactly when both
 column blocks r = 0 and r = 1 are 1-products over one common bipartition.
 The candidates and their conditional components come from one screen
 (`info._special_row_candidates`), which counts the triples given every 0/1
-row in one batch on the matrix's shared pair counts.  The matroid
-recognizer takes its one split per node from the same screen
-(`matroids._two_product_split`) and splits its 1-products on the atoms
-directly, without `factorize_irreducible`.
+row in one batch on the matrix's shared pair counts, and one generator
+(`_two_product_splits`) merges them into atoms.  Both recognizers take
+their split from it: `recognize_two_product` and the matroid recognizer's
+one split per node (`matroids._two_product_split`), which splits its
+1-products on the atoms directly, without `factorize_irreducible`.
 """
 
 from __future__ import annotations
@@ -226,24 +227,30 @@ def two_product(S1: Matrix, x1: int, S2: Matrix, y1: int) -> Matrix:
     return Matrix(_two_product(S1.array, x1, S2.array, y1)[0])
 
 
+def _two_product_splits(S: Matrix, out: Optional[np.ndarray] = None):
+    """Yield (r, atoms, splits), in increasing r, for the rows r of the screen
+    (`_special_row_candidates`, without the rows out[r]) whose components merge
+    (`InfoFunction(S, given=r)._merge`) into two or more atoms, given as rows of S."""
+    for r, comps in _special_row_candidates(S, out):
+        F = InfoFunction(S, given=r)
+        atoms, splits = F._merge(comps)
+        if len(atoms) >= 2:
+            yield r, [tuple(F.ground[i] for i in A) for A in atoms], splits
+
+
 def recognize_two_product(S: Matrix) -> Optional[TwoProductCert]:
     """Decide whether S is a 2-product; first success in ascending special-row order.
 
     For each candidate 0/1 row r the columns split into the r=0 and r=1
     blocks; both blocks must be 1-products with respect to one common row
     bipartition, read from the atoms of I(C_X; C_Xc | C_r) over the other
-    rows (atoms[0], the block holding the smallest of them), merged from the
-    components of the special-row screen, which skips only rows whose graph
-    does not split.  Acceptance requires the exact identity within both
-    values of r.
+    rows (atoms[0], the block holding the smallest of them), from
+    `_two_product_splits`.  Acceptance requires the exact identity within
+    both values of r.
     """
-    for r, comps in _special_row_candidates(S):
-        F = InfoFunction(S, given=r)
-        atoms, splits = F._merge(comps)
-        if len(atoms) < 2:
-            continue
-        X = tuple(F.ground[i] for i in atoms[0])
-        Xc = tuple(i for i in F.ground if i not in X)
+    for r, atoms, splits in _two_product_splits(S):
+        X = atoms[0]
+        Xc = tuple(i for i in range(S.m) if i != r and i not in X)
         # the columns where the 0/1 row r is 0, then 1: r ends each factor as 0...0 1...1
         (A1, A2), (B1, B2) = (_factor_columns(splits[0], np.flatnonzero(S.array[r] == a)) for a in (0, 1))
         S1 = S.submatrix(X + (r,), np.concatenate((A1, B1)))

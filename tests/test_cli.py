@@ -109,7 +109,9 @@ def test_gen_shuffle_deterministic(paper_file, capsys):
     assert out3 != out1
 
 
-@pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "18446744073709551617", "7.0", "x"])
+@pytest.mark.parametrize(
+    "seed", ["-1", "18446744073709551616", "18446744073709551617", "7.0", "x", "1_0", "\uff17", "\u0661"]
+)
 def test_gen_shuffle_seed_out_of_range_exit2(paper_file, capsys, seed):
     # a seed outside 0 .. 2**64 - 1 is a usage error, not reduced mod 2**64
     with pytest.raises(SystemExit) as exc:
@@ -228,13 +230,25 @@ def test_console_script_installed():
         (["recognize", "1p", "{m}"], {"m": "1_0 1\n" + "0\n" * 10}),
         (["slack", "--vertices", "{v}", "--ineq", "{h}"], {"v": "2\n0\n1\n", "h": "2 1\n-1 0\n1 1\n"}),
         (["slack", "--vertices", "{v}", "--ineq", "{h}"], {"v": "2 1\n0\n1\n", "h": "2\n-1 0\n1 1\n"}),
+        # every integer the CLI reads is ASCII digits with an optional sign,
+        # so neither "1_0" nor non-ASCII digits, which int() takes
+        (["gen", "expr", "{e}"], {"e": "(u 1_0 5)"}),
+        (["gen", "expr", "{e}"], {"e": "(2sum [1_0 0] (u 20 5) (u 2 1))"}),
+        (["gen", "hypersimplex", "1_0", "5"], {}),
+        (["gen", "hypersimplex", "\uff14", "2"], {}),
+        (["info", "{m}", "--subset", "0_0"], {"m": "2 2\n1 0\n0 1\n"}),
+        (["info", "{m}", "--subset", "\uff11"], {"m": "2 2\n1 0\n0 1\n"}),
+        (["slack", "--vertices", "{v}", "--ineq", "{h}"], {"v": "2 1\n0\n\uff11\n", "h": "2 1\n-1 0\n1 1\n"}),
+        (["slack", "--vertices", "{v}", "--ineq", "{h}"], {"v": "\uff12 1\n0\n1\n", "h": "2 1\n-1 0\n1 1\n"}),
+        (["slack", "--vertices", "{v}", "--ineq", "{h}"], {"v": "2 1\n0\n1\n", "h": "\uff12 1\n-1 0\n1 1\n"}),
+        (["slack", "--vertices", "{v}", "--ineq", "{h}"], {"v": "2 1\n0\n1\n", "h": "2 1\n-1 0\n1 \uff11\n"}),
     ],
 )
 def test_malformed_parameters_exit2(tmp_path, capsys, argv, files):
     paths = {}
     for name, text in files.items():
         paths[name] = tmp_path / f"{name}.txt"
-        paths[name].write_text(text)
+        paths[name].write_text(text, encoding="utf-8")
     code = main([a.format(**paths) for a in argv])
     captured = capsys.readouterr()
     assert code == 2
@@ -452,6 +466,10 @@ def test_cli_stdout_is_byte_exact(tmp_path, capsys, argv, code, stdout):
         (["gen", "expr", "{e}"], {"e": b"(u 2 1)\xff"}),
         (["slack", "--vertices", "{v}", "--ineq", "{h}"], {"v": b"2 1\n0\n\xff\n", "h": b"2 1\n-1 0\n1 1\n"}),
         (["slack", "--vertices", "{v}", "--ineq", "{h}"], {"v": b"2 1\n0\n1\n", "h": b"2 1\n-1 0\n1 \xff\n"}),
+        # UTF-8 digits are not ASCII: every file the CLI reads is
+        (["gen", "expr", "{e}"], {"e": "(u \uff14 2)".encode()}),
+        (["slack", "--vertices", "{v}", "--ineq", "{h}"], {"v": "2 1\n0\n\uff11\n".encode(), "h": b"2 1\n-1 0\n1 1\n"}),
+        (["slack", "--vertices", "{v}", "--ineq", "{h}"], {"v": b"2 1\n0\n1\n", "h": "\uff12 1\n-1 0\n1 1\n".encode()}),
     ],
 )
 def test_undecodable_input_exit2(tmp_path, capsys, argv, files):

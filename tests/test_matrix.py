@@ -10,19 +10,16 @@ import pytest
 from prodmat import (
     Matrix,
     MatrixFormatError,
-    complement_row,
-    dedupe_rows,
     is_isomorphic,
     one_product,
     parse_matrix,
     permute,
-    restrict_rows,
     seeded_shuffle,
     two_product,
     write_matrix,
 )
 from prodmat import matrix
-from prodmat.matrix import _parse_token, inverse_permutation
+from prodmat.matrix import _parse_token
 from prodmat.matroids import hypersimplex_slack
 
 PAPER_4x6 = Matrix([[1, 1, 1, 0, 0, 0], [2, 2, 2, 3, 3, 3], [1, 0, 0, 1, 0, 0], [0, 1, 1, 0, 1, 1]])
@@ -355,22 +352,14 @@ def test_rational_arithmetic_exact():
         assert (a + b) - b == a
 
 
-def test_restrict_rows():
-    S = Matrix([[1, 0], [2, 3]])
-    assert restrict_rows(S, {0}) == Matrix([[1, 0]])
-    assert restrict_rows(S, {0, 1}) == S
-    assert restrict_rows(PAPER_4x6, {0, 1}) == Matrix([[1, 1, 1, 0, 0, 0], [2, 2, 2, 3, 3, 3]])
-    with pytest.raises(ValueError):
-        restrict_rows(S, set())
-
-
 def test_restrict_stack_recovers():
     X = (0, 2)
     Xc = (1, 3)
-    top = restrict_rows(PAPER_4x6, X)
-    bot = restrict_rows(PAPER_4x6, Xc)
+    cols = range(PAPER_4x6.n)
+    top = PAPER_4x6.submatrix(X, cols)
+    bot = PAPER_4x6.submatrix(Xc, cols)
     stacked = Matrix(top.rows + bot.rows)
-    perm = inverse_permutation(X + Xc)
+    perm = tuple(np.argsort(X + Xc).tolist())  # the inverse of X + Xc
     assert permute(stacked, perm, tuple(range(PAPER_4x6.n))) == PAPER_4x6
 
 
@@ -432,7 +421,7 @@ def test_derived_matrices_match_the_public_constructor():
     for T in sources:
         P = permute(T, row_perm, col_perm)
         assert [list(r) for r in P.rows] == [[T.rows[i][j] for j in col_perm] for i in row_perm]
-        derived += [P, T.submatrix((3, 0), (1, 4)), T.restrict_cols([2, 2]), restrict_rows(T, {1, 3}), dedupe_rows(T)[0]]
+        derived += [P, T.submatrix((3, 0), (1, 4)), T.restrict_cols([2, 2]), T.submatrix((1, 3), range(T.n))]
     # products of mixed dtypes
     special = ((0, 1, 1, 0, 1),)
     for A, B in ((S, I), (I, W), (W, S)):
@@ -455,26 +444,6 @@ def test_derived_matrices_match_the_public_constructor():
         S.submatrix((0, 1), ())
     with pytest.raises(MatrixFormatError):
         S.submatrix((), (0, 1))
-
-
-def test_dedupe_rows():
-    S = Matrix([[1, 0], [1, 0], [0, 1]])
-    D, keep = dedupe_rows(S)
-    assert D == Matrix([[1, 0], [0, 1]])
-    assert keep == [0, 0, 1]
-    distinct = Matrix([[1, 0], [0, 1]])
-    assert dedupe_rows(distinct)[0] == distinct
-    allsame = Matrix([[2, 2], [2, 2]])
-    assert dedupe_rows(allsame)[0] == Matrix([[2, 2]])
-
-
-def test_complement_row():
-    assert complement_row((0, 1, 1)) == (1, 0, 0)
-    assert complement_row((0, 0, 0)) == (1, 1, 1)
-    r = (0, 1, 0)
-    assert complement_row(complement_row(r)) == (Fraction(0), Fraction(1), Fraction(0))
-    with pytest.raises(ValueError):
-        complement_row((0, 2))
 
 
 def test_seeded_shuffle_deterministic():

@@ -347,6 +347,16 @@ def test_depth_400_left_deep_chains():
         assert expr_to_text(e) == text
         M = expr_to_bases(e)
         assert M.ground == tuple(range(size)) and M == uniform_bases(size, 1)
+    # equality, hashing and repr go through the text, which any depth that
+    # parse_expr reads takes, for chains of either sum
+    for kind in ("1sum", "2sum"):
+        text = f"({kind} " * 400 + "(u 3 1)" + " (u 3 1))" * 400
+        e, f = parse_expr(text), parse_expr(text)
+        assert e == f and hash(e) == hash(f) and e is not f
+        assert eval(repr(e)) == e and repr(e) == f"parse_expr({text!r})"
+        assert expr_to_text(e) == text and parse_expr(expr_to_text(e)) == e
+        g = parse_expr(text.replace("(u 3 1))", "(u 3 2))", 1))
+        assert g != e and e != text
 
 
 def test_dual_expr_same_slack():

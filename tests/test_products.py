@@ -9,7 +9,6 @@ import pytest
 from prodmat import (
     InfoFunction,
     Matrix,
-    dedupe_rows,
     factorize_irreducible,
     is_isomorphic,
     multiplicity_table,
@@ -24,7 +23,13 @@ from prodmat import products
 from prodmat.oracles import bf_one_product, bf_two_product
 from prodmat.products import _factor_columns
 
-from helpers import factorize_irreducible_reference, parity_rows, random_matrix, reconstruct_factors_reference
+from helpers import (
+    factorize_irreducible_reference,
+    parity_rows,
+    random_feasible_expr,
+    random_matrix,
+    reconstruct_factors_reference,
+)
 
 A_26 = Matrix([[1, 0], [2, 3]])
 B_23 = Matrix([[1, 0, 0], [0, 1, 1]])
@@ -439,7 +444,7 @@ def test_two_product_example():
     F = Matrix([[0, 1], [1, 0]])
     T = two_product(F, 0, F, 0)
     assert T == Matrix([[1, 0], [1, 0], [0, 1]])
-    assert dedupe_rows(T)[0] == Matrix([[1, 0], [0, 1]])
+    assert Matrix(list(dict.fromkeys(T.rows))) == Matrix([[1, 0], [0, 1]])
 
 
 def test_two_product_column_count():
@@ -531,6 +536,67 @@ def test_two_product_from_hypersimplex_factors():
     assert cert is not None
     re = two_product(cert.S1, cert.x1_index, cert.S2, cert.y1_index)
     assert is_isomorphic(re, sh) is not None
+
+
+def _splits_per_row(S, out=None):
+    """(r, atoms) for each row r the 2-product split takes, found by building
+    the atoms given every 0/1 row in turn, with no screen; the rows out[r]
+    are constant given r, so each is a singleton atom, and is left out."""
+    found = []
+    for r, row in enumerate(S.rows):
+        if set(row) != {0, 1}:
+            continue
+        F = InfoFunction(S, given=r)
+        atoms = [tuple(F.ground[i] for i in A) for A in F.atoms()]
+        if out is not None:
+            atoms = [A for A in atoms if not (len(A) == 1 and out[r, A[0]])]
+        if len(atoms) >= 2:
+            found.append((r, atoms))
+    return found
+
+
+def _checked_splits(S, out=None):
+    """(r, atoms) of `_two_product_splits`, each yield's splits checked: one
+    holding check of every atom but the last against the later ones."""
+    found = []
+    for r, atoms, splits in products._two_product_splits(S, out):
+        assert len(splits) == len(atoms) - 1 and all(counts[4].all() for counts in splits)
+        found.append((r, atoms))
+    return found
+
+
+def test_two_product_splits_match_the_per_row_search():
+    # the one split that both recognizers iterate yields the rows, atoms and
+    # order of the per-row search; recognize_two_product takes its first
+    # row, X the first atom.  With the matroid recognizer's twin mask (the
+    # rows equal to r or to 1 - r) the twin singleton is left out
+    rng = random.Random(66)
+    inputs = _two_product_inputs(rng, 30) + _two_product_inputs(rng, 10, -1, 3)
+    inputs += [random_matrix(rng, rng.randint(2, 7), rng.randint(2, 9), 0, rng.choice((1, 1, 2))) for _ in range(200)]
+    yields = 0
+    for S in inputs:
+        found = _checked_splits(S)
+        assert found == _splits_per_row(S)
+        yields += len(found)
+        cert = recognize_two_product(S)
+        assert (cert is None) == (not found)
+        if found:
+            assert (cert.special_row, cert.X) == (found[0][0], found[0][1][0])
+    assert yields >= 200, yields
+    outcomes = {"split": 0, "none": 0}
+    for _ in range(30):
+        _, S, _ = random_feasible_expr(rng, max_leaves=5, dmax=5, max_cols=300, max_rows=30)
+        sh = seeded_shuffle(S, rng.getrandbits(64))[0]
+        rows = [list(r) for r in sh.rows]
+        i, j = rng.randrange(S.m), rng.randrange(S.n)
+        rows[i][j] = 1 - rows[i][j]
+        for T in (sh, Matrix(rows)):
+            twins = np.array([[a in (b, tuple(1 - x for x in b)) for a in T.rows] for b in T.rows])
+            assert _checked_splits(T) == _splits_per_row(T)
+            found = _checked_splits(T, twins)
+            assert found == _splits_per_row(T, twins)
+            outcomes["split" if found else "none"] += 1
+    assert outcomes["split"] >= 15 and outcomes["none"] >= 15, outcomes
 
 
 def test_two_product_soundness_random():
