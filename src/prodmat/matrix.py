@@ -270,7 +270,14 @@ def parse_matrix(text) -> Matrix:
     which becomes the matrix as it is when it is m x n.  numpy refuses every
     token that `int()` refuses or int64 cannot hold, and every other file is
     read token by token through `_parse_token`, to the same values and the
-    same errors, line by line in order.  Bytes input must be ASCII.
+    same errors, line by line in order.
+
+    A `str` is read by Python's str rules: Unicode whitespace (U+00A0,
+    U+2003, U+001F and the others `str.split()` splits at) separates
+    tokens, and `int()` reads an entry's non-ASCII decimal digits, such as
+    Arabic-Indic or full-width ones, to the same values as the text's ASCII
+    spelling.  The header's two integers must be ASCII either way.  Bytes
+    input, and so every file the CLI reads, must be ASCII.
     """
     if isinstance(text, bytes):
         text = _ascii(text)

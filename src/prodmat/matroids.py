@@ -238,30 +238,42 @@ def dual_expr(e: Expr) -> Expr:
 
 
 def expr_to_bases(e: Expr) -> Matroid:
-    """Evaluate the expression to an explicit matroid on ground 0..size-1."""
+    """Evaluate the expression to an explicit matroid on ground 0..size-1.
+
+    The independent frozenset reference for the builder and the recognizer:
+    plain Python over `itertools.combinations`, sharing no code with the
+    array steps.  The family is validated once, here at the root.
+    """
+    return Matroid(range(e.size), _bases(e))
+
+
+def _bases(e: Expr) -> list:
+    """e's distinct bases as frozensets on 0..size-1, each part evaluated once.
+
+    One frame per expression level.  No family repeats a base: a 1-sum's
+    unions are of disjoint parts, and a 2-sum's two products differ in how
+    many left elements their bases hold.
+    """
     if isinstance(e, Leaf):
-        return uniform_bases(e.d, e.k)
+        return [frozenset(c) for c in itertools.combinations(range(e.d), e.k)]
     if isinstance(e, OneSum):
         bases = [frozenset()]
         offset = 0
         for part in e.parts:
-            sub = expr_to_bases(part)
-            bases = [b | frozenset(x + offset for x in pb) for b in bases for pb in sub.bases]
+            shifted = [frozenset(x + offset for x in b) for b in _bases(part)]
+            bases = [b | c for b in bases for c in shifted]
             offset += part.size
-        return Matroid(range(offset), bases)
-    # the left part's elements but the glue come first, then the right part's
-    gl, gr, sl = e.glue_left, e.glue_right, e.left.size
-    L = expr_to_bases(e.left)
-    R = expr_to_bases(e.right)
-    bases = set()
-    for b1 in L.bases:
-        for b2 in R.bases:
-            if (gl in b1) != (gr in b2):
-                bases.add(
-                    frozenset(x - (x > gl) for x in b1 if x != gl)
-                    | frozenset(sl - 1 + y - (y > gr) for y in b2 if y != gr)
-                )
-    return Matroid(range(e.size), bases)
+        return bases
+    # the left part's elements but the glue come first, then the right part's;
+    # each side's bases are relabeled once and sorted by whether they hold the glue
+    gl, gr, shift = e.glue_left, e.glue_right, e.left.size - 1
+    left = ([], [])  # (without the glue, with it)
+    for b in _bases(e.left):
+        left[gl in b].append(frozenset(x - (x > gl) for x in b if x != gl))
+    right = ([], [])
+    for b in _bases(e.right):
+        right[gr in b].append(frozenset(shift + y - (y > gr) for y in b if y != gr))
+    return [a | b for a in left[1] for b in right[0]] + [a | b for a in left[0] for b in right[1]]
 
 
 # ---------------------------------------------------------------------------

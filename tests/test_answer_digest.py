@@ -2,7 +2,8 @@
 
 A refactor that keeps every exact answer keeps these digests; a change to
 them is a change of answers and must come with its reason.  One digest per
-recognizer names the one whose answers moved, the `parse` digest covers
+recognizer names the one whose answers moved, the `bases` digest covers
+the reference evaluator `expr_to_bases`, the `parse` digest covers
 `parse_matrix`'s values, dtypes and error messages, the `product`
 digest covers `one_product` and `two_product`, and the `cli-matroid`
 digest covers what `prodmat recognize matroid` prints.
@@ -21,6 +22,7 @@ WANT = [
     "1ee13ae5fc63357b4e45631f0c64e2c44e3fb7135a42e92c472f490295e701da  matroid",
     "982650c4a94a14c88e44bdb4e9237b82291b66aed9ac626b4d43f656051e19b4  1080 inputs",
     "d92466987d5dbaa0082f52be7c09b77c7bfe82de73475d2b5fd116df20da0798  build, 240 expressions",
+    "58adfcc03e5afa5b453a491f9347ded92a9510013c75f0fc2810510a029235ff  bases, 240 expressions",
     "3851a0deeb062ce00035adffd7f4ab04580e20cd9e05847b6ea8eb35a02fcdaa  exact, 300 inputs",
     "b7414f4a4c67dc968893f57de8791d2a786f68034ae3cea0e487162ce5cf0d90  parse, 3000 texts",
     "82530d9f5027e5b58bd8209dadce74b9272f62ad2e68ec53e693324f18f1ea7a  product, 596 products",

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -206,47 +206,85 @@ def test_expr_to_bases():
     assert M.bases == {frozenset({0}), frozenset({1})}
 
 
+def _leaf_product(e):
+    """Product of the leaves' base counts: a bound on the base pairs a sum visits."""
+    if isinstance(e, Leaf):
+        return comb(e.d, e.k)
+    return prod(_leaf_product(p) for p in (e.parts if isinstance(e, OneSum) else (e.left, e.right)))
+
+
+def _manual_bases(expr):
+    """expr's matroid folded through uniform_bases, one_sum and two_sum."""
+    if isinstance(expr, Leaf):
+        return uniform_bases(expr.d, expr.k)
+    if isinstance(expr, OneSum):
+        acc = None
+        off = 0
+        for p in expr.parts:
+            sub = _manual_bases(p)
+            sub = Matroid(
+                [x + off for x in sub.ground],
+                [frozenset(x + off for x in b) for b in sub.bases],
+            )
+            acc = sub if acc is None else one_sum(acc, sub)
+            off += len(sub.ground)
+        return acc
+    L = _manual_bases(expr.left)
+    R = _manual_bases(expr.right)
+    off = len(L.ground)
+    glue = expr.glue_left
+    relabel = {}
+    for x in R.ground:
+        relabel[x] = glue if x == expr.glue_right else x + off
+    R2 = Matroid(
+        [relabel[x] for x in R.ground],
+        [frozenset(relabel[x] for x in b) for b in R.bases],
+    )
+    M2 = two_sum(L, R2, glue)
+    # normalize labels to 0..size-1 in ground order
+    order = {x: i for i, x in enumerate(sorted(M2.ground))}
+    return Matroid(
+        sorted(order[x] for x in M2.ground),
+        [frozenset(order[x] for x in b) for b in M2.bases],
+    )
+
+
 def test_expr_to_bases_matches_manual_composition():
+    # coherent expressions; incoherent ones of up to 5 leaves, on which the
+    # builder raises and expr_to_bases does not; 1-sums of three parts;
+    # 2-sums of small parts glued at every element of both; and the duals
+    # of all of these
     rng = random.Random(43)
-    for _ in range(20):
-        e, S, bases = random_feasible_expr(rng, max_leaves=3, dmax=5, max_cols=200, max_rows=30)
+    exprs = [random_feasible_expr(rng, max_leaves=3, dmax=5, max_cols=200, max_rows=30)[0] for _ in range(20)]
+    coherent, incoherent = [], []
+    while len(incoherent) < 20:
+        e = random_expr(rng, rng.randint(2, 5), dmax=5)
+        if _leaf_product(e) > 2000:
+            continue
+        try:
+            expr_to_slack(e)
+        except CoherenceError:
+            incoherent.append(e)
+        else:
+            coherent.append(e)
+    exprs += coherent[:40] + incoherent
+    bridge = TwoSum(Leaf(3, 1), Leaf(3, 2), 2, 0)
+    exprs += [
+        OneSum((Leaf(2, 1), Leaf(3, 2), Leaf(4, 2))),
+        OneSum((Leaf(3, 1), bridge, OneSum((Leaf(2, 1), Leaf(3, 1))))),
+    ]
+    pairs = [
+        (Leaf(3, 1), Leaf(4, 2)),
+        (Leaf(4, 3), Leaf(3, 1)),
+        (bridge, Leaf(3, 1)),
+        (OneSum((Leaf(2, 1), Leaf(3, 1))), bridge),
+    ]
+    for left, right in pairs:
+        exprs += [TwoSum(left, right, i, j) for i in range(left.size) for j in range(right.size)]
+    for e in exprs + [dual_expr(e) for e in exprs]:
         M = expr_to_bases(e)
-
-        def manual(expr):
-            if isinstance(expr, Leaf):
-                return uniform_bases(expr.d, expr.k)
-            if isinstance(expr, OneSum):
-                acc = None
-                off = 0
-                for p in expr.parts:
-                    sub = manual(p)
-                    sub = Matroid(
-                        [x + off for x in sub.ground],
-                        [frozenset(x + off for x in b) for b in sub.bases],
-                    )
-                    acc = sub if acc is None else one_sum(acc, sub)
-                    off += len(sub.ground)
-                return acc
-            L = manual(expr.left)
-            R = manual(expr.right)
-            off = len(L.ground)
-            glue = expr.glue_left
-            relabel = {}
-            for x in R.ground:
-                relabel[x] = glue if x == expr.glue_right else x + off
-            R2 = Matroid(
-                [relabel[x] for x in R.ground],
-                [frozenset(relabel[x] for x in b) for b in R.bases],
-            )
-            M2 = two_sum(L, R2, glue)
-            # normalize labels to 0..size-1 in ground order
-            order = {x: i for i, x in enumerate(sorted(M2.ground))}
-            return Matroid(
-                sorted(order[x] for x in M2.ground),
-                [frozenset(order[x] for x in b) for b in M2.bases],
-            )
-
-        man = manual(e)
+        man = _manual_bases(e)
+        assert man == M and M.ground == tuple(range(e.size))
         assert len(man.bases) == len(M.bases)
         assert {frozenset(b) for b in man.bases} == {
             frozenset(b) for b in _relabel_like(man, M)
@@ -547,17 +585,18 @@ def test_row_provenance_tags_elements():
 
 
 def test_base_level_verification_of_recognitions():
-    # column count equals the number of bases, and every tagged element row
-    # reads back the base indicators (nonneg) or their complements (upper)
+    # the columns' bases are distinct and are the base family of the answer's
+    # expression, and every tagged element row reads back the base
+    # indicators (nonneg) or their complements (upper)
     rng = random.Random(47)
     for _ in range(10):
         e, S, _ = random_feasible_expr(rng, max_leaves=4, dmax=5, max_cols=300, max_rows=32)
         sh, _, _ = seeded_shuffle(S, rng.getrandbits(64))
         rec = recognize_2level_matroid_slack(sh)
         assert rec is not None
-        assert len(rec.matroid().bases) == sh.n
         col_bases = _base_sets(rec.bases)
         assert len(set(col_bases)) == sh.n
+        assert rec.matroid().bases == set(col_bases)
         for i, (kind, elem) in enumerate(rec.row_provenance(sh)):
             if kind == "nonneg":
                 assert sh.rows[i] == tuple(

@@ -44,6 +44,13 @@ column order, or the type of the exception the builder raised (an
 incoherent 2-sum raises CoherenceError).  It is not part of the combined
 digest.
 
+A separate `bases` line digests the reference evaluator, `expr_to_bases`,
+on the same 240 expressions, incoherent ones included, since every
+expression has a base family: the expression's text, the rank and the
+bases, each as a sorted list, in sorted order.  A rewrite of the evaluator
+that keeps every family keeps this line.  It is not part of the combined
+digest.
+
 A separate `exact` line digests the recognizers on matrices whose entries
 do not all fit in int64: a fixed-seed sample of 150 of the inputs above
 (120 matrices, 30 slack matrices), each in two forms, every entry divided
@@ -126,6 +133,7 @@ from prodmat.matroids import (  # noqa: E402
     TwoSum,
     _base_lists,
     _reexpands,
+    expr_to_bases,
     expr_to_slack,
     expr_to_slack_with_bases,
     expr_to_text,
@@ -250,12 +258,11 @@ def leaf_product(e):
     return leaf_product(parts[0]) * leaf_product(parts[1])
 
 
-def build_digest():
-    """(SHA-256 over the builder's output on the build expressions, their number)."""
+def build_answers():
+    """The build expressions, each with the builder's answer on it."""
     rng = random.Random(20240604)
-    h = hashlib.sha256()
-    count = 0
-    while count < 240:
+    out = []
+    while len(out) < 240:
         e = random_expr(rng, rng.randint(1, 5))
         if leaf_product(e) > 2000:
             continue
@@ -267,9 +274,25 @@ def build_digest():
             if S.n > 350:
                 continue
             answer = (write_matrix(S), [sorted(b) for b in bases])
+        out.append((e, answer))
+    return out
+
+
+def build_digest(answers):
+    """(SHA-256 over the builder's answers on the build expressions, their number)."""
+    h = hashlib.sha256()
+    for e, answer in answers:
         h.update(repr((expr_to_text(e), answer)).encode())
-        count += 1
-    return h.hexdigest(), count
+    return h.hexdigest(), len(answers)
+
+
+def bases_digest(exprs):
+    """(SHA-256 over `expr_to_bases` on the expressions, their number)."""
+    h = hashlib.sha256()
+    for e in exprs:
+        M = expr_to_bases(e)
+        h.update(repr((expr_to_text(e), M.rank, sorted(sorted(b) for b in M.bases))).encode())
+    return h.hexdigest(), len(exprs)
 
 
 PARSE_PLAIN = ["0", "1", "2", "7", "-3", "+12", "007", "-0", "+0", "40"]
@@ -479,7 +502,9 @@ def main():
     for name in PARTS:
         print(f"{parts[name].hexdigest()}  {name}")
     print(f"{h.hexdigest()}  {count} inputs")
-    print("{}  build, {} expressions".format(*build_digest()))
+    built = build_answers()
+    print("{}  build, {} expressions".format(*build_digest(built)))
+    print("{}  bases, {} expressions".format(*bases_digest([e for e, _ in built])))
     exact, exact_count, exact_failures, exact_mismatches = exact_digest(exact_inputs(matrices, slacks))
     failures += exact_failures
     mismatches += exact_mismatches
