@@ -14,12 +14,12 @@ Conditioning on one row r, over the remaining rows,
 
 keeps these properties and is zero exactly when the factorization holds
 within each value of row r; for a 0/1 row that is the 2-product condition.
-f is evaluated in floats through entropies of exact column counts; the
-zero decision is never made on floats.  `InfoFunction.is_independent_exact`
-checks the integer identity n_z*mu(a,b,z) == mu(a,z)*mu(b,z) at every
-column, whose (z, a, b) is one observed triple, and `InfoFunction.components`
-applies the same identity to every pair of single rows: every zero of f is a
-union of the components of that dependence graph.
+`InfoFunction.is_independent_exact` checks the integer identity
+n_z*mu(a,b,z) == mu(a,z)*mu(b,z) at every column, whose (z, a, b) is one
+observed triple, and n*f is the sum of log2 of the ratio of its two sides
+over the columns, so an exact zero reads 0.0; no decision is made on floats.
+`InfoFunction.components` applies the same identity to every pair of single
+rows: every zero of f is a union of the components of that dependence graph.
 
 The exact check reads its counts per column (`InfoFunction._split_counts`).
 One place-value product over the codes of X and Y, with the given row as the
@@ -64,9 +64,8 @@ integers by one chain of exact checks, whose counts build every factor.
 
 `group_columns` is the one exact column grouping: given rows of
 `Matrix.codes` it numbers the distinct column patterns and counts them,
-packing each column into one int64 key with `_column_keys`.  The entropies
-of f count with it too; `multiplicity_table` stays as the independent
-dict-based reference.
+packing each column into one int64 key with `_column_keys`;
+`multiplicity_table` stays as the independent dict-based reference.
 
 The pendent-pair minimizer takes f through
 `queyranne.SymmetricOracle(F.m, F.f)`, which alone counts and caches the
@@ -372,9 +371,9 @@ class InfoFunction:
     B (r = 1), f(X) = (n0*f_A(X) + n1*f_B(X))/n, so a common bipartition of
     both blocks is a zero of f.
 
-    The entropies behind f come from exact column counts: the rows of X and
-    the given row are grouped by `group_columns`.  No float enters the exact
-    decisions (`is_independent_exact`, `components`, `atoms`).
+    f is read from the exact check's column counts (`_split_counts`).  No
+    float enters the exact decisions (`is_independent_exact`, `components`,
+    `atoms`).
 
     To minimize f, wrap it: `minimize_symmetric(SymmetricOracle(F.m, F.f))`.
     """
@@ -395,18 +394,8 @@ class InfoFunction:
         self._radix = (self.codes.max(axis=1) + 1).tolist()
         self._kz = int(self.given_codes.max()) + 1
         self._n_z = np.bincount(self.given_codes)[self.given_codes]
-        self._h_cache = {}
 
     # -- f ------------------------------------------------------------------
-
-    def _h(self, X: tuple) -> float:
-        """H(C_X, C_given) for a sorted row subset (cached)."""
-        got = self._h_cache.get(X)
-        if got is None:
-            counts = group_columns(np.vstack((self.codes[list(X)], self.given_codes)))[1]
-            got = math.log2(self.n) - float(np.dot(counts, np.log2(counts))) / self.n
-            self._h_cache[X] = got
-        return got
 
     def _complement(self, X: tuple) -> tuple:
         inX = set(X)
@@ -417,15 +406,16 @@ class InfoFunction:
             raise IndexError(f"row subset out of range for {self.m} rows: {X}")
 
     def f(self, X: Iterable[int]) -> float:
-        """H(C_X,C_g) + H(C_Xc,C_g) - H(C) - H(C_g); symmetric in X by construction.
-
-        X may be empty or the whole ground set (both give 0); an index outside
-        the ground set raises IndexError.
+        """(1/n) sum_j log2(n_z*mu(a,b,z) / (mu(a,z)*mu(b,z))), over the columns j
+        and their triples (z, a, b) counted by `_split_counts`, by math.fsum:
+        an exact zero reads 0.0, f(X) == f(Xc), and the value does not depend
+        on the column order.  X may be empty or the whole ground set (both
+        give 0); an index outside the ground set raises IndexError.
         """
         X = tuple(sorted(set(X)))
         self._check_range(X)
-        full = tuple(range(self.m))
-        return self._h(X) + self._h(self._complement(X)) - self._h(full) - self._h(())
+        _, _, a, b, _, ab = self._split_counts(X, self._complement(X))
+        return math.fsum(np.log2(self._n_z * ab / (a * b)).tolist()) / self.n
 
     # -- exact path ----------------------------------------------------------
 
@@ -450,16 +440,16 @@ class InfoFunction:
         return bool(self._split_counts(X, Y)[4].all())
 
     def _split_counts(self, X: tuple, Y: tuple):
-        """Per column j, for disjoint row tuples X and Y: (ka, kb, a, b, ok).
+        """Per column j, for disjoint row tuples X and Y: (ka, kb, a, b, ok, ab).
 
         Column j holds one observed triple (z, a, b).  ka[j] and kb[j] are
         int keys of (z, a) and (z, b), equal exactly when the pairs are; a[j],
-        b[j] count the columns holding them, and ok[j] is the identity
-        n_z*mu(a,b,z) == mu(a,z)*mu(b,z) at j, with the count of (z, a, b)
-        (`_key_counts`).  The keys pack the codes of X + Y with one
-        place-value product while the span of (z, a, b) stays below 2**63,
-        and otherwise are (z, a) and (z, b) numbered densely over
-        `_column_keys`.
+        b[j] and ab[j] count the columns holding (z, a), (z, b) and (z, a, b)
+        (`_key_counts`), and ok[j] is the identity
+        n_z*mu(a,b,z) == mu(a,z)*mu(b,z) at j.  The keys pack the codes of
+        X + Y with one place-value product while the span of (z, a, b) stays
+        below 2**63, and otherwise are (z, a) and (z, b) numbered densely
+        over `_column_keys`.
         """
         z, radix, kz = self.given_codes, self._radix, self._kz
         place, span = [], 1  # place values of the rows X + Y, the last one 1
@@ -481,7 +471,7 @@ class InfoFunction:
             )
             ab = _key_counts(ka * len(b) + kb, len(a) * len(b))
             a, b = a[ka], b[kb]
-        return ka, kb, a, b, self._n_z * ab == a * b
+        return ka, kb, a, b, self._n_z * ab == a * b, ab
 
     def components(self) -> list:
         """Connected components of the pairwise-dependence graph, as sorted tuples.
@@ -558,7 +548,7 @@ def mutual_info_direct(S: Matrix, X: Iterable[int]) -> float:
     """Reference evaluation of I(C_X; C_Xc) by the double sum over pattern pairs.
 
     sum_{a,b} p(a,b) log2( p(a,b) / (p(a) p(b)) ); zero terms are skipped.
-    Used to cross-check the entropy-based evaluation.
+    Used to cross-check `InfoFunction.f`.
     """
     X = tuple(sorted(set(X)))
     Xc = tuple(i for i in range(S.m) if i not in set(X))

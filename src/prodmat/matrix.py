@@ -58,10 +58,14 @@ class MatrixFormatError(ValueError):
 
 
 def _exact(x):
-    """x as an exact value: `int` when integral, else `Fraction` (never rounds)."""
+    """x as an exact value: `int` when integral, else `Fraction` (never rounds);
+    MatrixFormatError for what `Fraction` refuses (NaN, inf, None, complex, ...)."""
     if type(x) is int or (type(x) is Fraction and x.denominator != 1):
         return x
-    x = Fraction(x)
+    try:
+        x = Fraction(x)
+    except (TypeError, ValueError, ArithmeticError):
+        raise MatrixFormatError(f"entry {x!r} is not a finite real number") from None
     num, den = int(x.numerator), int(x.denominator)  # numpy integers become int
     return num if den == 1 else Fraction(num, den)
 

@@ -38,7 +38,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .info import InfoFunction, _special_row_candidates, group_columns
+from .info import InfoFunction, _special_row_candidates
 from .matrix import Matrix
 
 
@@ -118,7 +118,7 @@ def _factor_columns(counts, cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     observed and mu(a_i, b_k) = u_i * v_k, so the factors re-expand to the
     columns exactly; otherwise ValueError.
     """
-    ka, kb, a, b, ok = (c[cols] for c in counts)
+    ka, kb, a, b, ok = (c[cols] for c in counts[:5])
     n = len(cols)
     first_a, first_b = _first_columns(ka), _first_columns(kb)
     cnt_a, cnt_b = a[first_a], b[first_b]
@@ -171,16 +171,16 @@ def factorize_irreducible(S: Matrix) -> Factorization:
 
     The blocks are the atoms, and factor k is read from the merge's counts
     of block k against the later blocks.  S is the product of the factors,
-    so the last one repeats each pattern of its block its count in S over
-    the product of the other factors' widths.
+    so the last one repeats each pattern of its block (the last check's
+    b side) its count in S over the product of the other factors' widths.
     """
     F = InfoFunction(S)
     blocks, splits = F._merge(F.components())
     cols = np.arange(S.n)
     factors = [S.submatrix(block, _factor_columns(counts, cols)[0]) for block, counts in zip(blocks, splits)]
     if factors:
-        _, cnt, first = group_columns(S.codes[list(blocks[-1])])
-        S = S.submatrix(blocks[-1], np.repeat(first, cnt // math.prod(f.n for f in factors)))
+        first = _first_columns(splits[-1][1])
+        S = S.submatrix(blocks[-1], np.repeat(first, splits[-1][3][first] // math.prod(f.n for f in factors)))
     return Factorization(tuple(blocks), tuple(factors) + (S,))
 
 

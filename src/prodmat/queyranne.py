@@ -15,10 +15,14 @@ The oracle is a `SymmetricOracle(m, fn)`: the ground-set size `m`,
 computed here from `eval`.  For a matrix, fn is the mutual-information
 function `info.InfoFunction(S).f`.
 
-Float comparisons in the ordering are raw.  The recognizers do not use this
-minimizer: they need the zeros of f, not its minimum, and read them exactly
-from `InfoFunction.atoms`.  It stays the library's general minimizer, for
-any symmetric submodular function and for minima above zero.
+Float comparisons in the ordering are raw.  For the matrix f, an exact zero
+reads exactly 0.0, and two sets whose columns give the same log ratios read
+the same value (`InfoFunction.f`), so these ties follow the tie rules below;
+other values that are equal in exact arithmetic can still differ in their
+last bits.  The recognizers do not use this minimizer: they need the zeros
+of f, not its minimum, and read them exactly from `InfoFunction.atoms`.  It
+stays the library's general minimizer, for any symmetric submodular function
+and for minima above zero.
 """
 
 from __future__ import annotations

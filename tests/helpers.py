@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -144,6 +145,53 @@ def reconstruct_factors_reference(S, X):
     ):
         raise ValueError("rows are not independent across the bipartition")
     return S.submatrix(X, np.repeat(first_a, u).tolist()), S.submatrix(Xc, np.repeat(first_b, v).tolist())
+
+
+def info_ratio(S, X):
+    """Q_X = prod_j n*mu(a,b) / (mu(a)*mu(b)) over the columns j of S, as a
+    `Fraction`, where column j holds the pattern a over the rows X and b over
+    the others: n*f(X) = log2(Q_X), counted from S.rows alone."""
+    cols = list(zip(*S.rows))
+    pairs = [(tuple(c[i] for i in X), tuple(c[i] for i in range(S.m) if i not in X)) for c in cols]
+    ab, a, b = Counter(pairs), Counter(p for p, _ in pairs), Counter(q for _, q in pairs)
+    q = Fraction(1)
+    for (x, y), c in ab.items():
+        q *= Fraction(S.n * c, a[x] * b[y]) ** c
+    return q
+
+
+def minimize_info_exact(S):
+    """(argmin, Q) of `queyranne.minimize_symmetric` over InfoFunction(S).f with
+    every comparison exact.
+
+    f(A) - f(B) < f(C) - f(D) exactly when Q_A/Q_B < Q_C/Q_D, so the ordering
+    keys f(W + x) - f(x) compare as the ratios Q(W + x)/Q(x) and the values as
+    Q (`info_ratio`).  The tie rules are the library's: a key tie goes to the
+    smallest representative, and among equal values the smallest candidate
+    set wins."""
+    cache = {}
+
+    def Q(X):
+        X = tuple(sorted(X))
+        if X not in cache:
+            cache[X] = info_ratio(S, X)
+        return cache[X]
+
+    m = S.m
+    elements, candidates = [(i,) for i in range(m)], []
+    while len(elements) > 1:
+        order, base, remaining = [elements[0]], elements[0], elements[1:]
+        while remaining:
+            chosen = min(remaining, key=lambda c: (Q(base + c) / Q(c), c[0]))
+            remaining.remove(chosen)
+            order.append(chosen)
+            base = tuple(sorted(base + chosen))
+        t, u = order[-2:]
+        uc = tuple(i for i in range(m) if i not in u)
+        candidates.append((Q(u), min(u, uc)))
+        elements = sorted([e for e in elements if e != t and e != u] + [tuple(sorted(t + u))])
+    value, X = min(candidates)
+    return X, value
 
 
 def parity_rows(k):

@@ -5,8 +5,9 @@ them is a change of answers and must come with its reason.  One digest per
 recognizer names the one whose answers moved, the `bases` digest covers
 the reference evaluator `expr_to_bases`, the `parse` digest covers
 `parse_matrix`'s values, dtypes and error messages, the `product`
-digest covers `one_product` and `two_product`, and the `cli-matroid`
-digest covers what `prodmat recognize matroid` prints.
+digest covers `one_product` and `two_product`, the `cli-matroid`
+digest covers what `prodmat recognize matroid` prints, and the
+`minimizer` digest covers `minimize_symmetric` over f.
 """
 
 import subprocess
@@ -27,6 +28,7 @@ WANT = [
     "b7414f4a4c67dc968893f57de8791d2a786f68034ae3cea0e487162ce5cf0d90  parse, 3000 texts",
     "82530d9f5027e5b58bd8209dadce74b9272f62ad2e68ec53e693324f18f1ea7a  product, 596 products",
     "ff2f2aca9eb78c118ea5119c2845342e1bb6309db8d0a37c8d314512765c2252  cli-matroid, 80 slacks",
+    "5e3e8c3f86415ec101b2fca05a53b869315cc3dad0be7fc3ee30a6161e8040e8  minimizer, 700 inputs",
     "0 answers fail re-expansion",
     "0 inputs differ after write_matrix and parse_matrix",
 ]

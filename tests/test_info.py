@@ -90,7 +90,7 @@ def test_nonnegativity_symmetry_random():
             Xc = set(range(S.m)) - X
             fx = F.f(X)
             assert fx >= -1e-12
-            assert abs(fx - F.f(Xc)) <= 1e-12
+            assert fx == F.f(Xc)
 
 
 def test_submodularity_random():
@@ -107,19 +107,20 @@ def test_submodularity_random():
 
 
 def test_exactness_bridge_random():
-    # exact verdict iff float value below the screen; independent => <= 1e-12
+    # exact verdict iff float value below the screen; independent => exactly 0.0
     zero_eps = 1e-9
     rng = random.Random(13)
     for _ in range(80):
         S = random_matrix(rng, rng.randint(2, 6), rng.randint(1, 8), 0, 2)
-        F = InfoFunction(S)
-        for size in range(1, S.m):
-            X = tuple(sorted(rng.sample(range(S.m), size)))
-            indep = F.is_independent_exact(X)
-            val = F.f(X)
-            assert indep == (val <= zero_eps)
-            if indep:
-                assert val <= 1e-12
+        for given in [None] + list(range(S.m)):
+            F = InfoFunction(S, given=given)
+            for size in range(1, F.m):
+                X = tuple(sorted(rng.sample(range(F.m), size)))
+                indep = F.is_independent_exact(X)
+                val = F.f(X)
+                assert indep == (val <= zero_eps)
+                if indep:
+                    assert val == 0.0
 
 
 def test_direct_formula_agreement():

@@ -60,13 +60,37 @@ def test_parse_errors(text):
 
 
 def test_entry_types_int_when_integral():
-    S = Matrix([[Fraction(2), True, 2.0, np.int64(3), Fraction(1, 2), 0.25, Decimal("1.50"), Fraction(-4, 2)]])
-    assert [type(x) for x in S.rows[0]] == [int, int, int, int, Fraction, Fraction, Fraction, int]
-    assert S.rows[0] == (2, 1, 2, 3, Fraction(1, 2), Fraction(1, 4), Fraction(3, 2), -2)
+    S = Matrix([[Fraction(2), True, 2.0, np.int64(3), Fraction(1, 2), 0.25, Decimal("1.50"), Fraction(-4, 2), "1/2"]])
+    assert [type(x) for x in S.rows[0]] == [int, int, int, int, Fraction, Fraction, Fraction, int, Fraction]
+    assert S.rows[0] == (2, 1, 2, 3, Fraction(1, 2), Fraction(1, 4), Fraction(3, 2), -2, Fraction(1, 2))
     # the dtype follows from the entries: int64 when every entry is an int that fits
     assert S.array.dtype == object and Matrix(((0, 1), (2, 3))).array.dtype == np.int64
     assert Matrix([[2**63 - 1, -(2**63)]]).array.dtype == np.int64
     assert Matrix([[2**63, 0]]).array.dtype == object
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        float("nan"),
+        Decimal("NaN"),
+        float("inf"),
+        -float("inf"),
+        Decimal("Infinity"),
+        np.float64("inf"),
+        None,
+        1j,
+        complex(1, 0),
+        [1],
+        "abc",
+        "1/0",
+    ],
+    ids=repr,
+)
+def test_non_real_entries_raise_matrix_format_error(entry):
+    with pytest.raises(MatrixFormatError, match="not a finite real number") as info:
+        Matrix([[0, entry]])
+    assert repr(entry) in str(info.value)
 
 
 def test_int_and_fraction_forms_equivalent():

@@ -1,13 +1,22 @@
 import itertools
+import math
 import random
 
 import pytest
 
-from prodmat import InfoFunction, Matrix, SymmetricOracle, minimize_symmetric, pendent_pair
+from prodmat import (
+    InfoFunction,
+    Matrix,
+    SymmetricOracle,
+    minimize_symmetric,
+    one_product,
+    pendent_pair,
+    seeded_shuffle,
+)
 from prodmat.oracles import bf_submodular_min, cut_oracle
 from prodmat.queyranne import minimize_symmetric_with_candidates
 
-from helpers import random_cut_oracle_edges, random_matrix
+from helpers import minimize_info_exact, random_cut_oracle_edges, random_matrix
 
 
 def test_two_elements():
@@ -67,9 +76,37 @@ def test_minimize_matches_bruteforce_cuts():
         assert v == pytest.approx(bv, abs=1e-9)
 
 
-def test_paper_product_min_is_zero():
-    from prodmat import one_product
+def _tie_inputs(rng):
+    """200 random 3-7 row matrices with entries 0..2, then 200 shuffled
+    1-products of two random factors and 200 of three."""
+    for _ in range(200):
+        yield random_matrix(rng, rng.randint(3, 7), rng.randint(2, 9), 0, 2)
+    for factors in (2, 3):
+        for _ in range(200):
+            P = random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), 0, 2)
+            for _ in range(factors - 1):
+                P = one_product(P, random_matrix(rng, rng.randint(1, 2), rng.randint(1, 3), 0, 2))
+            yield seeded_shuffle(P, rng.getrandbits(64))[0]
 
+
+def test_minimize_ties_follow_the_exact_rule():
+    # products have many tied minima (every union of atoms reads 0); the
+    # argmin must be the one the tie rules pick in exact arithmetic, not
+    # the one float rounding picks
+    rng = random.Random(25)
+    ties = 0
+    for S in _tie_inputs(rng):
+        F = InfoFunction(S)
+        X, v = minimize_symmetric(SymmetricOracle(F.m, F.f))
+        want, q = minimize_info_exact(S)
+        assert X == want, S.rows
+        assert v == pytest.approx((math.log2(q.numerator) - math.log2(q.denominator)) / S.n, abs=1e-9)
+        assert (v == 0.0) == (q == 1)
+        ties += v == 0.0
+    assert ties > 300
+
+
+def test_paper_product_min_is_zero():
     P = one_product(Matrix([[1, 0], [2, 3]]), Matrix([[1, 0, 0], [0, 1, 1]]))
     F = InfoFunction(P)
     X, v = minimize_symmetric(SymmetricOracle(F.m, F.f))

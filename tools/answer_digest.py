@@ -85,6 +85,12 @@ with `write_matrix`.  It covers the JSON the CLI prints from an answer: the
 expression text, the element count, the column bases and the row
 provenance.  It is not part of the combined digest.
 
+A separate `minimizer` line digests the pendent-pair minimizer: the argmin,
+and the value rounded to 9 decimals, of `minimize_symmetric` over
+`InfoFunction(S).f` on the 400 random matrices and the 300 1-product inputs
+above, skipping those with fewer than 2 rows.  It is not part of the
+combined digest.
+
 Each input is written with `write_matrix` and read back with `parse_matrix`,
 and the recognizers run on the matrix read back, so the parser's codes are
 the ones digested.  The last line counts the inputs whose parsed rows or
@@ -111,6 +117,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from prodmat import (  # noqa: E402
+    InfoFunction,
     Matrix,
     MatrixFormatError,
     MatroidInputError,
@@ -120,6 +127,8 @@ from prodmat import (  # noqa: E402
     recognize_2level_matroid_slack,
     recognize_one_product,
     recognize_two_product,
+    SymmetricOracle,
+    minimize_symmetric,
     seeded_shuffle,
     two_product,
     write_matrix,
@@ -400,6 +409,21 @@ def cli_matroid_digest(slacks):
     return h.hexdigest(), len(slacks)
 
 
+def minimizer_digest(matrices):
+    """(SHA-256 over the minimizer's argmin and rounded value on the matrices of
+    two or more rows, their number)."""
+    h = hashlib.sha256()
+    count = 0
+    for S in matrices:
+        if S.m < 2:
+            continue
+        F = InfoFunction(S)
+        X, value = minimize_symmetric(SymmetricOracle(F.m, F.f))
+        h.update(repr((write_matrix(S), X, round(value, 9))).encode())
+        count += 1
+    return h.hexdigest(), count
+
+
 def reexpands(S, P, order):
     """P equals S's rows `order` (one per row of P) up to a column permutation."""
     if len(order) != S.m or sorted(order) != list(range(S.m)) or P.n != S.n:
@@ -512,6 +536,7 @@ def main():
     print("{}  parse, {} texts".format(*parse_digest()))
     print("{}  product, {} products".format(*product_digest()))
     print("{}  cli-matroid, {} slacks".format(*cli_matroid_digest(slacks)))
+    print("{}  minimizer, {} inputs".format(*minimizer_digest(matrices[:700])))
     print(f"{failures} answers fail re-expansion")
     print(f"{mismatches} inputs differ after write_matrix and parse_matrix")
     return 1 if failures or mismatches else 0
