@@ -63,9 +63,9 @@ exactly the unions of atoms.  They are merged from the components in
 integers by one chain of exact checks, whose counts build every factor.
 
 `group_columns` is the one exact column grouping: given rows of
-`Matrix.codes` it numbers the distinct column patterns and counts them,
-packing each column into one int64 key with `_column_keys`;
-`multiplicity_table` stays as the independent dict-based reference.
+`Matrix.codes` or a row of a check's keys (`_split_counts`) it numbers the
+distinct column patterns and counts them, packing each column into one int64
+key with `_column_keys`; `multiplicity_table` is the dict-based reference.
 
 The pendent-pair minimizer takes f through
 `queyranne.SymmetricOracle(F.m, F.f)`, which alone counts and caches the

@@ -9,33 +9,37 @@ one side, a "y_p <= 1" row on the other) followed by duplicate removal.
 
 The recognizer inverts that construction: hypersimplex leaves are matched
 directly, a 1-product is split into one factor per atom of its dependence
-graph (`InfoFunction.atoms`), the block's distinct column patterns in order
-of first occurrence, and a 2-product is split once, along the first special
-row whose conditional atoms allow a split that is not a mere relabeling
-(`_two_product_split`).
-Each side goes to the recursion as an exact non-redundant slack matrix (its
-rows, the special row and its complement, dominated rows dropped), and the
-glue is passed as the special row's pattern over the side's columns, so
-every node verifies its answer against exactly the matrix it was given.
-One split suffices.  A 2-product split of such a slack matrix is a 2-sum
-split (Cunningham & Edmonds, "A combinatorial decomposition theory", Canad.
-J. Math. 1980); both parts of a 2-sum are minors of the matroid, and the
-2-level class is closed under minors (Grande & Sanyal, "Theta rank,
-levelness, and matroid minors", JCTB 2017), so when S is recognizable both
-sides of any split are, and a failed split means no split succeeds.  The
-search per recursion node therefore takes one split instead of backtracking
-over the unions of components.  Each node builds its pair counts P = E E^T
-once (`info._pair_counts`): the node's unconditional graph and the
-special-row screen of the 2-product split that both recognizers share
-(`products._two_product_splits`) both read it.  The screen counts the
+graph, the block's distinct column patterns in order of first occurrence,
+and a 2-product is split once, along the first special row whose conditional
+atoms allow a split that is not a mere relabeling (`_two_product_split`).
+Both cut their parts on the per-column keys of the exact checks that proved
+the split (`InfoFunction._merge`).  Each side goes to the recursion as an
+exact non-redundant slack matrix (its rows, the special row and its
+complement, dominated rows dropped), and the glue is passed as the special
+row's pattern over the side's columns, so every node verifies its answer
+against exactly the matrix it was given.  Only the input is screened
+(`_screen`): a part's rows are 0/1, distinct and not constant, as every
+column of S cut to the part's rows is one of its columns, and a 2-sum side
+that repeats a column once `_facet_rows` drops a row fails every node's
+`_matches`.  One split suffices.  A 2-product split of such a slack matrix
+is a 2-sum split (Cunningham & Edmonds, "A combinatorial decomposition
+theory", Canad. J. Math. 1980); both parts of a 2-sum are minors of the
+matroid, and the 2-level class is closed under minors (Grande & Sanyal,
+"Theta rank, levelness, and matroid minors", JCTB 2017), so when S is
+recognizable both sides of any split are, and a failed split means no split
+succeeds.  The search per recursion node therefore takes one split instead
+of backtracking over the unions of components.  Each node builds its pair
+counts P = E E^T once (`info._pair_counts`): the node's unconditional graph
+and the special-row screen of the 2-product split that both recognizers
+share (`products._two_product_splits`) both read it.  The screen counts the
 triples given every 0/1 row in one batch, and the split merges the atoms
-from its components, with q − 1 exact checks for q dependence
-components when the chain holds, only for the rows whose graph splits, in
-order, up to the first that splits S.  Each node checks its answer exactly, so any
-returned answer is correct whatever the argument above: a leaf is
-re-expanded, and a sum node runs the builder's own sum step on its parts'
-matrices and compares the result with its input.  No subtree is expanded again, since the builder is
-a fold of the same two steps and each part's matrix has already been matched
+from its components, with q − 1 exact checks for q components when the chain
+holds, only for the rows whose graph splits, in order, up to the first that
+splits S.  Each node checks its answer exactly, so any returned answer is
+correct whatever the argument above: a leaf is re-expanded, and a sum node
+runs the builder's own sum step on its parts' matrices and compares the
+result with its input.  No subtree is expanded again, since the builder is a
+fold of the same two steps and each part's matrix has already been matched
 to the part's exact slack.  Each part may be read as U(d,k) or U(d,d-k);
 both orientations are tried where a glue row is needed, and a part read as
 its dual is the same matrix with complemented bases, because the dual 2-sum
@@ -715,7 +719,7 @@ def _glue_options(expr: Expr, B: np.ndarray, pattern: tuple, side: str):
 
 
 def _two_product_split(S: Matrix):
-    """The 2-product split that the recursion takes of a screened matrix, or None.
+    """The 2-product split that the recursion takes of a matrix, or None.
 
     The special row r is the first row whose conditional atoms still number
     two or more without the row equal to 1 - r, a singleton atom that alone
@@ -723,91 +727,86 @@ def _two_product_split(S: Matrix):
     and atoms are those of `products._two_product_splits` with the twin
     rows left out of each graph.  The S1 side is the union of the atoms
     after the first; the first atom and the row 1 - r form the S2 side.
+    S1 is cut on the b-side keys of the chain's check of the first atom
+    against the rest, S2 on its a-side keys: r determines the row 1 - r.
     Returns one (factor, glue pattern, column map) per side (`_split_side`);
     each factor is an exact non-redundant slack matrix when S is one.
     """
     # in distinct 0/1 rows, 1 - r is the one other row with the codes of r
     ids = {}
     key = np.array([ids.setdefault(k, len(ids)) for k in _row_keys(S.codes)])
-    for r, atoms, _ in _two_product_splits(S, key[:, None] == key):
+    for r, atoms, splits in _two_product_splits(S, key[:, None] == key):
         X = tuple(sorted(itertools.chain.from_iterable(atoms[1:])))
         Xc = tuple(i for i in range(S.m) if i != r and i not in X)
         order = np.argsort(S.array[r], kind="stable")
-        return _split_side(S, X, r, order), _split_side(S, Xc, r, order)
+        return _split_side(S, X, r, order, splits[0][1]), _split_side(S, Xc, r, order, splits[0][0])
     return None
 
 
-def _split_side(S: Matrix, rows: tuple, r: int, order: np.ndarray):
+def _split_side(S: Matrix, rows: tuple, r: int, order: np.ndarray, keys: np.ndarray):
     """One side of a 2-product split: (factor, glue pattern, column map).
 
     The factor holds `rows`, then the special row r, then its complement,
-    on the first column of each distinct pattern over `rows` and r; `order`
-    lists the r = 0 columns before the r = 1 columns, so the r = 0 patterns
-    come first.  Duplicate and dominated rows are dropped, so the factor is
-    an exact non-redundant slack matrix: every facet row survives, because a
-    facet's zero set is maximal.  The special row may be among the dropped,
-    so the glue is returned as its pattern over the factor's columns.  The
-    column map sends each column of S to its factor column.
+    on the first column of each distinct keys[j], column j's pattern over
+    `rows` and r, in `order`: the r = 0 columns, then the r = 1 columns.
+    Duplicate and dominated rows are dropped, so the factor is an exact
+    non-redundant slack matrix: every facet row survives, because a facet's
+    zero set is maximal.  The special row may be among the dropped, so the
+    glue is returned as its pattern over the factor's columns.  The column
+    map sends each column of S to its factor column; both are arrays.
     """
-    F = S.array.take(rows + (r,), axis=0).take(order, axis=1)
-    inv, _, first = group_columns(F)
-    F = F[:, first]
-    F = np.concatenate((F, 1 - F[-1:]))
-    colmap = np.empty(S.n, dtype=np.int64)
+    inv, _, first = group_columns(keys[order][None])
+    F = S.array.take(rows + (r, r), axis=0).take(order[first], axis=1)
+    F[-1] = 1 - F[-1]
+    colmap = np.empty_like(inv)
     colmap[order] = inv
-    return Matrix(_facet_rows(F)), tuple(F[-2].tolist()), colmap.tolist()
-
-
-def _recognize_part(S: Matrix):
-    """`_recognize_rec` of a part that has not been screened, or None."""
-    return None if _screen(S) is not None else _recognize_rec(S)
+    return Matrix(_facet_rows(F)), F[-2], colmap
 
 
 def _recognize_rec(S: Matrix):
     """(expr, B) such that S is expr's exact slack up to row order, column j
     having the base B[j] (a boolean column x element incidence array); or
-    None.  S has passed `_screen`.  Every check runs the builder's own
-    array steps on the matrices at hand."""
+    None.  S is 0/1 with distinct rows, none constant, and may repeat a
+    column only as a part (module docstring).  Every check runs the
+    builder's own array steps on the matrices at hand."""
     form = recognize_hypersimplex(S)
     if form is not None:
         leaf = Leaf(form.d, form.k)
         B = S.array[[v for v, _ in form.elem_rows]].T.astype(bool)
         return (leaf, B) if _reexpands(S, leaf, B) else None
 
-    atoms = InfoFunction(S).atoms()
+    F = InfoFunction(S)
+    atoms, splits = F._merge(F.components())
     if len(atoms) >= 2:
         kids = []
         cols = np.zeros(S.n, dtype=np.int64)
-        for block in atoms:
-            # the factor is the block's distinct patterns in first-occurrence order
-            inv, _, first = group_columns(S.codes[list(block)])
+        # a block's factor is its distinct patterns in first-occurrence order,
+        # keyed by the a side of its check, the last block by the last b side
+        for block, keys in zip(atoms, [c[0] for c in splits] + [splits[-1][1]]):
+            inv, _, first = group_columns(keys[None])
             factor = S.submatrix(block, first)
-            sub = _recognize_part(factor)
+            sub = _recognize_rec(factor)
             if sub is None:
                 return None
             kids.append((sub[0], factor.array, sub[1]))
             cols = cols * factor.n + inv
         expr = OneSum(tuple(k[0] for k in kids))
         R, RB = _one_sum([k[1:] for k in kids])
-        # Cannot fail once reached: the atoms are mutually independent, so
-        # S's distinct columns are exactly the 1-product of the blocks'
-        # distinct patterns and cols is a permutation.  It stays as the guard
-        # that cols follows _one_sum's mixed-radix column order, part 0 most
-        # significant.
+        # Fails only when S repeats a column: S's distinct columns are the
+        # 1-product of the blocks' distinct patterns.  It guards that cols
+        # follows _one_sum's mixed-radix column order, part 0 most significant.
         return (expr, RB[cols]) if _matches(S, R, cols) else None
 
     split = _two_product_split(S)
     if split is None:
         return None
     (S1p, glue1, colmap1), (S2p, glue2, colmap2) = split
-    left = _recognize_part(S1p)
-    if left is None:
-        return None
-    right = _recognize_part(S2p)
+    left = _recognize_rec(S1p)
+    right = None if left is None else _recognize_rec(S2p)
     if right is None:
         return None
     A1, A2 = S1p.array, S2p.array
-    pair = np.array(colmap1) * S2p.n + colmap2  # each column's (left, right) pair
+    pair = colmap1 * S2p.n + colmap2  # each column's (left, right) pair
     # a part read as its dual is the same matrix with complemented bases
     for exprL, BL, gl in _glue_options(left[0], left[1], glue1, "nonneg"):
         for exprR, BR, gr in _glue_options(right[0], right[1], glue2, "upper"):

@@ -5,7 +5,6 @@ All randomness is seeded `random.Random` so every run is reproducible.
 
 import itertools
 import math
-import random
 from collections import Counter
 from fractions import Fraction
 

@@ -6,8 +6,9 @@ recognizer names the one whose answers moved, the `bases` digest covers
 the reference evaluator `expr_to_bases`, the `parse` digest covers
 `parse_matrix`'s values, dtypes and error messages, the `product`
 digest covers `one_product` and `two_product`, the `cli-matroid`
-digest covers what `prodmat recognize matroid` prints, and the
-`minimizer` digest covers `minimize_symmetric` over f.
+digest covers what `prodmat recognize matroid` prints, the
+`minimizer` digest covers `minimize_symmetric` over f, and the
+`near-miss` digest covers the matroid recognizer on multi-flip near-misses.
 """
 
 import subprocess
@@ -29,6 +30,7 @@ WANT = [
     "82530d9f5027e5b58bd8209dadce74b9272f62ad2e68ec53e693324f18f1ea7a  product, 596 products",
     "ff2f2aca9eb78c118ea5119c2845342e1bb6309db8d0a37c8d314512765c2252  cli-matroid, 80 slacks",
     "5e3e8c3f86415ec101b2fca05a53b869315cc3dad0be7fc3ee30a6161e8040e8  minimizer, 700 inputs",
+    "2fa3bff9671a29e484dcac4db6b2d3497bc924ddc2500b7e9180035782a1a456  near-miss, 3000 inputs",
     "0 answers fail re-expansion",
     "0 inputs differ after write_matrix and parse_matrix",
 ]

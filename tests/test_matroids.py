@@ -32,6 +32,7 @@ from prodmat import (
     uniform_bases,
 )
 from prodmat import matroids, products
+from prodmat.info import group_columns
 from prodmat.matroids import (
     Matroid,
     _base_lists,
@@ -39,8 +40,8 @@ from prodmat.matroids import (
     _build,
     _facet_rows,
     _reexpands,
+    _recognize_rec,
     _screen,
-    _split_side,
     _two_product_split,
     _two_sum,
     _verify_candidate,
@@ -463,9 +464,9 @@ def test_screen_reasons_in_order():
                 recognize_2level_matroid_slack(S)
 
 
-def test_recognizer_screens_each_node_once(monkeypatch):
-    # the root is screened by recognize_2level_matroid_slack and every part
-    # before its recursion; every part of a recognized slack passes
+def test_recognizer_screens_only_its_input(monkeypatch):
+    # recognize_2level_matroid_slack screens its input once; the recursion
+    # screens no part, and every node of a recognized slack is reached
     calls = {"screen": 0, "node": 0}
     real_screen, real_rec = matroids._screen, matroids._recognize_rec
 
@@ -480,11 +481,14 @@ def test_recognizer_screens_each_node_once(monkeypatch):
     monkeypatch.setattr(matroids, "_screen", screen)
     monkeypatch.setattr(matroids, "_recognize_rec", rec)
     rng = random.Random(47)
+    nodes = 0
     for _ in range(10):
         _, S, _ = random_feasible_expr(rng, max_leaves=4, dmax=5, max_cols=300, max_rows=32)
         calls.update(screen=0, node=0)
         assert recognize_2level_matroid_slack(seeded_shuffle(S, rng.getrandbits(64))[0]) is not None
-        assert calls["screen"] == calls["node"] >= 1
+        assert calls["screen"] == 1 and calls["node"] >= 1
+        nodes += calls["node"]
+    assert nodes > 10, nodes  # some recognitions recurse into parts
 
 
 def test_one_sum_nodes_take_one_factor_per_atom(monkeypatch):
@@ -496,10 +500,12 @@ def test_one_sum_nodes_take_one_factor_per_atom(monkeypatch):
 
     monkeypatch.setattr(products, "factorize_irreducible", fail)
     monkeypatch.setattr(products, "reconstruct_factors", fail)
-    real_rec, real_part = matroids._recognize_rec, matroids._recognize_part
+    real_rec = matroids._recognize_rec
     nodes, stack = [], []
 
     def rec(S):
+        if stack:  # a part: record it with the node that cut it
+            stack[-1].append(S)
         nodes.append((S, []))
         stack.append(nodes[-1][1])
         try:
@@ -507,12 +513,7 @@ def test_one_sum_nodes_take_one_factor_per_atom(monkeypatch):
         finally:
             stack.pop()
 
-    def part(S):
-        stack[-1].append(S)
-        return real_part(S)
-
     monkeypatch.setattr(matroids, "_recognize_rec", rec)
-    monkeypatch.setattr(matroids, "_recognize_part", part)
     rng = random.Random(48)
     for _ in range(12):
         kids = [random_feasible_expr(rng, max_leaves=2, dmax=4, max_cols=10, max_rows=10)[0] for _ in range(rng.randint(2, 3))]
@@ -666,7 +667,8 @@ def test_two_product_split_never_isolates_the_complement_row():
 
 def _two_product_split_per_row(S):
     """The split of `_two_product_split` found by building the atoms given
-    every row in turn, with no screen."""
+    every row in turn, with no screen, each side cut by grouping the
+    columns of its rows of S (`_split_side_by_rows`)."""
     for r, row in enumerate(S.rows):
         F = InfoFunction(S, given=r)
         comp = tuple(1 - x for x in row)
@@ -677,8 +679,22 @@ def _two_product_split_per_row(S):
         X = tuple(sorted(i for A in atoms[1:] for i in A))
         Xc = tuple(i for i in F.ground if i not in X)
         order = [j for j in range(S.n) if row[j] == 0] + [j for j in range(S.n) if row[j] == 1]
-        return _split_side(S, X, r, order), _split_side(S, Xc, r, order)
+        return _split_side_by_rows(S, X, r, order), _split_side_by_rows(S, Xc, r, order)
     return None
+
+
+def _split_side_by_rows(S, rows, r, order):
+    """(factor, glue pattern, column map) of one side, as lists: the first
+    column of each distinct pattern over `rows` and r, r = 0 columns first,
+    then r's complement, with dominated rows dropped."""
+    F = S.array.take(rows + (r,), axis=0).take(order, axis=1)
+    inv, _, first = group_columns(F)
+    F = F[:, first]
+    F = np.concatenate((F, 1 - F[-1:]))
+    colmap = [0] * S.n
+    for j, g in zip(order, inv.tolist()):
+        colmap[j] = g
+    return Matrix(_facet_rows(F)), F[-2].tolist(), colmap
 
 
 def test_two_product_split_matches_the_per_row_search():
@@ -699,11 +715,29 @@ def test_two_product_split_matches_the_per_row_search():
             if _screen(T) is not None:
                 continue
             split = _two_product_split(T)
-            assert split == _two_product_split_per_row(T)
+            want = _two_product_split_per_row(T)
+            if split is None:
+                assert want is None
+            else:
+                assert [(P, glue.tolist(), colmap.tolist()) for P, glue, colmap in split] == list(want)
             outcomes["none" if split is None else "split"] += 1
             if split is not None:
                 todo += [split[0][0], split[1][0]]
     assert outcomes["split"] > 80 and outcomes["none"] > 200, outcomes
+
+
+def test_a_part_that_repeats_a_column_is_refused_without_a_screen():
+    # a near-miss whose 2-product split has two sides that repeat a column,
+    # once their dominated rows are dropped; neither side is screened, and
+    # the recursion refuses each, since no check matches a repeated column
+    S = Matrix([[1, 1, 1, 0], [1, 0, 1, 1], [1, 0, 1, 0], [1, 1, 0, 1]])
+    assert _screen(S) is None
+    split = _two_product_split(S)
+    assert split is not None
+    for side, _, _ in split:
+        assert _screen(side) == "columns must be distinct"
+        assert _recognize_rec(side) is None
+    assert recognize_2level_matroid_slack(S) is None
 
 
 def test_verify_candidate_rejects_a_missing_facet_row():
