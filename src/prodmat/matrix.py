@@ -101,8 +101,8 @@ class Matrix:
     read-only.  Any other sequence of rows is converted entry by entry: each
     entry becomes an `int` when integral and a `Fraction` otherwise, whatever
     exact or float type it was given as (`bool`, `float`, `Decimal`, numpy
-    integers, ...).  `rows`, `col` and `cols` read the entries back as
-    tuples, built on each call.
+    integers, ...).  `rows` reads the entries back as tuples, built on each
+    call.
     """
 
     __slots__ = ("array", "m", "n", "_hash", "_codes", "_pairs")
@@ -135,17 +135,8 @@ class Matrix:
     def rows(self) -> tuple:
         return tuple(map(tuple, self.array.tolist()))
 
-    def col(self, j: int) -> tuple:
-        return tuple(self.array[:, j].tolist())
-
-    def cols(self) -> list:
-        return list(map(tuple, self.array.T.tolist()))
-
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
         return Matrix(self.array.take(rows, axis=0).take(cols, axis=1))
-
-    def restrict_cols(self, cols: Sequence[int]) -> "Matrix":
-        return Matrix(self.array.take(cols, axis=1))
 
     def is_zero_one(self) -> bool:
         # an object array holds a Fraction or an int beyond int64

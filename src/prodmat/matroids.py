@@ -55,20 +55,25 @@ products' constructions: a 1-sum is the 1-product of the slacks and of the
 element x column incidences; a 2-sum finds its coherent rows by one
 comparison with a column of B, takes the 2-product of the slacks along
 them, with each column's part columns (cl, cr), and drops dominated rows
-with one product (`_facet_rows`).  The recursion
-carries its column bases as incidence arrays and compares row sets as byte
-keys; a recognition keeps the array it proved, and the CLI writes it.  A
-built slack becomes a Matrix by one cast to int64.  Each expression node sets
+with one product (`_facet_rows`).  A leaf is built once per process: up to
+64 leaves of at most 2^14 slack entries are kept read-only with their base
+index (`_uniform`), 6 MB at worst, and both the builder and the
+recognizer's leaf check read them.  The recursion carries its column bases
+as incidence arrays and compares row sets as byte keys; a recognition keeps
+the array it proved, and the CLI writes it.  A built slack becomes a Matrix
+by one cast to int64, never a view of a kept leaf.  Each expression node sets
 its element count, `size`, when it is built (a plain attribute, not a field),
 so every walker over an expression takes time linear in it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
 from math import comb, prod
+from types import MappingProxyType
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -95,6 +100,9 @@ _MAX_COLUMNS = 1 << 16
 #: most rows x columns of a leaf or sum step: an identity leaf U(d,1) has d
 #: columns but d x d entries
 _MAX_CELLS = 1 << 24
+#: most leaves `_kept_uniform` holds, and most entries of a kept leaf's slack
+_KEPT_LEAVES = 64
+_KEPT_LEAF_CELLS = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +316,6 @@ class HypersimplexForm:
     elem_rows: tuple  # per element: (vrow, crow) with crow None in the identity case
 
 
-def hypersimplex_col_bases(S: Matrix, form: HypersimplexForm) -> list:
-    V = S.array[[v for v, _ in form.elem_rows]]
-    return [frozenset(np.flatnonzero(c == 1).tolist()) for c in V.T]
-
-
 def recognize_hypersimplex(S: Matrix) -> Optional[HypersimplexForm]:
     """Match S against some S_{d,k} up to row/column permutation.
 
@@ -381,8 +384,13 @@ def _base_sets(B: np.ndarray) -> list:
     return list(map(frozenset, _base_lists(B)))
 
 
+def _base_index(B: np.ndarray) -> dict:
+    """Each row of a base incidence array, as a `_row_keys` key, to its index."""
+    return dict(zip(_row_keys(B), range(len(B))))
+
+
 def _uniform(d: int, k: int):
-    """(uint8 slack, base incidence) of U(d,k), with no column bound.
+    """(uint8 slack, base incidence, base index) of U(d,k), with no column bound.
 
     For 2 <= k <= d-2 the slack is 2d x C(d,k) with columns (v, 1-v) over
     all weight-k indicator vectors v in ascending lexicographic order (the
@@ -390,7 +398,20 @@ def _uniform(d: int, k: int):
     "x_e >= 0" rows, rows d..2d-1 the "x_e <= 1" rows.  For k in {1, d-1}
     every column is a vertex of a simplex and the non-redundant slack is the
     d x d identity, column j the base {j} or its complement.
+
+    A leaf is built once per process: a slack of at most `_KEPT_LEAF_CELLS`
+    entries is kept, with read-only arrays and a read-only `_base_index`,
+    by `_kept_uniform`, which holds at most `_KEPT_LEAVES` leaves, each
+    under 96 KB with its index: 6 MB at worst.  A larger leaf is built on
+    each call and not kept, and its index is None.
     """
+    if (d * d if k in (1, d - 1) else 2 * d * comb(d, k)) <= _KEPT_LEAF_CELLS:
+        return _kept_uniform(d, k)
+    return (*_uniform_arrays(d, k), None)
+
+
+def _uniform_arrays(d: int, k: int):
+    """(uint8 slack, base incidence) of U(d,k) in `_uniform`'s layout."""
     if k == 1 or k == d - 1:
         eye = np.eye(d, dtype=bool)
         return eye.view(np.uint8), eye if k == 1 else ~eye
@@ -398,6 +419,14 @@ def _uniform(d: int, k: int):
     B = np.zeros((len(subsets), d), dtype=bool)
     B[np.arange(len(subsets))[:, None], subsets] = True
     return np.concatenate((B.T, ~B.T)).view(np.uint8), B
+
+
+@functools.lru_cache(maxsize=_KEPT_LEAVES)
+def _kept_uniform(d: int, k: int):
+    """`_uniform` of a leaf small enough to keep, its arrays read-only."""
+    A, B = _uniform_arrays(d, k)
+    A.flags.writeable = B.flags.writeable = False
+    return A, B, MappingProxyType(_base_index(B))
 
 
 def _facet_rows(A: np.ndarray) -> np.ndarray:
@@ -502,7 +531,7 @@ def _build(e: Expr):
             raise GuardExceeded(f"{what} would have at least {e.d} columns, more than the bound of {_MAX_COLUMNS}")
         else:
             _check_size(2 * e.d, comb(e.d, e.k), what)
-        return _uniform(e.d, e.k)
+        return _uniform(e.d, e.k)[:2]
     if isinstance(e, OneSum):
         parts = [_build(p) for p in e.parts]
         _check_size(sum(len(A) for A, _ in parts), prod(len(B) for _, B in parts), "a sum")
@@ -677,27 +706,16 @@ def _reexpands(S: Matrix, expr: Expr, B: np.ndarray) -> bool:
     """S is exactly expr's non-redundant slack matrix, its column j being the
     slack's column with base B[j] (a row of a base incidence array).
 
-    A leaf is built without the column bound: S already has its columns."""
+    A leaf is built without the column bound, S already has its columns, and
+    a kept leaf comes with its base index."""
     try:
-        R, RB = _uniform(expr.d, expr.k) if isinstance(expr, Leaf) else _build(expr)
+        R, RB, pos = _uniform(expr.d, expr.k) if isinstance(expr, Leaf) else (*_build(expr), None)
     except ValueError:
         return False
-    pos = dict(zip(_row_keys(RB), range(len(RB))))
-    cols = [pos.get(key) for key in _row_keys(B)]
+    if pos is None:
+        pos = _base_index(RB)
+    cols = list(map(pos.get, _row_keys(B)))
     return None not in cols and _matches(S, R, np.array(cols))
-
-
-def _verify_candidate(S: Matrix, expr: Expr, col_bases: Sequence[frozenset]) -> bool:
-    """Re-expand the expression and compare with S through the base matching:
-    S must be exactly the expression's non-redundant slack matrix, its column
-    j having the base col_bases[j]."""
-    ground = range(expr.size)
-    B = np.zeros((len(col_bases), len(ground)), dtype=bool)
-    for j, b in enumerate(col_bases):
-        if not all(x in ground for x in b):
-            return False
-        B[j, list(b)] = True
-    return _reexpands(S, expr, B)
 
 
 def _glue_options(expr: Expr, B: np.ndarray, pattern: tuple, side: str):

@@ -12,7 +12,7 @@ import numpy as np
 
 from prodmat import CoherenceError, Leaf, Matrix, OneSum, TwoSum, one_product, two_product
 from prodmat.info import group_columns
-from prodmat.matroids import expr_to_slack_with_bases
+from prodmat.matroids import _reexpands, expr_to_slack_with_bases
 
 
 def random_matrix(rng, m, n, lo=0, hi=3):
@@ -253,6 +253,24 @@ def hypersimplex_slack_reference(d, k):
     rows += [tuple(1 - v[e] for v in vectors) for e in range(d)]
     bases = [frozenset(i for i in range(d) if v[i] == 1) for v in vectors]
     return Matrix(rows), bases
+
+
+def hypersimplex_col_bases(S, form):
+    """Each column's base read off S's element rows in a `HypersimplexForm`."""
+    V = S.array[[v for v, _ in form.elem_rows]]
+    return [frozenset(np.flatnonzero(c == 1).tolist()) for c in V.T]
+
+
+def verify_candidate(S, expr, col_bases):
+    """Re-expand the expression and compare with S through the base matching
+    (`matroids._reexpands`): S must be exactly the expression's
+    non-redundant slack matrix, its column j having the base col_bases[j]."""
+    B = np.zeros((len(col_bases), expr.size), dtype=bool)
+    for j, b in enumerate(col_bases):
+        if not all(0 <= x < expr.size for x in b):
+            return False
+        B[j, list(b)] = True
+    return _reexpands(S, expr, B)
 
 
 def facet_rows_reference(S):

@@ -26,12 +26,12 @@ from prodmat import (
     slack_from_vh,
     uniform_bases,
 )
-from prodmat.matroids import hypersimplex_col_bases
 from prodmat.oracles import bf_one_product, bf_submodular_min, bf_two_product, cut_oracle
 from prodmat.queyranne import SymmetricOracle, minimize_symmetric
 
 from helpers import (
     base_families_match,
+    hypersimplex_col_bases,
     random_cut_oracle_edges,
     random_feasible_expr,
     random_matrix,

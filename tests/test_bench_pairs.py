@@ -1,4 +1,5 @@
-"""`tools/bench_pairs.py` refuses to summarize a run whose answers were wrong."""
+"""`tools/bench_pairs.py` refuses to summarize a run whose answers were wrong,
+and prints each workload's summary one metric a line."""
 
 import importlib.util
 from pathlib import Path
@@ -23,3 +24,17 @@ def test_a_wrong_run_stops_the_script(last):
 
 def test_a_correct_run_passes():
     bench_pairs.check_verdict({"correct": True, "failed": 0, "metrics": {}}, "gen-expr seed 1 base")
+
+
+def test_the_summary_prints_one_line_per_workload_and_metric():
+    # four pairs: ops_per_s (higher is better) wins 3, op_p50_ms (lower) wins 1
+    ops = [(100.0, 110.0), (104.0, 103.0), (98.0, 120.0), (102.0, 111.0)]
+    p50 = [(2.0, 1.5), (2.0, 2.5), (3.0, 3.0), (2.5, 2.5)]
+    run = lambda o, p: {"metrics": {"ops_per_s": {"value": o}, "op_p50_ms": {"value": p}}}  # noqa: E731
+    pairs = [{"base": run(ob, pb), "change": run(oc, pc)} for (ob, oc), (pb, pc) in zip(ops, p50)]
+    summary = bench_pairs.summarize(pairs, {"ops_per_s": "higher", "op_p50_ms": "lower"})
+    lines = bench_pairs.summary_lines({"gen-expr": {"runs": pairs, "summary": summary}})
+    assert lines == [
+        "gen-expr ops_per_s: base 101 (IQR 3), change 110.5 (IQR 5), change better in 3 of 4 pairs",
+        "gen-expr op_p50_ms: base 2.25 (IQR 0.625), change 2.5 (IQR 0.375), change better in 1 of 4 pairs",
+    ]

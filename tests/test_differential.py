@@ -25,7 +25,7 @@ def _small_factor(rng):
     # constant row (which always splits off as a factor of its own)
     rows = [rng.sample(range(3), 2) for _ in range(rng.randint(1, 2))]
     F = Matrix(rows)
-    return F.restrict_cols([0, 1] + [rng.randrange(2) for _ in range(rng.randint(0, 1))])
+    return F.submatrix(range(F.m), [0, 1] + [rng.randrange(2) for _ in range(rng.randint(0, 1))])
 
 
 def _flip_one(rng, S):

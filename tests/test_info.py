@@ -243,7 +243,7 @@ def _components_reference(S, given):
         blocks = [S]
     else:
         values = sorted(set(S.rows[given]))
-        blocks = [S.restrict_cols([j for j in range(S.n) if S.rows[given][j] == v]) for v in values]
+        blocks = [S.submatrix(range(S.m), [j for j in range(S.n) if S.rows[given][j] == v]) for v in values]
     parent = list(range(len(ground)))
 
     def find(a):
@@ -304,7 +304,7 @@ def _component_inputs(rng):
     for _ in range(30):
         A = random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), 0, 2)
         B = random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), 0, 1)
-        P = one_product(A, B).restrict_cols(list(range(A.n * B.n)) + [0])
+        P = one_product(A, B).submatrix(range(A.m + B.m), list(range(A.n * B.n)) + [0])
         inputs.append(seeded_shuffle(P, rng.getrandbits(64))[0])
     inputs.append(Matrix([[Fraction(1, 3), Fraction(2, 3), Fraction(1, 3)], [0, 1, 0], [5, 5, 5]]))
     return inputs
@@ -438,7 +438,7 @@ def _independent_reference(S, given, X, Y):
         blocks = [S]
     else:
         values = sorted(set(S.rows[given]))
-        blocks = [S.restrict_cols([j for j in range(S.n) if S.rows[given][j] == v]) for v in values]
+        blocks = [S.submatrix(range(S.m), [j for j in range(S.n) if S.rows[given][j] == v]) for v in values]
     for B in blocks:
         joint = multiplicity_table(B, X + Y).counts
         pos = {i: k for k, i in enumerate(sorted(X + Y))}

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb, prod
 
@@ -44,9 +45,7 @@ from prodmat.matroids import (
     _screen,
     _two_product_split,
     _two_sum,
-    _verify_candidate,
     expr_to_slack_with_bases,
-    hypersimplex_col_bases,
 )
 from prodmat.oracles import base_exchange_validator
 
@@ -54,11 +53,14 @@ from helpers import (
     base_families_match,
     expr_to_slack_reference,
     facet_rows_reference,
+    hypersimplex_col_bases,
+    hypersimplex_slack_reference,
     random_expr,
     random_feasible_expr,
     row_provenance_reference,
     two_sum_slack_reference,
     u42_chain,
+    verify_candidate,
 )
 
 
@@ -127,19 +129,69 @@ def test_two_sum_preconditions():
 
 
 def test_hypersimplex_slack_shapes():
-    for d in range(2, 9):
-        for k in range(1, d):
-            S = hypersimplex_slack(d, k)
-            if k in (1, d - 1):
-                assert S.m == d and S.n == d
-            else:
-                assert S.m == 2 * d and S.n == comb(d, k)
-                # every column has exactly d ones: v plus 1-v
-                for j in range(S.n):
-                    assert sum(1 for x in S.col(j) if x == 1) == d
+    # every leaf with d <= 9 is kept by `_uniform`, so the second pass builds
+    # from the kept arrays: they equal the tuple reference, refuse writes,
+    # and no Matrix the builder returns is a view of them
+    for _ in range(2):
+        for d in range(2, 10):
+            for k in range(1, d):
+                S, slack = hypersimplex_slack(d, k), expr_to_slack(Leaf(d, k))
+                built, bases = expr_to_slack_with_bases(Leaf(d, k))
+                want, want_bases = hypersimplex_slack_reference(d, k)
+                assert S == slack == built == want and bases == want_bases
+                A, B, index = matroids._uniform(d, k)
+                for M in (S, slack, built):
+                    assert not np.shares_memory(M.array, A) and not np.shares_memory(M.array, B)
+                for kept in (A, B):
+                    with pytest.raises(ValueError, match="read-only"):
+                        kept[0, 0] = 1
+                with pytest.raises(TypeError):
+                    index[b""] = 0
+                if k in (1, d - 1):
+                    assert S.m == d and S.n == d
+                else:
+                    assert S.m == 2 * d and S.n == comb(d, k)
+                    # every column has exactly d ones: v plus 1-v
+                    for j in range(S.n):
+                        assert (S.array[:, j] == 1).sum() == d
     assert hypersimplex_slack(3, 1) == Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(ValueError):
         hypersimplex_slack(4, 0)
+
+
+def test_kept_leaves_stay_under_the_stated_size():
+    # `_uniform` keeps at most 64 leaves, of at most 2^14 slack entries, each
+    # under 96 KB with its index: 6 MB at worst.  Each leaf is measured on
+    # its second build, once the allocator's free lists hold the garbage of
+    # the first.  A leaf over the bound is built on each call, not kept.
+    assert matroids._kept_uniform.cache_info().maxsize == matroids._KEPT_LEAVES == 64
+    assert matroids._KEPT_LEAF_CELLS == 1 << 14
+    kept = [
+        (d, k)
+        for d in range(2, 129)
+        for k in range(1, d)
+        if (d * d if k in (1, d - 1) else 2 * d * comb(d, k)) <= matroids._KEPT_LEAF_CELLS
+    ]
+    sizes = {}
+    for d, k in kept:
+        matroids._kept_uniform.__wrapped__(d, k)
+        tracemalloc.start()
+        try:
+            leaf = matroids._kept_uniform.__wrapped__(d, k)
+            sizes[d, k] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del leaf
+    assert len(sizes) == 327 and max(sizes.values()) < 96 << 10
+    assert matroids._KEPT_LEAVES * max(sizes.values()) < 6 << 20
+    for d, k in ((4, 2), (11, 5), (128, 1), (128, 127)):
+        first, second = matroids._uniform(d, k), matroids._uniform(d, k)
+        assert (d, k) in sizes and all(a is b for a, b in zip(first, second))
+    for d, k in ((12, 6), (129, 1), (129, 128)):
+        first, second = matroids._uniform(d, k), matroids._uniform(d, k)
+        assert (d, k) not in sizes and first[2] is None and first[0] is not second[0]
+        assert (first[0] == second[0]).all() and (first[1] == second[1]).all()
+        assert matroids._reexpands(hypersimplex_slack(d, k), Leaf(d, k), first[1])
 
 
 def test_hypersimplex_self_complementary():
@@ -749,9 +801,9 @@ def test_verify_candidate_rejects_a_missing_facet_row():
         e, S, bases = random_feasible_expr(rng, max_leaves=4, dmax=5, max_cols=120, max_rows=24)
         sh, _, cp = seeded_shuffle(S, rng.getrandbits(64))
         col_bases = [bases[cp[j]] for j in range(S.n)]
-        assert _verify_candidate(sh, e, col_bases)
+        assert verify_candidate(sh, e, col_bases)
         for h in range(sh.m):
-            assert not _verify_candidate(Matrix(sh.rows[:h] + sh.rows[h + 1:]), e, col_bases)
+            assert not verify_candidate(Matrix(sh.rows[:h] + sh.rows[h + 1:]), e, col_bases)
 
 
 def test_recognize_wide_u42_chains_and_near_misses():

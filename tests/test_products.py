@@ -64,7 +64,7 @@ def test_one_product_matches_the_column_definition():
         S2 = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5), -2, 3)
         P = one_product(S1, S2)
         assert P.n == S1.n * S2.n
-        assert P.cols() == [S1.col(j // S2.n) + S2.col(j % S2.n) for j in range(P.n)]
+        assert P.array.T.tolist() == [S1.array[:, j // S2.n].tolist() + S2.array[:, j % S2.n].tolist() for j in range(P.n)]
 
 
 def test_recognize_shuffled_paper_product():
@@ -99,7 +99,7 @@ def test_reconstruct_factors_examples():
 
 
 def _with_repeated_columns(rng, S):
-    return S.restrict_cols(list(range(S.n)) + [rng.randrange(S.n) for _ in range(rng.randint(1, 3))])
+    return S.submatrix(range(S.m), list(range(S.n)) + [rng.randrange(S.n) for _ in range(rng.randint(1, 3))])
 
 
 def test_reconstruct_factors_agrees_with_exact_check():
@@ -150,7 +150,7 @@ def _diagonal(A, B):
     """A stacked on B, with every column repeated A.n times.  When the columns
     of A and of B are distinct, each side has A.n patterns of A.n columns, so
     the pattern counts pass every guard but the identity, which fails."""
-    return Matrix(A.rows + B.rows).restrict_cols(list(range(A.n)) * A.n)
+    return Matrix(A.rows + B.rows).submatrix(range(A.m + B.m), list(range(A.n)) * A.n)
 
 
 def _wide(rng, kind="product"):
@@ -500,10 +500,10 @@ def test_two_product_matches_the_column_definition():
         for a in (0, 1):
             for j1 in range(S1.n):
                 for j2 in range(S2.n):
-                    c1, c2 = S1.col(j1), S2.col(j2)
+                    c1, c2 = S1.array[:, j1].tolist(), S2.array[:, j2].tolist()
                     if c1[x1] == c2[y1] == a:
-                        want.append(c1[:x1] + c1[x1 + 1 :] + c2[:y1] + c2[y1 + 1 :] + (a,))
-        assert P.cols() == want
+                        want.append(c1[:x1] + c1[x1 + 1 :] + c2[:y1] + c2[y1 + 1 :] + [a])
+        assert P.array.T.tolist() == want
         dtypes.add(P.array.dtype)
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
 

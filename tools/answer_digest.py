@@ -194,7 +194,7 @@ def flip_one(rng, S, hi):
 def with_repeats(rng, S):
     """S with some of its columns repeated."""
     cols = list(range(S.n)) + [rng.randrange(S.n) for _ in range(rng.randint(0, 2))]
-    return S.restrict_cols(cols)
+    return S.submatrix(range(S.m), cols)
 
 
 def random_two_product(rng, hi):
@@ -212,11 +212,11 @@ def random_two_product(rng, hi):
 def distinct_columns(S):
     seen, keep = set(), []
     for j in range(S.n):
-        c = S.col(j)
+        c = tuple(S.array[:, j].tolist())
         if c not in seen:
             seen.add(c)
             keep.append(j)
-    return S.restrict_cols(keep)
+    return S.submatrix(range(S.m), keep)
 
 
 def random_expr(rng, leaves):
@@ -468,7 +468,7 @@ def reexpands(S, P, order):
     """P equals S's rows `order` (one per row of P) up to a column permutation."""
     if len(order) != S.m or sorted(order) != list(range(S.m)) or P.n != S.n:
         return False
-    return Counter(P.cols()) == Counter(Matrix([S.rows[i] for i in order]).cols())
+    return Counter(map(tuple, P.array.T.tolist())) == Counter(map(tuple, S.array.take(order, axis=0).T.tolist()))
 
 
 def failed_reexpansions(S, cert1, fac, cert2):

@@ -14,7 +14,10 @@ workload, side and metric the median and the interquartile range, plus the
 number of pairs in which the working tree did better.  Several `--workload`
 options run one after the other.  A run whose last line says `correct: false`
 or `failed > 0` stops the script with exit code 1, naming the workload, seed
-and side, and no report is written: a wrong answer is never a median.
+and side, and no report is written: a wrong answer is never a median.  The
+script ends by printing on stderr, from the summary it wrote, one line per
+workload and end-to-end metric: each side's median and interquartile range
+(IQR) and the pairs the working tree won.
 """
 
 from __future__ import annotations
@@ -69,6 +72,21 @@ def summarize(pairs: list, better: dict) -> dict:
     return summary
 
 
+def summary_lines(workloads: dict) -> list:
+    """One line per workload and metric of a report's `workloads`: both sides'
+    median and IQR, and in how many of the pairs the change did better."""
+    lines = []
+    for workload, result in workloads.items():
+        for name, s in result["summary"].items():
+            b, c = s["base"], s["change"]
+            lines.append(
+                f"{workload} {name}: base {b['median']:.6g} (IQR {b['iqr']:.3g}), "
+                f"change {c['median']:.6g} (IQR {c['iqr']:.3g}), "
+                f"change better in {s['change_better']} of {len(result['runs'])} pairs"
+            )
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", default="HEAD", help="commit to compare against (default HEAD)")
@@ -108,6 +126,7 @@ def main(argv=None) -> int:
                       file=sys.stderr, flush=True)
             report["workloads"][workload] = {"runs": pairs, "summary": summarize(pairs, better)}
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    print("\n".join(summary_lines(report["workloads"])), file=sys.stderr)
     return 0
 
 
