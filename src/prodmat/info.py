@@ -34,11 +34,13 @@ exact.  The same per-column keys and counts build the factors of a 1-product
 or 2-product (`products._factor_columns`), so each factorization rests on the
 identity checked on exactly the counts it is built from.
 
-Every graph is read from reduced indicators: E holds one 0/1 row
-[codes[i] == a] per row i and code a >= 1, D = sum(k_i - 1) rows over the
-n columns, none for code 0.  Rows i and j are independent given z exactly
-when n_v*mu(a,b,v) == mu(a,v)*mu(b,v) for every value v of z and all codes
-a, b >= 1: the cells of code 0 follow from the margins, since then
+Every graph is read from reduced indicators: E gives each row i, whose
+largest code is k_i, a block of max(k_i, 1) rows over the n columns, one
+0/1 row [codes[i] == a] per code a >= 1, or for a constant row a single
+zero row, which has no edge (n_v*0 == 0*s).  Rows i and j are
+independent given z exactly when n_v*mu(a,b,v) == mu(a,v)*mu(b,v) for
+every value v of z and all codes a, b >= 1: the cells of code 0 follow
+from the margins, since then
 n_v*mu(a,0,v) = n_v*mu(a,v) - sum_{b>=1} mu(a,v)*mu(b,v) = mu(a,v)*mu(0,v).
 G_v = (E w_v) E^T, with w_v the indicator of z == v, holds every mu(a,b,v)
 and its diagonal s_v every mu(a,v), so rows i and j are dependent exactly
@@ -48,12 +50,11 @@ and the value 0 takes P = E E^T less the others (`_indicator_dependence`);
 without a given row z has one value, and the graph is n*P != s s^T.  Every
 cell is a count, at most n, so the float64 products are exact; the identity
 is compared in int64.  `_dependence_graphs` builds every graph over the rows
-of a matrix (a given row of it is a node with no edge), on P built once per
-matrix and kept with it (`_pair_counts`), and rebuilds E only for given rows
-of two or more values.  Rows of near-distinct values push D towards m*n, so
-above `_GRAM_CAP` cells the same identity is checked on the observed value
-triples of every row pair, grouped by `group_columns` a bounded chunk at a
-time (`_chunked_dependence`).
+of a matrix (a given row of it is a node with no edge), on E and P built
+together once per matrix and kept with it (`_pair_counts`).  Rows of
+near-distinct values push D towards m*n, so above `_GRAM_CAP` cells the
+same identity is checked on the observed value triples of every row pair,
+grouped by `group_columns` a bounded chunk at a time (`_chunked_dependence`).
 
 `InfoFunction.atoms` finds every zero at once.  Since f >= 0 and f is
 submodular, f(X | Y) + f(X & Y) <= f(X) + f(Y), so the zeros are closed
@@ -83,9 +84,10 @@ from .matrix import Matrix
 
 #: most cells of the reduced indicators E (D x n, times the given row's values
 #: after its first) and of a Gram matrix (D x D): a float64 array of this size
-#: takes 32 MB, and the product holds about four at once.  Rows of
-#: near-distinct values, where D approaches m*n, go over it and are grouped
-#: in chunks instead.
+#: takes 32 MB, and the product holds about four at once.  A matrix keeps its
+#: E, at most this many float64 cells, beside P's int32 (`_pair_counts`).
+#: Rows of near-distinct values, where D approaches m*n, go over it and are
+#: grouped in chunks instead.
 _GRAM_CAP = 1 << 22
 
 #: cells of one weighted product of the special-row screen's given rows, and
@@ -196,13 +198,13 @@ def _key_counts(keys: np.ndarray, span: int) -> np.ndarray:
     return cnt[inv]
 
 
-def _indicator_dependence(E, rows, starts, m: int, P, q: int, given) -> np.ndarray:
+def _indicator_dependence(E, starts, P, q: int, given) -> np.ndarray:
     """dep[t]: the m x m dependence graph given the row given[t] (codes of at most
     q + 1 values), diagonal True.  P = E E^T (D x D) of the reduced indicators E
     of the m rows; E is used only for q >= 1.  Rows are adjacent when their
-    blocks of E, which start at `starts`, one per row of `rows`, have a nonzero
-    cell of some n_v*G_v - s_v s_v^T; a constant row has no block and no edge."""
-    (b, n), D = given.shape, len(P)
+    blocks of E, which start at `starts`, have a nonzero cell of some
+    n_v*G_v - s_v s_v^T."""
+    (b, n), D, m = given.shape, len(P), len(starts)
     counts, G0, n0, bad = [], P[None], n, None
     for v in range(1, q + 1):  # one weighted product per value
         w = given == v
@@ -214,23 +216,19 @@ def _indicator_dependence(E, rows, starts, m: int, P, q: int, given) -> np.ndarr
         s = G.diagonal(0, -2, -1)
         cell = n_v * G != s[..., :, None] * s[..., None, :]
         bad = cell if bad is None else bad | cell
-    if D > len(rows):  # one cell per pair of rows: any cell of their blocks
+    if D > m:  # one cell per pair of rows: any cell of their blocks
         bad = np.logical_or.reduceat(np.logical_or.reduceat(bad, starts, axis=-2), starts, axis=-1)
-    if len(rows) < m:
-        dep = np.zeros((len(bad), m, m), dtype=bool)
-        dep[:, rows[:, None], rows] = bad
-    else:
-        dep = bad.reshape(-1, m, m)
-    dep.reshape(len(dep), -1)[:, :: m + 1] = True
-    return dep
+    bad.reshape(len(bad), -1)[:, :: m + 1] = True
+    return bad
 
 
 def _indicators(codes: np.ndarray, k: np.ndarray) -> np.ndarray:
     """E: the float64 reduced indicators of the rows of codes, one 0/1 row
-    [codes[i] == a] per row i and code 1 <= a <= k[i] = max(codes[i]), by row
-    and then by code.  When every row has one, E is codes itself."""
+    [codes[i] == a] per row i and code 1 <= a <= k[i] = max(max(codes[i]), 1),
+    by row and then by code; a constant row's one row is zero.  When every
+    row has one, E is codes itself."""
     m, D = len(codes), int(np.add.reduce(k))
-    if D == m and np.count_nonzero(k) == m:
+    if D == m:
         return codes.astype(np.float64)
     # E[d] = [codes[i] == a] for the d-th pair (i, a >= 1), by row and then by code
     owner = np.arange(m).repeat(k)
@@ -238,27 +236,28 @@ def _indicators(codes: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _pair_counts(S: Matrix, q: int):
-    """[P, k, rows, starts, cells] of S, kept with it, or None while the kernel
+    """[P, E, k, starts, cells] of S, kept with it, or None while the kernel
     given rows of q + 1 values takes more than `_GRAM_CAP` cells.
 
-    k: each row's largest code, rows: the rows of two or more values, starts:
-    where their blocks of the reduced indicators E (D x n) start, cells:
-    D*max(D, n).  P = E E^T is built on the first call within the cap, in
-    int32 (each cell is at most n); E is not kept, and the arrays are
-    read-only."""
+    k: each row's block size in the reduced indicators E (D x n), its largest
+    code or 1, starts: where the blocks start, cells: D*max(D, n).  E and
+    P = E E^T, in int32 (each cell is at most n), are built together on the
+    first call within the cap: E at most `_GRAM_CAP` float64 cells (32 MB)
+    beside P's 16 MB.  Every array is read-only."""
     pairs = S._pairs
     if pairs is None:
-        k = np.maximum.reduce(S.codes, axis=1)
-        D, rows = int(np.add.reduce(k)), k.nonzero()[0]
-        pairs = S._pairs = [None, k, rows, (k.cumsum() - k)[rows], D * max(D, S.n)]
-        for a in pairs[1:4]:
+        k = np.maximum(np.maximum.reduce(S.codes, axis=1), 1)
+        D = int(np.add.reduce(k))
+        pairs = S._pairs = [None, None, k, k.cumsum() - k, D * max(D, S.n)]
+        for a in pairs[2:4]:
             a.flags.writeable = False
     if max(q, 1) * pairs[4] > _GRAM_CAP:
         return None
     if pairs[0] is None:
-        E = _indicators(S.codes, pairs[1])
+        E = pairs[1] = _indicators(S.codes, pairs[2])
         pairs[0] = (E @ E.T).astype(np.int32)
-        pairs[0].flags.writeable = False
+        for a in pairs[:2]:
+            a.flags.writeable = False
     return pairs
 
 
@@ -275,11 +274,10 @@ def _dependence_graphs(S: Matrix, given: np.ndarray):
         for z in given:
             yield _chunked_dependence(S.codes, z)[None]
         return
-    P, k, rows, starts, cells = pairs
-    E = _indicators(S.codes, k) if q else None
+    P, E, _, starts, cells = pairs
     step = max(1, _PAIR_CHUNK // max(max(q, 1) * cells, 1))
     for lo in range(0, len(given), step):
-        yield _indicator_dependence(E, rows, starts, S.m, P, q, given[lo : lo + step])
+        yield _indicator_dependence(E, starts, P, q, given[lo : lo + step])
 
 
 def _component_labels(adj: np.ndarray) -> np.ndarray:

@@ -117,7 +117,7 @@ class Matrix:
         self.m, self.n = entries.shape
         self._hash = None
         self._codes = None
-        self._pairs = None  # the pair counts of its reduced indicators (`info._pair_counts`)
+        self._pairs = None  # its reduced indicators and their pair counts (`info._pair_counts`)
 
     @property
     def codes(self) -> np.ndarray:

@@ -28,10 +28,11 @@ matroid, and the 2-level class is closed under minors (Grande & Sanyal,
 "Theta rank, levelness, and matroid minors", JCTB 2017), so when S is
 recognizable both sides of any split are, and a failed split means no split
 succeeds.  The search per recursion node therefore takes one split instead
-of backtracking over the unions of components.  Each node builds its pair
-counts P = E E^T once (`info._pair_counts`): the node's unconditional graph
-and the special-row screen of the 2-product split that both recognizers
-share (`products._two_product_splits`) both read it.  The screen counts the
+of backtracking over the unions of components.  Each node builds its
+reduced indicators E and their pair counts P = E E^T once, together
+(`info._pair_counts`): the node's unconditional graph and the special-row
+screen of the 2-product split that both recognizers share
+(`products._two_product_splits`) both read them.  The screen counts the
 triples given every 0/1 row in one batch, and the split merges the atoms
 from its components, with q − 1 exact checks for q components when the chain
 holds, only for the rows whose graph splits, in order, up to the first that
@@ -56,11 +57,11 @@ element x column incidences; a 2-sum finds its coherent rows by one
 comparison with a column of B, takes the 2-product of the slacks along
 them, with each column's part columns (cl, cr), and drops dominated rows
 with one product (`_facet_rows`).  A leaf is built once per process: up to
-64 leaves of at most 2^14 slack entries are kept read-only with their base
-index (`_uniform`), 6 MB at worst, and both the builder and the
-recognizer's leaf check read them.  The recursion carries its column bases
-as incidence arrays and compares row sets as byte keys; a recognition keeps
-the array it proved, and the CLI writes it.  A built slack becomes a Matrix
+64 leaves of at most 2^14 slack entries are kept as read-only arrays
+(`_uniform`), 6 MB at worst, and both the builder and the recognizer's leaf
+check read them.  The recursion carries its column bases as incidence
+arrays and compares row sets as byte keys; a recognition keeps the array it
+proved, and the CLI writes it.  A built slack becomes a Matrix
 by one cast to int64, never a view of a kept leaf.  Each expression node sets
 its element count, `size`, when it is built (a plain attribute, not a field),
 so every walker over an expression takes time linear in it.
@@ -73,7 +74,6 @@ import itertools
 import re
 from dataclasses import dataclass
 from math import comb, prod
-from types import MappingProxyType
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -296,11 +296,10 @@ def _bases(e: Expr) -> list:
 def hypersimplex_slack(d: int, k: int) -> Matrix:
     """Slack matrix of the base polytope of U_{d,k} (`_uniform`'s layout).
 
-    Raises GuardExceeded, before enumerating, when C(d,k) is over
-    `_MAX_COLUMNS` or the slack's entries are over `_MAX_CELLS`.
+    Raises ValueError (`Leaf`) when U_{d,k} has a loop or coloop, and
+    GuardExceeded, before enumerating, when C(d,k) is over `_MAX_COLUMNS` or
+    the slack's entries are over `_MAX_CELLS`.
     """
-    if d < 2 or not 1 <= k <= d - 1:
-        raise ValueError(f"no hypersimplex slack for d={d}, k={k}")
     return expr_to_slack(Leaf(d, k))
 
 
@@ -390,7 +389,7 @@ def _base_index(B: np.ndarray) -> dict:
 
 
 def _uniform(d: int, k: int):
-    """(uint8 slack, base incidence, base index) of U(d,k), with no column bound.
+    """(uint8 slack, base incidence) of U(d,k), with no column bound.
 
     For 2 <= k <= d-2 the slack is 2d x C(d,k) with columns (v, 1-v) over
     all weight-k indicator vectors v in ascending lexicographic order (the
@@ -400,14 +399,13 @@ def _uniform(d: int, k: int):
     d x d identity, column j the base {j} or its complement.
 
     A leaf is built once per process: a slack of at most `_KEPT_LEAF_CELLS`
-    entries is kept, with read-only arrays and a read-only `_base_index`,
-    by `_kept_uniform`, which holds at most `_KEPT_LEAVES` leaves, each
-    under 96 KB with its index: 6 MB at worst.  A larger leaf is built on
-    each call and not kept, and its index is None.
+    entries is kept, as read-only arrays, by `_kept_uniform`, which holds at
+    most `_KEPT_LEAVES` leaves, each under 96 KB: 6 MB at worst.  A larger
+    leaf is built on each call and not kept.
     """
     if (d * d if k in (1, d - 1) else 2 * d * comb(d, k)) <= _KEPT_LEAF_CELLS:
         return _kept_uniform(d, k)
-    return (*_uniform_arrays(d, k), None)
+    return _uniform_arrays(d, k)
 
 
 def _uniform_arrays(d: int, k: int):
@@ -426,7 +424,7 @@ def _kept_uniform(d: int, k: int):
     """`_uniform` of a leaf small enough to keep, its arrays read-only."""
     A, B = _uniform_arrays(d, k)
     A.flags.writeable = B.flags.writeable = False
-    return A, B, MappingProxyType(_base_index(B))
+    return A, B
 
 
 def _facet_rows(A: np.ndarray) -> np.ndarray:
@@ -531,7 +529,7 @@ def _build(e: Expr):
             raise GuardExceeded(f"{what} would have at least {e.d} columns, more than the bound of {_MAX_COLUMNS}")
         else:
             _check_size(2 * e.d, comb(e.d, e.k), what)
-        return _uniform(e.d, e.k)[:2]
+        return _uniform(e.d, e.k)
     if isinstance(e, OneSum):
         parts = [_build(p) for p in e.parts]
         _check_size(sum(len(A) for A, _ in parts), prod(len(B) for _, B in parts), "a sum")
@@ -706,14 +704,12 @@ def _reexpands(S: Matrix, expr: Expr, B: np.ndarray) -> bool:
     """S is exactly expr's non-redundant slack matrix, its column j being the
     slack's column with base B[j] (a row of a base incidence array).
 
-    A leaf is built without the column bound, S already has its columns, and
-    a kept leaf comes with its base index."""
+    A leaf is built without the column bound: S already has its columns."""
     try:
-        R, RB, pos = _uniform(expr.d, expr.k) if isinstance(expr, Leaf) else (*_build(expr), None)
+        R, RB = _uniform(expr.d, expr.k) if isinstance(expr, Leaf) else _build(expr)
     except ValueError:
         return False
-    if pos is None:
-        pos = _base_index(RB)
+    pos = _base_index(RB)
     cols = list(map(pos.get, _row_keys(B)))
     return None not in cols and _matches(S, R, np.array(cols))
 

@@ -1,7 +1,8 @@
-"""`tools/bench_pairs.py` refuses to summarize a run whose answers were wrong,
-and prints each workload's summary one metric a line."""
+"""`tools/bench_pairs.py` refuses to summarize a run that failed or whose
+answers were wrong, and prints each workload's summary one metric a line."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,35 @@ def test_a_wrong_run_stops_the_script(last):
         bench_pairs.check_verdict(last, "wide-1p seed 2401 change")
     assert stop.value.code != 0
     assert str(stop.value.code).startswith("wide-1p seed 2401 change: ")
+
+
+def _fake_checkout(root: Path, run_py: str) -> None:
+    """A git repository at root holding BENCHMARK.json and perfbench/run.py."""
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "run.py").write_text(run_py)
+    (root / "BENCHMARK.json").write_text('{"end_to_end": [{"name": "ops_per_s", "better": "higher"}]}')
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.com"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "fake"]):
+        subprocess.run(git + args, cwd=root, check=True, capture_output=True)
+
+
+def test_a_run_that_exits_non_zero_stops_the_script(tmp_path, monkeypatch):
+    root, out = tmp_path / "checkout", tmp_path / "BENCH.json"
+    root.mkdir()
+    _fake_checkout(root, "import sys\nprint('env {}')\nsys.exit(3)\n")
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main(["--workload", "wide-1p", "--seeds", "2401", "--seconds", "1", "--out", str(out)])
+    assert stop.value.code.startswith("wide-1p seed 2401 base: exit code 3, ")
+    assert not out.exists()
+
+
+def test_a_run_that_prints_nothing_stops_the_script(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("")
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.run_once(tmp_path, "gen-expr", 7, 1, "gen-expr seed 7 change")
+    assert stop.value.code.startswith("gen-expr seed 7 change: exit code 0, 0 stdout lines")
 
 
 def test_a_correct_run_passes():

@@ -817,21 +817,55 @@ def _screen_reference(S, out):
     return got
 
 
-def test_special_row_screen_on_any_matrix(monkeypatch):
-    # the given rows are the 0/1 rows; the screen yields exactly those whose
-    # graph, with the rows of out[r] left out, has two or more components,
-    # and those components.  Left out: none, the rows that are functions of
-    # r (isolated in its graph) and random rows (which may carry edges).
-    # The same with a one-cell budget per block and on the chunked path
-    rng = random.Random(27)
+def _screen_cases(rng, inputs):
+    """(S, out) for each input: left out none, the rows that are functions of
+    the given row r (isolated in its graph) and random rows (which may carry
+    edges)."""
     cases = []
-    for S in _screen_inputs(rng):
+    for S in inputs:
         func = np.array([[len(set(zip(S.rows[r], row))) == len(set(S.rows[r])) for row in S.rows] for r in range(S.m)])
         rand = np.array([[rng.random() < 0.3 for _ in range(S.m)] for _ in range(S.m)])
         cases += [(S, None), (S, func), (S, rand)]
+    return cases
+
+
+def test_special_row_screen_on_any_matrix(monkeypatch):
+    # the given rows are the 0/1 rows; the screen yields exactly those whose
+    # graph, with the rows of out[r] left out, has two or more components,
+    # and those components.  The same with a one-cell budget per block and
+    # on the chunked path.  A second family puts one or two constant rows
+    # into each input, and sets constant rows beside one 0/1 row: a constant
+    # row's block of E is one zero row, a node with no edge
+    rng = random.Random(27)
+    inputs = _screen_inputs(rng)
+    cases = _screen_cases(rng, inputs)
     want = [_screen_reference(S, out) for S, out in cases]
     assert sum(bool(w) for w in want) > 120 and sum(not w for w in want) > 60
     assert sum(len(comps) >= 3 for w in want for _, comps in w) > 150
+    constant = []
+    for S in inputs:
+        rows = list(S.rows)
+        for _ in range(rng.randint(1, 2)):
+            rows.insert(rng.randint(0, len(rows)), (rng.randint(0, 2),) * S.n)
+        constant.append(Matrix(rows))
+    for c in range(1, 6):
+        n = rng.randint(2, 8)
+        binary = (0, 1) + tuple(rng.randint(0, 1) for _ in range(n - 2))
+        rows = [(rng.randint(0, 2),) * n for _ in range(c)]
+        rows.insert(rng.randint(0, c), binary)
+        constant.append(Matrix(rows))
+    constant_cases = _screen_cases(rng, constant)
+    constant_want = [_screen_reference(S, out) for S, out in constant_cases]
+    # a constant row kept in r's graph is a component by itself
+    alone = sum(
+        len(comp) == 1 and len(set(S.rows[comp[0] + (comp[0] >= r)])) == 1
+        for (S, _), w in zip(constant_cases, constant_want)
+        for r, comps in w
+        for comp in comps
+    )
+    assert sum(bool(w) for w in constant_want) > 150 and alone > 500, alone
+    cases += constant_cases
+    want += constant_want
     for patch in ({}, {"_PAIR_CHUNK": 1}, {"_GRAM_CAP": -1}):
         with monkeypatch.context() as mp:
             for name, value in patch.items():
@@ -842,10 +876,10 @@ def test_special_row_screen_on_any_matrix(monkeypatch):
 def test_recognizers_build_each_graph_once(monkeypatch):
     # the 2-product recognizer and the matroid split take every candidate's
     # components from the screen: each 0/1 row's graph is built once, in
-    # the screen's batched calls, each matrix's pair counts P are built
-    # once, and InfoFunction.components never runs
-    given, built = [], []
-    real, real_pairs = info._indicator_dependence, info._pair_counts
+    # the screen's batched calls, each matrix's reduced indicators E and
+    # pair counts P are built once, and InfoFunction.components never runs
+    given, built, indicators = [], [], []
+    real, real_pairs, real_indicators = info._indicator_dependence, info._pair_counts, info._indicators
 
     def spy(*args):
         given.append(len(args[-1]))  # the given rows' codes come last
@@ -855,26 +889,33 @@ def test_recognizers_build_each_graph_once(monkeypatch):
         built.append(S._pairs is None or S._pairs[0] is None)
         return real_pairs(S, q)
 
+    def indicators_spy(codes, k):
+        indicators.append(len(codes))
+        return real_indicators(codes, k)
+
     monkeypatch.setattr(info, "_indicator_dependence", spy)
     monkeypatch.setattr(info, "_pair_counts", pairs_spy)
+    monkeypatch.setattr(info, "_indicators", indicators_spy)
     monkeypatch.setattr(InfoFunction, "components", lambda self: pytest.fail("a graph was built again"))
     rng = random.Random(28)
     found = 0
     for S in _screen_inputs(rng):
         given.clear()
         built.clear()
+        indicators.clear()
         found += recognize_two_product(S) is not None
         binary = sum(set(row) == {0, 1} for row in S.rows)
         # a matrix of two rows cannot split: no graph at all
         assert sum(given) == (S.m >= 3) * binary
-        assert sum(built) == (S.m >= 3 and binary > 0)
-        assert not any(a.flags.writeable for a in (S._pairs or ())[:4])  # P, k, rows, starts
+        assert sum(built) == len(indicators) == (S.m >= 3 and binary > 0)
+        assert not any(a.flags.writeable for a in (S._pairs or ())[:4])  # P, E, k, starts
         assert S._pairs is None or S._pairs[0].dtype == np.int32
     for _ in range(10):
         _, S, _ = random_feasible_expr(rng, max_leaves=4, dmax=5, max_cols=120, max_rows=24)
         given.clear()
         built.clear()
+        indicators.clear()
         found += _two_product_split(seeded_shuffle(S, rng.getrandbits(64))[0]) is not None
         assert sum(given) == (S.m >= 3) * S.m
-        assert sum(built) == (S.m >= 3)
+        assert sum(built) == len(indicators) == (S.m >= 3)
     assert found > 50

@@ -131,7 +131,8 @@ def test_two_sum_preconditions():
 def test_hypersimplex_slack_shapes():
     # every leaf with d <= 9 is kept by `_uniform`, so the second pass builds
     # from the kept arrays: they equal the tuple reference, refuse writes,
-    # and no Matrix the builder returns is a view of them
+    # are the same objects on every call, and no Matrix the builder returns
+    # is a view of them
     for _ in range(2):
         for d in range(2, 10):
             for k in range(1, d):
@@ -139,14 +140,13 @@ def test_hypersimplex_slack_shapes():
                 built, bases = expr_to_slack_with_bases(Leaf(d, k))
                 want, want_bases = hypersimplex_slack_reference(d, k)
                 assert S == slack == built == want and bases == want_bases
-                A, B, index = matroids._uniform(d, k)
+                A, B = leaf = matroids._uniform(d, k)
+                assert all(a is b for a, b in zip(leaf, matroids._uniform(d, k)))
                 for M in (S, slack, built):
                     assert not np.shares_memory(M.array, A) and not np.shares_memory(M.array, B)
                 for kept in (A, B):
                     with pytest.raises(ValueError, match="read-only"):
                         kept[0, 0] = 1
-                with pytest.raises(TypeError):
-                    index[b""] = 0
                 if k in (1, d - 1):
                     assert S.m == d and S.n == d
                 else:
@@ -161,9 +161,10 @@ def test_hypersimplex_slack_shapes():
 
 def test_kept_leaves_stay_under_the_stated_size():
     # `_uniform` keeps at most 64 leaves, of at most 2^14 slack entries, each
-    # under 96 KB with its index: 6 MB at worst.  Each leaf is measured on
-    # its second build, once the allocator's free lists hold the garbage of
-    # the first.  A leaf over the bound is built on each call, not kept.
+    # under 96 KB: 6 MB at worst.  Each leaf is measured on its second build,
+    # once the allocator's free lists hold the garbage of the first.  Every
+    # leaf is a (slack, incidence) pair of read-only arrays, and a leaf over
+    # the bound is built afresh on each call, not kept.
     assert matroids._kept_uniform.cache_info().maxsize == matroids._KEPT_LEAVES == 64
     assert matroids._KEPT_LEAF_CELLS == 1 << 14
     kept = [
@@ -186,10 +187,13 @@ def test_kept_leaves_stay_under_the_stated_size():
     assert matroids._KEPT_LEAVES * max(sizes.values()) < 6 << 20
     for d, k in ((4, 2), (11, 5), (128, 1), (128, 127)):
         first, second = matroids._uniform(d, k), matroids._uniform(d, k)
-        assert (d, k) in sizes and all(a is b for a, b in zip(first, second))
+        assert (d, k) in sizes and len(first) == 2 and all(a is b for a, b in zip(first, second))
+        assert not any(a.flags.writeable for a in first)
+        assert matroids._reexpands(hypersimplex_slack(d, k), Leaf(d, k), first[1])
     for d, k in ((12, 6), (129, 1), (129, 128)):
         first, second = matroids._uniform(d, k), matroids._uniform(d, k)
-        assert (d, k) not in sizes and first[2] is None and first[0] is not second[0]
+        assert (d, k) not in sizes and len(first) == len(second) == 2
+        assert not any(a is b for a, b in zip(first, second))
         assert (first[0] == second[0]).all() and (first[1] == second[1]).all()
         assert matroids._reexpands(hypersimplex_slack(d, k), Leaf(d, k), first[1])
 

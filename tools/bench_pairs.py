@@ -12,12 +12,13 @@ output JSON holds every run's last stdout line (the perfbench verdict and
 metrics), the `env` line of the first run of each side, the seeds, and per
 workload, side and metric the median and the interquartile range, plus the
 number of pairs in which the working tree did better.  Several `--workload`
-options run one after the other.  A run whose last line says `correct: false`
-or `failed > 0` stops the script with exit code 1, naming the workload, seed
-and side, and no report is written: a wrong answer is never a median.  The
-script ends by printing on stderr, from the summary it wrote, one line per
-workload and end-to-end metric: each side's median and interquartile range
-(IQR) and the pairs the working tree won.
+options run one after the other.  A run that exits non-zero, prints nothing
+on stdout, or whose last line says `correct: false` or `failed > 0` stops the
+script with exit code 1, naming the workload, seed and side, and no report
+is written: a wrong answer is never a median.  The script ends by printing
+on stderr, from the summary it wrote, one line per workload and end-to-end
+metric: each side's median and interquartile range (IQR) and the pairs the
+working tree won.
 """
 
 from __future__ import annotations
@@ -42,12 +43,17 @@ def parse_seeds(text: str) -> list:
     return seeds
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
-    """(env dict, last JSON line) of one perfbench run in `checkout`."""
-    out = subprocess.run(
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, where: str) -> tuple:
+    """(env dict, last JSON line) of one perfbench run in `checkout`; exits
+    with code 1, naming `where`, if the run exits non-zero or prints nothing."""
+    run = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=checkout, capture_output=True, text=True, check=True,
-    ).stdout.splitlines()
+        cwd=checkout, capture_output=True, text=True,
+    )
+    out = run.stdout.splitlines()
+    if run.returncode or not out:
+        last = (run.stderr.strip().splitlines() or [""])[-1]
+        raise SystemExit(f"{where}: exit code {run.returncode}, {len(out)} stdout lines, stderr {last!r}; no report written")
     env = next((json.loads(ln[4:]) for ln in out if ln.startswith("env ")), {})
     return env, json.loads(out[-1])
 
@@ -118,8 +124,9 @@ def main(argv=None) -> int:
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 pair = {"seed": seed, "first": order[0]}
                 for s in order:
-                    env, pair[s] = run_once(sides[s], workload, seed, args.seconds)
-                    check_verdict(pair[s], f"{workload} seed {seed} {s}")
+                    where = f"{workload} seed {seed} {s}"
+                    env, pair[s] = run_once(sides[s], workload, seed, args.seconds, where)
+                    check_verdict(pair[s], where)
                     report["env"].setdefault(s, env)
                 pairs.append(pair)
                 print(workload, seed, {s: round(pair[s]["metrics"]["ops_per_s"]["value"], 1) for s in sides},
