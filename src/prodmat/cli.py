@@ -5,6 +5,12 @@ Exit codes: 0 = success / recognized, 1 = valid negative answer
 prodmat, reported with its traceback on stderr).  Recognition and info commands
 print a JSON document on stdout; generators print a matrix in the standard
 text format.  Diagnostics go to stderr unless --quiet is given.
+
+A line of positional arguments only, with an optional leading --quiet
+(`recognize KIND FILE`, `factor FILE`, `oracle KIND FILE`, `gen WHAT
+PARAMS...`), is dispatched without argparse, because parse_args costs more
+than a small command's own work.  Every other line, help and usage errors
+included, goes to argparse, with its messages and exit codes.
 """
 
 from __future__ import annotations
@@ -241,47 +247,86 @@ def _seed(text: str) -> int:
     return seed
 
 
-@functools.cache  # built once per process; parse_args leaves it unchanged
+# Every command's help, function and arguments, each argument as the name and
+# keywords of one add_argument call.  build_parser adds them to argparse, and
+# _parse_positional reads the same entries, so the grammar is written once.
+COMMANDS = {
+    "info": ("evaluate f(X) and the exact independence verdict", cmd_info, [
+        ("matrix", {}),
+        ("--subset", {"required": True, "help": "comma-separated row indices"}),
+    ]),
+    "recognize": ("recognize 1-products, 2-products, matroid slacks", cmd_recognize, [
+        ("kind", {"choices": ["1p", "2p", "matroid"]}),
+        ("matrix", {}),
+    ]),
+    "factor": ("irreducible 1-product factorization", cmd_factor, [
+        ("matrix", {}),
+    ]),
+    "slack": ("slack matrix from vertex and inequality files", cmd_slack, [
+        ("--vertices", {"required": True}),
+        ("--ineq", {"required": True}),
+    ]),
+    "gen": ("generators: hypersimplex d k | expr FILE | product F1 F2.. | shuffle FILE", cmd_gen, [
+        ("what", {"choices": ["hypersimplex", "expr", "product", "shuffle"]}),
+        ("params", {"nargs": "*"}),
+        ("--seed", {"type": _seed, "default": 0, "help": "64-bit seed for shuffle, 0 .. 2**64 - 1"}),
+    ]),
+    "oracle": ("brute-force oracles for reproducing derived values", cmd_oracle, [
+        ("kind", {"choices": ["1p", "2p"]}),
+        ("matrix", {}),
+    ]),
+}
+
+
+# Built once per process, and only for a line that _parse_positional declines:
+# parse_args takes about 28 us a call on a 2.1 GHz Xeon, a fifth of a
+# `gen expr` call on the benchmark's expressions.  parse_args leaves the parser
+# unchanged.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="prodmat", description=__doc__)
+    # -h shows the module docstring up to its last paragraph, which is about this dispatch
+    ap = argparse.ArgumentParser(prog="prodmat", description=__doc__.rpartition("\n\n")[0])
     ap.add_argument("--quiet", action="store_true", help="suppress diagnostics on stderr")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("info", help="evaluate f(X) and the exact independence verdict")
-    p.add_argument("matrix")
-    p.add_argument("--subset", required=True, help="comma-separated row indices")
-    p.set_defaults(fn=cmd_info)
-
-    p = sub.add_parser("recognize", help="recognize 1-products, 2-products, matroid slacks")
-    p.add_argument("kind", choices=["1p", "2p", "matroid"])
-    p.add_argument("matrix")
-    p.set_defaults(fn=cmd_recognize)
-
-    p = sub.add_parser("factor", help="irreducible 1-product factorization")
-    p.add_argument("matrix")
-    p.set_defaults(fn=cmd_factor)
-
-    p = sub.add_parser("slack", help="slack matrix from vertex and inequality files")
-    p.add_argument("--vertices", required=True)
-    p.add_argument("--ineq", required=True)
-    p.set_defaults(fn=cmd_slack)
-
-    p = sub.add_parser("gen", help="generators: hypersimplex d k | expr FILE | product F1 F2.. | shuffle FILE")
-    p.add_argument("what", choices=["hypersimplex", "expr", "product", "shuffle"])
-    p.add_argument("params", nargs="*")
-    p.add_argument("--seed", type=_seed, default=0, help="64-bit seed for shuffle, 0 .. 2**64 - 1")
-    p.set_defaults(fn=cmd_gen)
-
-    p = sub.add_parser("oracle", help="brute-force oracles for reproducing derived values")
-    p.add_argument("kind", choices=["1p", "2p"])
-    p.add_argument("matrix")
-    p.set_defaults(fn=cmd_oracle)
-
+    for command, (help_text, fn, arguments) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
+        p.set_defaults(fn=fn)
     return ap
 
 
+def _parse_positional(argv: list) -> argparse.Namespace | None:
+    """The Namespace that build_parser().parse_args(argv) returns, for a line of
+    an optional leading --quiet, a command and exactly its positional arguments,
+    each choice valid and no other word starting with "-"; None for any other
+    line, a command with a required option included."""
+    quiet = argv[:1] == ["--quiet"]
+    words = argv[1:] if quiet else argv
+    if not words or words[0] not in COMMANDS or any(w.startswith("-") for w in words):
+        return None
+    _, fn, arguments = COMMANDS[words[0]]
+    values = {"quiet": quiet, "command": words[0], "fn": fn}
+    rest = words[1:]
+    for name, keywords in arguments:
+        if name.startswith("-"):
+            if keywords.get("required"):
+                return None
+            values[name[2:]] = keywords.get("default")
+        elif keywords.get("nargs") == "*":
+            values[name], rest = rest, []
+        elif not rest or ("choices" in keywords and rest[0] not in keywords["choices"]):
+            return None
+        else:
+            values[name], rest = rest[0], rest[1:]
+    return None if rest else argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_positional(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (InputError, MatrixFormatError, MatroidInputError, GuardExceeded, OSError) as exc:

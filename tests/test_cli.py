@@ -174,7 +174,15 @@ def test_parser_is_built_once_and_usage_errors_exit2(paper_file, capsys):
     # next call's exit code and stdout unchanged
     assert build_parser() is build_parser()
     first = run(capsys, ["recognize", "1p", paper_file])
-    for argv in (["recognize", "3p", paper_file], ["nosuchcommand"], []):
+    for argv in (
+        ["recognize", "3p", paper_file],
+        ["nosuchcommand"],
+        [],
+        ["recognize", "1p"],
+        ["recognize", "1p", paper_file, "extra"],
+        ["gen"],
+        ["recognize", "-x", paper_file],
+    ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -213,6 +221,75 @@ def test_console_script_installed():
     res = subprocess.run([exe, "gen", "hypersimplex", "3", "1"], capture_output=True, text=True)
     assert res.returncode == 0
     assert parse_matrix(res.stdout) == Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def test_module_entry_point_matches_in_process_main(paper_file, capsys):
+    # `python -m prodmat.cli` calls main() with no argv, as the console script
+    # does, so main reads sys.argv
+    import os
+    import subprocess
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv in (["gen", "hypersimplex", "3", "1"], ["recognize", "1p", paper_file]):
+        res = subprocess.run([sys.executable, "-m", "prodmat.cli", *argv], capture_output=True, text=True, env=env)
+        assert (res.returncode, res.stdout) == run(capsys, argv)
+
+
+def test_positional_lines_do_not_build_the_parser(paper_file, tmp_path, capsys, monkeypatch):
+    from prodmat import cli
+
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("the parser was built"))
+    e = tmp_path / "e.txt"
+    e.write_text("(u 4 2)\n")
+    assert run(capsys, ["--quiet", "recognize", "1p", paper_file])[0] == 0
+    assert run(capsys, ["gen", "expr", str(e)]) == (0, write_matrix(cli.hypersimplex_slack(4, 2)))
+
+
+def _command_lines():
+    """Command lines around the CLI's grammar: every command with every choice
+    and a wrong one, 0-3 words missing or extra, --quiet before the command,
+    after it and at the end, and words that argparse reads as options or
+    treats specially."""
+    full = [[], ["nosuchcommand", "M"], ["info", "M", "--subset", "0,1"], ["factor", "M"],
+            ["slack", "--vertices", "V", "--ineq", "H"],
+            ["gen", "shuffle", "M", "--seed", "7"], ["gen", "shuffle", "M", "--seed=7"]]
+    full += [["recognize", kind, "M"] for kind in ("1p", "2p", "matroid", "3p")]
+    full += [["oracle", kind, "M"] for kind in ("1p", "2p", "matroid")]
+    full += [["gen", what] + ["P"] * k for what in ("hypersimplex", "expr", "product", "shuffle", "x") for k in range(4)]
+    specials = ["-h", "--", "-", "-1", "--qui", "", "--seed", "7", "--seed=7", "info", "slack", "1p"]
+    lines = []
+    for line in full:
+        lines += [line[: len(line) - k] for k in range(4)] + [line + ["X"] * k for k in range(1, 4)]
+        for p in range(len(line) + 1):
+            lines += [line[:p] + [t] + line[p:] for t in specials]
+            lines += [line[:p] + [t] + line[p + 1 :] for t in specials if p < len(line)]
+    quiet = [["--quiet"] + line for line in lines] + [line + ["--quiet"] for line in lines]
+    return lines + quiet + [line[:1] + ["--quiet"] + line[1:] for line in lines]
+
+
+def test_the_direct_path_gives_argparse_namespace_or_declines(capsys):
+    # every line the direct path takes parses to the same Namespace through
+    # argparse, and every line argparse refuses is left to argparse
+    from prodmat import cli
+
+    parser = build_parser()
+    taken = 0
+    for argv in _command_lines():
+        direct = cli._parse_positional(list(argv))
+        try:
+            expected = vars(parser.parse_args(argv))
+        except SystemExit:
+            expected = None
+        capsys.readouterr()
+        if direct is not None:
+            assert vars(direct) == expected, argv
+            taken += 1
+        elif expected is not None:
+            # declined: a word starting with "-" besides a leading --quiet, or a command with a required option
+            words = argv[1:] if argv[:1] == ["--quiet"] else argv
+            assert any(w.startswith("-") for w in words) or words[0] in ("info", "slack"), argv
+    assert taken >= 500, taken
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,9 @@
 """The README's examples run against the library as it is.
 
 The "Library overview" block is executed, and every `prodmat ...` line of
-the command-line block is parsed by the CLI's own parser, so a name pruned
-or renamed in the library or the CLI cannot leave the README stale.
+the command-line block is parsed by the CLI's own parser, and by its direct
+path where that takes the line, so a name pruned or renamed in the library
+or the CLI cannot leave the README stale.
 """
 
 import re
@@ -40,9 +41,17 @@ def _cli_lines():
 
 
 def test_cli_lines_parse():
+    # a line of positional arguments only is dispatched without argparse, to
+    # the Namespace argparse would give
     parser = cli.build_parser()
     lines = list(_cli_lines())
+    direct = 0
     for argv in lines:
         args = parser.parse_args(argv)
         assert args.command == argv[0], shlex.join(argv)
+        fast = cli._parse_positional(argv)
+        if fast is not None:
+            assert vars(fast) == vars(args), shlex.join(argv)
+            direct += 1
     assert len(lines) >= 12, lines  # eleven lines today, `oracle 1p|2p` counted twice
+    assert direct >= 9, direct  # all but `info`, `slack` and `gen shuffle --seed`
